@@ -495,13 +495,15 @@ def cmd_finetune(args) -> int:
     tag = meta.get("architecture") or _architecture_tag(
         [m.n_hidden for m in d.layers], [{"lambda": 0.0}]
     )
-    train_acc, train_confusion = evaluate(d, train)
-    if test is not None:
-        acc, confusion = evaluate(d, test)
-        split = "test"
-        n_samples = len(test)
+    split, reported = ("test", test) if test is not None else ("train", train)
+    acc, confusion = evaluate(d, reported)
+    n_samples = len(reported)
+    if test is None:
+        train_acc = acc
+    elif log:  # the last epoch measured the final model on the train split
+        train_acc = log[-1].train_accuracy
     else:
-        acc, confusion, split, n_samples = train_acc, train_confusion, "train", len(train)
+        train_acc, _ = evaluate(d, train)
     save_dbn(
         d,
         out_dir / "dbn_finetuned.mndbn",

@@ -16,16 +16,27 @@ SIGMOID_CLIP = 500.0
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Logistic function 1 / (1 + exp(-z)), strictly inside (0, 1).
 
     Inputs are clamped to [-500, 500] before exponentiation, which keeps the
     result finite without overflow; the top end is capped just below 1.0 at
     64-bit precision. Accepts scalars or arrays.
+
+    Like a numpy ufunc, `out` names a float array shaped like z (z itself
+    is allowed) that receives the result; every step then runs in place
+    and no temporary is made. Without it z is left untouched and a new
+    value is returned.
     """
-    z = np.clip(z, -SIGMOID_CLIP, SIGMOID_CLIP)
-    out = 1.0 / (1.0 + np.exp(-z))
-    return np.minimum(out, _ONE_BELOW_1)
+    if out is None:
+        out = z = np.array(z, dtype=float)
+    np.clip(z, -SIGMOID_CLIP, SIGMOID_CLIP, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    np.minimum(out, _ONE_BELOW_1, out=out)
+    return out[()] if out.ndim == 0 else out
 
 
 class Rng:
@@ -79,11 +90,12 @@ def sample_bernoulli(p, rng: Rng):
     """Draw 0/1 with success probability p; one RNG draw per element.
 
     Accepts a scalar probability (returns int) or an array (returns a float
-    array of 0.0/1.0). Probabilities outside [0, 1] are a contract
-    violation and raise ValueError.
+    array of 0.0/1.0). Probabilities outside [0, 1], and NaN, are a
+    contract violation and raise ValueError.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    # Negated so that NaN, which fails every comparison, is rejected too.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError(
             f"bernoulli probability outside [0, 1]: min={arr.min()}, max={arr.max()}"
         )

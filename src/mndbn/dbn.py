@@ -102,7 +102,10 @@ def attach_head(d: Dbn, n_classes: int = 10) -> Dbn:
 def _logits(d: Dbn, x) -> np.ndarray:
     if d.head is None:
         raise ValueError("model has no classification head; call attach_head first")
-    feats = forward(d, x)
+    return _head_logits(d, forward(d, x))
+
+
+def _head_logits(d: Dbn, feats: np.ndarray) -> np.ndarray:
     return feats @ d.head.w_out + d.head.b_out
 
 
@@ -154,8 +157,9 @@ class FineTuneConfig:
 
     method "cg" runs cg_iters conjugate-gradient iterations per mini-batch
     with Armijo backtracking; "gd" takes the same number of fixed-step
-    gradient moves instead. Search directions reset to steepest descent
-    once per full cycle of parameter count, the usual restart rule.
+    gradient moves instead. Every mini-batch starts from steepest descent,
+    and within a batch the direction resets to steepest descent whenever
+    it stops descending (Polak-Ribiere with beta clipped at zero).
     """
 
     batch_size: int = 1000
@@ -231,28 +235,33 @@ def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _loss_only(d: Dbn, x: np.ndarray, y: np.ndarray) -> float:
-    logits = _logits(d, x)
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     return float(np.mean(log_z - shifted[np.arange(y.shape[0]), y]))
 
 
-def loss_and_grad(d: Dbn, x, y, head_only: bool = False):
+def _loss_only(d: Dbn, x, y):
+    """Mean cross-entropy, and the layer activations (input first) it was
+    computed from: the forward half of loss_and_grad."""
+    acts = _forward_stack(d, np.asarray(x, dtype=float))
+    return _cross_entropy(_head_logits(d, acts[-1]), y), acts
+
+
+def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     """Mean cross-entropy of the softmax output and its gradient.
 
     The gradient comes back packed in the same layout as _pack. Backprop
-    multiplies by p(1-p) at each sigmoid layer.
+    multiplies by p(1-p) at each sigmoid layer. forward, when given, is the
+    (loss, activations) pair that _loss_only returned for this x at the
+    model's current parameters; only the backward pass then runs.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    n = x.shape[0]
-    acts = _forward_stack(d, x)
-    logits = acts[-1] @ d.head.w_out + d.head.b_out
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    loss, acts = forward if forward is not None else _loss_only(d, x, y)
+    n = y.shape[0]
+    logits = _head_logits(d, acts[-1])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(n), y]))
     d_logits = (probs - _onehot(y, d.head.n_classes)) / n
     g_w_out = acts[-1].T @ d_logits
     g_b_out = d_logits.sum(axis=0)
@@ -278,19 +287,57 @@ def _armijo(d, theta, direction, loss0, slope, x, y, head_only, cfg, alpha0):
     """Backtracking line search satisfying the Armijo condition.
 
     Starts from the adaptive trial step alpha0 and shrinks geometrically.
-    Returns the accepted step and its loss, or (None, loss0) when
-    max_backtracks shrinkings never reach sufficient decrease; the model is
-    left holding theta in that case.
+    Returns the accepted step, its loss and the activations of its forward
+    pass, with the model left holding the accepted point; or
+    (None, loss0, None) when max_backtracks shrinkings never reach
+    sufficient decrease, with the model left holding theta.
     """
     alpha = alpha0
     for _ in range(cfg.max_backtracks):
         _unpack(d, theta + alpha * direction, head_only)
-        trial = _loss_only(d, x, y)
+        trial, acts = _loss_only(d, x, y)
         if np.isfinite(trial) and trial <= loss0 + cfg.c1 * alpha * slope:
-            return alpha, trial
+            return alpha, trial, acts
+        del acts  # keep one trial's activations alive at a time
         alpha *= cfg.backtrack
     _unpack(d, theta, head_only)
-    return None, loss0
+    return None, loss0, None
+
+
+def _cg_batch(d, theta, x, y, head_only, cfg, alpha_prev):
+    """cfg.cg_iters Polak-Ribiere iterations on one mini-batch, starting
+    from steepest descent. Returns the new parameter vector, which the
+    model then holds, and the last accepted step.
+
+    The gradient at an accepted point reuses the line search's forward
+    pass. After the last iteration no gradient is taken: it would only
+    build a direction that the next batch discards.
+    """
+    loss, g = loss_and_grad(d, x, y, head_only)
+    direction = -g
+    for it in range(cfg.cg_iters):
+        gg = float(g @ g)
+        if gg == 0.0:
+            break
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            direction = -g
+            slope = -gg
+        alpha, loss, acts = _armijo(
+            d, theta, direction, loss, slope, x, y, head_only, cfg, 2.0 * alpha_prev
+        )
+        if alpha is None:
+            break
+        alpha_prev = alpha
+        theta = theta + alpha * direction
+        if it == cfg.cg_iters - 1:
+            break
+        _, new_g = loss_and_grad(d, x, y, head_only, forward=(loss, acts))
+        del acts
+        beta = max(0.0, float(new_g @ (new_g - g)) / gg)
+        direction = -new_g + beta * direction
+        g = new_g
+    return theta, alpha_prev
 
 
 def fine_tune(
@@ -309,6 +356,11 @@ def fine_tune(
     logs one row per epoch (epoch loss and accuracies are measured on the
     full splits after the epoch's updates). Zero epochs returns the model
     untouched with an empty log.
+
+    One conjugate-gradient batch costs one forward and backward pass at
+    its start, one forward pass per Armijo trial, and one backward pass
+    for each accepted step except the last; nothing runs after the last
+    iteration. Each epoch then makes one forward pass over each split.
     """
     if d.head is None:
         raise ValueError("model has no classification head; call attach_head first")
@@ -322,66 +374,41 @@ def fine_tune(
     if images.shape[0] == 0:
         raise ValueError("cannot fine-tune on an empty dataset")
     theta = _pack(d, head_only)
-    n_params = theta.size
-    since_restart = 0
     alpha_prev = 1.0
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         for idx in shuffle_split(images.shape[0], cfg.batch_size, rng):
             x, y = images[idx], labels[idx]
-            loss, g = loss_and_grad(d, x, y, head_only)
-            if cfg.method == "gd":
-                for _ in range(cfg.cg_iters):
-                    theta = theta - cfg.lr * g
-                    _unpack(d, theta, head_only)
-                    loss, g = loss_and_grad(d, x, y, head_only)
+            if cfg.method == "cg":
+                theta, alpha_prev = _cg_batch(d, theta, x, y, head_only, cfg, alpha_prev)
                 continue
-            direction = -g
+            loss, g = loss_and_grad(d, x, y, head_only)
             for _ in range(cfg.cg_iters):
-                gg = float(g @ g)
-                if gg == 0.0:
-                    break
-                slope = float(g @ direction)
-                if slope >= 0.0:
-                    direction = -g
-                    slope = -gg
-                alpha, loss = _armijo(
-                    d, theta, direction, loss, slope, x, y, head_only, cfg, 2.0 * alpha_prev
-                )
-                if alpha is None:
-                    break
-                alpha_prev = alpha
-                theta = theta + alpha * direction
+                theta = theta - cfg.lr * g
                 _unpack(d, theta, head_only)
-                new_loss, new_g = loss_and_grad(d, x, y, head_only)
-                since_restart += 1
-                if since_restart >= n_params:
-                    beta = 0.0
-                    since_restart = 0
-                else:
-                    beta = max(0.0, float(new_g @ (new_g - g)) / gg)
-                direction = -new_g + beta * direction
-                loss, g = new_loss, new_g
+                loss, g = loss_and_grad(d, x, y, head_only)
         require_finite("fine-tune parameters", theta)
-        train_acc, _ = evaluate(d, dataset)
+        epoch_loss, train_acc = _mean_loss(d, dataset)
         test_acc = float("nan")
         if eval_dataset is not None:
             test_acc, _ = evaluate(d, eval_dataset)
-        epoch_loss = _mean_loss(d, dataset)
         log.append(
             FineTuneEpoch(epoch, epoch_loss, train_acc, test_acc, time.perf_counter() - t0)
         )
     return d, log
 
 
-def _mean_loss(d: Dbn, dataset, chunk: int = 10000) -> float:
+def _mean_loss(d: Dbn, dataset, chunk: int = 10000):
+    """Mean cross-entropy and accuracy over a split, from one forward pass."""
     total = 0.0
+    correct = 0
     n = dataset.images.shape[0]
     for lo in range(0, n, chunk):
-        x = dataset.images[lo : lo + chunk]
+        logits = _logits(d, dataset.images[lo : lo + chunk])
         y = dataset.labels[lo : lo + chunk]
-        total += _loss_only(d, x, y) * x.shape[0]
-    return total / n
+        total += _cross_entropy(logits, y) * y.shape[0]
+        correct += int((np.argmax(logits, axis=-1) == y).sum())
+    return total / n, correct / n
 
 
 def evaluate(d: Dbn, dataset, chunk: int = 10000):

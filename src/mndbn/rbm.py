@@ -106,7 +106,9 @@ def prob_h_given_x(m: Rbm, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != m.n_visible:
         raise ValueError(f"x has last axis {x.shape[-1]}, expected {m.n_visible}")
-    return sigmoid(x @ m.w + m.a_hid)
+    z = x @ m.w
+    z += m.a_hid
+    return sigmoid(z, out=z)
 
 
 def prob_x_given_h(m: Rbm, h) -> np.ndarray:
@@ -114,7 +116,9 @@ def prob_x_given_h(m: Rbm, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != m.n_hidden:
         raise ValueError(f"h has last axis {h.shape[-1]}, expected {m.n_hidden}")
-    return sigmoid(h @ m.w.T + m.b_vis)
+    z = h @ m.w.T
+    z += m.b_vis
+    return sigmoid(z, out=z)
 
 
 def gibbs_chain(m: Rbm, x0, k: int, rng: Rng):

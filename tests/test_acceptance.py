@@ -325,10 +325,10 @@ def test_criterion_8_backprop_matches_finite_differences():
     for i in Rng(12).integers(0, theta.size, (100,)):
         tp = theta.copy(); tp[i] += eps
         _unpack(d, tp, False)
-        lp = _loss_only(d, x, y)
+        lp = _loss_only(d, x, y)[0]
         tm = theta.copy(); tm[i] -= eps
         _unpack(d, tm, False)
-        lm = _loss_only(d, x, y)
+        lm = _loss_only(d, x, y)[0]
         fd = (lp - lm) / (2 * eps)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-12))
     _unpack(d, theta, False)

@@ -1,9 +1,12 @@
 """Greedy stack pre-training, softmax head, conjugate-gradient fine-tuning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_rbm
+from mndbn import dbn as dbn_module
 from mndbn.core import Rng
 from mndbn.dbn import (
     Dbn,
@@ -154,10 +157,10 @@ class TestLossAndGrad:
         for i in Rng(12).integers(0, theta.size, (60,)):
             tp = theta.copy(); tp[i] += eps
             _unpack(d, tp, False)
-            lp = _loss_only(d, x, y)
+            lp = _loss_only(d, x, y)[0]
             tm = theta.copy(); tm[i] -= eps
             _unpack(d, tm, False)
-            lm = _loss_only(d, x, y)
+            lm = _loss_only(d, x, y)[0]
             fd = (lp - lm) / (2 * eps)
             assert abs(fd - g[i]) <= 1e-5 * max(abs(fd), abs(g[i]), 1e-10)
         _unpack(d, theta, False)
@@ -230,6 +233,79 @@ class TestFineTune:
         t2, log2 = fine_tune(d2, train, 3, FineTuneConfig(), Rng(8), eval_dataset=test)
         assert (_pack(t1, False) == _pack(t2, False)).all()
         assert [e.test_accuracy for e in log1] == [e.test_accuracy for e in log2]
+
+    def test_cg_matches_recorded_reference(self):
+        # Recorded from the implementation that ran a fresh forward pass for
+        # every gradient and for each end-of-epoch measurement (numpy 2.4,
+        # OpenBLAS 0.3, x86-64); reusing passes must not move a single bit.
+        # Batches of 80 give two full batches and a ragged one of 40.
+        train, test, d = self.small_problem()
+        tuned, log = fine_tune(
+            d, train, 3, FineTuneConfig(batch_size=80), Rng(8), eval_dataset=test
+        )
+        digest = hashlib.sha256(_pack(tuned, False).tobytes()).hexdigest()
+        assert digest == "f8d6485ec7eb78839329b7b22c412778f34d262677fa1af9819c65daa5d13f59"
+        assert [e.loss for e in log] == [2.546131261279972, 2.465030264368071, 2.6918449524165435]
+        assert [e.train_accuracy for e in log] == [0.1, 0.1, 0.13]
+        assert [e.test_accuracy for e in log] == [0.1, 0.1, 0.14]
+
+    def test_one_pass_per_batch_trial_and_split(self, monkeypatch):
+        # Two feature layers; 200 images in batches of 80, 80 and 40.
+        train, test = make_synthetic(200, 50, side=4, seed=6)
+        d = attach_head(
+            Dbn([Rbm.init_random(16, 12, Rng(0), std=0.1), Rbm.init_random(12, 8, Rng(1), std=0.1)]),
+            10,
+        )
+        cfg = FineTuneConfig(batch_size=80, cg_iters=3)
+        real = {
+            name: getattr(dbn_module, name)
+            for name in ("prob_h_given_x", "_loss_only", "loss_and_grad", "_armijo", "_cg_batch")
+        }
+        rows = []  # rows of every layer forward
+        batches = []  # per batch: rows, Armijo trials, accepted steps, gradients
+        searching = [False]
+
+        def prob(m, x):
+            rows.append(x.shape[0])
+            return real["prob_h_given_x"](m, x)
+
+        def loss_only(*args):
+            batches[-1]["trials"] += searching[0]
+            return real["_loss_only"](*args)
+
+        def loss_and_grad(*args, **kwargs):
+            batches[-1]["grads"] += 1
+            return real["loss_and_grad"](*args, **kwargs)
+
+        def armijo(*args):
+            searching[0] = True
+            try:
+                result = real["_armijo"](*args)
+            finally:
+                searching[0] = False
+            batches[-1]["accepted"] += result[0] is not None
+            return result
+
+        def cg_batch(d, theta, x, *rest):
+            batches.append({"rows": x.shape[0], "trials": 0, "accepted": 0, "grads": 0})
+            return real["_cg_batch"](d, theta, x, *rest)
+
+        for name, fake in [("prob_h_given_x", prob), ("_loss_only", loss_only),
+                           ("loss_and_grad", loss_and_grad), ("_armijo", armijo),
+                           ("_cg_batch", cg_batch)]:
+            monkeypatch.setattr(dbn_module, name, fake)
+        fine_tune(d, train, 1, cfg, Rng(8), eval_dataset=test)
+        assert [b["rows"] for b in batches] == [80, 80, 40]
+        assert all(b["accepted"] >= 1 for b in batches)
+        # One forward per batch start and per trial, then one per split.
+        layers = len(d.layers)
+        per_batch = sum((1 + b["trials"]) * b["rows"] * layers for b in batches)
+        per_split = (len(train) + len(test)) * layers
+        assert sum(rows) == per_batch + per_split
+        # A gradient at the batch start and after each accepted step but
+        # the batch's last iteration.
+        for b in batches:
+            assert b["grads"] == 1 + b["accepted"] - (b["accepted"] == cfg.cg_iters)
 
     def test_eval_dataset_reported(self):
         train, test, d = self.small_problem()

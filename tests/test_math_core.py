@@ -39,6 +39,24 @@ class TestSigmoid:
         for i in range(7):
             assert out[i] == sigmoid(z[i])
 
+    def test_in_place_matches_reference_formula_bit_for_bit(self):
+        z = Rng(1).normal((50, 40), std=20.0)
+        z[0, :4] = [-1e10, -600.0, 600.0, 1e10]
+        clipped = np.clip(z, -500.0, 500.0)
+        expected = np.minimum(1.0 / (1.0 + np.exp(-clipped)), np.nextafter(1.0, 0.0))
+        assert sigmoid(z).tobytes() == expected.tobytes()
+        out = sigmoid(z, out=z)
+        assert out is z
+        assert out.tobytes() == expected.tobytes()
+
+    def test_without_out_leaves_input_untouched(self):
+        z = Rng(2).normal((6, 5), std=3.0)
+        before = z.copy()
+        out = sigmoid(z)
+        assert out is not z
+        assert (z == before).all()
+        assert sigmoid(0.25) == sigmoid(np.array([0.25]))[0]
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -91,6 +109,12 @@ class TestSampleBernoulli:
             sample_bernoulli(np.array([0.5, 1.2]), Rng(0))
         with pytest.raises(ValueError):
             sample_bernoulli(-0.1, Rng(0))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            sample_bernoulli(np.array([0.5, np.nan, 0.2]), Rng(0))
+        with pytest.raises(ValueError):
+            sample_bernoulli(float("nan"), Rng(0))
 
     def test_matches_threshold_replay(self):
         p = Rng(6).uniform((4, 5))
