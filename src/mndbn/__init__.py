@@ -68,7 +68,6 @@ _EXPORTS = {
     "fine_tune": "dbn",
     "evaluate": "dbn",
     "loss_and_grad": "dbn",
-    "write_finetune_log": "dbn",
     "save_rbm": "model_io",
     "load_rbm": "model_io",
     "save_dbn": "model_io",

@@ -5,6 +5,12 @@ a manifest.json into the output directory capturing the resolved config,
 the effective seed, and a sha256 per artifact. A manifest can be fed back
 through --config to replay the run.
 
+The config dataclasses are the schema: the keys, defaults and types of a
+"train" or "finetune" block are the fields of TrainConfig or
+FineTuneConfig, and those of a synthetic dataset are the parameters of
+make_synthetic. Each block is built into its dataclass before any data is
+loaded, so the dataclasses' own checks are the config checks.
+
 Only the standard library is imported at module load so that --threads can
 pin the BLAS thread-count environment variables before numpy comes in;
 the numeric modules are imported inside the command handlers.
@@ -15,7 +21,9 @@ directory), 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -31,37 +39,31 @@ THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_MISSING = object()
+# The public JSON key of each config field whose key is not its name.
+_JSON_KEYS = {"batch_size": "batch"}
+_FIELD_NAMES = {key: name for name, key in _JSON_KEYS.items()}
+
+_REQUIRED = object()
+_KINDS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
 
 
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ConfigError(f"config field '{field}' must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field '{field}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config field '{field}' must be true or false, got {value!r}")
-    return value
-
-
-def _as_str(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"config field '{field}' must be a string, got {value!r}")
-    return value
+def _coerce(value, kind: str, field: str):
+    """Check a JSON value against a field type ("int", "float", "bool" or
+    "str"); integral floats pass as ints and ints as floats."""
+    if kind in ("bool", "str"):
+        ok = isinstance(value, bool if kind == "bool" else str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind == "float" or isinstance(value, int) or value.is_integer())
+    if not ok:
+        raise ConfigError(f"config field '{field}' must be {_KINDS[kind]}, got {value!r}")
+    return int(value) if kind == "int" else float(value) if kind == "float" else value
 
 
 def _check_keys(block: dict, allowed, ctx: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown config field(s) in {ctx}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config field(s) in '{ctx}': {', '.join(unknown)}")
 
 
 def _require(block: dict, field: str, ctx: str):
@@ -69,6 +71,57 @@ def _require(block: dict, field: str, ctx: str):
         dotted = f"{ctx}.{field}" if ctx else field
         raise ConfigError(f"config missing required field '{dotted}'")
     return block[field]
+
+
+def _fields(schema) -> list:
+    """(JSON key, type, default) of each field of a config dataclass, or of
+    each parameter of a function; _REQUIRED marks a missing default."""
+    if dataclasses.is_dataclass(schema):
+        items = [(f.name, f.type, f.default) for f in dataclasses.fields(schema)]
+    else:
+        params = inspect.signature(schema).parameters.values()
+        items = [(p.name, p.annotation, p.default) for p in params]
+    return [
+        (
+            _JSON_KEYS.get(name, name),
+            getattr(kind, "__name__", kind),
+            _REQUIRED if default in (dataclasses.MISSING, inspect.Parameter.empty) else default,
+        )
+        for name, kind, default in items
+    ]
+
+
+def _resolve_fields(cfg, fields, ctx: str) -> dict:
+    """Resolve a JSON block against (key, type, default) triples: unknown
+    keys are rejected, omitted keys take their default, and values are
+    type-checked. A None default also admits null."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config field '{ctx}' must be an object")
+    _check_keys(cfg, [key for key, _, _ in fields], ctx)
+    resolved = {}
+    for key, kind, default in fields:
+        value = _require(cfg, key, ctx) if default is _REQUIRED else cfg.get(key, default)
+        if value is not None or default is not None:
+            value = _coerce(value, kind, f"{ctx}.{key}")
+        resolved[key] = value
+    return resolved
+
+
+def _build(ctx: str, make, *args, **kwargs):
+    """Call a config constructor, naming the config block it rejects."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
+def _resolve_block(schema, cfg, ctx: str, seed):
+    """Resolve a block into its config dataclass; a seed given on the
+    command line replaces the block's. Returns (JSON block, dataclass)."""
+    resolved = _resolve_fields({} if cfg is None else cfg, _fields(schema), ctx)
+    if seed is not None:
+        resolved["seed"] = int(seed)
+    return resolved, _build(ctx, schema, **{_FIELD_NAMES.get(k, k): v for k, v in resolved.items()})
 
 
 def _load_config(path, command: str) -> dict:
@@ -94,82 +147,60 @@ def _load_config(path, command: str) -> dict:
     return raw
 
 
-def _resolve_out(args, config: dict) -> Path:
+def _out_dir(args, config: dict) -> str:
     out = args.out or config.get("out_dir")
     if not out:
         raise ConfigError("config missing required field 'out_dir' (or pass --out DIR)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return str(Path(out))
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+def _make_dir(path) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifacts) -> Path:
+def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifacts) -> None:
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "out_dir": str(out_dir),
-        "artifacts": {str(rel): _sha256(out_dir / rel) for rel in sorted(artifacts)},
+        "artifacts": {
+            str(rel): hashlib.sha256((out_dir / rel).read_bytes()).hexdigest()
+            for rel in sorted(artifacts)
+        },
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 # ---------------------------------------------------------------- datasets
-
-_SYNTH_DEFAULTS = {"n_test": 0, "side": 8, "seed": 0, "noise": 0.1, "max_shift": 1}
 
 
 def _resolve_dataset(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config field 'dataset' must be an object")
-    name = _as_str(_require(cfg, "name", "dataset"), "dataset.name")
+    name = _coerce(_require(cfg, "name", "dataset"), "str", "dataset.name")
     if name == "synthetic":
-        _check_keys(cfg, {"name", "n_train", "limit"} | set(_SYNTH_DEFAULTS), "'dataset'")
-        resolved = {
-            "name": "synthetic",
-            "n_train": _as_int(_require(cfg, "n_train", "dataset"), "dataset.n_train"),
-        }
-        for key, default in _SYNTH_DEFAULTS.items():
-            value = cfg.get(key, default)
-            resolved[key] = (
-                _as_float(value, f"dataset.{key}") if key == "noise" else _as_int(value, f"dataset.{key}")
-            )
+        from .synth import make_synthetic
+
+        fields = _fields(make_synthetic)
     elif name == "usps":
-        _check_keys(cfg, {"name", "train_path", "test_path", "limit"}, "'dataset'")
-        resolved = {
-            "name": "usps",
-            "train_path": _as_str(_require(cfg, "train_path", "dataset"), "dataset.train_path"),
-            "test_path": None
-            if cfg.get("test_path") is None
-            else _as_str(cfg["test_path"], "dataset.test_path"),
-        }
+        fields = [("train_path", "str", _REQUIRED), ("test_path", "str", None)]
     elif name in ("mnist", "idx"):
-        _check_keys(
-            cfg,
-            {"name", "train_images", "train_labels", "test_images", "test_labels", "limit"},
-            "'dataset'",
-        )
-        resolved = {"name": name}
-        for key in ("train_images", "train_labels"):
-            resolved[key] = _as_str(_require(cfg, key, "dataset"), f"dataset.{key}")
-        for key in ("test_images", "test_labels"):
-            resolved[key] = None if cfg.get(key) is None else _as_str(cfg[key], f"dataset.{key}")
-        if (resolved["test_images"] is None) != (resolved["test_labels"] is None):
-            raise ConfigError("dataset.test_images and dataset.test_labels must come together")
+        fields = [(f"train_{k}", "str", _REQUIRED) for k in ("images", "labels")]
+        fields += [(f"test_{k}", "str", None) for k in ("images", "labels")]
     else:
         raise ConfigError(
             f"unknown dataset name '{name}' (expected synthetic, usps, mnist, or idx)"
         )
-    limit = cfg.get("limit")
-    resolved["limit"] = None if limit is None else _as_int(limit, "dataset.limit")
+    fields = [("name", "str", _REQUIRED), *fields, ("limit", "int", None)]
+    resolved = _resolve_fields(cfg, fields, "dataset")
+    if (resolved.get("test_images") is None) != (resolved.get("test_labels") is None):
+        raise ConfigError("dataset.test_images and dataset.test_labels must come together")
+    if resolved["limit"] is not None and resolved["limit"] < 1:
+        raise ConfigError("config field 'dataset.limit' must be >= 1")
     return resolved
 
 
@@ -179,147 +210,50 @@ def _build_datasets(resolved: dict):
     if name == "synthetic":
         from .synth import make_synthetic
 
-        train, test = make_synthetic(
-            resolved["n_train"],
-            resolved["n_test"],
-            side=resolved["side"],
-            seed=resolved["seed"],
-            noise=resolved["noise"],
-            max_shift=resolved["max_shift"],
-        )
+        kwargs = {k: v for k, v in resolved.items() if k not in ("name", "limit")}
+        train, test = make_synthetic(**kwargs)
         if resolved["n_test"] == 0:
             test = None
-    elif name == "usps":
-        from .data import load_usps
-
-        train = load_usps(resolved["train_path"], split="train")
-        test = (
-            None
-            if resolved["test_path"] is None
-            else load_usps(resolved["test_path"], split="test")
-        )
     else:
-        from .data import load_idx
+        from .data import load_idx, load_usps
 
-        train = load_idx(resolved["train_images"], resolved["train_labels"], name=name, split="train")
-        test = None
-        if resolved["test_images"] is not None:
-            test = load_idx(resolved["test_images"], resolved["test_labels"], name=name, split="test")
+        def load(split):
+            if name == "usps":
+                path = resolved[f"{split}_path"]
+                return None if path is None else load_usps(path, split=split)
+            images, labels = resolved[f"{split}_images"], resolved[f"{split}_labels"]
+            return None if images is None else load_idx(images, labels, name=name, split=split)
+
+        train, test = load("train"), load("test")
     if resolved["limit"] is not None:
-        if resolved["limit"] < 1:
-            raise ConfigError("config field 'dataset.limit' must be >= 1")
         train = train.subset(resolved["limit"])
     return train, test
 
 
 # ---------------------------------------------------------------- config blocks
 
-_TRAIN_DEFAULTS = {
-    "lr": 0.1,
-    "momentum": 0.5,
-    "final_momentum": 0.9,
-    "momentum_switch_epoch": 5,
-    "batch": 100,
-    "epochs": 30,
-    "cd_k": 1,
-    "seed": 0,
-}
 
-_FINETUNE_DEFAULTS = {
-    "epochs": 30,
-    "batch": 1000,
-    "cg_iters": 3,
-    "method": "cg",
-    "lr": 0.1,
-    "c1": 1e-4,
-    "backtrack": 0.5,
-    "max_backtracks": 30,
-    "head_only": False,
-    "n_classes": 10,
-    "seed": 0,
-}
-
-
-def _resolve_train(cfg, seed_override) -> dict:
-    cfg = cfg or {}
-    if not isinstance(cfg, dict):
-        raise ConfigError("config field 'train' must be an object")
-    _check_keys(cfg, set(_TRAIN_DEFAULTS), "'train'")
-    resolved = {}
-    for key, default in _TRAIN_DEFAULTS.items():
-        value = cfg.get(key, default)
-        if key in ("lr", "momentum", "final_momentum"):
-            resolved[key] = _as_float(value, f"train.{key}")
-        else:
-            resolved[key] = _as_int(value, f"train.{key}")
-    if seed_override is not None:
-        resolved["seed"] = int(seed_override)
-    return resolved
-
-
-def _resolve_penalty(cfg, layer_size: int, ctx: str = "penalty") -> dict:
-    cfg = cfg or {}
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config field '{ctx}' must be an object")
-    _check_keys(cfg, {"lambda", "group_size", "overlap_pct", "epsilon"}, f"'{ctx}'")
-    lam = _as_float(cfg.get("lambda", 0.0), f"{ctx}.lambda")
-    if lam < 0.0:
-        raise ConfigError(f"config field '{ctx}.lambda' must be >= 0")
-    if "group_size" in cfg:
-        group_size = _as_int(cfg["group_size"], f"{ctx}.group_size")
-    elif lam == 0.0:
-        group_size = layer_size
-    else:
-        raise ConfigError(f"config missing required field '{ctx}.group_size'")
-    overlap_pct = _as_float(cfg.get("overlap_pct", 0.0), f"{ctx}.overlap_pct")
-    if not 0.0 <= overlap_pct < 100.0:
-        raise ConfigError(f"config field '{ctx}.overlap_pct' must be in [0, 100)")
-    epsilon = _as_float(cfg.get("epsilon", 1e-8), f"{ctx}.epsilon")
-    return {"lambda": lam, "group_size": group_size, "overlap_pct": overlap_pct, "epsilon": epsilon}
-
-
-def _resolve_finetune(cfg, seed_override) -> dict:
-    cfg = cfg or {}
-    if not isinstance(cfg, dict):
-        raise ConfigError("config field 'finetune' must be an object")
-    _check_keys(cfg, set(_FINETUNE_DEFAULTS), "'finetune'")
-    resolved = {}
-    for key, default in _FINETUNE_DEFAULTS.items():
-        value = cfg.get(key, default)
-        if key in ("lr", "c1", "backtrack"):
-            resolved[key] = _as_float(value, f"finetune.{key}")
-        elif key == "head_only":
-            resolved[key] = _as_bool(value, f"finetune.{key}")
-        elif key == "method":
-            resolved[key] = _as_str(value, f"finetune.{key}")
-        else:
-            resolved[key] = _as_int(value, f"finetune.{key}")
-    if seed_override is not None:
-        resolved["seed"] = int(seed_override)
-    return resolved
-
-
-def _build_penalty_config(layer_size: int, pres: dict):
+def _resolve_penalty(cfg, layer_size: int, ctx: str):
+    """Resolve a penalty block and build its PenaltyConfig; with lambda 0
+    the group size defaults to the whole layer."""
     from .groups import make_partition
     from .mixed_norm import PenaltyConfig
 
-    partition = make_partition(layer_size, pres["group_size"], pres["overlap_pct"] / 100.0)
-    return PenaltyConfig(lam=pres["lambda"], partition=partition, epsilon=pres["epsilon"])
-
-
-def _build_train_config(tres: dict):
-    from .mixed_norm import TrainConfig
-
-    return TrainConfig(
-        lr=tres["lr"],
-        momentum=tres["momentum"],
-        final_momentum=tres["final_momentum"],
-        momentum_switch_epoch=tres["momentum_switch_epoch"],
-        batch_size=tres["batch"],
-        epochs=tres["epochs"],
-        cd_k=tres["cd_k"],
-        seed=tres["seed"],
+    fields = [
+        ("lambda", "float", 0.0),
+        ("group_size", "int", None),
+        ("overlap_pct", "float", 0.0),
+        ("epsilon", "float", PenaltyConfig.epsilon),
+    ]
+    resolved = _resolve_fields({} if cfg is None else cfg, fields, ctx)
+    if resolved["group_size"] is None:
+        if resolved["lambda"] != 0.0:
+            raise ConfigError(f"config missing required field '{ctx}.group_size'")
+        resolved["group_size"] = layer_size
+    partition = _build(
+        ctx, make_partition, layer_size, resolved["group_size"], resolved["overlap_pct"] / 100.0
     )
+    return resolved, _build(ctx, PenaltyConfig, resolved["lambda"], partition, resolved["epsilon"])
 
 
 def _architecture_tag(layer_sizes, penalties) -> str:
@@ -333,245 +267,200 @@ def _architecture_tag(layer_sizes, penalties) -> str:
     return f"mn-dbn(g{p['group_size']},{sizes})"
 
 
-def _write_confusion(path: Path, confusion) -> None:
+def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, confusion,
+                   n_samples: int, elapsed: float, **extra) -> None:
+    """metrics.json, and confusion.csv (rows true class, columns predicted)."""
+    metrics = {
+        "architecture": tag,
+        "dataset": resolved["dataset"]["name"],
+        "split": split,
+        "accuracy_pct": 100.0 * acc,
+        "n_samples": n_samples,
+        "wall_seconds": elapsed,
+        **extra,
+    }
+    (out_dir / "metrics.json").write_text(
+        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     n = confusion.shape[0]
     lines = ["true," + ",".join(f"pred_{c}" for c in range(n))]
     for r in range(n):
         lines.append(str(r) + "," + ",".join(str(int(v)) for v in confusion[r]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "confusion.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_train_rbm(args) -> int:
-    config = _load_config(args.config, "train-rbm")
-    _check_keys(config, {"dataset", "layer_size", "penalty", "train", "out_dir"}, "config")
-    dres = _resolve_dataset(_require(config, "dataset", ""))
-    layer_size = _as_int(_require(config, "layer_size", ""), "layer_size")
-    pres = _resolve_penalty(config.get("penalty"), layer_size)
-    tres = _resolve_train(config.get("train"), args.seed)
-    out_dir = _resolve_out(args, config)
-    resolved = {
-        "dataset": dres,
-        "layer_size": layer_size,
-        "penalty": pres,
-        "train": tres,
-        "out_dir": str(out_dir),
-    }
+def _resolve_pretrain(args, config: dict):
+    """train-rbm trains one layer ("layer_size", "penalty"); pretrain-dbn a
+    stack ("layer_sizes", with one shared "penalty" or per-layer
+    "penalties"). Returns (resolved config, sizes, penalty blocks,
+    PenaltyConfigs, TrainConfig)."""
+    from .mixed_norm import TrainConfig
 
-    from .core import Rng
-    from .mixed_norm import train_mnrbm, write_training_log
-    from .model_io import save_rbm
-
-    train, _ = _build_datasets(dres)
-    pcfg = _build_penalty_config(layer_size, pres)
-    tcfg = _build_train_config(tres)
-    tag = _architecture_tag([layer_size], [pres])
-    model, log = train_mnrbm(train, layer_size, pcfg, tcfg, Rng(tres["seed"]))
-    meta = {"architecture": tag, "dataset": dres["name"], "penalty": pres, "train": tres}
-    save_rbm(model, out_dir / "model.mndbn", meta=meta)
-    write_training_log(out_dir / "training_log.csv", log)
-    _write_manifest(out_dir, "train-rbm", resolved, tres["seed"], ["model.mndbn", "training_log.csv"])
-    final = log[-1] if log else None
-    if final is not None:
-        print(
-            f"{tag}: {len(log)} epochs, final reconstruction error "
-            f"{final.recon_error:.6f}, mean activation {final.mean_hidden_activation:.4f}"
-        )
-    print(f"wrote {out_dir / 'model.mndbn'}")
-    return 0
+    single = args.command == "train-rbm"
+    size_key, pen_key = ("layer_size", "penalty") if single else ("layer_sizes", "penalties")
+    _check_keys(config, {"dataset", size_key, "penalty", pen_key, "train", "out_dir"}, "config")
+    resolved = {"dataset": _resolve_dataset(_require(config, "dataset", ""))}
+    raw_sizes = _require(config, size_key, "")
+    if single:
+        sizes = [_coerce(raw_sizes, "int", size_key)]
+        raw_pens, ctxs = [config.get("penalty")], ["penalty"]
+    else:
+        if not isinstance(raw_sizes, list) or not raw_sizes:
+            raise ConfigError("config field 'layer_sizes' must be a non-empty list")
+        sizes = [_coerce(s, "int", f"layer_sizes[{i}]") for i, s in enumerate(raw_sizes)]
+        raw_pens = config.get("penalties", [config.get("penalty")] * len(sizes))
+        if not isinstance(raw_pens, list):
+            raise ConfigError("config field 'penalties' must be a list (one block per layer)")
+        if len(raw_pens) != len(sizes):
+            raise ConfigError(f"got {len(raw_pens)} penalty blocks for {len(sizes)} layers")
+        ctxs = [f"penalties[{i}]" for i in range(len(sizes))]
+    pens, pcfgs = zip(*(_resolve_penalty(*a) for a in zip(raw_pens, sizes, ctxs)))
+    resolved[size_key] = sizes[0] if single else sizes
+    resolved[pen_key] = pens[0] if single else list(pens)
+    resolved["train"], tcfg = _resolve_block(TrainConfig, config.get("train"), "train", args.seed)
+    resolved["out_dir"] = _out_dir(args, config)
+    return resolved, sizes, list(pens), list(pcfgs), tcfg
 
 
-def cmd_pretrain_dbn(args) -> int:
-    config = _load_config(args.config, "pretrain-dbn")
-    _check_keys(config, {"dataset", "layer_sizes", "penalties", "penalty", "train", "out_dir"}, "config")
-    dres = _resolve_dataset(_require(config, "dataset", ""))
-    raw_sizes = _require(config, "layer_sizes", "")
-    if not isinstance(raw_sizes, list) or not raw_sizes:
-        raise ConfigError("config field 'layer_sizes' must be a non-empty list")
-    layer_sizes = [_as_int(s, f"layer_sizes[{i}]") for i, s in enumerate(raw_sizes)]
-    raw_pens = config.get("penalties")
-    if raw_pens is None:
-        raw_pens = [config.get("penalty")] * len(layer_sizes)
-    if not isinstance(raw_pens, list):
-        raise ConfigError("config field 'penalties' must be a list (one block per layer)")
-    if len(raw_pens) != len(layer_sizes):
-        raise ConfigError(
-            f"got {len(raw_pens)} penalty blocks for {len(layer_sizes)} layers"
-        )
-    penalties = [
-        _resolve_penalty(p, layer_sizes[i], ctx=f"penalties[{i}]") for i, p in enumerate(raw_pens)
-    ]
-    tres = _resolve_train(config.get("train"), args.seed)
-    out_dir = _resolve_out(args, config)
-    resolved = {
-        "dataset": dres,
-        "layer_sizes": layer_sizes,
-        "penalties": penalties,
-        "train": tres,
-        "out_dir": str(out_dir),
-    }
+def cmd_pretrain(args) -> int:
+    """train-rbm writes model.mndbn (one layer) and training_log.csv;
+    pretrain-dbn writes dbn.mndbn and one layer<i>_log.csv per layer."""
+    resolved, sizes, pens, pcfgs, tcfg = _resolve_pretrain(
+        args, _load_config(args.config, args.command)
+    )
+    out_dir = _make_dir(resolved["out_dir"])
 
     from .core import Rng
     from .dbn import pretrain_greedy
-    from .mixed_norm import write_training_log
-    from .model_io import save_dbn
+    from .mixed_norm import train_mnrbm, write_training_log
+    from .model_io import save_dbn, save_rbm
 
-    train, _ = _build_datasets(dres)
-    pcfgs = [_build_penalty_config(layer_sizes[i], penalties[i]) for i in range(len(layer_sizes))]
-    tcfg = _build_train_config(tres)
-    tag = _architecture_tag(layer_sizes, penalties)
-    d, logs = pretrain_greedy(train, layer_sizes, pcfgs, tcfg, Rng(tres["seed"]))
+    train, _ = _build_datasets(resolved["dataset"])
+    tag = _architecture_tag(sizes, pens)
+    single = args.command == "train-rbm"
+    if single:
+        model, log = train_mnrbm(train, sizes[0], pcfgs[0], tcfg, Rng(tcfg.seed))
+        logs, save, model_name, pen_key = [log], save_rbm, "model.mndbn", "penalty"
+        log_names = ["training_log.csv"]
+    else:
+        model, logs = pretrain_greedy(train, sizes, pcfgs, tcfg, Rng(tcfg.seed))
+        save, model_name, pen_key = save_dbn, "dbn.mndbn", "penalties"
+        log_names = [f"layer{i}_log.csv" for i in range(1, len(logs) + 1)]
     meta = {
         "architecture": tag,
-        "dataset": dres["name"],
-        "penalties": penalties,
-        "train": tres,
+        "dataset": resolved["dataset"]["name"],
+        pen_key: resolved[pen_key],
+        "train": resolved["train"],
     }
-    save_dbn(d, out_dir / "dbn.mndbn", meta=meta)
-    artifacts = ["dbn.mndbn"]
-    for i, log in enumerate(logs, start=1):
-        name = f"layer{i}_log.csv"
+    save(model, out_dir / model_name, meta=meta)
+    for name, log in zip(log_names, logs):
         write_training_log(out_dir / name, log)
-        artifacts.append(name)
-    _write_manifest(out_dir, "pretrain-dbn", resolved, tres["seed"], artifacts)
-    print(f"{tag}: pretrained {len(layer_sizes)} layers on {len(train)} images")
-    print(f"wrote {out_dir / 'dbn.mndbn'}")
+    _write_manifest(out_dir, args.command, resolved, tcfg.seed, [model_name, *log_names])
+    if not single:
+        print(f"{tag}: pretrained {len(sizes)} layers on {len(train)} images")
+    elif log:
+        print(
+            f"{tag}: {len(log)} epochs, final reconstruction error "
+            f"{log[-1].recon_error:.6f}, mean activation {log[-1].mean_hidden_activation:.4f}"
+        )
+    print(f"wrote {out_dir / model_name}")
     return 0
 
 
-def cmd_finetune(args) -> int:
-    config = _load_config(args.config, "finetune")
-    _check_keys(config, {"model_path", "dataset", "finetune", "out_dir"}, "config")
+def _resolve_model_run(args, config: dict, blocks=()) -> dict:
+    """The keys that finetune and evaluate share: model_path, dataset, out_dir."""
+    _check_keys(config, {"model_path", "dataset", "out_dir", *blocks}, "config")
     model_path = args.model or config.get("model_path")
     if not model_path:
-        raise ConfigError("finetune needs a model path (positional argument or 'model_path')")
-    dres = _resolve_dataset(_require(config, "dataset", ""))
-    fres = _resolve_finetune(config.get("finetune"), args.seed)
-    out_dir = _resolve_out(args, config)
-    resolved = {
-        "model_path": str(model_path),
-        "dataset": dres,
-        "finetune": fres,
-        "out_dir": str(out_dir),
-    }
+        raise ConfigError(
+            f"{args.command} needs a model path (positional argument or 'model_path')"
+        )
+    dataset = _resolve_dataset(_require(config, "dataset", ""))
+    return {"model_path": str(model_path), "dataset": dataset, "out_dir": _out_dir(args, config)}
+
+
+def _resolve_finetune(args, config: dict):
+    """Returns (resolved config, FineTuneConfig)."""
+    from .dbn import FineTuneConfig
+
+    resolved = _resolve_model_run(args, config, ["finetune"])
+    resolved["finetune"], ft = _resolve_block(
+        FineTuneConfig, config.get("finetune"), "finetune", args.seed
+    )
+    return resolved, ft
+
+
+def _model_tag(meta: dict, d) -> str:
+    return meta.get("architecture") or _architecture_tag([m.n_hidden for m in d.layers], [])
+
+
+def cmd_finetune(args) -> int:
+    resolved, ft = _resolve_finetune(args, _load_config(args.config, "finetune"))
+    out_dir = _make_dir(resolved["out_dir"])
 
     from .core import Rng
-    from .dbn import (
-        Dbn,
-        FineTuneConfig,
-        attach_head,
-        evaluate,
-        fine_tune,
-        write_finetune_log,
-    )
+    from .dbn import Dbn, FineTuneEpoch, attach_head, evaluate, fine_tune
+    from .mixed_norm import write_training_log
     from .model_io import load_model, save_dbn
 
-    model, meta = load_model(model_path)
+    model, meta = load_model(resolved["model_path"])
     d = model if isinstance(model, Dbn) else Dbn([model])
-    attach_head(d, fres["n_classes"])
-    train, test = _build_datasets(dres)
-    ft_cfg = FineTuneConfig(
-        batch_size=fres["batch"],
-        cg_iters=fres["cg_iters"],
-        method=fres["method"],
-        lr=fres["lr"],
-        c1=fres["c1"],
-        backtrack=fres["backtrack"],
-        max_backtracks=fres["max_backtracks"],
-    )
+    attach_head(d, ft.n_classes)
+    train, test = _build_datasets(resolved["dataset"])
     t0 = time.perf_counter()
     d, log = fine_tune(
-        d,
-        train,
-        fres["epochs"],
-        ft_cfg,
-        Rng(fres["seed"]),
-        head_only=fres["head_only"],
-        eval_dataset=test,
+        d, train, ft.epochs, ft, Rng(ft.seed), head_only=ft.head_only, eval_dataset=test
     )
     elapsed = time.perf_counter() - t0
-    tag = meta.get("architecture") or _architecture_tag(
-        [m.n_hidden for m in d.layers], [{"lambda": 0.0}]
-    )
+    tag = _model_tag(meta, d)
     split, reported = ("test", test) if test is not None else ("train", train)
     acc, confusion = evaluate(d, reported)
-    n_samples = len(reported)
     if test is None:
         train_acc = acc
     elif log:  # the last epoch measured the final model on the train split
         train_acc = log[-1].train_accuracy
     else:
         train_acc, _ = evaluate(d, train)
-    save_dbn(
-        d,
-        out_dir / "dbn_finetuned.mndbn",
-        meta={"architecture": tag, "dataset": dres["name"], "finetune": fres},
-    )
-    write_finetune_log(out_dir / "finetune_log.csv", log)
-    metrics = {
-        "architecture": tag,
-        "dataset": dres["name"],
-        "split": split,
-        "accuracy_pct": 100.0 * acc,
-        "train_accuracy_pct": 100.0 * train_acc,
-        "n_samples": n_samples,
-        "wall_seconds": elapsed,
-    }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_confusion(out_dir / "confusion.csv", confusion)
+    dataset = resolved["dataset"]["name"]
+    meta = {"architecture": tag, "dataset": dataset, "finetune": resolved["finetune"]}
+    save_dbn(d, out_dir / "dbn_finetuned.mndbn", meta=meta)
+    write_training_log(out_dir / "finetune_log.csv", log, FineTuneEpoch)
+    _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(reported), elapsed,
+                   train_accuracy_pct=100.0 * train_acc)
     _write_manifest(
         out_dir,
         "finetune",
         resolved,
-        fres["seed"],
+        ft.seed,
         ["dbn_finetuned.mndbn", "finetune_log.csv", "metrics.json", "confusion.csv"],
     )
-    print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% after {fres['epochs']} epochs")
+    print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% after {ft.epochs} epochs")
     print(f"wrote {out_dir / 'dbn_finetuned.mndbn'}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config, "evaluate")
-    _check_keys(config, {"model_path", "dataset", "out_dir"}, "config")
-    model_path = args.model or config.get("model_path")
-    if not model_path:
-        raise ConfigError("evaluate needs a model path (positional argument or 'model_path')")
-    dres = _resolve_dataset(_require(config, "dataset", ""))
-    out_dir = _resolve_out(args, config)
-    resolved = {"model_path": str(model_path), "dataset": dres, "out_dir": str(out_dir)}
+    resolved = _resolve_model_run(args, _load_config(args.config, "evaluate"))
+    out_dir = _make_dir(resolved["out_dir"])
 
     from .dbn import Dbn, evaluate
     from .model_io import load_model
 
-    model, meta = load_model(model_path)
+    model, meta = load_model(resolved["model_path"])
     if not isinstance(model, Dbn) or model.head is None:
         raise ConfigError(
-            f"{model_path} has no classification head; run finetune first"
+            f"{resolved['model_path']} has no classification head; run finetune first"
         )
-    train, test = _build_datasets(dres)
-    dataset = test if test is not None else train
-    split = "test" if test is not None else "train"
+    train, test = _build_datasets(resolved["dataset"])
+    split, dataset = ("test", test) if test is not None else ("train", train)
     t0 = time.perf_counter()
     acc, confusion = evaluate(model, dataset)
     elapsed = time.perf_counter() - t0
-    tag = meta.get("architecture") or f"dbn({'-'.join(str(m.n_hidden) for m in model.layers)})"
-    metrics = {
-        "architecture": tag,
-        "dataset": dres["name"],
-        "split": split,
-        "accuracy_pct": 100.0 * acc,
-        "n_samples": len(dataset),
-        "wall_seconds": elapsed,
-    }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_confusion(out_dir / "confusion.csv", confusion)
+    tag = _model_tag(meta, model)
+    _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset), elapsed)
     _write_manifest(out_dir, "evaluate", resolved, 0, ["metrics.json", "confusion.csv"])
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% on {len(dataset)} samples")
     return 0
@@ -584,8 +473,7 @@ def _histogram_batch(model_path: Path, batch_limit: int):
         return None, f"{model_path}: no manifest.json beside it, skipping histogram"
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        dres = manifest["config"]["dataset"]
-        train, _ = _build_datasets(dres)
+        train, _ = _build_datasets(_resolve_dataset(manifest["config"]["dataset"]))
     except (OSError, KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         return None, f"{model_path}: cannot reload dataset for histogram ({exc})"
     return train.images[: max(1, batch_limit)], None
@@ -602,15 +490,13 @@ def cmd_report(args) -> int:
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
-    bins = _as_int(config.get("bins", 20), "bins")
+    bins = _coerce(config.get("bins", 20), "int", "bins")
     grid = config.get("grid", [10, 10])
     if not isinstance(grid, list) or len(grid) != 2:
         raise ConfigError("config field 'grid' must be [rows, cols]")
-    grid = [_as_int(grid[0], "grid[0]"), _as_int(grid[1], "grid[1]")]
-    batch_limit = _as_int(config.get("batch_limit", 1000), "batch_limit")
-    out = args.out or config.get("out_dir") or (run_dir / "report")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    grid = [_coerce(grid[0], "int", "grid[0]"), _coerce(grid[1], "int", "grid[1]")]
+    batch_limit = _coerce(config.get("batch_limit", 1000), "int", "batch_limit")
+    out_dir = _make_dir(args.out or config.get("out_dir") or run_dir / "report")
     resolved = {
         "run_dir": str(run_dir),
         "bins": bins,
@@ -686,36 +572,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    commands = [
+        ("train-rbm", cmd_pretrain, None, "train one (optionally group-sparse) feature layer"),
+        ("pretrain-dbn", cmd_pretrain, None, "greedy layer-wise pretraining of a layer stack"),
+        ("finetune", cmd_finetune, ("model", "path to a pretrained model file"),
+         "attach a softmax head and fine-tune"),
+        ("evaluate", cmd_evaluate, ("model", "path to a fine-tuned model file"),
+         "accuracy and confusion matrix of a fine-tuned model"),
+        ("report", cmd_report, ("run_dir", "directory holding run artifacts"),
+         "weight tiles, activation histograms, results tables"),
+    ]
+    for name, func, positional, help_text in commands:
+        sp = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            sp.add_argument(positional[0], nargs="?", help=positional[1])
         sp.add_argument("--config", metavar="PATH", help="JSON config or a manifest.json to replay")
         sp.add_argument("--out", metavar="DIR", help="output directory (overrides config out_dir)")
         sp.add_argument("--seed", type=int, metavar="N", help="seed override")
         sp.add_argument("--threads", type=int, metavar="N", help="BLAS/OpenMP thread count")
-
-    sp = sub.add_parser("train-rbm", help="train one (optionally group-sparse) feature layer")
-    common(sp)
-    sp.set_defaults(func=cmd_train_rbm)
-
-    sp = sub.add_parser("pretrain-dbn", help="greedy layer-wise pretraining of a layer stack")
-    common(sp)
-    sp.set_defaults(func=cmd_pretrain_dbn)
-
-    sp = sub.add_parser("finetune", help="attach a softmax head and fine-tune")
-    sp.add_argument("model", nargs="?", help="path to a pretrained model file")
-    common(sp)
-    sp.set_defaults(func=cmd_finetune)
-
-    sp = sub.add_parser("evaluate", help="accuracy and confusion matrix of a fine-tuned model")
-    sp.add_argument("model", nargs="?", help="path to a fine-tuned model file")
-    common(sp)
-    sp.set_defaults(func=cmd_evaluate)
-
-    sp = sub.add_parser("report", help="weight tiles, activation histograms, results tables")
-    sp.add_argument("run_dir", nargs="?", help="directory holding run artifacts")
-    common(sp)
-    sp.set_defaults(func=cmd_report)
-
+        sp.set_defaults(func=func)
     return parser
+
+
+# A contract violation (ValueError) inside a command comes from a config value.
+_EXIT_CODES = {
+    ConfigError: ("config", 2),
+    DataError: ("data", 3),
+    NumericError: ("numeric", 4),
+    ValueError: ("config", 2),
+}
 
 
 def main(argv=None) -> int:
@@ -730,18 +615,10 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        label, code = next(v for cls, v in _EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"{label} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

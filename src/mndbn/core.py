@@ -1,7 +1,6 @@
-"""Dense array helpers, the logistic nonlinearity, and seeded sampling.
+"""The logistic nonlinearity, seeded sampling, and a finiteness check.
 
-Everything operates on float64 numpy arrays. The checked operations reject
-shape mismatches with ValueError instead of silently broadcasting.
+Everything operates on float64 numpy arrays.
 """
 from __future__ import annotations
 
@@ -102,47 +101,6 @@ def sample_bernoulli(p, rng: Rng):
     if arr.ndim == 0:
         return int(rng.uniform() < float(arr))
     return (rng.uniform(arr.shape) < arr).astype(float)
-
-
-def _as_2d(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _as_2d(a, "a")
-    b = _as_2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    """Elementwise sum; shapes must match exactly (no broadcasting)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def scale(a, c: float) -> np.ndarray:
-    """Multiply every entry by a finite scalar."""
-    if not np.isfinite(c):
-        raise ValueError(f"scale factor must be finite, got {c}")
-    return np.asarray(a, dtype=float) * float(c)
-
-
-def transpose(a) -> np.ndarray:
-    return _as_2d(a, "a").T.copy()
-
-
-def rowsum(a) -> np.ndarray:
-    """Vector of per-row sums of a 2-D array."""
-    return _as_2d(a, "a").sum(axis=1)
 
 
 def require_finite(name: str, arr) -> None:

@@ -160,6 +160,10 @@ class FineTuneConfig:
     gradient moves instead. Every mini-batch starts from steepest descent,
     and within a batch the direction resets to steepest descent whenever
     it stops descending (Polak-Ribiere with beta clipped at zero).
+
+    epochs, head_only, n_classes and seed describe the run around
+    fine_tune, as TrainConfig.seed does for pretraining: the caller passes
+    them to fine_tune, attach_head and Rng.
     """
 
     batch_size: int = 1000
@@ -169,6 +173,10 @@ class FineTuneConfig:
     c1: float = 1e-4
     backtrack: float = 0.5
     max_backtracks: int = 30
+    epochs: int = 30
+    head_only: bool = False
+    n_classes: int = 10
+    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("cg", "gd"):
@@ -188,9 +196,6 @@ class FineTuneEpoch:
     train_accuracy: float
     test_accuracy: float
     wall_seconds: float
-
-
-FINETUNE_LOG_COLUMNS = ("epoch", "loss", "train_accuracy", "test_accuracy", "wall_seconds")
 
 
 def _pack(d: Dbn, head_only: bool) -> np.ndarray:
@@ -360,7 +365,8 @@ def fine_tune(
     One conjugate-gradient batch costs one forward and backward pass at
     its start, one forward pass per Armijo trial, and one backward pass
     for each accepted step except the last; nothing runs after the last
-    iteration. Each epoch then makes one forward pass over each split.
+    iteration. A gradient-descent batch costs one forward and backward pass
+    per step. Each epoch then makes one forward pass over each split.
     """
     if d.head is None:
         raise ValueError("model has no classification head; call attach_head first")
@@ -382,11 +388,10 @@ def fine_tune(
             if cfg.method == "cg":
                 theta, alpha_prev = _cg_batch(d, theta, x, y, head_only, cfg, alpha_prev)
                 continue
-            loss, g = loss_and_grad(d, x, y, head_only)
             for _ in range(cfg.cg_iters):
+                _, g = loss_and_grad(d, x, y, head_only)
                 theta = theta - cfg.lr * g
                 _unpack(d, theta, head_only)
-                loss, g = loss_and_grad(d, x, y, head_only)
         require_finite("fine-tune parameters", theta)
         epoch_loss, train_acc = _mean_loss(d, dataset)
         test_acc = float("nan")
@@ -428,21 +433,3 @@ def evaluate(d: Dbn, dataset, chunk: int = 10000):
         np.add.at(confusion, (true, pred), 1)
     return correct / n, confusion
 
-
-def write_finetune_log(path, log: list[FineTuneEpoch]) -> None:
-    """One CSV row per epoch, matching FINETUNE_LOG_COLUMNS."""
-    lines = [",".join(FINETUNE_LOG_COLUMNS)]
-    for row in log:
-        lines.append(
-            ",".join(
-                [
-                    str(row.epoch),
-                    repr(row.loss),
-                    repr(row.train_accuracy),
-                    repr(row.test_accuracy),
-                    repr(row.wall_seconds),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -15,12 +15,13 @@ regularized.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Rng
 from .data import shuffle_split
+from .errors import ConfigError
 from .groups import GroupPartition, accumulate, expand
 from .rbm import (
     Rbm,
@@ -54,7 +55,8 @@ class PenaltyConfig:
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one RBM training run."""
+    """Hyperparameters for one RBM training run. seed is the caller's: it
+    makes the Rng that train_mnrbm and pretrain_greedy are handed."""
 
     lr: float = 0.1
     momentum: float = 0.5
@@ -64,6 +66,12 @@ class TrainConfig:
     epochs: int = 30
     cd_k: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError(
+                f"need epochs >= 0 and batch_size >= 1, got {self.epochs} and {self.batch_size}"
+            )
 
 
 @dataclass
@@ -212,22 +220,11 @@ def train_mnrbm(data, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, 
     return m, log
 
 
-TRAINING_LOG_COLUMNS = (
-    "epoch",
-    "recon_error",
-    "mean_hidden_activation",
-    "mixed_norm_value",
-    "wall_seconds",
-)
-
-
-def write_training_log(path, log: list[EpochStats]) -> None:
-    """Emit the per-epoch log as CSV."""
-    lines = [",".join(TRAINING_LOG_COLUMNS)]
-    for row in log:
-        lines.append(
-            f"{row.epoch},{row.recon_error!r},{row.mean_hidden_activation!r},"
-            f"{row.mixed_norm_value!r},{row.wall_seconds!r}"
-        )
+def write_training_log(path, log: list, row_type=EpochStats) -> None:
+    """Write a per-epoch log as CSV: one column per field of row_type, in
+    field order, each value written by repr so floats round-trip exactly."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines += [",".join(repr(getattr(row, name)) for name in names) for row in log]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

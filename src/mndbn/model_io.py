@@ -13,6 +13,7 @@ save/load round-trips are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -25,56 +26,45 @@ MAGIC = b"MNDBN1"
 FORMAT_VERSION = 1
 
 
-def _encode_header(header: dict) -> bytes:
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _layer_payload(m: Rbm) -> bytes:
-    return b"".join(
-        [
-            np.ascontiguousarray(m.w, dtype="<f8").tobytes(),
-            np.ascontiguousarray(m.b_vis, dtype="<f8").tobytes(),
-            np.ascontiguousarray(m.a_hid, dtype="<f8").tobytes(),
-        ]
-    )
-
-
-def save_rbm(m: Rbm, path, meta: dict | None = None) -> None:
-    header = {
-        "kind": "rbm",
-        "version": FORMAT_VERSION,
-        "n_visible": m.n_visible,
-        "n_hidden": m.n_hidden,
-        "meta": meta or {},
-    }
-    blob = _encode_header(header)
+def _write(path, header: dict, arrays) -> None:
+    """Magic, header length, canonical JSON header, then each array's raw
+    little-endian float64 bytes in the order given."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(_layer_payload(m))
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def _shape(m: Rbm) -> dict:
+    return {"n_visible": m.n_visible, "n_hidden": m.n_hidden}
+
+
+def _params(m: Rbm) -> list:
+    return [m.w, m.b_vis, m.a_hid]
+
+
+def save_rbm(m: Rbm, path, meta: dict | None = None) -> None:
+    header = {"kind": "rbm", "version": FORMAT_VERSION, **_shape(m), "meta": meta or {}}
+    _write(path, header, _params(m))
 
 
 def save_dbn(d: Dbn, path, meta: dict | None = None) -> None:
     header = {
         "kind": "dbn",
         "version": FORMAT_VERSION,
-        "layers": [{"n_visible": m.n_visible, "n_hidden": m.n_hidden} for m in d.layers],
+        "layers": [_shape(m) for m in d.layers],
         "head": None
         if d.head is None
         else {"n_features": d.head.w_out.shape[0], "n_classes": d.head.n_classes},
         "meta": meta or {},
     }
-    blob = _encode_header(header)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for m in d.layers:
-            fh.write(_layer_payload(m))
-        if d.head is not None:
-            fh.write(np.ascontiguousarray(d.head.w_out, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(d.head.b_out, dtype="<f8").tobytes())
+    arrays = [a for m in d.layers for a in _params(m)]
+    if d.head is not None:
+        arrays += [d.head.w_out, d.head.b_out]
+    _write(path, header, arrays)
 
 
 def _read_header(path) -> tuple[dict, bytes]:
@@ -95,60 +85,69 @@ def _read_header(path) -> tuple[dict, bytes]:
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
     return header, raw[start + header_len :]
 
 
-def _take(payload: bytes, pos: int, shape, path) -> tuple[np.ndarray, int]:
-    count = int(np.prod(shape))
-    nbytes = count * 8
-    if pos + nbytes > len(payload):
-        raise DataError(f"{path}: truncated payload at byte {pos} (need {nbytes} more)")
-    arr = np.frombuffer(payload[pos : pos + nbytes], dtype="<f8").reshape(shape)
-    return arr.astype(float), pos + nbytes
+def _dim(spec, key: str, path) -> int:
+    value = spec.get(key) if isinstance(spec, dict) else None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DataError(f"{path}: header field {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _load(path, kind=None):
+    """Read a model file of the given kind (either kind when None);
+    returns (model, meta).
+
+    The header must be an object whose shapes are positive integers, and
+    the payload must hold exactly the arrays those shapes call for.
+    """
+    header, payload = _read_header(path)
+    found = header.get("kind")
+    if found not in ((kind,) if kind else ("rbm", "dbn")):
+        raise DataError(f"{path}: expected a {kind or 'model'} file, found kind {found!r}")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: header field 'meta' must be an object")
+    specs = [header] if found == "rbm" else header.get("layers")
+    if not isinstance(specs, list) or not specs:
+        raise DataError(f"{path}: header field 'layers' must be a non-empty list")
+    shapes = []
+    for spec in specs:
+        i, j = _dim(spec, "n_visible", path), _dim(spec, "n_hidden", path)
+        shapes += [(i, j), (i,), (j,)]
+    head = header.get("head")
+    if head:
+        f, c = _dim(head, "n_features", path), _dim(head, "n_classes", path)
+        shapes += [(f, c), (c,)]
+    need = 8 * sum(math.prod(s) for s in shapes)
+    if len(payload) != need:
+        raise DataError(f"{path}: payload holds {len(payload)} bytes, the header needs {need}")
+    flat = np.frombuffer(payload, dtype="<f8").astype(float)
+    arrays, pos = [], 0
+    for s in shapes:
+        size = math.prod(s)
+        arrays.append(flat[pos : pos + size].reshape(s))
+        pos += size
+    try:
+        layers = [Rbm(*arrays[k : k + 3]) for k in range(0, 3 * len(specs), 3)]
+        if found == "rbm":
+            return layers[0], meta
+        return Dbn(layers, SoftmaxLayer(*arrays[-2:]) if head else None), meta
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_rbm(path) -> tuple[Rbm, dict]:
-    header, payload = _read_header(path)
-    if header.get("kind") != "rbm":
-        raise DataError(f"{path}: expected a single-layer model, found {header.get('kind')!r}")
-    i, j = int(header["n_visible"]), int(header["n_hidden"])
-    w, pos = _take(payload, 0, (i, j), path)
-    b_vis, pos = _take(payload, pos, (i,), path)
-    a_hid, pos = _take(payload, pos, (j,), path)
-    if pos != len(payload):
-        raise DataError(f"{path}: {len(payload) - pos} trailing payload bytes")
-    return Rbm(w, b_vis, a_hid), header.get("meta", {})
+    return _load(path, "rbm")
 
 
 def load_dbn(path) -> tuple[Dbn, dict]:
-    header, payload = _read_header(path)
-    if header.get("kind") != "dbn":
-        raise DataError(f"{path}: expected a network file, found {header.get('kind')!r}")
-    layers = []
-    pos = 0
-    for spec in header["layers"]:
-        i, j = int(spec["n_visible"]), int(spec["n_hidden"])
-        w, pos = _take(payload, pos, (i, j), path)
-        b_vis, pos = _take(payload, pos, (i,), path)
-        a_hid, pos = _take(payload, pos, (j,), path)
-        layers.append(Rbm(w, b_vis, a_hid))
-    head = None
-    if header.get("head"):
-        f, c = int(header["head"]["n_features"]), int(header["head"]["n_classes"])
-        w_out, pos = _take(payload, pos, (f, c), path)
-        b_out, pos = _take(payload, pos, (c,), path)
-        head = SoftmaxLayer(w_out, b_out)
-    if pos != len(payload):
-        raise DataError(f"{path}: {len(payload) - pos} trailing payload bytes")
-    return Dbn(layers, head), header.get("meta", {})
+    return _load(path, "dbn")
 
 
 def load_model(path):
     """Open either container kind; returns (model, meta)."""
-    header, _ = _read_header(path)
-    kind = header.get("kind")
-    if kind == "rbm":
-        return load_rbm(path)
-    if kind == "dbn":
-        return load_dbn(path)
-    raise DataError(f"{path}: unknown model kind {kind!r}")
+    return _load(path)

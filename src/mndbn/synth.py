@@ -39,7 +39,7 @@ def _prototypes(side: int, rng: Rng) -> np.ndarray:
 
 def make_synthetic(
     n_train: int,
-    n_test: int,
+    n_test: int = 0,
     side: int = 8,
     seed: int = 0,
     noise: float = 0.1,

@@ -4,13 +4,15 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mndbn import cli
 from mndbn.cli import main
-from mndbn.dbn import Dbn
-from mndbn.mixed_norm import TRAINING_LOG_COLUMNS
+from mndbn.dbn import Dbn, FineTuneConfig
+from mndbn.mixed_norm import TrainConfig
 from mndbn.model_io import load_model, load_rbm
 
 
@@ -61,7 +63,8 @@ class TestTrainRbm:
         assert (model.n_visible, model.n_hidden) == (16, 24)
         assert meta["architecture"] == "mn-dbn(g6,24)"
         log = read_csv(out / "training_log.csv")
-        assert tuple(log[0]) == TRAINING_LOG_COLUMNS
+        assert log[0] == ["epoch", "recon_error", "mean_hidden_activation",
+                          "mixed_norm_value", "wall_seconds"]
         assert len(log) == 3   # header + one row per epoch
 
     def test_lambda_zero_is_tagged_vanilla(self, tmp_path):
@@ -103,6 +106,37 @@ class TestTrainRbm:
             "out_dir": str(tmp_path / "run"),
         })
         assert main(["train-rbm", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("train", [{"epochs": -2}, {"batch": 0}, {"epochs": 1.5},
+                                       {"epochs": float("inf")}])
+    def test_invalid_schedule_is_config_error(self, tmp_path, capsys, train):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "bad.json", {
+            "dataset": synth_block(),
+            "layer_size": 8,
+            "train": train,
+            "out_dir": str(out),
+        })
+        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "model.mndbn").exists()
+
+    @pytest.mark.parametrize("penalty", [
+        {"lambda": -0.1, "group_size": 4},
+        {"lambda": 0.1, "group_size": 4, "overlap_pct": 100.0},
+        {"lambda": 0.1, "group_size": 4, "overlap_pct": -50.0},
+        {"lambda": 0.1, "group_size": 4, "epsilon": 0.0},
+        {"lambda": 0.1},
+    ])
+    def test_invalid_penalty_is_config_error(self, tmp_path, capsys, penalty):
+        cfg = write_config(tmp_path, "bad.json", {
+            "dataset": synth_block(),
+            "layer_size": 8,
+            "penalty": penalty,
+            "out_dir": str(tmp_path / "run"),
+        })
+        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert "penalty" in capsys.readouterr().err
 
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
@@ -263,6 +297,24 @@ class TestFinetune:
         acc1 = json.loads((outs[1] / "metrics.json").read_text())["accuracy_pct"]
         assert acc0 == acc1
 
+    @pytest.mark.parametrize("block", [{"method": "newton"}, {"batch": 0}, {"head_only": 1},
+                                       {"cg_iters": "3"}, {"momentum": 0.5}])
+    def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
+        out = tmp_path / "ft"
+        cfg = self.ft_config(tmp_path, out, extra=block)
+        assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
+                     "--config", str(cfg)]) == 2
+        assert "finetune" in capsys.readouterr().err
+        assert not (out / "dbn_finetuned.mndbn").exists()
+
+    def test_malformed_model_header_is_data_error(self, tmp_path, capsys):
+        header = json.dumps({"kind": "dbn", "version": 1}).encode()
+        model = tmp_path / "bad.mndbn"
+        model.write_bytes(b"MNDBN1" + len(header).to_bytes(4, "little") + header)
+        cfg = self.ft_config(tmp_path, tmp_path / "ft")
+        assert main(["finetune", str(model), "--config", str(cfg)]) == 3
+        assert "data error:" in capsys.readouterr().err
+
     def test_model_path_required(self, tmp_path, capsys):
         cfg = self.ft_config(tmp_path, tmp_path / "ft")
         assert main(["finetune", "--config", str(cfg)]) == 2
@@ -376,3 +428,21 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "model.mndbn").is_file()
+
+
+class TestConfigSchemaDocs:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def readme_block(self, heading):
+        """The JSON object under a '// heading' line of the README schema."""
+        text = self.README.read_text(encoding="utf-8").split(f"// {heading}\n", 1)[1]
+        return json.loads(text[: text.index("}") + 1])
+
+    @pytest.mark.parametrize("heading, block, schema", [
+        ("train (CD pretraining)", "train", TrainConfig),
+        ("finetune (conjugate-gradient softmax training)", "finetune", FineTuneConfig),
+    ])
+    def test_readme_defaults_match_resolver(self, heading, block, schema):
+        resolved, _ = cli._resolve_block(schema, {}, block, None)
+        documented = self.readme_block(heading)
+        assert json.dumps(documented, sort_keys=True) == json.dumps(resolved, sort_keys=True)

@@ -1,19 +1,9 @@
-"""Numeric primitives: sigmoid, seeded RNG, Bernoulli sampling, array ops."""
+"""Numeric primitives: sigmoid, seeded RNG, Bernoulli sampling, finiteness."""
 
 import numpy as np
 import pytest
 
-from mndbn.core import (
-    Rng,
-    add,
-    matmul,
-    require_finite,
-    rowsum,
-    sample_bernoulli,
-    scale,
-    sigmoid,
-    transpose,
-)
+from mndbn.core import Rng, require_finite, sample_bernoulli, sigmoid
 from mndbn.errors import NumericError
 
 
@@ -124,32 +114,6 @@ class TestSampleBernoulli:
 
 
 class TestArrayOps:
-    def test_matmul_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert (matmul(a, b) == np.array([[19.0, 22.0], [43.0, 50.0]])).all()
-
-    def test_matmul_transpose_identity(self):
-        a = Rng(0).normal((3, 4))
-        b = Rng(1).normal((4, 2))
-        lhs = transpose(matmul(a, b))
-        rhs = matmul(transpose(b), transpose(a))
-        assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-    def test_matmul_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_add_requires_equal_shapes(self):
-        with pytest.raises(ValueError):
-            add(np.ones((2, 3)), np.ones((3, 2)))
-        assert (add(np.ones((2, 2)), np.ones((2, 2))) == 2.0).all()
-
-    def test_scale_and_rowsum(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert (scale(a, 2.0) == 2.0 * a).all()
-        assert (rowsum(a) == np.array([3.0, 7.0])).all()
-
     def test_require_finite_raises_on_nan_and_inf(self):
         require_finite("ok", np.ones(3))
         with pytest.raises(NumericError):

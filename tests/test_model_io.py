@@ -141,3 +141,32 @@ class TestCorruption:
         p.write_bytes(blob + b"\x00" * 8)
         with pytest.raises(DataError):
             load_rbm(p)
+
+    @pytest.mark.parametrize("header, n_floats", [
+        ([1, 2], 0),                                            # not an object
+        ("rbm", 0),
+        ({"kind": "dbn", "version": 1}, 11),                    # no layers
+        ({"kind": "dbn", "version": 1, "layers": []}, 0),
+        ({"kind": "dbn", "version": 1, "layers": [3]}, 11),
+        ({"kind": "rbm", "version": 1, "n_visible": 3}, 11),    # missing shape
+        ({"kind": "rbm", "version": 1, "n_visible": -3, "n_hidden": 2}, 11),
+        ({"kind": "rbm", "version": 1, "n_visible": 0, "n_hidden": 2}, 2),
+        ({"kind": "rbm", "version": 1, "n_visible": "3", "n_hidden": 2}, 11),
+        ({"kind": "rbm", "version": 1, "n_visible": 3.0, "n_hidden": 2}, 11),
+        ({"kind": "rbm", "version": 1, "n_visible": True, "n_hidden": 2}, 5),
+        ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2}],
+          "head": {"n_features": 2}}, 11),
+        ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2}],
+          "head": {"n_features": 3, "n_classes": 2}}, 19),     # head does not fit
+        ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2},
+                                                   {"n_visible": 4, "n_hidden": 2}]}, 25),
+        ({"kind": "rbm", "version": 1, "n_visible": 3, "n_hidden": 2, "meta": []}, 11),
+    ])
+    def test_malformed_header(self, tmp_path, header, n_floats):
+        # Each payload holds as many floats as the header's shapes call for,
+        # where they are readable, so the header alone is at fault.
+        blob = json.dumps(header).encode()
+        p = tmp_path / "bad.mndbn"
+        p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + b"\x00" * (8 * n_floats))
+        with pytest.raises(DataError):
+            load_model(p)
