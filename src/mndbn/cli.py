@@ -408,8 +408,11 @@ def cmd_finetune(args) -> int:
 
     model, meta = load_model(resolved["model_path"])
     d = model if isinstance(model, Dbn) else Dbn([model])
-    attach_head(d, ft.n_classes)
     train, test = _build_datasets(resolved["dataset"])
+    top = max(int(ds.labels.max()) for ds in (train, test) if ds is not None)
+    if top >= ft.n_classes:
+        raise ConfigError(f"finetune: n_classes is {ft.n_classes}, but the largest label is {top}")
+    attach_head(d, ft.n_classes)
     t0 = time.perf_counter()
     d, log = fine_tune(
         d, train, ft.epochs, ft, Rng(ft.seed), head_only=ft.head_only, eval_dataset=test
@@ -466,17 +469,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _histogram_batch(model_path: Path, batch_limit: int):
-    """Training images recorded in the manifest next to a model file."""
+def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
+    """The first training images of the dataset recorded in the manifest
+    next to a model file. `batches` holds the batches already built in this
+    report, keyed by resolved dataset block, so each dataset loads once."""
     manifest_path = model_path.parent / "manifest.json"
     if not manifest_path.exists():
         return None, f"{model_path}: no manifest.json beside it, skipping histogram"
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        train, _ = _build_datasets(_resolve_dataset(manifest["config"]["dataset"]))
+        block = _resolve_dataset(manifest["config"]["dataset"])
+        key = json.dumps(block, sort_keys=True)
+        if key not in batches:
+            train, _ = _build_datasets(block)
+            batches[key] = train.images[: max(1, batch_limit)].copy()
     except (OSError, KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         return None, f"{model_path}: cannot reload dataset for histogram ({exc})"
-    return train.images[: max(1, batch_limit)], None
+    return batches[key], None
 
 
 def cmd_report(args) -> int:
@@ -511,6 +520,7 @@ def cmd_report(args) -> int:
 
     warnings = []
     artifacts = []
+    batches = {}
     model_paths = sorted(p for p in run_dir.rglob("*.mndbn") if out_dir not in p.parents)
     for path in model_paths:
         rel = path.relative_to(run_dir)
@@ -527,7 +537,7 @@ def cmd_report(args) -> int:
             print(f"wrote {out_dir / name}")
         else:
             warnings.append(f"{path}: visible size {layer.n_visible} is not square, skipping tiles")
-        batch, problem = _histogram_batch(path, batch_limit)
+        batch, problem = _histogram_batch(path, batch_limit, batches)
         if batch is None:
             warnings.append(problem)
         else:

@@ -2,10 +2,14 @@
 two-step regularized training loop.
 
 The penalty is the sum over groups of the Euclidean norm of the group's
-activation probabilities (an l1,2 mixed norm). Overlapping groups are
-handled by expanding the probabilities onto the augmented axis where the
-groups are disjoint; gradient contributions of a unit shared by several
-groups are summed over its copies.
+activation probabilities (an l1,2 mixed norm). Both the norm and its
+gradient are computed straight from the per-unit probabilities through the
+partition's index tables (`groups.group_norms`, `groups.divide_accumulate`);
+a unit shared by several groups sums its gradient contributions over them.
+The summation order is fixed: members within a group, then groups within
+a sample, then a unit's groups, each in ascending order one after another.
+On a batch this gives the bits of the augmented-axis formulation (see
+`groups`).
 
 Each training step is two sequential updates: a plain CD step with
 momentum, then a descent step on the penalty term applied to the weights
@@ -22,7 +26,7 @@ import numpy as np
 from .core import Rng
 from .data import shuffle_split
 from .errors import ConfigError
-from .groups import GroupPartition, accumulate, expand
+from .groups import GroupPartition, divide_accumulate, group_norms
 from .rbm import (
     Rbm,
     Velocity,
@@ -94,31 +98,25 @@ def mixed_norm(h_probs, cfg: PenaltyConfig):
     h_probs = np.asarray(h_probs, dtype=float)
     if h_probs.size and (h_probs.min() < 0.0 or h_probs.max() > 1.0):
         raise ValueError("activation probabilities must lie in [0, 1]")
-    part = cfg.partition
-    pe = expand(h_probs, part)
-    grouped = pe.reshape(pe.shape[:-1] + (part.num_groups, part.group_size))
-    norms = np.sqrt((grouped * grouped).sum(axis=-1))
-    total = norms.sum(axis=-1)
+    norms = group_norms(h_probs, cfg.partition)
+    # With the groups on the outer axis numpy adds them one after another.
+    total = np.ascontiguousarray(np.moveaxis(norms, -1, 0)).sum(axis=0)
     return float(total) if h_probs.ndim == 1 else total
 
 
 def penalty_grad(m: Rbm, x, cfg: PenaltyConfig):
     """Gradient of the penalty w.r.t. the weights and hidden biases.
 
-    For each augmented copy of unit j in group G the scalar contribution is
-    p_j^2 (1 - p_j) / max(||p_G||_2, epsilon); copies are summed back onto
-    the original units, the weight column j picks up that sum times x, and
-    the hidden bias picks up the sum itself. Given a batch, returns the
-    batch average. Returns (gw, ga).
+    Unit j in group G contributes p_j^2 (1 - p_j) / max(||p_G||_2, epsilon);
+    s_j sums that over the groups covering j, the weight column j picks up
+    s_j times x, and the hidden bias picks up s_j itself. Given a batch,
+    returns the batch average. Returns (gw, ga).
     """
     x = np.asarray(x, dtype=float)
     part = cfg.partition
     p = prob_h_given_x(m, x)
-    pe = expand(p, part)
-    grouped = pe.reshape(pe.shape[:-1] + (part.num_groups, part.group_size))
-    norms = np.sqrt((grouped * grouped).sum(axis=-1, keepdims=True))
-    s = grouped * grouped * (1.0 - grouped) / np.maximum(norms, cfg.epsilon)
-    s_orig = accumulate(s.reshape(pe.shape), part)
+    denom = np.maximum(group_norms(p, part), cfg.epsilon)
+    s_orig = divide_accumulate(p * p * (1.0 - p), denom, part)
     if x.ndim == 1:
         return np.outer(x, s_orig), s_orig
     n = x.shape[0]

@@ -101,13 +101,17 @@ def _load(path, kind=None):
     """Read a model file of the given kind (either kind when None);
     returns (model, meta).
 
-    The header must be an object whose shapes are positive integers, and
-    the payload must hold exactly the arrays those shapes call for.
+    The header must be an object of format version FORMAT_VERSION whose
+    shapes are positive integers, and the payload must hold exactly the
+    arrays those shapes call for.
     """
     header, payload = _read_header(path)
     found = header.get("kind")
     if found not in ((kind,) if kind else ("rbm", "dbn")):
         raise DataError(f"{path}: expected a {kind or 'model'} file, found kind {found!r}")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DataError(f"{path}: format version {version!r} is not {FORMAT_VERSION}")
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise DataError(f"{path}: header field 'meta' must be an object")

@@ -71,3 +71,22 @@ def write_gzip_text(path, text):
 
 def flat_params(m):
     return np.concatenate([m.w.ravel(), m.b_vis, m.a_hid])
+
+
+# Group layouts (units, group size, overlap) on which the index-table
+# kernels must reproduce the augmented-axis reference bit for bit.
+ORACLE_LAYOUTS = [
+    (6, 4, 0.5), (100, 20, 0.2), (100, 50, 0.5), (2000, 10, 0.5), (2000, 20, 0.25),
+    (100, 10, 0.8), (30, 10, 0.9), (500, 10, 0.0), (12, 3, 0.0),
+]
+
+
+def reference_accumulate(aug_values, p):
+    """`accumulate` as a loop over the groups: each group adds its window of
+    the augmented axis onto its units, groups in ascending order."""
+    out = np.zeros(aug_values.shape[:-1] + (p.j_original,))
+    for k in range(p.num_groups):
+        lo, hi = k * p.group_size, (k + 1) * p.group_size
+        start = int(p.aug_to_orig[lo])
+        out[..., start : start + p.group_size] += aug_values[..., lo:hi]
+    return out

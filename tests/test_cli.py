@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on the synthetic dataset."""
 
 import csv
+import functools
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mndbn import cli
+from mndbn import cli, synth
 from mndbn.cli import main
 from mndbn.dbn import Dbn, FineTuneConfig
 from mndbn.mixed_norm import TrainConfig
@@ -307,6 +308,17 @@ class TestFinetune:
         assert "finetune" in capsys.readouterr().err
         assert not (out / "dbn_finetuned.mndbn").exists()
 
+    def test_too_few_classes_for_the_labels_is_config_error(self, tmp_path, pretrained_run,
+                                                             capsys):
+        out = tmp_path / "ft"
+        cfg = self.ft_config(tmp_path, out, extra={"n_classes": 5})
+        assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        top = int(synth.make_synthetic(120, 40, side=4, seed=0)[0].labels.max())
+        assert "config error: finetune:" in err and f"largest label is {top}" in err
+        assert not (out / "dbn_finetuned.mndbn").exists()
+
     def test_malformed_model_header_is_data_error(self, tmp_path, capsys):
         header = json.dumps({"kind": "dbn", "version": 1}).encode()
         model = tmp_path / "bad.mndbn"
@@ -399,6 +411,29 @@ class TestReport:
         n_first = len(list(out.glob("*_tiles.pgm")))
         assert main(["report", str(root)]) == 0
         assert len(list(out.glob("*_tiles.pgm"))) == n_first
+
+    def test_each_dataset_builds_once(self, tmp_path, monkeypatch):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        runs = tmp_path / "runs"
+        pre = json.loads((configs / "synthetic_smoke.json").read_text())
+        pre.update(out_dir=str(runs / "pretrain"), train={**pre["train"], "epochs": 1})
+        ft = json.loads((configs / "synthetic_smoke_finetune.json").read_text())
+        ft.update(model_path=str(runs / "pretrain" / "dbn.mndbn"), out_dir=str(runs / "finetune"),
+                  finetune={**ft["finetune"], "epochs": 1})
+        assert main(["pretrain-dbn", "--config", str(write_config(tmp_path, "pre.json", pre))]) == 0
+        assert main(["finetune", "--config", str(write_config(tmp_path, "ft.json", ft))]) == 0
+        calls = []
+        real = synth.make_synthetic
+
+        @functools.wraps(real)   # the CLI reads the dataset schema from the signature
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "make_synthetic", counted)
+        assert main(["report", str(runs), "--out", str(tmp_path / "report")]) == 0
+        assert len(list((tmp_path / "report").glob("*_activations.csv"))) == 2
+        assert len(calls) == 1
 
     def test_empty_directory_warns_and_fails(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import ORACLE_LAYOUTS, reference_accumulate
 from mndbn.core import Rng
 from mndbn.errors import ConfigError
 from mndbn.groups import (
     accumulate,
+    divide_accumulate,
     expand,
     make_nonoverlapping,
     make_overlapping,
@@ -52,8 +54,20 @@ class TestOverlapping:
 
     def test_layout_6_4_50pct(self):
         p = make_overlapping(6, 4, 0.5)
-        assert (p.num_groups, p.j_augmented) == (2, 8)
+        assert (p.num_groups, p.j_augmented, p.stride) == (2, 8, 2)
         assert p.aug_to_orig.tolist() == [0, 1, 2, 3, 2, 3, 4, 5]
+        # units 2 and 3 lie in both groups; the padding index 2 marks "none"
+        assert p.cover.tolist() == [[0, 0, 0, 0, 1, 1], [2, 2, 1, 1, 2, 2]]
+
+    def test_cover_lists_every_covering_group_in_order(self):
+        for j, g, a in ORACLE_LAYOUTS:
+            p = make_partition(j, g, a)
+            starts = p.stride * np.arange(p.num_groups)
+            for unit in range(j):
+                covering = np.flatnonzero((starts <= unit) & (unit < starts + g)).tolist()
+                listed = [int(k) for k in p.cover[:, unit] if k < p.num_groups]
+                assert listed == covering
+            assert p.cover.shape[0] == max(np.bincount(p.aug_to_orig))
 
     def test_non_integral_stride_rejected(self):
         with pytest.raises(ConfigError):
@@ -71,10 +85,10 @@ class TestOverlapping:
 
 def same_partition(a, b):
     return (
-        (a.j_original, a.j_augmented, a.group_size, a.num_groups, a.overlap_fraction)
-        == (b.j_original, b.j_augmented, b.group_size, b.num_groups, b.overlap_fraction)
+        (a.j_original, a.j_augmented, a.group_size, a.num_groups, a.overlap_fraction, a.stride)
+        == (b.j_original, b.j_augmented, b.group_size, b.num_groups, b.overlap_fraction, b.stride)
         and (a.aug_to_orig == b.aug_to_orig).all()
-        and a.group_bounds == b.group_bounds
+        and np.array_equal(a.cover, b.cover)
     )
 
 
@@ -123,3 +137,29 @@ class TestExpandAccumulate:
         v = Rng(2).normal((10,))
         assert (expand(v, p) == v).all()
         assert (accumulate(v, p) == v).all()
+
+    def test_accumulate_matches_group_loop_bit_for_bit(self):
+        for j, g, a in ORACLE_LAYOUTS:
+            p = make_partition(j, g, a)
+            r = Rng(j + g)
+            for shape in [(p.j_augmented,), (1, p.j_augmented), (7, p.j_augmented),
+                          (100, p.j_augmented)]:
+                u = r.normal(shape)
+                assert np.array_equal(accumulate(u, p), reference_accumulate(u, p))
+
+    def test_wrong_length_rejected(self):
+        p = make_overlapping(6, 4, 0.5)
+        with pytest.raises(ValueError):
+            expand(np.ones(7), p)
+        with pytest.raises(ValueError):
+            accumulate(np.ones(6), p)
+
+    def test_divide_accumulate_equals_accumulate_of_copy_quotients(self):
+        for j, g, a in ORACLE_LAYOUTS:
+            p = make_partition(j, g, a)
+            r = Rng(j * g)
+            for rows in [(), (1,), (7,)]:
+                u = r.normal(rows + (j,))
+                d = r.uniform(rows + (p.num_groups,)) + 0.5
+                copies = expand(u, p) / np.repeat(d, g, axis=-1)
+                assert np.array_equal(divide_accumulate(u, d, p), reference_accumulate(copies, p))

@@ -1,9 +1,11 @@
 """Group-sparsity penalty: value, analytic gradient, two-step training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import flat_params, random_rbm
+from conftest import ORACLE_LAYOUTS, flat_params, random_rbm, reference_accumulate
 from mndbn.core import Rng
 from mndbn.groups import make_nonoverlapping, make_overlapping, make_partition
 from mndbn.mixed_norm import (
@@ -149,6 +151,58 @@ class TestPenaltyGrad:
         assert np.allclose(ga, np.mean([p[1] for p in parts], axis=0), rtol=0, atol=1e-14)
 
 
+def _grouped(h, part):
+    """The probabilities copied onto the augmented axis, one row per group."""
+    pe = h[..., part.aug_to_orig]
+    return pe.reshape(pe.shape[:-1] + (part.num_groups, part.group_size))
+
+
+def reference_mixed_norm(h, cfg):
+    grouped = _grouped(h, cfg.partition)
+    return np.sqrt((grouped * grouped).sum(axis=-1)).sum(axis=-1)
+
+
+def reference_penalty_grad(m, x, cfg):
+    """The penalty gradient on the augmented axis: per-copy quotients,
+    summed back per unit by the per-group loop."""
+    p = prob_h_given_x(m, x)
+    grouped = _grouped(p, cfg.partition)
+    norms = np.sqrt((grouped * grouped).sum(axis=-1, keepdims=True))
+    s = grouped * grouped * (1.0 - grouped) / np.maximum(norms, cfg.epsilon)
+    s_orig = reference_accumulate(s.reshape(s.shape[:-2] + (-1,)), cfg.partition)
+    if x.ndim == 1:
+        return np.outer(x, s_orig), s_orig
+    return x.T @ s_orig / x.shape[0], s_orig.mean(axis=0)
+
+
+class TestKernelsMatchAugmentedReference:
+    """Batches give the reference's bits. A single vector or a one-row batch
+    only agrees to rounding: numpy sums those contiguously, pairwise, in
+    the reference, so its bits there depend on memory layout."""
+
+    @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
+    def test_batches_are_bit_identical(self, j, g, a):
+        cfg = cfg_for(j, g, a)
+        m = random_rbm(j, 8, j)
+        for rows in (7, 100):
+            x = Rng(rows).uniform((rows, 8))
+            for got, want in zip(penalty_grad(m, x, cfg), reference_penalty_grad(m, x, cfg)):
+                assert np.array_equal(got, want)
+            p = prob_h_given_x(m, x)
+            assert np.array_equal(mixed_norm(p, cfg), reference_mixed_norm(p, cfg))
+
+    @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
+    def test_single_samples_agree_to_rounding(self, j, g, a):
+        cfg = cfg_for(j, g, a)
+        m = random_rbm(j, 8, j)
+        for x in (Rng(1).uniform((8,)), Rng(2).uniform((1, 8))):
+            for got, want in zip(penalty_grad(m, x, cfg), reference_penalty_grad(m, x, cfg)):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            p = prob_h_given_x(m, x)
+            np.testing.assert_allclose(mixed_norm(p, cfg), reference_mixed_norm(p, cfg),
+                                       rtol=1e-14, atol=0)
+
+
 class TestRegularizedUpdate:
     def test_lambda_zero_is_bit_identical_to_vanilla(self):
         m_reg = random_rbm(12, 6, 4, std=0.1)
@@ -232,3 +286,16 @@ class TestTraining:
         train, _ = make_synthetic(20, 0, side=4, seed=0)
         with pytest.raises(ValueError):
             train_mnrbm(train, 8, cfg_for(6, 3), TrainConfig(epochs=1), Rng(0))
+
+    def test_overlap_run_matches_recorded_digest(self):
+        # sha256 of the parameters and of the logged metrics after two epochs
+        # on 2000 units in groups of 10 with 50% overlap, recorded before the
+        # penalty was computed without the augmented axis (numpy 2.4.6 with
+        # OpenBLAS 0.3.31 on x86-64; another BLAS build may round differently)
+        train, _ = make_synthetic(200, side=8, seed=5)
+        cfg = PenaltyConfig(lam=0.1, partition=make_overlapping(2000, 10, 0.5))
+        params = TrainConfig(lr=0.05, epochs=2, batch_size=64)
+        m, log = train_mnrbm(train, 2000, cfg, params, Rng(5))
+        metrics = [(e.recon_error, e.mean_hidden_activation, e.mixed_norm_value) for e in log]
+        assert hashlib.sha256(flat_params(m).tobytes()).hexdigest()[:16] == "c1646a1aa6ab0f75"
+        assert hashlib.sha256(repr(metrics).encode()).hexdigest()[:16] == "89bb66e571f82638"

@@ -161,6 +161,12 @@ class TestCorruption:
         ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2},
                                                    {"n_visible": 4, "n_hidden": 2}]}, 25),
         ({"kind": "rbm", "version": 1, "n_visible": 3, "n_hidden": 2, "meta": []}, 11),
+        ({"kind": "rbm", "version": 9, "n_visible": 3, "n_hidden": 2}, 11),    # unknown version
+        ({"kind": "rbm", "version": 0, "n_visible": 3, "n_hidden": 2}, 11),
+        ({"kind": "rbm", "n_visible": 3, "n_hidden": 2}, 11),
+        ({"kind": "rbm", "version": "1", "n_visible": 3, "n_hidden": 2}, 11),
+        ({"kind": "rbm", "version": 1.0, "n_visible": 3, "n_hidden": 2}, 11),
+        ({"kind": "rbm", "version": True, "n_visible": 3, "n_hidden": 2}, 11),
     ])
     def test_malformed_header(self, tmp_path, header, n_floats):
         # Each payload holds as many floats as the header's shapes call for,
