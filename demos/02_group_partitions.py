@@ -1,28 +1,40 @@
 """
-Group layouts: non-overlapping and overlapping partitions
-=========================================================
+Group layouts: one constructor for disjoint and overlapping groups
+==================================================================
 
 A partition divides a hidden layer's units into groups for the mixed
 (l1,2) sparsity norm: the sum over groups of each group's l2 norm.
+`make_partition(j, group_size, overlap_fraction)` builds every layout:
+windows of `group_size` units whose starts lie
+`stride = group_size * (1 - overlap_fraction)` apart. Overlap 0 (the
+default) gives stride = group_size, the disjoint tiling.
 Overlapping layouts replicate shared units into an augmented vector;
 `expand` scatters unit values into that vector and `accumulate` is its
 adjoint, gathering augmented values back per original unit.
 """
 import numpy as np
 
-from mndbn import Rng, accumulate, expand, make_nonoverlapping, make_overlapping
+from mndbn import ConfigError, Rng, accumulate, expand, make_partition
 from mndbn.mixed_norm import PenaltyConfig, mixed_norm
 
-# 12 units in groups of 3: four disjoint groups, no unit duplicated.
-p = make_nonoverlapping(12, 3)
-print(f"disjoint: {p.num_groups} groups, augmented length {p.j_augmented}")
+# 12 units in groups of 3 at 0% overlap: stride 3, four disjoint groups,
+# no unit duplicated.
+p = make_partition(12, 3)
+print(f"disjoint: {p.num_groups} groups, stride {p.stride}, augmented length {p.j_augmented}")
 print(f"unit owners: {p.aug_to_orig}")
 
-# 12 units in groups of 4 with 50% overlap: consecutive groups share
-# half their units, so interior units appear in two groups.
-q = make_overlapping(12, 4, 0.5)
-print(f"\noverlap:  {q.num_groups} groups, augmented length {q.j_augmented}")
+# 12 units in groups of 4 with 50% overlap: stride 2, so consecutive
+# groups share half their units and interior units appear in two groups.
+q = make_partition(12, 4, 0.5)
+print(f"\noverlap:  {q.num_groups} groups, stride {q.stride}, augmented length {q.j_augmented}")
 print(f"unit owners: {q.aug_to_orig}")
+
+# One set of checks covers every overlap: at 20% the stride 3.2 is not
+# an integer, so the layout is rejected.
+try:
+    make_partition(12, 4, 0.2)
+except ConfigError as exc:
+    print(f"rejected: {exc}")
 
 # expand copies each unit's value to every group slot that contains it.
 values = np.arange(12, dtype=float)

@@ -9,11 +9,11 @@ the penalized layer ends up with sparser, more selective features.
 """
 import numpy as np
 
-from mndbn import Rng, make_nonoverlapping, make_synthetic, prob_h_given_x
+from mndbn import Rng, make_partition, make_synthetic, prob_h_given_x
 from mndbn.mixed_norm import PenaltyConfig, TrainConfig, mixed_norm, train_mnrbm
 
 train, _ = make_synthetic(n_train=1000, n_test=0, side=8, seed=0)
-partition = make_nonoverlapping(64, 8)
+partition = make_partition(64, 8)
 params = TrainConfig(epochs=10, batch_size=100, seed=0)
 
 plain_cfg = PenaltyConfig(lam=0.0, partition=partition)

@@ -14,7 +14,7 @@ from mndbn import (
     attach_head,
     evaluate,
     fine_tune,
-    make_nonoverlapping,
+    make_partition,
     make_synthetic,
     predict_labels,
     pretrain_greedy,
@@ -26,8 +26,8 @@ train, test = make_synthetic(n_train=2000, n_test=400, side=8, seed=0)
 # One penalty config per layer; both layers use groups of 8.
 layer_sizes = [64, 32]
 cfgs = [
-    PenaltyConfig(lam=0.1, partition=make_nonoverlapping(64, 8)),
-    PenaltyConfig(lam=0.1, partition=make_nonoverlapping(32, 8)),
+    PenaltyConfig(lam=0.1, partition=make_partition(64, 8)),
+    PenaltyConfig(lam=0.1, partition=make_partition(32, 8)),
 ]
 params = TrainConfig(epochs=10, batch_size=100, seed=0)
 

@@ -13,7 +13,7 @@ from mndbn import (
     Rng,
     RunRecord,
     activation_histogram,
-    make_nonoverlapping,
+    make_partition,
     make_synthetic,
     read_pgm,
     results_table,
@@ -25,7 +25,7 @@ out_dir = "demo_out"
 os.makedirs(out_dir, exist_ok=True)
 
 train, _ = make_synthetic(n_train=1000, n_test=0, side=8, seed=0)
-cfg = PenaltyConfig(lam=0.1, partition=make_nonoverlapping(64, 8))
+cfg = PenaltyConfig(lam=0.1, partition=make_partition(64, 8))
 params = TrainConfig(epochs=10, batch_size=100, seed=0)
 
 t0 = time.perf_counter()

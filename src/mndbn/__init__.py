@@ -26,8 +26,6 @@ _EXPORTS = {
     "sigmoid": "core",
     "sample_bernoulli": "core",
     "GroupPartition": "groups",
-    "make_nonoverlapping": "groups",
-    "make_overlapping": "groups",
     "make_partition": "groups",
     "expand": "groups",
     "accumulate": "groups",

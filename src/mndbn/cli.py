@@ -482,7 +482,7 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
         key = json.dumps(block, sort_keys=True)
         if key not in batches:
             train, _ = _build_datasets(block)
-            batches[key] = train.images[: max(1, batch_limit)].copy()
+            batches[key] = train.images[:batch_limit].copy()
     except (OSError, KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         return None, f"{model_path}: cannot reload dataset for histogram ({exc})"
     return batches[key], None
@@ -505,6 +505,10 @@ def cmd_report(args) -> int:
         raise ConfigError("config field 'grid' must be [rows, cols]")
     grid = [_coerce(grid[0], "int", "grid[0]"), _coerce(grid[1], "int", "grid[1]")]
     batch_limit = _coerce(config.get("batch_limit", 1000), "int", "batch_limit")
+    for field, value, low in (("bins", bins, 2), ("grid[0]", grid[0], 1),
+                              ("grid[1]", grid[1], 1), ("batch_limit", batch_limit, 1)):
+        if value < low:
+            raise ConfigError(f"config field '{field}' must be >= {low}, got {value}")
     out_dir = _make_dir(args.out or config.get("out_dir") or run_dir / "report")
     resolved = {
         "run_dir": str(run_dir),

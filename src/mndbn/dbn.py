@@ -424,6 +424,9 @@ def evaluate(d: Dbn, dataset, chunk: int = 10000):
     n_classes = d.head.n_classes if d.head is not None else 0
     if n_classes == 0:
         raise ValueError("model has no classification head; call attach_head first")
+    top = int(dataset.labels.max())
+    if top >= n_classes:
+        raise ValueError(f"the head has {n_classes} classes, but the largest label is {top}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     correct = 0
     for lo in range(0, n, chunk):

@@ -1,11 +1,12 @@
 """Hidden-unit group layouts for the group-sparsity penalty.
 
 Groups are windows of `group_size` consecutive hidden units whose starts
-lie `stride` units apart. With zero overlap the stride equals the group
-size and the windows tile the layer exactly; with overlap a unit may lie
-in several windows. Each layout carries a small index table, `cover`,
-that lists for every unit the groups covering it, so the penalty kernels
-(`group_norms`, `divide_accumulate`) work straight from per-unit values.
+lie `stride` units apart; `make_partition` builds every layout. With zero
+overlap the stride equals the group size and the windows tile the layer
+exactly; with overlap a unit may lie in several windows. Each layout
+carries a small index table, `cover`, that lists for every unit the
+groups covering it, so the penalty kernels (`group_norms`,
+`divide_accumulate`) work straight from per-unit values.
 
 The kernels fix their summation order, so on a batch they return the bits
 of the augmented-axis formulation. There every group takes a private copy
@@ -48,8 +49,30 @@ class GroupPartition:
     cover: np.ndarray
 
 
-def _windows(j: int, group_size: int, stride: int, overlap_fraction: float) -> GroupPartition:
-    """The layout of windows that tile j units exactly; callers validate."""
+def make_partition(j: int, group_size: int, overlap_fraction: float = 0.0) -> GroupPartition:
+    """Windows of `group_size` units whose starts lie `stride` apart.
+
+    `stride = group_size * (1 - overlap_fraction)` must be a positive
+    integer that divides (j - group_size), so the windows cover the layer
+    exactly with no ragged tail. Overlap 0 gives stride = group_size: the
+    disjoint tiling, with no unit in two groups.
+    """
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ConfigError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+    if not 1 <= group_size <= j:
+        raise ConfigError(f"group_size must be in [1, {j}] (the layer size), got {group_size}")
+    stride_f = group_size * (1.0 - overlap_fraction)
+    stride = int(round(stride_f))
+    if stride < 1 or abs(stride_f - stride) > 1e-9:
+        raise ConfigError(
+            f"group_size {group_size} with overlap {overlap_fraction} gives a "
+            f"non-integer stride {stride_f}"
+        )
+    if (j - group_size) % stride != 0:
+        raise ConfigError(
+            f"stride {stride} does not divide layer size {j} minus group_size "
+            f"{group_size}; choose sizes so (j - group_size) / stride is integral"
+        )
     m = (j - group_size) // stride + 1
     units = np.arange(j)
     first = np.maximum((units - group_size) // stride + 1, 0)
@@ -66,53 +89,6 @@ def _windows(j: int, group_size: int, stride: int, overlap_fraction: float) -> G
         aug_to_orig=(stride * np.arange(m)[:, None] + np.arange(group_size)).ravel(),
         cover=cover,
     )
-
-
-def make_nonoverlapping(j: int, group_size: int) -> GroupPartition:
-    """Partition j hidden units into j / group_size disjoint groups."""
-    if group_size < 1:
-        raise ConfigError(f"group_size must be >= 1, got {group_size}")
-    if j % group_size != 0:
-        raise ConfigError(
-            f"group_size {group_size} does not divide the layer size {j}"
-        )
-    return _windows(j, group_size, group_size, 0.0)
-
-
-def make_overlapping(j: int, group_size: int, overlap_fraction: float) -> GroupPartition:
-    """Sliding-window groups with the given overlap fraction.
-
-    Consecutive groups start `stride = group_size * (1 - overlap_fraction)`
-    units apart; the stride must be a positive integer and must divide
-    (j - group_size) so the windows cover the layer exactly with no ragged
-    tail.
-    """
-    if not 0.0 < overlap_fraction < 1.0:
-        raise ConfigError(
-            f"overlap_fraction must be in (0, 1), got {overlap_fraction}"
-        )
-    stride_f = group_size * (1.0 - overlap_fraction)
-    stride = int(round(stride_f))
-    if stride < 1 or abs(stride_f - stride) > 1e-9:
-        raise ConfigError(
-            f"group_size {group_size} with overlap {overlap_fraction} gives a "
-            f"non-integer stride {stride_f}"
-        )
-    if group_size > j:
-        raise ConfigError(f"group_size {group_size} exceeds the layer size {j}")
-    if (j - group_size) % stride != 0:
-        raise ConfigError(
-            f"stride {stride} does not divide layer size {j} minus group_size "
-            f"{group_size}; choose sizes so (j - group_size) / stride is integral"
-        )
-    return _windows(j, group_size, stride, overlap_fraction)
-
-
-def make_partition(j: int, group_size: int, overlap_fraction: float = 0.0) -> GroupPartition:
-    """Dispatch on the overlap fraction; 0 means disjoint tiling."""
-    if overlap_fraction == 0.0:
-        return make_nonoverlapping(j, group_size)
-    return make_overlapping(j, group_size, overlap_fraction)
 
 
 def _check_last_axis(values, length: int) -> np.ndarray:

@@ -64,6 +64,14 @@ def usps_paths():
     return (train, test), ""
 
 
+def src_env():
+    """The environment for a child Python process that imports mndbn from
+    this checkout's src/, ahead of any PYTHONPATH already set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 def write_gzip_text(path, text):
     with gzip.open(path, "wt") as fh:
         fh.write(text)

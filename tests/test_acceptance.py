@@ -29,13 +29,7 @@ from mndbn.dbn import (
     _unpack,
 )
 from mndbn.data import load_usps
-from mndbn.groups import (
-    accumulate,
-    expand,
-    make_nonoverlapping,
-    make_overlapping,
-    make_partition,
-)
+from mndbn.groups import accumulate, expand, make_partition
 from mndbn.mixed_norm import PenaltyConfig, TrainConfig, mixed_norm, penalty_grad, train_mnrbm
 from mndbn.rbm import (
     Rbm,
@@ -91,8 +85,8 @@ def test_criterion_1_cd_ascent_direction_matches_exact_gradient():
 def test_criterion_2_penalty_gradient_matches_finite_differences():
     t0 = time.perf_counter()
     layouts = [
-        PenaltyConfig(lam=1.0, partition=make_nonoverlapping(6, 3)),
-        PenaltyConfig(lam=1.0, partition=make_overlapping(6, 4, 0.5)),
+        PenaltyConfig(lam=1.0, partition=make_partition(6, 3)),
+        PenaltyConfig(lam=1.0, partition=make_partition(6, 4, 0.5)),
     ]
 
     def fd_grad(m, x, cfg, eps=1e-5):
@@ -164,7 +158,7 @@ def test_criterion_4_overlap_algebra():
     shapes = [(6, 4, 0.5), (100, 20, 0.2), (100, 50, 0.5)]
     worst = 0.0
     for j, g, a in shapes:
-        part = make_overlapping(j, g, a)
+        part = make_partition(j, g, a)
         for trial in range(100):
             r = Rng(j * 1000 + trial)
             v = r.normal((part.j_original,))
@@ -172,18 +166,22 @@ def test_criterion_4_overlap_algebra():
             lhs = float(expand(v, part) @ u)
             rhs = float(v @ accumulate(u, part))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    # zero overlap is the disjoint tiling written out: each unit is its own
+    # single copy, so both maps are the identity
     zero_overlap = make_partition(12, 3, 0.0)
-    plain = make_nonoverlapping(12, 3)
     v = Rng(0).normal((12,))
     u = Rng(1).normal((zero_overlap.j_augmented,))
     bit_identical = (
-        (expand(v, zero_overlap) == expand(v, plain)).all()
-        and (accumulate(u, zero_overlap) == accumulate(u, plain)).all()
-        and (zero_overlap.aug_to_orig == plain.aug_to_orig).all()
+        zero_overlap.j_augmented == 12
+        and (zero_overlap.aug_to_orig == np.arange(12)).all()
+        and zero_overlap.cover.shape == (1, 12)
+        and (zero_overlap.cover[0] == np.arange(12) // 3).all()
+        and (expand(v, zero_overlap) == v).all()
+        and (accumulate(u, zero_overlap) == u).all()
     )
     verdict(4, worst <= 1e-12 and bit_identical,
             f"adjointness error {worst:.2e} <= 1e-12 on 3 shapes x 100 pairs, "
-            f"zero-overlap path bit-identical: {bit_identical}")
+            f"zero overlap is the disjoint tiling, maps the identity: {bit_identical}")
 
 
 def _paired_sparsity_runs(train, number, context):

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mndbn import cli, synth
+from conftest import src_env
+from mndbn import cli, report, synth
 from mndbn.cli import main
-from mndbn.dbn import Dbn, FineTuneConfig
+from mndbn.dbn import Dbn, FineTuneConfig, attach_head
 from mndbn.mixed_norm import TrainConfig
-from mndbn.model_io import load_model, load_rbm
+from mndbn.model_io import load_model, load_rbm, save_dbn
 
 
 def synth_block(n_train=120, n_test=0, side=4, seed=0):
@@ -342,6 +343,22 @@ class TestEvaluate:
                      "--config", str(cfg)]) == 2
         assert "no classification head" in capsys.readouterr().err
 
+    def test_too_few_head_classes_for_the_labels_is_config_error(self, tmp_path, pretrained_run,
+                                                                  capsys):
+        model, _ = load_model(pretrained_run / "dbn.mndbn")
+        save_dbn(attach_head(model, 5), tmp_path / "five.mndbn")
+        out = tmp_path / "ev"
+        cfg = write_config(tmp_path, "ev.json", {
+            "dataset": synth_block(n_test=40),
+            "out_dir": str(out),
+        })
+        assert main(["evaluate", str(tmp_path / "five.mndbn"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        top = int(synth.make_synthetic(120, 40, side=4, seed=0)[1].labels.max())
+        assert "config error:" in err and "head has 5 classes" in err
+        assert f"largest label is {top}" in err
+        assert not any(out.iterdir())
+
     def test_finetuned_model_evaluates(self, tmp_path, pretrained_run):
         ft_out = tmp_path / "ft"
         ft_cfg = write_config(tmp_path, "ft.json", {
@@ -447,11 +464,42 @@ class TestReport:
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2
 
+    def test_block_values_take_effect(self, tmp_path, pretrained_run, monkeypatch):
+        rows = []
+        real = report.activation_histogram
+
+        def recorded(model, batch, bins, out_path):
+            rows.append(len(batch))
+            return real(model, batch, bins, out_path)
+
+        monkeypatch.setattr(report, "activation_histogram", recorded)
+        out = tmp_path / "report"
+        cfg = write_config(tmp_path, "report.json", {
+            "run_dir": str(pretrained_run), "bins": 5, "grid": [2, 3], "batch_limit": 7,
+            "out_dir": str(out),
+        })
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert rows == [7]
+        assert len(read_csv(out / "dbn_activations.csv")) == 1 + 5
+        assert report.read_pgm(out / "dbn_tiles.pgm").shape == (2 * 4, 3 * 4)
+        resolved = json.loads((out / "manifest.json").read_text())["config"]
+        assert (resolved["bins"], resolved["grid"], resolved["batch_limit"]) == (5, [2, 3], 7)
+
+    @pytest.mark.parametrize("block", [{"bins": 1}, {"grid": [2, 0]}, {"grid": [0, 2]},
+                                       {"batch_limit": -5}, {"batch_limit": 0}])
+    def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
+        out = tmp_path / "report"
+        cfg = write_config(tmp_path, "report.json", {
+            "run_dir": str(pretrained_run), "out_dir": str(out), **block})
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_console_script_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "mndbn.cli"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 2
 
     def test_console_script_runs_module(self, tmp_path):
@@ -460,7 +508,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "mndbn.cli", "train-rbm",
              "--config", str(cfg), "--threads", "2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert (out / "model.mndbn").is_file()
 

@@ -392,6 +392,18 @@ class TestEvaluate:
         assert (conf.sum(axis=1) == np.bincount(train.labels, minlength=10)).all()
         assert conf.dtype == np.int64
 
+    def test_head_with_fewer_classes_than_labels_rejected_before_forward(self, monkeypatch):
+        train, _ = make_synthetic(40, 0, side=4, seed=0)
+        d = attach_head(Dbn([Rbm.init_random(16, 6, Rng(1))]), 5)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass before the label check")
+
+        monkeypatch.setattr(dbn_module, "predict_labels", no_forward)
+        top = int(train.labels.max())
+        with pytest.raises(ValueError, match=f"5 classes, but the largest label is {top}"):
+            evaluate(d, train)
+
     def test_empty_dataset_rejected(self):
         d = attach_head(Dbn([random_rbm(0, 4, 3)]), 10)
         from mndbn.data import Dataset

@@ -6,54 +6,47 @@ import pytest
 from conftest import ORACLE_LAYOUTS, reference_accumulate
 from mndbn.core import Rng
 from mndbn.errors import ConfigError
-from mndbn.groups import (
-    accumulate,
-    divide_accumulate,
-    expand,
-    make_nonoverlapping,
-    make_overlapping,
-    make_partition,
-)
+from mndbn.groups import accumulate, divide_accumulate, expand, make_partition
 
 
 class TestNonOverlapping:
     def test_500_units_groups_of_5(self):
-        p = make_nonoverlapping(500, 5)
-        assert p.num_groups == 100
-        assert p.j_augmented == 500
+        p = make_partition(500, 5)
+        assert (p.num_groups, p.j_augmented, p.stride) == (100, 500, 5)
         assert (p.aug_to_orig == np.arange(500)).all()
+        assert (p.cover == np.arange(500) // 5).all() and p.cover.shape == (1, 500)
 
     def test_whole_layer_single_group(self):
-        p = make_nonoverlapping(8, 8)
+        p = make_partition(8, 8)
         assert p.num_groups == 1
 
     def test_indivisible_layer_rejected(self):
         with pytest.raises(ConfigError):
-            make_nonoverlapping(6, 4)
+            make_partition(6, 4)
 
     def test_bad_group_size_rejected(self):
         with pytest.raises(ConfigError):
-            make_nonoverlapping(10, 0)
+            make_partition(10, 0)
 
 
 class TestOverlapping:
     def test_layout_100_20_20pct(self):
-        p = make_overlapping(100, 20, 0.2)
-        assert (p.num_groups, p.j_augmented) == (6, 120)
-        # stride 16: first group starts at 0, second at 16
-        assert p.aug_to_orig[20] == 16
+        p = make_partition(100, 20, 0.2)
+        assert (p.num_groups, p.j_augmented, p.stride) == (6, 120, 16)
+        # group k covers units [16 k, 16 k + 20)
+        assert (p.aug_to_orig == (16 * np.arange(6)[:, None] + np.arange(20)).ravel()).all()
 
     def test_layout_100_50_50pct(self):
-        p = make_overlapping(100, 50, 0.5)
-        assert (p.num_groups, p.j_augmented) == (3, 150)
+        p = make_partition(100, 50, 0.5)
+        assert (p.num_groups, p.j_augmented, p.stride) == (3, 150, 25)
 
     def test_layout_100_50_20pct_rejected(self):
         # stride 40 does not tile 100 units with groups of 50
         with pytest.raises(ConfigError):
-            make_overlapping(100, 50, 0.2)
+            make_partition(100, 50, 0.2)
 
     def test_layout_6_4_50pct(self):
-        p = make_overlapping(6, 4, 0.5)
+        p = make_partition(6, 4, 0.5)
         assert (p.num_groups, p.j_augmented, p.stride) == (2, 8, 2)
         assert p.aug_to_orig.tolist() == [0, 1, 2, 3, 2, 3, 4, 5]
         # units 2 and 3 lie in both groups; the padding index 2 marks "none"
@@ -71,49 +64,58 @@ class TestOverlapping:
 
     def test_non_integral_stride_rejected(self):
         with pytest.raises(ConfigError):
-            make_overlapping(100, 20, 0.27)
+            make_partition(100, 20, 0.27)
 
     def test_group_larger_than_layer_rejected(self):
         with pytest.raises(ConfigError):
-            make_overlapping(4, 8, 0.5)
+            make_partition(4, 8, 0.5)
 
     def test_full_overlap_rejected(self):
         # a=1 gives stride 0
         with pytest.raises(ConfigError):
-            make_overlapping(8, 4, 1.0)
-
-
-def same_partition(a, b):
-    return (
-        (a.j_original, a.j_augmented, a.group_size, a.num_groups, a.overlap_fraction, a.stride)
-        == (b.j_original, b.j_augmented, b.group_size, b.num_groups, b.overlap_fraction, b.stride)
-        and (a.aug_to_orig == b.aug_to_orig).all()
-        and np.array_equal(a.cover, b.cover)
-    )
+            make_partition(8, 4, 1.0)
 
 
 class TestMakePartition:
-    def test_zero_overlap_dispatches_to_nonoverlapping(self):
-        assert same_partition(make_partition(100, 20, 0.0), make_nonoverlapping(100, 20))
+    @pytest.mark.parametrize(
+        "j, group_size, overlap",
+        [
+            (10, 0, 0.0),            # empty groups
+            (4, 8, 0.0),             # group larger than the layer
+            (6, 4, 0.0),             # disjoint groups that do not tile the layer
+            (8, 4, -0.5),            # negative overlap
+            (8, 4, 1.0),             # full overlap: stride 0
+            (8, 4, float("nan")),
+            (100, 20, 0.27),         # stride 14.6 is not an integer
+            (100, 50, 0.2),          # stride 40 does not divide 100 - 50
+        ],
+        ids=["size-0", "size-over-j", "indivisible", "negative", "full", "nan",
+             "fractional-stride", "ragged-tail"],
+    )
+    def test_invalid_layouts_rejected(self, j, group_size, overlap):
+        with pytest.raises(ConfigError):
+            make_partition(j, group_size, overlap)
 
-    def test_positive_overlap_dispatches_to_overlapping(self):
-        assert same_partition(make_partition(100, 20, 0.2), make_overlapping(100, 20, 0.2))
+    def test_overlap_defaults_to_disjoint(self):
+        p = make_partition(12, 3)
+        assert (p.stride, p.num_groups, p.overlap_fraction) == (3, 4, 0.0)
+        assert p.cover.tolist() == [(np.arange(12) // 3).tolist()]
 
 
 class TestExpandAccumulate:
     def test_expand_example(self):
-        p = make_overlapping(4, 2, 0.5)   # stride 1, groups [0,1],[1,2],[2,3]
+        p = make_partition(4, 2, 0.5)   # stride 1, groups [0,1],[1,2],[2,3]
         v = np.array([10.0, 11.0, 12.0, 13.0])
         out = expand(v, p)
         assert out.tolist() == [10.0, 11.0, 11.0, 12.0, 12.0, 13.0]
 
     def test_accumulate_counts_copies(self):
-        p = make_overlapping(4, 2, 0.5)
+        p = make_partition(4, 2, 0.5)
         out = accumulate(np.ones(6), p)
         assert out.tolist() == [1.0, 2.0, 2.0, 1.0]
 
     def test_expand_batch_rows_independent(self):
-        p = make_overlapping(6, 4, 0.5)
+        p = make_partition(6, 4, 0.5)
         batch = Rng(0).uniform((5, 6))
         out = expand(batch, p)
         assert out.shape == (5, 8)
@@ -123,7 +125,7 @@ class TestExpandAccumulate:
     def test_adjointness(self):
         shapes = [(6, 4, 0.5), (100, 20, 0.2), (100, 50, 0.5)]
         for j, g, a in shapes:
-            p = make_overlapping(j, g, a)
+            p = make_partition(j, g, a)
             for trial in range(20):
                 r = Rng(1000 * j + trial)
                 v = r.normal((p.j_original,))
@@ -133,7 +135,7 @@ class TestExpandAccumulate:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_identity_on_trivial_partition(self):
-        p = make_nonoverlapping(10, 5)
+        p = make_partition(10, 5)
         v = Rng(2).normal((10,))
         assert (expand(v, p) == v).all()
         assert (accumulate(v, p) == v).all()
@@ -148,7 +150,7 @@ class TestExpandAccumulate:
                 assert np.array_equal(accumulate(u, p), reference_accumulate(u, p))
 
     def test_wrong_length_rejected(self):
-        p = make_overlapping(6, 4, 0.5)
+        p = make_partition(6, 4, 0.5)
         with pytest.raises(ValueError):
             expand(np.ones(7), p)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ORACLE_LAYOUTS, flat_params, random_rbm, reference_accumulate
 from mndbn.core import Rng
-from mndbn.groups import make_nonoverlapping, make_overlapping, make_partition
+from mndbn.groups import make_partition
 from mndbn.mixed_norm import (
     PenaltyConfig,
     TrainConfig,
@@ -237,7 +237,7 @@ class TestRegularizedUpdate:
         assert (reg.b_vis == base.b_vis).all()
 
     def test_one_step_lowers_mixed_norm_versus_vanilla(self):
-        part = make_nonoverlapping(20, 5)
+        part = make_partition(20, 5)
         for seed in range(5):
             r = Rng(100 + seed)
             m0 = Rbm(w=r.normal((20, 20)) * 0.5, b_vis=r.normal((20,)) * 0.1,
@@ -293,7 +293,7 @@ class TestTraining:
         # penalty was computed without the augmented axis (numpy 2.4.6 with
         # OpenBLAS 0.3.31 on x86-64; another BLAS build may round differently)
         train, _ = make_synthetic(200, side=8, seed=5)
-        cfg = PenaltyConfig(lam=0.1, partition=make_overlapping(2000, 10, 0.5))
+        cfg = PenaltyConfig(lam=0.1, partition=make_partition(2000, 10, 0.5))
         params = TrainConfig(lr=0.05, epochs=2, batch_size=64)
         m, log = train_mnrbm(train, 2000, cfg, params, Rng(5))
         metrics = [(e.recon_error, e.mean_hidden_activation, e.mixed_norm_value) for e in log]
