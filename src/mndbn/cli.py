@@ -131,7 +131,7 @@ def _load_config(path, command: str) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -331,7 +331,6 @@ def cmd_pretrain(args) -> int:
     resolved, sizes, pens, pcfgs, tcfg = _resolve_pretrain(
         args, _load_config(args.config, args.command)
     )
-    out_dir = _make_dir(resolved["out_dir"])
 
     from .core import Rng
     from .dbn import pretrain_greedy
@@ -339,6 +338,7 @@ def cmd_pretrain(args) -> int:
     from .model_io import save_dbn, save_rbm
 
     train, _ = _build_datasets(resolved["dataset"])
+    out_dir = _make_dir(resolved["out_dir"])
     tag = _architecture_tag(sizes, pens)
     single = args.command == "train-rbm"
     if single:
@@ -399,7 +399,6 @@ def _model_tag(meta: dict, d) -> str:
 
 def cmd_finetune(args) -> int:
     resolved, ft = _resolve_finetune(args, _load_config(args.config, "finetune"))
-    out_dir = _make_dir(resolved["out_dir"])
 
     from .core import Rng
     from .dbn import Dbn, FineTuneEpoch, attach_head, evaluate, fine_tune
@@ -413,10 +412,9 @@ def cmd_finetune(args) -> int:
     if top >= ft.n_classes:
         raise ConfigError(f"finetune: n_classes is {ft.n_classes}, but the largest label is {top}")
     attach_head(d, ft.n_classes)
+    out_dir = _make_dir(resolved["out_dir"])
     t0 = time.perf_counter()
-    d, log = fine_tune(
-        d, train, ft.epochs, ft, Rng(ft.seed), head_only=ft.head_only, eval_dataset=test
-    )
+    d, log = fine_tune(d, train, ft.epochs, ft, Rng(ft.seed), eval_dataset=test)
     elapsed = time.perf_counter() - t0
     tag = _model_tag(meta, d)
     split, reported = ("test", test) if test is not None else ("train", train)
@@ -447,7 +445,6 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     resolved = _resolve_model_run(args, _load_config(args.config, "evaluate"))
-    out_dir = _make_dir(resolved["out_dir"])
 
     from .dbn import Dbn, evaluate
     from .model_io import load_model
@@ -462,6 +459,7 @@ def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     acc, confusion = evaluate(model, dataset)
     elapsed = time.perf_counter() - t0
+    out_dir = _make_dir(resolved["out_dir"])
     tag = _model_tag(meta, model)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset), elapsed)
     _write_manifest(out_dir, "evaluate", resolved, 0, ["metrics.json", "confusion.csv"])
@@ -483,7 +481,8 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
         if key not in batches:
             train, _ = _build_datasets(block)
             batches[key] = train.images[:batch_limit].copy()
-    except (OSError, KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError, ConfigError,
+            DataError) as exc:
         return None, f"{model_path}: cannot reload dataset for histogram ({exc})"
     return batches[key], None
 
@@ -561,7 +560,7 @@ def cmd_report(args) -> int:
                     wall_seconds=float(blob["wall_seconds"]),
                 )
             )
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             warnings.append(f"{path}: unreadable metrics ({exc})")
     empty = not records and not model_paths
     results_table(records, out_dir / "results.csv", out_dir / "results.txt", include_reference=not empty)

@@ -91,7 +91,7 @@ def _forward_stack(d: Dbn, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def attach_head(d: Dbn, n_classes: int = 10) -> Dbn:
+def attach_head(d: Dbn, n_classes: int) -> Dbn:
     """Put a zero-initialized softmax head on the top feature layer."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -160,10 +160,12 @@ class FineTuneConfig:
     gradient moves instead. Every mini-batch starts from steepest descent,
     and within a batch the direction resets to steepest descent whenever
     it stops descending (Polak-Ribiere with beta clipped at zero).
+    head_only moves the head alone; fine_tune says what a batch costs.
 
-    epochs, head_only, n_classes and seed describe the run around
-    fine_tune, as TrainConfig.seed does for pretraining: the caller passes
-    them to fine_tune, attach_head and Rng.
+    epochs, n_classes and seed describe the run around fine_tune, as
+    TrainConfig.seed does for pretraining: the caller passes them to
+    fine_tune (epochs by position, as the benchmark does), attach_head
+    and Rng.
     """
 
     batch_size: int = 1000
@@ -198,40 +200,27 @@ class FineTuneEpoch:
     wall_seconds: float
 
 
-def _pack(d: Dbn, head_only: bool) -> np.ndarray:
-    """Flatten the feedforward parameters into one vector.
-
-    Layer weights and hidden biases, then head weights and biases; visible
-    biases are omitted because the feedforward pass never reads them.
-    """
-    parts = []
-    if not head_only:
-        for layer in d.layers:
-            parts.append(layer.w.ravel())
-            parts.append(layer.a_hid)
-    parts.append(d.head.w_out.ravel())
-    parts.append(d.head.b_out)
-    return np.concatenate(parts)
+def _slots(d: Dbn, head_only: bool) -> list:
+    """The arrays fine-tuning moves, as (owner, attribute) pairs in vector
+    order: each layer's w then a_hid, bottom up, then the head's w_out and
+    b_out. Visible biases stay out: the feedforward pass never reads them."""
+    layers = [] if head_only else d.layers
+    trained = [(m, name) for m in layers for name in ("w", "a_hid")]
+    return trained + [(d.head, "w_out"), (d.head, "b_out")]
 
 
-def _unpack(d: Dbn, vec: np.ndarray, head_only: bool) -> None:
+def _bind(d: Dbn, head_only: bool) -> np.ndarray:
+    """Gather the trained arrays into one new vector, rebind each as a
+    reshaped view of it, and return it. The model and the vector then
+    alias: an in-place write to either shows in the other."""
+    slots = _slots(d, head_only)
+    params = np.concatenate([getattr(m, name).ravel() for m, name in slots])
     pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = vec[pos : pos + size].reshape(shape)
-        pos += size
-        return out
-
-    if not head_only:
-        for layer in d.layers:
-            layer.w = take(layer.w.shape).copy()
-            layer.a_hid = take(layer.a_hid.shape).copy()
-    d.head.w_out = take(d.head.w_out.shape).copy()
-    d.head.b_out = take(d.head.b_out.shape).copy()
-    if pos != vec.size:
-        raise ValueError(f"parameter vector has {vec.size} entries, model needs {pos}")
+    for m, name in slots:
+        a = getattr(m, name)
+        setattr(m, name, params[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    return params
 
 
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -256,10 +245,11 @@ def _loss_only(d: Dbn, x, y):
 def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     """Mean cross-entropy of the softmax output and its gradient.
 
-    The gradient comes back packed in the same layout as _pack. Backprop
-    multiplies by p(1-p) at each sigmoid layer. forward, when given, is the
-    (loss, activations) pair that _loss_only returned for this x at the
-    model's current parameters; only the backward pass then runs.
+    The gradient comes back flat, in the vector order of _slots. Backprop
+    multiplies by p(1-p) at each sigmoid layer; no gradient is formed for
+    the input. forward, when given, is the (loss, activations) pair that
+    _loss_only returned for this x at the model's current parameters; only
+    the backward pass then runs.
     """
     y = np.asarray(y, dtype=np.int64)
     loss, acts = forward if forward is not None else _loss_only(d, x, y)
@@ -268,57 +258,57 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     d_logits = (probs - _onehot(y, d.head.n_classes)) / n
-    g_w_out = acts[-1].T @ d_logits
-    g_b_out = d_logits.sum(axis=0)
-    if head_only:
-        return loss, np.concatenate([g_w_out.ravel(), g_b_out])
-    parts = []
-    d_act = d_logits @ d.head.w_out.T
-    for idx in range(len(d.layers) - 1, -1, -1):
-        a = acts[idx + 1]
-        d_pre = d_act * a * (1.0 - a)
-        parts.append((acts[idx].T @ d_pre, d_pre.sum(axis=0)))
-        d_act = d_pre @ d.layers[idx].w.T
-    grads = []
-    for g_w, g_a in reversed(parts):
-        grads.append(g_w.ravel())
-        grads.append(g_a)
-    grads.append(g_w_out.ravel())
-    grads.append(g_b_out)
-    return loss, np.concatenate(grads)
+    grads = {
+        (id(d.head), "w_out"): acts[-1].T @ d_logits,
+        (id(d.head), "b_out"): d_logits.sum(axis=0),
+    }
+    if not head_only:
+        d_act = d_logits @ d.head.w_out.T
+        for idx in range(len(d.layers) - 1, -1, -1):
+            layer, a = d.layers[idx], acts[idx + 1]
+            d_pre = d_act * a * (1.0 - a)
+            grads[id(layer), "w"] = acts[idx].T @ d_pre
+            grads[id(layer), "a_hid"] = d_pre.sum(axis=0)
+            if idx > 0:
+                d_act = d_pre @ layer.w.T
+    slots = _slots(d, head_only)
+    return loss, np.concatenate([grads[id(m), name].ravel() for m, name in slots])
 
 
-def _armijo(d, theta, direction, loss0, slope, x, y, head_only, cfg, alpha0):
+def _armijo(d, params, direction, loss0, slope, x, y, cfg, alpha0):
     """Backtracking line search satisfying the Armijo condition.
 
-    Starts from the adaptive trial step alpha0 and shrinks geometrically.
-    Returns the accepted step, its loss and the activations of its forward
-    pass, with the model left holding the accepted point; or
-    (None, loss0, None) when max_backtracks shrinkings never reach
-    sufficient decrease, with the model left holding theta.
+    Starts from the adaptive trial step alpha0 and shrinks geometrically,
+    writing each trial point into params, the vector _bind returned. Returns
+    the accepted step, its loss and the activations of its forward pass,
+    with params holding the accepted point; or (None, loss0, None) when
+    max_backtracks shrinkings never reach sufficient decrease, with params
+    restored.
     """
+    theta = params.copy()
     alpha = alpha0
     for _ in range(cfg.max_backtracks):
-        _unpack(d, theta + alpha * direction, head_only)
+        np.multiply(direction, alpha, out=params)
+        params += theta
         trial, acts = _loss_only(d, x, y)
         if np.isfinite(trial) and trial <= loss0 + cfg.c1 * alpha * slope:
             return alpha, trial, acts
         del acts  # keep one trial's activations alive at a time
         alpha *= cfg.backtrack
-    _unpack(d, theta, head_only)
+    params[:] = theta
     return None, loss0, None
 
 
-def _cg_batch(d, theta, x, y, head_only, cfg, alpha_prev):
+def _cg_batch(d, params, x, y, cfg, alpha_prev):
     """cfg.cg_iters Polak-Ribiere iterations on one mini-batch, starting
-    from steepest descent. Returns the new parameter vector, which the
-    model then holds, and the last accepted step.
+    from steepest descent and moving the bound vector params in place.
+    Returns the last accepted step.
 
     The gradient at an accepted point reuses the line search's forward
     pass. After the last iteration no gradient is taken: it would only
     build a direction that the next batch discards.
     """
-    loss, g = loss_and_grad(d, x, y, head_only)
+    loss, g = loss_and_grad(d, x, y, cfg.head_only)
     direction = -g
     for it in range(cfg.cg_iters):
         gg = float(g @ g)
@@ -329,20 +319,19 @@ def _cg_batch(d, theta, x, y, head_only, cfg, alpha_prev):
             direction = -g
             slope = -gg
         alpha, loss, acts = _armijo(
-            d, theta, direction, loss, slope, x, y, head_only, cfg, 2.0 * alpha_prev
+            d, params, direction, loss, slope, x, y, cfg, 2.0 * alpha_prev
         )
         if alpha is None:
             break
         alpha_prev = alpha
-        theta = theta + alpha * direction
         if it == cfg.cg_iters - 1:
             break
-        _, new_g = loss_and_grad(d, x, y, head_only, forward=(loss, acts))
+        _, new_g = loss_and_grad(d, x, y, cfg.head_only, forward=(loss, acts))
         del acts
         beta = max(0.0, float(new_g @ (new_g - g)) / gg)
         direction = -new_g + beta * direction
         g = new_g
-    return theta, alpha_prev
+    return alpha_prev
 
 
 def fine_tune(
@@ -351,7 +340,6 @@ def fine_tune(
     epochs: int,
     cfg: FineTuneConfig,
     rng: Rng,
-    head_only: bool = False,
     eval_dataset=None,
 ):
     """Supervised fine-tuning of the feedforward parameters.
@@ -359,14 +347,18 @@ def fine_tune(
     Runs cfg.cg_iters conjugate-gradient (or plain gradient) iterations on
     each mini-batch, a fresh steepest-descent direction per batch, and
     logs one row per epoch (epoch loss and accuracies are measured on the
-    full splits after the epoch's updates). Zero epochs returns the model
-    untouched with an empty log.
+    full splits after the epoch's updates). epochs is its own argument,
+    not cfg.epochs, because the benchmark passes it by position. Zero
+    epochs returns the model untouched with an empty log; otherwise its
+    trained arrays come back as views of one vector (see _bind).
 
     One conjugate-gradient batch costs one forward and backward pass at
     its start, one forward pass per Armijo trial, and one backward pass
     for each accepted step except the last; nothing runs after the last
-    iteration. A gradient-descent batch costs one forward and backward pass
-    per step. Each epoch then makes one forward pass over each split.
+    iteration. Trials write into the model's own arrays: a line search
+    copies the parameters once, and a trial allocates no vector of their
+    size. A gradient-descent batch costs one forward and backward pass per
+    step. Each epoch then makes one forward pass over each split.
     """
     if d.head is None:
         raise ValueError("model has no classification head; call attach_head first")
@@ -379,20 +371,19 @@ def fine_tune(
     labels = dataset.labels
     if images.shape[0] == 0:
         raise ValueError("cannot fine-tune on an empty dataset")
-    theta = _pack(d, head_only)
+    params = _bind(d, cfg.head_only)
     alpha_prev = 1.0
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         for idx in shuffle_split(images.shape[0], cfg.batch_size, rng):
             x, y = images[idx], labels[idx]
             if cfg.method == "cg":
-                theta, alpha_prev = _cg_batch(d, theta, x, y, head_only, cfg, alpha_prev)
+                alpha_prev = _cg_batch(d, params, x, y, cfg, alpha_prev)
                 continue
             for _ in range(cfg.cg_iters):
-                _, g = loss_and_grad(d, x, y, head_only)
-                theta = theta - cfg.lr * g
-                _unpack(d, theta, head_only)
-        require_finite("fine-tune parameters", theta)
+                _, g = loss_and_grad(d, x, y, cfg.head_only)
+                params -= cfg.lr * g
+        require_finite("fine-tune parameters", params)
         epoch_loss, train_acc = _mean_loss(d, dataset)
         test_acc = float("nan")
         if eval_dataset is not None:

@@ -83,7 +83,7 @@ def _read_header(path) -> tuple[dict, bytes]:
         raise DataError(f"{path}: truncated header (need {header_len} bytes)")
     try:
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise DataError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: header is not a JSON object")

@@ -24,9 +24,8 @@ from mndbn.dbn import (
     fine_tune,
     loss_and_grad,
     pretrain_greedy,
+    _bind,
     _loss_only,
-    _pack,
-    _unpack,
 )
 from mndbn.data import load_usps
 from mndbn.groups import accumulate, expand, make_partition
@@ -218,7 +217,7 @@ def _desk_scale_classification(train, test, number, context):
     params = TrainConfig(epochs=15, seed=0)
     d, _ = pretrain_greedy(train, [100, 100], cfg, params, Rng(0))
     d = attach_head(d, 10)
-    d, _ = fine_tune(d, train, 30, FineTuneConfig(), Rng(1), head_only=True,
+    d, _ = fine_tune(d, train, 30, FineTuneConfig(head_only=True), Rng(1),
                      eval_dataset=test)
     acc, _ = evaluate(d, test)
     elapsed = time.perf_counter() - t0
@@ -317,19 +316,18 @@ def test_criterion_8_backprop_matches_finite_differences():
     x = rng.uniform((5, 6))
     y = rng.integers(0, 3, (5,))
     _, grad = loss_and_grad(d, x, y)
-    theta = _pack(d, False)
+    params = _bind(d, False)
+    theta = params.copy()
     eps = 1e-5
     worst = 0.0
     for i in Rng(12).integers(0, theta.size, (100,)):
-        tp = theta.copy(); tp[i] += eps
-        _unpack(d, tp, False)
+        params[i] = theta[i] + eps
         lp = _loss_only(d, x, y)[0]
-        tm = theta.copy(); tm[i] -= eps
-        _unpack(d, tm, False)
+        params[i] = theta[i] - eps
         lm = _loss_only(d, x, y)[0]
+        params[i] = theta[i]
         fd = (lp - lm) / (2 * eps)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-12))
-    _unpack(d, theta, False)
     elapsed = time.perf_counter() - t0
     verdict(8, worst < 1e-5 and elapsed < 5.0,
             f"worst rel err {worst:.2e} < 1e-5 over 100 coords, {elapsed:.1f}s < 5s")

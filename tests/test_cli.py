@@ -53,6 +53,18 @@ def rows_without_wall(path):
     return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
 
+@pytest.mark.parametrize("command", ["train-rbm", "pretrain-dbn", "finetune", "evaluate",
+                                     "report"])
+@pytest.mark.parametrize("text", ["{not json", "[" * 100000, '{"a": ' * 100000],
+                         ids=["not-json", "deep-array", "deep-object"])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 class TestTrainRbm:
     def test_group_sparse_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -148,6 +160,7 @@ class TestTrainRbm:
         })
         assert main(["train-rbm", "--config", str(cfg)]) == 3
         assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_manifest_replay_reproduces_model_bytes(self, tmp_path):
         out1 = tmp_path / "run1"
@@ -307,7 +320,7 @@ class TestFinetune:
         assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
                      "--config", str(cfg)]) == 2
         assert "finetune" in capsys.readouterr().err
-        assert not (out / "dbn_finetuned.mndbn").exists()
+        assert not out.exists()
 
     def test_too_few_classes_for_the_labels_is_config_error(self, tmp_path, pretrained_run,
                                                              capsys):
@@ -318,7 +331,7 @@ class TestFinetune:
         err = capsys.readouterr().err
         top = int(synth.make_synthetic(120, 40, side=4, seed=0)[0].labels.max())
         assert "config error: finetune:" in err and f"largest label is {top}" in err
-        assert not (out / "dbn_finetuned.mndbn").exists()
+        assert not out.exists()
 
     def test_malformed_model_header_is_data_error(self, tmp_path, capsys):
         header = json.dumps({"kind": "dbn", "version": 1}).encode()
@@ -327,6 +340,7 @@ class TestFinetune:
         cfg = self.ft_config(tmp_path, tmp_path / "ft")
         assert main(["finetune", str(model), "--config", str(cfg)]) == 3
         assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "ft").exists()
 
     def test_model_path_required(self, tmp_path, capsys):
         cfg = self.ft_config(tmp_path, tmp_path / "ft")
@@ -357,7 +371,7 @@ class TestEvaluate:
         top = int(synth.make_synthetic(120, 40, side=4, seed=0)[1].labels.max())
         assert "config error:" in err and "head has 5 classes" in err
         assert f"largest label is {top}" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_finetuned_model_evaluates(self, tmp_path, pretrained_run):
         ft_out = tmp_path / "ft"
@@ -460,6 +474,15 @@ class TestReport:
         assert "warning" in capsys.readouterr().err
         table = read_csv(out / "results.csv")
         assert len(table) == 1   # header only, no reference rows for empty runs
+
+    def test_unreadable_metrics_and_manifest_are_warnings(self, tmp_path, pretrained_run,
+                                                          capsys):
+        (pretrained_run / "manifest.json").write_text("[" * 100000)
+        (pretrained_run / "metrics.json").write_text("[" * 100000)
+        assert main(["report", str(pretrained_run), "--out", str(tmp_path / "report")]) == 0
+        err = capsys.readouterr().err
+        assert "cannot reload dataset for histogram" in err
+        assert "unreadable metrics" in err
 
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2

@@ -20,9 +20,8 @@ from mndbn.dbn import (
     predict_labels,
     pretrain_greedy,
     softmax_predict,
+    _bind,
     _loss_only,
-    _pack,
-    _unpack,
 )
 from mndbn.errors import ConfigError
 from mndbn.groups import make_partition
@@ -152,18 +151,17 @@ class TestLossAndGrad:
         x = rng.uniform((5, 6))
         y = rng.integers(0, 3, (5,))
         _, g = loss_and_grad(d, x, y)
-        theta = _pack(d, False)
+        params = _bind(d, False)
+        theta = params.copy()
         eps = 1e-5
         for i in Rng(12).integers(0, theta.size, (60,)):
-            tp = theta.copy(); tp[i] += eps
-            _unpack(d, tp, False)
+            params[i] = theta[i] + eps
             lp = _loss_only(d, x, y)[0]
-            tm = theta.copy(); tm[i] -= eps
-            _unpack(d, tm, False)
+            params[i] = theta[i] - eps
             lm = _loss_only(d, x, y)[0]
+            params[i] = theta[i]
             fd = (lp - lm) / (2 * eps)
             assert abs(fd - g[i]) <= 1e-5 * max(abs(fd), abs(g[i]), 1e-10)
-        _unpack(d, theta, False)
 
     def test_head_only_gradient_covers_head_coordinates(self):
         d = attach_head(Dbn([random_rbm(13, 5, 4)]), 3)
@@ -184,10 +182,10 @@ class TestFineTune:
 
     def test_zero_epochs_is_identity(self):
         train, _, d = self.small_problem()
-        before = _pack(d, False).copy()
+        before = _bind(d, False).copy()
         tuned, log = fine_tune(d, train, 0, FineTuneConfig(), Rng(1))
         assert log == []
-        assert (_pack(tuned, False) == before).all()
+        assert (_bind(tuned, False) == before).all()
 
     def test_loss_non_increasing_with_single_batch(self):
         # one batch per epoch: every accepted line-search step lowers the
@@ -210,7 +208,7 @@ class TestFineTune:
     def test_head_only_freezes_stack(self):
         train, _, d = self.small_problem()
         stack_before = stack_params(d).copy()
-        tuned, _ = fine_tune(d, train, 3, FineTuneConfig(), Rng(5), head_only=True)
+        tuned, _ = fine_tune(d, train, 3, FineTuneConfig(head_only=True), Rng(5))
         assert (stack_params(tuned) == stack_before).all()
         assert not (tuned.head.w_out == 0.0).all()
 
@@ -231,7 +229,7 @@ class TestFineTune:
         t1, log1 = fine_tune(d, train, 3, FineTuneConfig(), Rng(8), eval_dataset=test)
         d2 = attach_head(Dbn([Rbm.init_random(16, 12, Rng(0), std=0.1)]), 10)
         t2, log2 = fine_tune(d2, train, 3, FineTuneConfig(), Rng(8), eval_dataset=test)
-        assert (_pack(t1, False) == _pack(t2, False)).all()
+        assert (_bind(t1, False) == _bind(t2, False)).all()
         assert [e.test_accuracy for e in log1] == [e.test_accuracy for e in log2]
 
     def test_cg_matches_recorded_reference(self):
@@ -243,7 +241,7 @@ class TestFineTune:
         tuned, log = fine_tune(
             d, train, 3, FineTuneConfig(batch_size=80), Rng(8), eval_dataset=test
         )
-        digest = hashlib.sha256(_pack(tuned, False).tobytes()).hexdigest()
+        digest = hashlib.sha256(_bind(tuned, False).tobytes()).hexdigest()
         assert digest == "f8d6485ec7eb78839329b7b22c412778f34d262677fa1af9819c65daa5d13f59"
         assert [e.loss for e in log] == [2.546131261279972, 2.465030264368071, 2.6918449524165435]
         assert [e.train_accuracy for e in log] == [0.1, 0.1, 0.13]
@@ -313,7 +311,7 @@ class TestFineTune:
         train, test, d = self.small_problem()
         cfg = FineTuneConfig(batch_size=80, method="gd", lr=0.5)
         tuned, log = fine_tune(d, train, 3, cfg, Rng(8), eval_dataset=test)
-        digest = hashlib.sha256(_pack(tuned, False).tobytes()).hexdigest()
+        digest = hashlib.sha256(_bind(tuned, False).tobytes()).hexdigest()
         assert digest == "ee0e4165fa91857326c0fc1f29961935a31e62d261befff272269e6ec07a3049"
         assert [e.loss for e in log] == [2.325496665922025, 2.3513612929616867, 2.3251083262745396]
 

@@ -5,9 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import flat_params, random_rbm
-from mndbn.dbn import Dbn, attach_head
+from mndbn.dbn import Dbn, SoftmaxLayer, attach_head
+from mndbn.rbm import Rbm
 from mndbn.errors import DataError
 from mndbn.model_io import (
     FORMAT_VERSION,
@@ -167,12 +170,85 @@ class TestCorruption:
         ({"kind": "rbm", "version": "1", "n_visible": 3, "n_hidden": 2}, 11),
         ({"kind": "rbm", "version": 1.0, "n_visible": 3, "n_hidden": 2}, 11),
         ({"kind": "rbm", "version": True, "n_visible": 3, "n_hidden": 2}, 11),
+        pytest.param(b"[" * 100000, 0, id="nested-too-deep"),
+        pytest.param(b'{"kind": "rbm", "version": 1, "n_visible": ' + b"3" * 5000 + b"}", 0,
+                     id="int-too-long"),
     ])
     def test_malformed_header(self, tmp_path, header, n_floats):
         # Each payload holds as many floats as the header's shapes call for,
         # where they are readable, so the header alone is at fault.
-        blob = json.dumps(header).encode()
+        blob = header if isinstance(header, bytes) else json.dumps(header).encode()
         p = tmp_path / "bad.mndbn"
         p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + b"\x00" * (8 * n_floats))
         with pytest.raises(DataError):
             load_model(p)
+
+
+def _frame(header: bytes, payload: bytes) -> bytes:
+    return MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+_DIM = st.integers(-1, 4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _DIM | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+_FIELDS = ["kind", "version", "layers", "head", "meta", "n_visible", "n_hidden", "n_features",
+           "n_classes"]
+
+
+@st.composite
+def _near_valid(draw):
+    """A well-formed file of either kind, then maybe one header field
+    replaced or dropped and maybe the payload cut or padded."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    kind = draw(st.sampled_from(["rbm", "dbn"]))
+    pairs = list(zip(sizes, sizes[1:]))
+    n_floats = sum(i * j + i + j for i, j in pairs)
+    if kind == "rbm":
+        header = {"kind": "rbm", "version": 1, "n_visible": sizes[0], "n_hidden": sizes[1]}
+        n_floats = sizes[0] * sizes[1] + sizes[0] + sizes[1]
+    else:
+        header = {"kind": "dbn", "version": 1,
+                  "layers": [{"n_visible": i, "n_hidden": j} for i, j in pairs], "head": None}
+        if draw(st.booleans()):
+            c = draw(st.integers(1, 4))
+            header["head"] = {"n_features": sizes[-1], "n_classes": c}
+            n_floats += sizes[-1] * c + c
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(_FIELDS))
+        if draw(st.booleans()):
+            header.pop(field, None)
+        else:
+            header[field] = draw(_JSON)
+    payload = draw(st.binary(min_size=8 * n_floats, max_size=8 * n_floats))
+    payload = payload[: draw(st.integers(0, len(payload)))] if draw(st.booleans()) else payload
+    return _frame(json.dumps(header).encode(), payload + draw(st.binary(max_size=9)))
+
+
+_ANY_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(_frame, st.binary(max_size=32), st.binary(max_size=64)),
+    st.builds(_frame, st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=5).map(
+        lambda h: json.dumps(h).encode()), st.binary(max_size=64)),
+    _near_valid(),
+)
+
+
+class TestAnyBytes:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(blob=_ANY_BYTES)
+    def test_loads_as_a_model_or_raises_data_error(self, tmp_path, blob):
+        p = tmp_path / "any.mndbn"
+        p.write_bytes(blob)
+        try:
+            model, meta = load_model(p)
+        except DataError:
+            return
+        assert isinstance(model, (Rbm, Dbn))
+        assert isinstance(meta, dict)
+        if isinstance(model, Dbn):
+            assert model.head is None or isinstance(model.head, SoftmaxLayer)
