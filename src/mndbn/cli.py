@@ -508,7 +508,7 @@ def cmd_report(args) -> int:
                               ("grid[1]", grid[1], 1), ("batch_limit", batch_limit, 1)):
         if value < low:
             raise ConfigError(f"config field '{field}' must be >= {low}, got {value}")
-    out_dir = _make_dir(args.out or config.get("out_dir") or run_dir / "report")
+    out_dir = Path(args.out or config.get("out_dir") or run_dir / "report")
     resolved = {
         "run_dir": str(run_dir),
         "bins": bins,
@@ -525,10 +525,12 @@ def cmd_report(args) -> int:
     artifacts = []
     batches = {}
     model_paths = sorted(p for p in run_dir.rglob("*.mndbn") if out_dir not in p.parents)
-    for path in model_paths:
+    # A malformed model fails the run before it makes the output directory.
+    models = [load_model(path)[0] for path in model_paths]
+    _make_dir(out_dir)
+    for path, model in zip(model_paths, models):
         rel = path.relative_to(run_dir)
         stem = "_".join(rel.with_suffix("").parts)
-        model, _ = load_model(path)
         layer = model.layers[0] if isinstance(model, Dbn) else model
         side = math.isqrt(layer.n_visible)
         if side * side == layer.n_visible:

@@ -147,7 +147,8 @@ def pretrain_greedy(data, layer_sizes, cfgs, params, rng: Rng):
         m, log = train_mnrbm(current, size, cfg_list[idx], par_list[idx], rng.spawn(idx))
         layers.append(m)
         logs.append(log)
-        current = prob_h_given_x(m, current)
+        if idx + 1 < len(layer_sizes):
+            current = prob_h_given_x(m, current)
     return Dbn(layers), logs
 
 

@@ -98,10 +98,17 @@ def mixed_norm(h_probs, cfg: PenaltyConfig):
     h_probs = np.asarray(h_probs, dtype=float)
     if h_probs.size and (h_probs.min() < 0.0 or h_probs.max() > 1.0):
         raise ValueError("activation probabilities must lie in [0, 1]")
-    norms = group_norms(h_probs, cfg.partition)
-    # With the groups on the outer axis numpy adds them one after another.
-    total = np.ascontiguousarray(np.moveaxis(norms, -1, 0)).sum(axis=0)
+    total = _sum_groups(group_norms(h_probs, cfg.partition))
     return float(total) if h_probs.ndim == 1 else total
+
+
+def _sum_groups(norms: np.ndarray) -> np.ndarray:
+    """Add group norms (..., num_groups) over the last axis.
+
+    With the groups on the outer axis numpy adds them one after another,
+    so every caller gets the same bits.
+    """
+    return np.ascontiguousarray(np.moveaxis(norms, -1, 0)).sum(axis=0)
 
 
 def penalty_grad(m: Rbm, x, cfg: PenaltyConfig):
@@ -167,7 +174,7 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, chunk: int = 
         xhat = prob_x_given_h(m, p)
         sq_err += float(((xb - xhat) ** 2).sum())
         act_sum += float(p.sum())
-        mn_sum += float(np.sum(mixed_norm(p, cfg)))
+        mn_sum += float(np.sum(_sum_groups(group_norms(p, cfg.partition))))
     return (
         sq_err / (n * m.n_visible),
         act_sum / (n * m.n_hidden),

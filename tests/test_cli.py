@@ -487,6 +487,15 @@ class TestReport:
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2
 
+    def test_malformed_model_is_data_error_and_writes_nothing(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "bad.mndbn").write_bytes(b"MNDBN1" + b"\xff" * 8)
+        out = tmp_path / "report"
+        assert main(["report", str(run), "--out", str(out)]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_block_values_take_effect(self, tmp_path, pretrained_run, monkeypatch):
         rows = []
         real = report.activation_histogram

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import random_rbm
 from mndbn import dbn as dbn_module
+from mndbn import mixed_norm as mixed_norm_module
+from mndbn import rbm as rbm_module
 from mndbn.core import Rng
 from mndbn.dbn import (
     Dbn,
@@ -74,6 +76,32 @@ class TestPretrainGreedy:
         deep, _ = pretrain_greedy(train, [3, 2], [penalty(3), penalty(2)], params, Rng(11))
         assert (deep.layers[0].w == solo.layers[0].w).all()
         assert (deep.layers[0].a_hid == solo.layers[0].a_hid).all()
+
+    def test_forward_rows_per_layer(self, monkeypatch):
+        # Three layers of distinct widths, the middle one without a penalty;
+        # 60 images in batches of 25, 25 and 10.
+        train, _ = make_synthetic(60, 0, side=4, seed=4)
+        sizes, lams = [12, 8, 6], [0.1, 0.0, 0.1]
+        cfg = [penalty(j, 2, lam) for j, lam in zip(sizes, lams)]
+        params = TrainConfig(epochs=2, batch_size=25, seed=0)
+        real = rbm_module.prob_h_given_x
+        rows = dict.fromkeys(sizes, 0)  # layer width -> rows forwarded
+
+        def prob(m, x):
+            rows[m.n_hidden] += x.shape[0]
+            return real(m, x)
+
+        for module in (rbm_module, mixed_norm_module, dbn_module):
+            monkeypatch.setattr(module, "prob_h_given_x", prob)
+        pretrain_greedy(train, sizes, cfg, params, Rng(11))
+        n, epochs = len(train), params.epochs
+        # Per epoch: CD's two passes and the penalty's one over every batch,
+        # then the metrics pass; below the top, one pass feeds the next layer.
+        expected = [
+            epochs * n * (2 + (lam > 0)) + epochs * n + n * (j != sizes[-1])
+            for j, lam in zip(sizes, lams)
+        ]
+        assert [rows[j] for j in sizes] == expected
 
     def test_config_list_length_mismatch_rejected(self):
         train, _ = make_synthetic(20, 0, side=4, seed=0)
