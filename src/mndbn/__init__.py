@@ -50,7 +50,6 @@ _EXPORTS = {
     "write_training_log": "mixed_norm",
     "Dataset": "data",
     "load_idx": "data",
-    "write_idx": "data",
     "load_usps": "data",
     "resize_bilinear": "data",
     "shuffle_split": "data",
@@ -71,6 +70,7 @@ _EXPORTS = {
     "save_dbn": "model_io",
     "load_dbn": "model_io",
     "load_model": "model_io",
+    "ReportConfig": "report",
     "RunRecord": "report",
     "REFERENCE_RESULTS": "report",
     "weight_tiles": "report",

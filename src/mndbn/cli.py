@@ -7,7 +7,8 @@ through --config to replay the run.
 
 The config dataclasses are the schema: the keys, defaults and types of a
 "train" or "finetune" block are the fields of TrainConfig or
-FineTuneConfig, and those of a synthetic dataset are the parameters of
+FineTuneConfig, those of a report config (beside its paths) the fields of
+ReportConfig, and those of a synthetic dataset the parameters of
 make_synthetic. Each block is built into its dataclass before any data is
 loaded, so the dataclasses' own checks are the config checks.
 
@@ -48,8 +49,14 @@ _KINDS = {"int": "an integer", "float": "a number", "bool": "true or false", "st
 
 
 def _coerce(value, kind: str, field: str):
-    """Check a JSON value against a field type ("int", "float", "bool" or
-    "str"); integral floats pass as ints and ints as floats."""
+    """Check a JSON value against a field type ("int", "float", "bool",
+    "str", or a "tuple[...]" of them, given as a list); integral floats
+    pass as ints and ints as floats."""
+    if kind.startswith("tuple["):
+        kinds = kind[len("tuple[") : -1].split(", ")
+        if isinstance(value, (list, tuple)) and len(value) == len(kinds):
+            return [_coerce(v, k, f"{field}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
+        raise ConfigError(f"config field '{field}' must be a list of {len(kinds)} values, got {value!r}")
     if kind in ("bool", "str"):
         ok = isinstance(value, bool if kind == "bool" else str)
     else:
@@ -147,11 +154,16 @@ def _load_config(path, command: str) -> dict:
     return raw
 
 
-def _out_dir(args, config: dict) -> str:
-    out = args.out or config.get("out_dir")
-    if not out:
-        raise ConfigError("config missing required field 'out_dir' (or pass --out DIR)")
-    return str(Path(out))
+def _resolve_path(given, config: dict, key: str, default=None):
+    """A path key: the command-line value when one is given, otherwise the
+    config's, checked as a "str" field (null counts as absent), otherwise
+    default."""
+    if not given and config.get(key) is not None:
+        given = _coerce(config[key], "str", key)
+    given = given or default
+    if not given:
+        raise ConfigError(f"config missing required field '{key}' (or pass it on the command line)")
+    return given
 
 
 def _make_dir(path) -> Path:
@@ -321,7 +333,7 @@ def _resolve_pretrain(args, config: dict):
     resolved[size_key] = sizes[0] if single else sizes
     resolved[pen_key] = pens[0] if single else list(pens)
     resolved["train"], tcfg = _resolve_block(TrainConfig, config.get("train"), "train", args.seed)
-    resolved["out_dir"] = _out_dir(args, config)
+    resolved["out_dir"] = str(Path(_resolve_path(args.out, config, "out_dir")))
     return resolved, sizes, list(pens), list(pcfgs), tcfg
 
 
@@ -373,13 +385,11 @@ def cmd_pretrain(args) -> int:
 def _resolve_model_run(args, config: dict, blocks=()) -> dict:
     """The keys that finetune and evaluate share: model_path, dataset, out_dir."""
     _check_keys(config, {"model_path", "dataset", "out_dir", *blocks}, "config")
-    model_path = args.model or config.get("model_path")
-    if not model_path:
-        raise ConfigError(
-            f"{args.command} needs a model path (positional argument or 'model_path')"
-        )
-    dataset = _resolve_dataset(_require(config, "dataset", ""))
-    return {"model_path": str(model_path), "dataset": dataset, "out_dir": _out_dir(args, config)}
+    return {
+        "model_path": _resolve_path(args.model, config, "model_path"),
+        "dataset": _resolve_dataset(_require(config, "dataset", "")),
+        "out_dir": str(Path(_resolve_path(args.out, config, "out_dir"))),
+    }
 
 
 def _resolve_finetune(args, config: dict):
@@ -419,12 +429,8 @@ def cmd_finetune(args) -> int:
     tag = _model_tag(meta, d)
     split, reported = ("test", test) if test is not None else ("train", train)
     acc, confusion = evaluate(d, reported)
-    if test is None:
-        train_acc = acc
-    elif log:  # the last epoch measured the final model on the train split
-        train_acc = log[-1].train_accuracy
-    else:
-        train_acc, _ = evaluate(d, train)
+    # The last epoch measured the final model on the train split.
+    train_acc = log[-1].train_accuracy if log else evaluate(d, train)[0]
     dataset = resolved["dataset"]["name"]
     meta = {"architecture": tag, "dataset": dataset, "finetune": resolved["finetune"]}
     save_dbn(d, out_dir / "dbn_finetuned.mndbn", meta=meta)
@@ -488,38 +494,18 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
 
 
 def cmd_report(args) -> int:
-    config = {}
-    if args.config is not None:
-        config = _load_config(args.config, "report")
-        _check_keys(config, {"run_dir", "bins", "grid", "batch_limit", "out_dir"}, "config")
-    run_dir = args.run_dir or config.get("run_dir")
-    if not run_dir:
-        raise ConfigError("report needs a run directory (positional argument or 'run_dir')")
-    run_dir = Path(run_dir)
-    if not run_dir.is_dir():
-        raise ConfigError(f"run directory {run_dir} does not exist")
-    bins = _coerce(config.get("bins", 20), "int", "bins")
-    grid = config.get("grid", [10, 10])
-    if not isinstance(grid, list) or len(grid) != 2:
-        raise ConfigError("config field 'grid' must be [rows, cols]")
-    grid = [_coerce(grid[0], "int", "grid[0]"), _coerce(grid[1], "int", "grid[1]")]
-    batch_limit = _coerce(config.get("batch_limit", 1000), "int", "batch_limit")
-    for field, value, low in (("bins", bins, 2), ("grid[0]", grid[0], 1),
-                              ("grid[1]", grid[1], 1), ("batch_limit", batch_limit, 1)):
-        if value < low:
-            raise ConfigError(f"config field '{field}' must be >= {low}, got {value}")
-    out_dir = Path(args.out or config.get("out_dir") or run_dir / "report")
-    resolved = {
-        "run_dir": str(run_dir),
-        "bins": bins,
-        "grid": grid,
-        "batch_limit": batch_limit,
-        "out_dir": str(out_dir),
-    }
-
     from .dbn import Dbn
     from .model_io import load_model
-    from .report import RunRecord, activation_histogram, results_table, weight_tiles
+    from .report import ReportConfig, RunRecord, activation_histogram, results_table, weight_tiles
+
+    config = {} if args.config is None else _load_config(args.config, "report")
+    block = {k: v for k, v in config.items() if k not in ("run_dir", "out_dir")}
+    resolved, rcfg = _resolve_block(ReportConfig, block, "report", None)
+    run_dir = Path(_resolve_path(args.run_dir, config, "run_dir"))
+    if not run_dir.is_dir():
+        raise ConfigError(f"run directory {run_dir} does not exist")
+    out_dir = Path(_resolve_path(args.out, config, "out_dir", run_dir / "report"))
+    resolved.update(run_dir=str(run_dir), out_dir=str(out_dir))
 
     warnings = []
     artifacts = []
@@ -534,20 +520,20 @@ def cmd_report(args) -> int:
         layer = model.layers[0] if isinstance(model, Dbn) else model
         side = math.isqrt(layer.n_visible)
         if side * side == layer.n_visible:
-            cols = min(grid[1], layer.n_hidden)
-            rows = min(grid[0], layer.n_hidden // cols)
+            cols = min(rcfg.grid[1], layer.n_hidden)
+            rows = min(rcfg.grid[0], layer.n_hidden // cols)
             name = f"{stem}_tiles.pgm"
             weight_tiles(layer, (rows, cols), out_dir / name)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
         else:
             warnings.append(f"{path}: visible size {layer.n_visible} is not square, skipping tiles")
-        batch, problem = _histogram_batch(path, batch_limit, batches)
+        batch, problem = _histogram_batch(path, rcfg.batch_limit, batches)
         if batch is None:
             warnings.append(problem)
         else:
             name = f"{stem}_activations.csv"
-            activation_histogram(model, batch, bins, out_dir / name)
+            activation_histogram(model, batch, rcfg.bins, out_dir / name)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
     records = []

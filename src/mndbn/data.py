@@ -115,22 +115,6 @@ def load_idx(images_path, labels_path, name: str = "idx", split: str = "") -> Da
     return Dataset(images.astype(float) / 255.0, labels, name=name, split=split)
 
 
-def write_idx(dataset: Dataset, images_path, labels_path, side: int | None = None) -> None:
-    """Write a dataset back out as an IDX pair (pixels quantized to bytes)."""
-    n, d = dataset.images.shape
-    if side is None:
-        side = int(round(d**0.5))
-    if side * side != d:
-        raise ValueError(f"cannot infer square image side from {d} pixels")
-    pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, side, side))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
     """Bilinear resize with corner-aligned sampling, clamped to [0, 1].
 

@@ -210,24 +210,26 @@ def _slots(d: Dbn, head_only: bool) -> list:
     return trained + [(d.head, "w_out"), (d.head, "b_out")]
 
 
+def _views(slots, vector: np.ndarray) -> list[np.ndarray]:
+    """Consecutive pieces of vector, each reshaped like its slot's array:
+    the layout of the vector _bind builds."""
+    views, pos = [], 0
+    for m, name in slots:
+        a = getattr(m, name)
+        views.append(vector[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    return views
+
+
 def _bind(d: Dbn, head_only: bool) -> np.ndarray:
     """Gather the trained arrays into one new vector, rebind each as a
     reshaped view of it, and return it. The model and the vector then
     alias: an in-place write to either shows in the other."""
     slots = _slots(d, head_only)
     params = np.concatenate([getattr(m, name).ravel() for m, name in slots])
-    pos = 0
-    for m, name in slots:
-        a = getattr(m, name)
-        setattr(m, name, params[pos : pos + a.size].reshape(a.shape))
-        pos += a.size
+    for (m, name), view in zip(slots, _views(slots, params)):
+        setattr(m, name, view)
     return params
-
-
-def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -246,7 +248,8 @@ def _loss_only(d: Dbn, x, y):
 def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     """Mean cross-entropy of the softmax output and its gradient.
 
-    The gradient comes back flat, in the vector order of _slots. Backprop
+    The gradient comes back flat, in the vector order of _slots: each
+    block is written straight into its piece of one vector. Backprop
     multiplies by p(1-p) at each sigmoid layer; no gradient is formed for
     the input. forward, when given, is the (loss, activations) pair that
     _loss_only returned for this x at the model's current parameters; only
@@ -257,23 +260,24 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     n = y.shape[0]
     logits = _head_logits(d, acts[-1])
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    d_logits = (probs - _onehot(y, d.head.n_classes)) / n
-    grads = {
-        (id(d.head), "w_out"): acts[-1].T @ d_logits,
-        (id(d.head), "b_out"): d_logits.sum(axis=0),
-    }
+    d_logits = e / e.sum(axis=1, keepdims=True)
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    slots = _slots(d, head_only)
+    grad = np.empty(sum(getattr(m, name).size for m, name in slots))
+    *layer_views, w_out, b_out = _views(slots, grad)
+    np.matmul(acts[-1].T, d_logits, out=w_out)
+    d_logits.sum(axis=0, out=b_out)
     if not head_only:
         d_act = d_logits @ d.head.w_out.T
         for idx in range(len(d.layers) - 1, -1, -1):
             layer, a = d.layers[idx], acts[idx + 1]
             d_pre = d_act * a * (1.0 - a)
-            grads[id(layer), "w"] = acts[idx].T @ d_pre
-            grads[id(layer), "a_hid"] = d_pre.sum(axis=0)
+            np.matmul(acts[idx].T, d_pre, out=layer_views[2 * idx])
+            d_pre.sum(axis=0, out=layer_views[2 * idx + 1])
             if idx > 0:
                 d_act = d_pre @ layer.w.T
-    slots = _slots(d, head_only)
-    return loss, np.concatenate([grads[id(m), name].ravel() for m, name in slots])
+    return loss, grad
 
 
 def _armijo(d, params, direction, loss0, slope, x, y, cfg, alpha0):

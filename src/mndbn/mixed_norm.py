@@ -72,9 +72,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
+        if self.epochs < 0 or self.batch_size < 1 or self.cd_k < 1:
             raise ConfigError(
-                f"need epochs >= 0 and batch_size >= 1, got {self.epochs} and {self.batch_size}"
+                "need epochs >= 0, batch_size >= 1 and cd_k >= 1, got "
+                f"{self.epochs}, {self.batch_size} and {self.cd_k}"
+            )
+        momenta = (self.momentum, self.final_momentum)
+        if not (self.lr > 0.0 and all(0.0 <= m < 1.0 for m in momenta)):
+            raise ConfigError(
+                "need lr > 0 and momentum and final_momentum in [0, 1), got "
+                f"{self.lr}, {self.momentum} and {self.final_momentum}"
             )
 
 

@@ -2,11 +2,13 @@
 
 import gzip
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from mndbn.core import Rng
+from mndbn.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from mndbn.rbm import Rbm
 
 # Verdict lines recorded by the acceptance tests, echoed after the run so
@@ -75,6 +77,20 @@ def src_env():
 def write_gzip_text(path, text):
     with gzip.open(path, "wt") as fh:
         fh.write(text)
+
+
+def write_idx(dataset, images_path, labels_path):
+    """Write a dataset of square images as an IDX pair (pixels quantized to
+    bytes), the layout load_idx reads."""
+    n, d = dataset.images.shape
+    side = round(d**0.5)
+    assert side * side == d, f"cannot infer square image side from {d} pixels"
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, side, side))
+        fh.write(np.rint(dataset.images * 255.0).astype(np.uint8).tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
+        fh.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 def flat_params(m):

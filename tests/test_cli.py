@@ -65,6 +65,29 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("train-rbm", {"dataset": synth_block(), "layer_size": 8, "out_dir": 5}),
+    ("pretrain-dbn", {"dataset": synth_block(), "layer_sizes": [8], "out_dir": 5}),
+    ("finetune", {"model_path": "m.mndbn", "dataset": synth_block(), "out_dir": 5}),
+    ("evaluate", {"model_path": "m.mndbn", "dataset": synth_block(), "out_dir": 5}),
+    ("report", {"run_dir": ".", "out_dir": 5}),
+    ("report", {"run_dir": 5, "out_dir": "report"}),
+    ("finetune", {"model_path": ["a"], "dataset": synth_block(), "out_dir": "ft"}),
+    ("evaluate", {"model_path": ["a"], "dataset": synth_block(), "out_dir": "ev"}),
+], ids=["train-rbm", "pretrain-dbn", "finetune", "evaluate", "report", "report-run_dir",
+        "finetune-model_path", "evaluate-model_path"])
+def test_path_key_of_wrong_type_is_config_error(tmp_path, monkeypatch, capsys, command, config):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "bad.json", config)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    key = next(k for k in ("out_dir", "run_dir", "model_path")
+               if not isinstance(config.get(k, ""), str))
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 class TestTrainRbm:
     def test_group_sparse_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -121,8 +144,12 @@ class TestTrainRbm:
         })
         assert main(["train-rbm", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("train", [{"epochs": -2}, {"batch": 0}, {"epochs": 1.5},
-                                       {"epochs": float("inf")}])
+    @pytest.mark.parametrize("train", [
+        {"epochs": -2}, {"batch": 0}, {"epochs": 1.5}, {"epochs": float("inf")},
+        {"epochs": 1, "lr": -1}, {"epochs": 0, "lr": -1}, {"lr": 0}, {"lr": float("nan")},
+        {"momentum": 1.0}, {"momentum": -0.1}, {"final_momentum": 1.0},
+        {"final_momentum": -0.5}, {"cd_k": 0},
+    ])
     def test_invalid_schedule_is_config_error(self, tmp_path, capsys, train):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, "bad.json", {
@@ -133,7 +160,7 @@ class TestTrainRbm:
         })
         assert main(["train-rbm", "--config", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
-        assert not (out / "model.mndbn").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("penalty", [
         {"lambda": -0.1, "group_size": 4},
@@ -529,6 +556,23 @@ class TestReport:
 
 
 class TestEntryPoint:
+    def test_cli_import_leaves_numpy_out_and_threads_pin_blas(self):
+        # --threads works only because importing the CLI and building its
+        # parser import no numpy; perfbench/run.py relies on the same.
+        script = (
+            "import os, sys\n"
+            "import mndbn, mndbn.cli\n"
+            "mndbn.cli.build_parser()\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported with the CLI'\n"
+            "assert mndbn.cli.main(['evaluate', '--threads', '3']) == 2\n"
+            "pinned = {v: os.environ.get(v) for v in mndbn.cli.THREAD_ENV_VARS}\n"
+            "assert pinned == dict.fromkeys(mndbn.cli.THREAD_ENV_VARS, '3'), pinned\n"
+        )
+        env = {k: v for k, v in src_env().items() if k not in cli.THREAD_ENV_VARS}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+
     def test_console_script_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "mndbn.cli"],
                               capture_output=True, text=True, env=src_env())
@@ -556,6 +600,7 @@ class TestConfigSchemaDocs:
     @pytest.mark.parametrize("heading, block, schema", [
         ("train (CD pretraining)", "train", TrainConfig),
         ("finetune (conjugate-gradient softmax training)", "finetune", FineTuneConfig),
+        ("report (top-level keys beside run_dir and out_dir)", "report", report.ReportConfig),
     ])
     def test_readme_defaults_match_resolver(self, heading, block, schema):
         resolved, _ = cli._resolve_block(schema, {}, block, None)

@@ -1,11 +1,13 @@
 """Pins of config resolution and of the bytes every CLI command writes.
 
 The literals below were recorded before the CLI derived its config schema
-from the config dataclasses, and the refactor must not move them. The
-resolved blocks are exactly what each shipped config's manifest records
-under "config". The run digests come from the synthetic smoke configs at
-two epochs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS build
-may round the model digests differently). Wall-clock durations are masked.
+from the config dataclasses, and the refactor must not move them; the
+report digests were recorded before the report block went through
+ReportConfig. The resolved blocks are exactly what each shipped config's
+manifest records under "config". The run digests come from the synthetic
+smoke configs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS
+build may round the model digests differently). Wall-clock durations are
+masked.
 """
 
 import csv
@@ -55,8 +57,8 @@ def _smoke(name: str, block: str, epochs: int) -> dict:
 
 def run_smoke(root: Path) -> dict:
     """Run every command on the synthetic smoke configs (six pretraining and
-    five fine-tuning epochs) with relative output paths under root; returns
-    the digests per command."""
+    five fine-tuning epochs) with relative output paths under root, then
+    report over the whole run tree; returns the digests per command."""
     runs = {
         "pretrain-dbn": _smoke("synthetic_smoke.json", "train", 6),
         "finetune": _smoke("synthetic_smoke_finetune.json", "finetune", 5),
@@ -74,6 +76,7 @@ def run_smoke(root: Path) -> dict:
         "dataset": pretrain["dataset"],
         "out_dir": "runs/synthetic_smoke/evaluate",
     }
+    runs["report"] = {"run_dir": "runs/synthetic_smoke", "out_dir": "runs/synthetic_smoke/report"}
     out = {}
     for command, config in runs.items():
         path = root / f"{command}.json"
@@ -325,6 +328,15 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
                   'layer1_log.csv': 'e6133295a66faeaf',
                   'layer2_log.csv': 'a8d4cf993a7b08b9',
                   'manifest.json': '5fc4cabb08919f62'},
+ 'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
+            'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
+            'manifest.json': '8572208824f00863',
+            'pretrain_dbn_activations.csv': 'ffb80f85ba1e81a2',
+            'pretrain_dbn_tiles.pgm': '86bbc4fd4a073bdf',
+            'rbm_model_activations.csv': '590d66f1b51782a0',
+            'rbm_model_tiles.pgm': '0d27ba7b41136bae',
+            'results.csv': 'a481e38be8a44022',
+            'results.txt': '30550122e909b55e'},
  'train-rbm': {'manifest.json': '85a6f3090478f6f0',
                'model.mndbn': '10763262dd13e22c',
                'training_log.csv': 'cea17fad4e165c70'}}

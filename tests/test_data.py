@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import write_gzip_text
+from conftest import write_gzip_text, write_idx
 from mndbn.core import Rng
 from mndbn.data import (
     Dataset,
@@ -14,7 +14,6 @@ from mndbn.data import (
     load_usps,
     resize_bilinear,
     shuffle_split,
-    write_idx,
 )
 from mndbn.errors import DataError
 
