@@ -589,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(positional[0], nargs="?", help=positional[1])
         sp.add_argument("--config", metavar="PATH", help="JSON config or a manifest.json to replay")
         sp.add_argument("--out", metavar="DIR", help="output directory (overrides config out_dir)")
-        sp.add_argument("--seed", type=int, metavar="N", help="seed override")
+        if func in (cmd_pretrain, cmd_finetune):  # the only commands that read a seed
+            sp.add_argument("--seed", type=int, metavar="N", help="seed override")
         sp.add_argument("--threads", type=int, metavar="N", help="BLAS/OpenMP thread count")
         sp.set_defaults(func=func)
     return parser

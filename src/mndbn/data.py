@@ -7,7 +7,10 @@ preprocessing is applied.
 from __future__ import annotations
 
 import gzip
+import io
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ class Dataset:
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {self.images.shape[0]} images"
             )
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= NUM_CLASSES):
             raise ValueError(f"labels must lie in [0, {NUM_CLASSES})")
@@ -51,21 +54,37 @@ class Dataset:
         return Dataset(self.images[:n], self.labels[:n], self.name, self.split)
 
 
-def _open_maybe_gzip(path):
-    path = str(path)
+def _read(path) -> bytes:
+    """The whole file, gunzipped when its name ends in .gz."""
     try:
-        if path.endswith(".gz"):
-            return gzip.open(path, "rb")
-        return open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open ({exc})") from exc
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return gzip.decompress(raw) if str(path).endswith(".gz") else raw
+    except (OSError, EOFError, zlib.error) as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from exc
 
 
-def _read_be32(fh, path, what):
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise DataError(f"{path}: truncated while reading {what} at offset {fh.tell() - len(raw)}")
-    return struct.unpack(">I", raw)[0]
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """One IDX tensor of unsigned bytes: the big-endian magic, whose low
+    byte is the axis count, one big-endian uint32 size per axis, then the
+    payload. The promised size is checked against the bytes read before
+    any array is made."""
+    raw = _read(path)
+    header = 4 * (1 + (magic & 0xFF))
+    if len(raw) < header:
+        raise DataError(f"{path}: truncated {what} header ({len(raw)} of {header} bytes)")
+    found, *shape = struct.unpack(f">{header // 4}I", raw[:header])
+    if found != magic:
+        raise DataError(
+            f"{path}: bad {what} magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})"
+        )
+    size = math.prod(shape)
+    if size > len(raw) - header:
+        raise DataError(
+            f"{path}: truncated {what} payload at offset {len(raw)} "
+            f"(expected {size} bytes, got {len(raw) - header})"
+        )
+    return np.frombuffer(raw, np.uint8, size, header).reshape(shape)
 
 
 def load_idx(images_path, labels_path, name: str = "idx", split: str = "") -> Dataset:
@@ -73,46 +92,22 @@ def load_idx(images_path, labels_path, name: str = "idx", split: str = "") -> Da
 
     Image files start with magic 0x00000803 then count, rows, cols and raw
     unsigned bytes; label files start with 0x00000801 then count and raw
-    bytes. Pixels are scaled by 1/255. Mismatched magics, truncation, or an
-    image/label count mismatch raise DataError with the offending offset.
+    bytes. Pixels are scaled by 1/255. Mismatched magics, truncation, an
+    image/label count mismatch or a label outside [0, 10) raise DataError
+    naming the file.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        magic = _read_be32(fh, images_path, "magic")
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataError(
-                f"{images_path}: bad image magic 0x{magic:08x} at offset 0 "
-                f"(expected 0x{IDX_IMAGES_MAGIC:08x})"
-            )
-        count = _read_be32(fh, images_path, "count")
-        rows = _read_be32(fh, images_path, "rows")
-        cols = _read_be32(fh, images_path, "cols")
-        payload = fh.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise DataError(
-                f"{images_path}: truncated pixel payload at offset {16 + len(payload)} "
-                f"(expected {count * rows * cols} bytes, got {len(payload)})"
-            )
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    with _open_maybe_gzip(labels_path) as fh:
-        magic = _read_be32(fh, labels_path, "magic")
-        if magic != IDX_LABELS_MAGIC:
-            raise DataError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at offset 0 "
-                f"(expected 0x{IDX_LABELS_MAGIC:08x})"
-            )
-        lab_count = _read_be32(fh, labels_path, "count")
-        lab_payload = fh.read(lab_count)
-        if len(lab_payload) != lab_count:
-            raise DataError(
-                f"{labels_path}: truncated label payload at offset {8 + len(lab_payload)}"
-            )
-    if lab_count != count:
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
+    count, rows, cols = images.shape
+    if labels.shape[0] != count:
         raise DataError(
             f"count mismatch: {images_path} has {count} images but "
-            f"{labels_path} has {lab_count} labels"
+            f"{labels_path} has {labels.shape[0]} labels"
         )
-    labels = np.frombuffer(lab_payload, dtype=np.uint8).astype(np.int64)
-    return Dataset(images.astype(float) / 255.0, labels, name=name, split=split)
+    if count and labels.max() >= NUM_CLASSES:
+        raise DataError(f"{labels_path}: label {labels.max()} outside [0, {NUM_CLASSES})")
+    images = images.reshape(count, rows * cols).astype(float) / 255.0
+    return Dataset(images, labels.astype(np.int64), name=name, split=split)
 
 
 def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
@@ -121,12 +116,14 @@ def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
     Output pixel (r, c) samples the input at
     (r * (in_rows - 1) / (out_rows - 1), c * (in_cols - 1) / (out_cols - 1)),
     so the four corners map exactly and constants stay constant. Resizing
-    to the input size returns the image unchanged.
+    to the input size returns the image unchanged. img is one image or a
+    stack of them over its last two axes; each image of a stack comes out
+    bit for bit as it would alone.
     """
     img = np.asarray(img, dtype=float)
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {img.shape}")
-    in_rows, in_cols = img.shape
+    if img.ndim < 2:
+        raise ValueError(f"image must be at least 2-D, got shape {img.shape}")
+    in_rows, in_cols = img.shape[-2:]
     if (in_rows, in_cols) == (out_rows, out_cols):
         return img.copy()
 
@@ -141,10 +138,10 @@ def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
     c0 = np.minimum(np.floor(cc).astype(int), in_cols - 2) if in_cols > 1 else np.zeros(out_cols, int)
     fr = (rr - r0)[:, None]
     fc = (cc - c0)[None, :]
-    r1 = np.minimum(r0 + 1, in_rows - 1)
+    r0, r1 = r0[:, None], np.minimum(r0 + 1, in_rows - 1)[:, None]
     c1 = np.minimum(c0 + 1, in_cols - 1)
-    top = img[np.ix_(r0, c0)] * (1 - fc) + img[np.ix_(r0, c1)] * fc
-    bot = img[np.ix_(r1, c0)] * (1 - fc) + img[np.ix_(r1, c1)] * fc
+    top = img[..., r0, c0] * (1 - fc) + img[..., r0, c1] * fc
+    bot = img[..., r1, c0] * (1 - fc) + img[..., r1, c1] * fc
     out = top * (1 - fr) + bot * fr
     return np.clip(out, 0.0, 1.0)
 
@@ -155,38 +152,40 @@ def load_usps(path, name: str = "usps", split: str = "", target_side: int = 28) 
     Each line holds a class label followed by 256 grayscale values of a
     16x16 image in [-1, 1] (the standard distribution); values are mapped
     linearly to [0, 1]. Gzipped files are handled transparently. Malformed
-    lines and out-of-range labels raise DataError with the line number.
+    lines, non-finite values and out-of-range labels raise DataError with
+    the line number.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    images = []
-    labels = []
     try:
-        fh = opener(path, "rt", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open ({exc})") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 257:
-                raise DataError(
-                    f"{path}:{lineno}: expected label + 256 values, got {len(fields)} fields"
-                )
-            try:
-                values = np.array([float(v) for v in fields], dtype=float)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            label = int(round(values[0]))
-            if not 0 <= label < NUM_CLASSES:
-                raise DataError(f"{path}:{lineno}: label {label} outside [0, {NUM_CLASSES})")
-            pixels = np.clip((values[1:] + 1.0) / 2.0, 0.0, 1.0).reshape(16, 16)
-            resized = resize_bilinear(pixels, target_side, target_side)
-            images.append(resized.ravel())
-            labels.append(label)
-    if not images:
+        text = _read(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    rows, linenos = [], []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 257:
+            raise DataError(
+                f"{path}:{lineno}: expected label + 256 values, got {len(fields)} fields"
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
+        linenos.append(lineno)
+    if not rows:
         raise DataError(f"{path}: no samples found")
-    return Dataset(np.array(images), np.array(labels), name=name, split=split)
+    values = np.array(rows)
+    labels = np.rint(values[:, 0])
+    finite = np.isfinite(values).all(axis=1)
+    bad = ~(finite & (labels >= 0) & (labels < NUM_CLASSES))
+    if bad.any():
+        i = bad.argmax()
+        problem = f"label outside [0, {NUM_CLASSES})" if finite[i] else "non-finite value"
+        raise DataError(f"{path}:{linenos[i]}: {problem}")
+    pixels = np.clip((values[:, 1:] + 1.0) / 2.0, 0.0, 1.0).reshape(-1, 16, 16)
+    images = resize_bilinear(pixels, target_side, target_side).reshape(len(rows), -1)
+    return Dataset(images, labels.astype(np.int64), name=name, split=split)
 
 
 def shuffle_split(data, batch_size: int, rng: Rng) -> list[np.ndarray]:

@@ -99,9 +99,14 @@ def attach_head(d: Dbn, n_classes: int) -> Dbn:
     return d
 
 
-def _logits(d: Dbn, x) -> np.ndarray:
+def _head(d: Dbn) -> SoftmaxLayer:
     if d.head is None:
         raise ValueError("model has no classification head; call attach_head first")
+    return d.head
+
+
+def _logits(d: Dbn, x) -> np.ndarray:
+    _head(d)
     return _head_logits(d, forward(d, x))
 
 
@@ -109,12 +114,14 @@ def _head_logits(d: Dbn, feats: np.ndarray) -> np.ndarray:
     return feats @ d.head.w_out + d.head.b_out
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_predict(d: Dbn, x) -> np.ndarray:
     """Class probabilities for a single image or a batch (rows sum to 1)."""
-    logits = _logits(d, x)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(_logits(d, x))
 
 
 def predict_labels(d: Dbn, x) -> np.ndarray:
@@ -188,8 +195,10 @@ class FineTuneConfig:
             raise ConfigError("batch_size and cg_iters must be >= 1")
         if not 0.0 < self.backtrack < 1.0:
             raise ConfigError(f"backtrack factor must be in (0, 1), got {self.backtrack}")
-        if self.lr <= 0.0 or self.c1 <= 0.0:
+        if not (self.lr > 0.0 and self.c1 > 0.0):
             raise ConfigError("lr and c1 must be positive")
+        if self.max_backtracks < 1:
+            raise ConfigError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 
 
 @dataclass
@@ -258,9 +267,7 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     y = np.asarray(y, dtype=np.int64)
     loss, acts = forward if forward is not None else _loss_only(d, x, y)
     n = y.shape[0]
-    logits = _head_logits(d, acts[-1])
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    d_logits = e / e.sum(axis=1, keepdims=True)
+    d_logits = _softmax(_head_logits(d, acts[-1]))
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
     slots = _slots(d, head_only)
@@ -365,8 +372,7 @@ def fine_tune(
     size. A gradient-descent batch costs one forward and backward pass per
     step. Each epoch then makes one forward pass over each split.
     """
-    if d.head is None:
-        raise ValueError("model has no classification head; call attach_head first")
+    _head(d)
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     log: list[FineTuneEpoch] = []
@@ -389,7 +395,7 @@ def fine_tune(
                 _, g = loss_and_grad(d, x, y, cfg.head_only)
                 params -= cfg.lr * g
         require_finite("fine-tune parameters", params)
-        epoch_loss, train_acc = _mean_loss(d, dataset)
+        epoch_loss, train_acc, _ = _mean_loss(d, dataset)
         test_acc = float("nan")
         if eval_dataset is not None:
             test_acc, _ = evaluate(d, eval_dataset)
@@ -400,35 +406,26 @@ def fine_tune(
 
 
 def _mean_loss(d: Dbn, dataset, chunk: int = 10000):
-    """Mean cross-entropy and accuracy over a split, from one forward pass."""
-    total = 0.0
-    correct = 0
+    """Mean cross-entropy, accuracy and confusion matrix (rows true class,
+    cols predicted) over a split, from one chunked forward pass."""
     n = dataset.images.shape[0]
+    total = 0.0
+    confusion = np.zeros((d.head.n_classes,) * 2, dtype=np.int64)
     for lo in range(0, n, chunk):
         logits = _logits(d, dataset.images[lo : lo + chunk])
         y = dataset.labels[lo : lo + chunk]
         total += _cross_entropy(logits, y) * y.shape[0]
-        correct += int((np.argmax(logits, axis=-1) == y).sum())
-    return total / n, correct / n
+        np.add.at(confusion, (y, np.argmax(logits, axis=-1)), 1)
+    return total / n, int(np.trace(confusion)) / n, confusion
 
 
-def evaluate(d: Dbn, dataset, chunk: int = 10000):
+def evaluate(d: Dbn, dataset):
     """Accuracy and the confusion matrix (rows true class, cols predicted)."""
-    n = dataset.images.shape[0]
-    if n == 0:
+    if dataset.images.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    n_classes = d.head.n_classes if d.head is not None else 0
-    if n_classes == 0:
-        raise ValueError("model has no classification head; call attach_head first")
+    n_classes = _head(d).n_classes
     top = int(dataset.labels.max())
     if top >= n_classes:
         raise ValueError(f"the head has {n_classes} classes, but the largest label is {top}")
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    correct = 0
-    for lo in range(0, n, chunk):
-        pred = predict_labels(d, dataset.images[lo : lo + chunk])
-        true = dataset.labels[lo : lo + chunk]
-        correct += int((pred == true).sum())
-        np.add.at(confusion, (true, pred), 1)
-    return correct / n, confusion
-
+    _, acc, confusion = _mean_loss(d, dataset)
+    return acc, confusion

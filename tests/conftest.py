@@ -79,6 +79,11 @@ def write_gzip_text(path, text):
         fh.write(text)
 
 
+def idx_bytes(magic, *sizes, payload=b""):
+    """An IDX file: the magic, one big-endian uint32 per size, then payload."""
+    return struct.pack(f">{1 + len(sizes)}I", magic, *sizes) + payload
+
+
 def write_idx(dataset, images_path, labels_path):
     """Write a dataset of square images as an IDX pair (pixels quantized to
     bytes), the layout load_idx reads."""

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import gzip
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import src_env
+from conftest import idx_bytes, src_env
 from mndbn import cli, report, synth
 from mndbn.cli import main
 from mndbn.dbn import Dbn, FineTuneConfig, attach_head
@@ -211,6 +212,61 @@ class TestTrainRbm:
                      "--config", str(rbm_config(tmp_path, tmp_path / "r"))]) == 2
 
 
+def _usps_text(label="3", pixel="0.5"):
+    return " ".join([label] + [pixel] * 256) + "\n"
+
+
+_GOOD_IMAGES = idx_bytes(0x803, 2, 2, 2, payload=bytes(8))
+_GOOD_LABELS = idx_bytes(0x801, 2, payload=bytes([1, 2]))
+
+# case -> (dataset kind, files in config order, where the message points).
+_BAD_DATA_FILES = {
+    "idx-label-12": ("idx", {"im.idx": _GOOD_IMAGES,
+                             "lb.idx": idx_bytes(0x801, 2, payload=b"\x01\x0c")}, "lb.idx"),
+    "truncated-gz": ("idx", {"im.idx.gz": gzip.compress(_GOOD_IMAGES)[:-6],
+                             "lb.idx": _GOOD_LABELS}, "im.idx.gz"),
+    "gz-not-gzip": ("idx", {"im.idx.gz": _GOOD_IMAGES, "lb.idx": _GOOD_LABELS}, "im.idx.gz"),
+    "idx-huge-header": ("idx", {"im.idx": idx_bytes(0x803, *[0xFFFFFFFF] * 3),
+                                "lb.idx": _GOOD_LABELS}, "im.idx"),
+    "idx-large-header": ("idx", {"im.idx": idx_bytes(0x803, 100000, 1000, 1000),
+                                 "lb.idx": _GOOD_LABELS}, "im.idx"),
+    "usps-inf-label": ("usps", {"u.txt": _usps_text(label="inf").encode()}, "u.txt:1:"),
+    "usps-nan-label": ("usps", {"u.txt": _usps_text(label="nan").encode()}, "u.txt:1:"),
+    "usps-not-utf8": ("usps", {"u.txt": b"\xff\xfe" + _usps_text().encode()}, "u.txt"),
+    "usps-nan-pixels": ("usps", {"u.txt": (_usps_text() + _usps_text(pixel="nan")).encode()},
+                        "u.txt:2:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DATA_FILES))
+def test_malformed_data_file_is_data_error(tmp_path, capsys, case):
+    kind, files, where = _BAD_DATA_FILES[case]
+    paths = []
+    for name, blob in files.items():
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_bytes(blob)
+    if kind == "usps":
+        dataset = {"name": "usps", "train_path": paths[0]}
+    else:
+        dataset = {"name": "idx", "train_images": paths[0], "train_labels": paths[1]}
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "bad.json", {"dataset": dataset, "layer_size": 4,
+                                              "out_dir": str(out)})
+    assert main(["train-rbm", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert str(tmp_path / where) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_seed_flag_rejected_where_no_seed_is_read(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 class TestPretrainDbn:
     def dbn_config(self, tmp_path, out_dir, penalties=None):
         payload = {
@@ -340,7 +396,9 @@ class TestFinetune:
         assert acc0 == acc1
 
     @pytest.mark.parametrize("block", [{"method": "newton"}, {"batch": 0}, {"head_only": 1},
-                                       {"cg_iters": "3"}, {"momentum": 0.5}])
+                                       {"cg_iters": "3"}, {"momentum": 0.5},
+                                       {"c1": float("nan")}, {"lr": float("nan")},
+                                       {"max_backtracks": 0}])
     def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
         out = tmp_path / "ft"
         cfg = self.ft_config(tmp_path, out, extra=block)

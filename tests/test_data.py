@@ -1,12 +1,15 @@
 """Dataset ingestion: IDX bytes, USPS text, bilinear resize, batching."""
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import write_gzip_text, write_idx
+from conftest import idx_bytes, write_gzip_text, write_idx
 from mndbn.core import Rng
 from mndbn.data import (
     Dataset,
@@ -87,7 +90,7 @@ class TestLoadIdx:
             idx_images_bytes(1, 2, 2, [0, 0, 0, 0]),
             idx_labels_bytes([12]),
         )
-        with pytest.raises((DataError, ValueError)):
+        with pytest.raises(DataError, match="label 12"):
             load_idx(ip, lp)
 
     def test_write_then_load_round_trip(self, tmp_path):
@@ -125,6 +128,16 @@ class TestResizeBilinear:
             ]
         )
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,out", [((16, 16), (28, 28)), ((16, 16), (9, 9)),
+                                           ((1, 5), (3, 4)), ((5, 1), (2, 7)),
+                                           ((4, 6), (1, 1)), ((3, 3), (3, 3))])
+    def test_stack_matches_each_image_bit_for_bit(self, shape, out):
+        stack = Rng(3).uniform((2, 3) + shape)
+        whole = resize_bilinear(stack, *out)
+        assert whole.shape == (2, 3) + out
+        for idx in np.ndindex(2, 3):
+            assert whole[idx].tobytes() == resize_bilinear(stack[idx], *out).tobytes()
 
     def test_corners_are_preserved(self):
         img = Rng(2).uniform((4, 6))
@@ -187,6 +200,14 @@ class TestLoadUsps:
         with pytest.raises(DataError):
             load_usps(p)
 
+    def test_first_bad_line_is_reported(self, tmp_path):
+        lines = [usps_line(1, np.zeros(256)), usps_line(12, np.zeros(256)),
+                 usps_line(1, np.full(256, np.nan))]
+        with pytest.raises(DataError, match=r"digits.txt:2: label"):
+            load_usps(self.make_file(tmp_path, lines))
+        with pytest.raises(DataError, match=r"digits.txt:2: non-finite"):
+            load_usps(self.make_file(tmp_path, lines[::2]))
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("")
@@ -231,6 +252,8 @@ class TestDataset:
             Dataset(images=np.zeros((2, 4)), labels=np.zeros(3, dtype=int), name="x")
         with pytest.raises(ValueError):
             Dataset(images=np.full((2, 4), 1.5), labels=np.zeros(2, dtype=int), name="x")
+        with pytest.raises(ValueError):
+            Dataset(images=np.array([[np.nan, 0.5]]), labels=[0], name="x")
 
     def test_subset(self):
         ds = Dataset(images=Rng(0).uniform((10, 4)), labels=Rng(1).integers(0, 10, (10,)),
@@ -238,3 +261,126 @@ class TestDataset:
         sub = ds.subset(4)
         assert len(sub) == 4
         assert (sub.images == ds.images[:4]).all()
+
+
+def _digest(ds):
+    h = hashlib.sha256()
+    for a in (ds.images, ds.labels):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _pinned_idx(tmp_path, gz):
+    rng = np.random.default_rng(20)
+    pixels = rng.integers(0, 256, (13, 7, 5), dtype=np.uint8)
+    labels = rng.integers(0, 10, 13, dtype=np.uint8)
+    blobs = [struct.pack(">IIII", 0x803, 13, 7, 5) + pixels.tobytes() + b"tail",
+             struct.pack(">II", 0x801, 13) + labels.tobytes()]
+    paths = [tmp_path / f"{name}.idx{'.gz' if gz else ''}" for name in ("images", "labels")]
+    for p, blob in zip(paths, blobs):
+        p.write_bytes(gzip.compress(blob, mtime=0) if gz else blob)
+    return paths
+
+
+def _pinned_usps(tmp_path, gz):
+    rng = np.random.default_rng(21)
+    lines = []
+    for i in range(11):
+        values = rng.uniform(-1.2, 1.2, 256)
+        lines.append(" ".join([f"{rng.integers(0, 10)}.0000"] + [f"{v:.6f}" for v in values]))
+        lines.append("" if i % 3 else " \t")
+    text = "\n".join(lines[:6]) + "\r\n" + "\n".join(lines[6:]) + "\n"
+    p = tmp_path / f"digits.txt{'.gz' if gz else ''}"
+    p.write_bytes(gzip.compress(text.encode(), mtime=0) if gz else text.encode())
+    return p
+
+
+# sha256 prefixes of the loaded images and labels (dtype, shape and bytes),
+# recorded before the loaders shared one file reader; gzip must not move them.
+PINNED_IDX = "d6661920078b6097"
+PINNED_USPS = {28: "172573e0c68c9c09", 16: "730a00108c199a65", 9: "59acc13b41eec352"}
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+class TestPinnedBytes:
+    def test_idx(self, tmp_path, gz):
+        assert _digest(load_idx(*_pinned_idx(tmp_path, gz))) == PINNED_IDX
+
+    @pytest.mark.parametrize("side", sorted(PINNED_USPS))
+    def test_usps(self, tmp_path, gz, side):
+        ds = load_usps(_pinned_usps(tmp_path, gz), target_side=side)
+        assert len(ds) == 11
+        assert _digest(ds) == PINNED_USPS[side]
+
+
+def _framed_idx(magic, sizes, payload):
+    return idx_bytes(magic, *sizes, payload=payload)
+
+
+_SIZE = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+_IDX_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(_framed_idx, st.sampled_from([0x803, 0x801]),
+              st.lists(_SIZE, min_size=0, max_size=3), st.binary(max_size=40)),
+    st.builds(_framed_idx, st.just(0x803), st.lists(_SIZE, min_size=3, max_size=3),
+              st.binary(max_size=40)),
+    st.builds(_framed_idx, st.just(0x801), st.lists(_SIZE, min_size=1, max_size=1),
+              st.binary(max_size=40)),
+)
+_USPS_FIELD = st.one_of(st.sampled_from(["0", "1", "-1", "9.5", "12", "nan", "inf", "1e999", "x"]),
+                        st.floats().map(repr))
+
+
+def _usps_line(label, fill, count, pos, odd):
+    """A label then count copies of one value, one of them maybe replaced."""
+    fields = [label] + [fill] * count
+    fields[min(pos, count)] = odd
+    return " ".join(fields)
+
+
+_USPS_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.builds(_usps_line, _USPS_FIELD, _USPS_FIELD, st.integers(255, 257),
+                       st.integers(0, 300), _USPS_FIELD),
+             min_size=1, max_size=3).map("\n".join),
+)
+_SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _write(path, blob, mode):
+    """Write blob plain, gzipped under a .gz name, or as is under a .gz
+    name ("bad.gz"); returns the path written."""
+    if mode != "plain":
+        path = path.with_name(path.name + ".gz")
+    path.write_bytes(gzip.compress(blob) if mode == "gzip" else blob)
+    return path
+
+
+class TestAnyInput:
+    """Every input loads or raises DataError: no other exception, and no
+    allocation of a header's promised size (the framed sizes reach 2**32)."""
+
+    @_SETTINGS
+    @given(images=_IDX_BYTES, labels=_IDX_BYTES,
+           gz=st.tuples(*[st.sampled_from(["plain", "gzip", "bad.gz"])] * 2))
+    def test_idx_pair_loads_or_raises_data_error(self, tmp_path, images, labels, gz):
+        ip = _write(tmp_path / "im.idx", images, gz[0])
+        lp = _write(tmp_path / "lb.idx", labels, gz[1])
+        try:
+            ds = load_idx(ip, lp)
+        except DataError:
+            return
+        assert ds.images.shape[0] == ds.labels.shape[0]
+
+    @_SETTINGS
+    @given(text=_USPS_TEXT, gz=st.sampled_from(["plain", "gzip"]))
+    def test_usps_text_loads_or_raises_data_error(self, tmp_path, text, gz):
+        p = _write(tmp_path / "digits.txt", text.encode("utf-8", "surrogatepass"), gz)
+        try:
+            ds = load_usps(p, target_side=9)
+        except DataError:
+            return
+        assert ds.images.shape == (len(ds), 81)
+        assert np.isfinite(ds.images).all()

@@ -425,7 +425,7 @@ class TestEvaluate:
         def no_forward(*args, **kwargs):
             raise AssertionError("forward pass before the label check")
 
-        monkeypatch.setattr(dbn_module, "predict_labels", no_forward)
+        monkeypatch.setattr(dbn_module, "forward", no_forward)
         top = int(train.labels.max())
         with pytest.raises(ValueError, match=f"5 classes, but the largest label is {top}"):
             evaluate(d, train)
