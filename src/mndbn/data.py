@@ -92,19 +92,21 @@ def load_idx(images_path, labels_path, name: str = "idx", split: str = "") -> Da
 
     Image files start with magic 0x00000803 then count, rows, cols and raw
     unsigned bytes; label files start with 0x00000801 then count and raw
-    bytes. Pixels are scaled by 1/255. Mismatched magics, truncation, an
-    image/label count mismatch or a label outside [0, 10) raise DataError
-    naming the file.
+    bytes. Pixels are scaled by 1/255. Mismatched magics, truncation, a
+    count of 0, an image/label count mismatch or a label outside [0, 10)
+    raise DataError naming the file.
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
     count, rows, cols = images.shape
+    if count == 0:
+        raise DataError(f"{images_path}: no samples found")
     if labels.shape[0] != count:
         raise DataError(
             f"count mismatch: {images_path} has {count} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    if count and labels.max() >= NUM_CLASSES:
+    if labels.max() >= NUM_CLASSES:
         raise DataError(f"{labels_path}: label {labels.max()} outside [0, {NUM_CLASSES})")
     images = images.reshape(count, rows * cols).astype(float) / 255.0
     return Dataset(images, labels.astype(np.int64), name=name, split=split)

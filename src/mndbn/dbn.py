@@ -259,8 +259,8 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
 
     The gradient comes back flat, in the vector order of _slots: each
     block is written straight into its piece of one vector. Backprop
-    multiplies by p(1-p) at each sigmoid layer; no gradient is formed for
-    the input. forward, when given, is the (loss, activations) pair that
+    multiplies by p(1-p) at each sigmoid layer, in the incoming gradient's
+    buffer; no gradient is formed for the input. forward, when given, is the (loss, activations) pair that
     _loss_only returned for this x at the model's current parameters; only
     the backward pass then runs.
     """
@@ -279,7 +279,8 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
         d_act = d_logits @ d.head.w_out.T
         for idx in range(len(d.layers) - 1, -1, -1):
             layer, a = d.layers[idx], acts[idx + 1]
-            d_pre = d_act * a * (1.0 - a)
+            d_pre = np.multiply(d_act, a, out=d_act)
+            d_pre *= 1.0 - a
             np.matmul(acts[idx].T, d_pre, out=layer_views[2 * idx])
             d_pre.sum(axis=0, out=layer_views[2 * idx + 1])
             if idx > 0:

@@ -119,6 +119,12 @@ def accumulate(aug_values, p: GroupPartition) -> np.ndarray:
     return out
 
 
+def row_blocks(n_rows: int, row_length: int) -> list:
+    """Slices that cut n_rows rows into blocks of about _BLOCK_VALUES values."""
+    step = max(1, _BLOCK_VALUES // row_length)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def group_norms(values, p: GroupPartition) -> np.ndarray:
     """l2 norm of each group: (..., j_original) -> (..., num_groups).
 
@@ -132,11 +138,10 @@ def group_norms(values, p: GroupPartition) -> np.ndarray:
     rows = values.reshape(-1, p.j_original)
     out = np.empty((rows.shape[0], p.num_groups))
     span = p.stride * (p.num_groups - 1) + 1
-    step = max(1, _BLOCK_VALUES // p.j_original)
-    for lo in range(0, rows.shape[0], step):
-        block = rows[lo : lo + step]
-        sq = block * block
-        acc = out[lo : lo + step]
+    for block in row_blocks(rows.shape[0], p.j_original):
+        x = rows[block]
+        sq = x * x
+        acc = out[block]
         np.copyto(acc, sq[:, 0:span:p.stride])
         for i in range(1, p.group_size):
             acc += sq[:, i : i + span : p.stride]

@@ -26,7 +26,7 @@ import numpy as np
 from .core import Rng
 from .data import shuffle_split
 from .errors import ConfigError
-from .groups import GroupPartition, divide_accumulate, group_norms
+from .groups import GroupPartition, divide_accumulate, group_norms, row_blocks
 from .rbm import (
     Rbm,
     Velocity,
@@ -105,17 +105,21 @@ def mixed_norm(h_probs, cfg: PenaltyConfig):
     h_probs = np.asarray(h_probs, dtype=float)
     if h_probs.size and (h_probs.min() < 0.0 or h_probs.max() > 1.0):
         raise ValueError("activation probabilities must lie in [0, 1]")
-    total = _sum_groups(group_norms(h_probs, cfg.partition))
+    total = _group_norm_sums(h_probs, cfg.partition)
     return float(total) if h_probs.ndim == 1 else total
 
 
-def _sum_groups(norms: np.ndarray) -> np.ndarray:
-    """Add group norms (..., num_groups) over the last axis.
-
-    With the groups on the outer axis numpy adds them one after another,
-    so every caller gets the same bits.
-    """
-    return np.ascontiguousarray(np.moveaxis(norms, -1, 0)).sum(axis=0)
+def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition) -> np.ndarray:
+    """Each row's group norms added in ascending group order, one after
+    another, one `group_norms` row block at a time: (..., j) -> (...). A lone
+    row or vector gets numpy's pairwise sum, as a contiguous sum gives it."""
+    rows = h_probs.reshape(-1, part.j_original)
+    if rows.shape[0] == 1:
+        return group_norms(h_probs, part).sum(axis=-1)
+    out = np.empty(rows.shape[0])
+    for block in row_blocks(rows.shape[0], part.j_original):
+        out[block] = np.cumsum(group_norms(rows[block], part), axis=1)[:, -1]
+    return out.reshape(h_probs.shape[:-1])
 
 
 def penalty_grad(m: Rbm, x, cfg: PenaltyConfig):
@@ -170,6 +174,8 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, chunk: int = 
 
     Reconstruction error is the mean squared error of the one-step
     mean-field reconstruction (probabilities everywhere, no sampling).
+    It holds one chunk's p and xhat (the squared error is formed in xhat's
+    buffer) plus O(rows) sums at once.
     """
     sq_err = 0.0
     act_sum = 0.0
@@ -179,9 +185,10 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, chunk: int = 
         xb = images[lo : lo + chunk]
         p = prob_h_given_x(m, xb)
         xhat = prob_x_given_h(m, p)
-        sq_err += float(((xb - xhat) ** 2).sum())
+        np.subtract(xb, xhat, out=xhat)
+        sq_err += float(np.square(xhat, out=xhat).sum())
         act_sum += float(p.sum())
-        mn_sum += float(np.sum(_sum_groups(group_norms(p, cfg.partition))))
+        mn_sum += float(np.sum(_group_norm_sums(p, cfg.partition)))
     return (
         sq_err / (n * m.n_visible),
         act_sum / (n * m.n_hidden),

@@ -9,6 +9,7 @@ import numpy as np
 
 from mndbn.core import Rng
 from mndbn.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from mndbn.groups import group_norms
 from mndbn.rbm import Rbm
 
 # Verdict lines recorded by the acceptance tests, echoed after the run so
@@ -106,7 +107,7 @@ def flat_params(m):
 # kernels must reproduce the augmented-axis reference bit for bit.
 ORACLE_LAYOUTS = [
     (6, 4, 0.5), (100, 20, 0.2), (100, 50, 0.5), (2000, 10, 0.5), (2000, 20, 0.25),
-    (100, 10, 0.8), (30, 10, 0.9), (500, 10, 0.0), (12, 3, 0.0),
+    (100, 10, 0.8), (30, 10, 0.9), (500, 10, 0.0), (12, 3, 0.0), (40, 1, 0.0),
 ]
 
 
@@ -119,3 +120,10 @@ def reference_accumulate(aug_values, p):
         start = int(p.aug_to_orig[lo])
         out[..., start : start + p.group_size] += aug_values[..., lo:hi]
     return out
+
+
+def reference_group_norm_sums(h, p):
+    """Each row's group norms added over the groups, with the groups moved
+    to the outer axis of one contiguous (num_groups, rows) array, so numpy
+    adds them one after another."""
+    return np.ascontiguousarray(np.moveaxis(group_norms(h, p), -1, 0)).sum(axis=0)

@@ -221,6 +221,8 @@ _GOOD_LABELS = idx_bytes(0x801, 2, payload=bytes([1, 2]))
 
 # case -> (dataset kind, files in config order, where the message points).
 _BAD_DATA_FILES = {
+    "idx-empty": ("idx", {"im.idx": idx_bytes(0x803, 0, 2, 2),
+                          "lb.idx": idx_bytes(0x801, 0)}, "im.idx"),
     "idx-label-12": ("idx", {"im.idx": _GOOD_IMAGES,
                              "lb.idx": idx_bytes(0x801, 2, payload=b"\x01\x0c")}, "lb.idx"),
     "truncated-gz": ("idx", {"im.idx.gz": gzip.compress(_GOOD_IMAGES)[:-6],

@@ -1,22 +1,30 @@
 """Group-sparsity penalty: value, analytic gradient, two-step training."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ORACLE_LAYOUTS, flat_params, random_rbm, reference_accumulate
+from conftest import (
+    ORACLE_LAYOUTS,
+    flat_params,
+    random_rbm,
+    reference_accumulate,
+    reference_group_norm_sums,
+)
 from mndbn.core import Rng
-from mndbn.groups import make_partition
+from mndbn.groups import _BLOCK_VALUES, make_partition
 from mndbn.mixed_norm import (
     PenaltyConfig,
     TrainConfig,
+    _epoch_metrics,
     mixed_norm,
     penalty_grad,
     regularized_update,
     train_mnrbm,
 )
-from mndbn.rbm import Rbm, Velocity, apply_update, cd_step, prob_h_given_x
+from mndbn.rbm import Rbm, Velocity, apply_update, cd_step, prob_h_given_x, prob_x_given_h
 from mndbn.data import shuffle_split
 from mndbn.synth import make_synthetic
 
@@ -178,18 +186,29 @@ def reference_penalty_grad(m, x, cfg):
 class TestKernelsMatchAugmentedReference:
     """Batches give the reference's bits. A single vector or a one-row batch
     only agrees to rounding: numpy sums those contiguously, pairwise, in
-    the reference, so its bits there depend on memory layout."""
+    the reference, so its bits there depend on memory layout.
+
+    The third batch size spans two `group_norms` row blocks and one more
+    row, so the last block holds a single row."""
 
     @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
     def test_batches_are_bit_identical(self, j, g, a):
         cfg = cfg_for(j, g, a)
         m = random_rbm(j, 8, j)
-        for rows in (7, 100):
+        for rows in (7, 100, 2 * max(1, _BLOCK_VALUES // j) + 1):
             x = Rng(rows).uniform((rows, 8))
             for got, want in zip(penalty_grad(m, x, cfg), reference_penalty_grad(m, x, cfg)):
                 assert np.array_equal(got, want)
             p = prob_h_given_x(m, x)
             assert np.array_equal(mixed_norm(p, cfg), reference_mixed_norm(p, cfg))
+            assert np.array_equal(mixed_norm(p, cfg), reference_group_norm_sums(p, cfg.partition))
+
+    @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
+    def test_lone_rows_match_the_contiguous_sum(self, j, g, a):
+        cfg = cfg_for(j, g, a)
+        p = prob_h_given_x(random_rbm(j, 8, j), Rng(3).uniform((1, 8)))
+        assert np.array_equal(mixed_norm(p, cfg), reference_group_norm_sums(p, cfg.partition))
+        assert mixed_norm(p[0], cfg) == reference_group_norm_sums(p[0], cfg.partition)
 
     @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
     def test_single_samples_agree_to_rounding(self, j, g, a):
@@ -299,3 +318,46 @@ class TestTraining:
         metrics = [(e.recon_error, e.mean_hidden_activation, e.mixed_norm_value) for e in log]
         assert hashlib.sha256(flat_params(m).tobytes()).hexdigest()[:16] == "c1646a1aa6ab0f75"
         assert hashlib.sha256(repr(metrics).encode()).hexdigest()[:16] == "89bb66e571f82638"
+
+
+def reference_epoch_metrics(m, images, cfg, chunk):
+    """The metrics pass written with full-size temporaries."""
+    sq_err = act_sum = mn_sum = 0.0
+    n = images.shape[0]
+    for lo in range(0, n, chunk):
+        xb = images[lo : lo + chunk]
+        p = prob_h_given_x(m, xb)
+        xhat = prob_x_given_h(m, p)
+        sq_err += float(((xb - xhat) ** 2).sum())
+        act_sum += float(p.sum())
+        mn_sum += float(np.sum(reference_group_norm_sums(p, cfg.partition)))
+    return sq_err / (n * m.n_visible), act_sum / (n * m.n_hidden), mn_sum / n
+
+
+class TestEpochMetrics:
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    def test_bits_match_full_size_temporaries(self, overlap):
+        # 2000 units take 32 rows per group_norms block; chunk 249 leaves a
+        # one-row last chunk
+        m = random_rbm(4, 16, 2000, std=0.5)
+        images = Rng(5).uniform((250, 16))
+        cfg = cfg_for(2000, 10, overlap)
+        for chunk in (250, 100, 249):
+            got = _epoch_metrics(m, images, cfg, chunk=chunk)
+            assert got == reference_epoch_metrics(m, images, cfg, chunk)
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    def test_peak_memory_is_about_one_chunk(self, overlap):
+        # one chunk of 1000 rows, 784 pixels into 500 units: 8 group_norms
+        # row blocks. The pass may hold p and xhat, plus a quarter more.
+        m = random_rbm(6, 784, 500, std=0.05)
+        images = Rng(7).uniform((1000, 784))
+        cfg = cfg_for(500, 10, overlap)
+        chunk_bytes = images.nbytes + images.shape[0] * m.n_hidden * images.itemsize
+        tracemalloc.start()
+        try:
+            _epoch_metrics(m, images, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * chunk_bytes
