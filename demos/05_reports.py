@@ -10,6 +10,7 @@ import os
 import time
 
 from mndbn import (
+    Dbn,
     Rng,
     RunRecord,
     activation_histogram,
@@ -39,9 +40,10 @@ weight_tiles(m, grid=(8, 8), out_path=tile_path)
 img = read_pgm(tile_path)
 print(f"wrote {tile_path}: {img.shape[0]}x{img.shape[1]}, gray range {img.min()}..{img.max()}")
 
-# How active each unit is on average: sparse layers pile up near zero.
+# How active each unit is on average: sparse layers pile up near zero. The
+# histogram reads a network's top layer; here the network is the one layer.
 hist_path = os.path.join(out_dir, "activations.csv")
-counts, edges = activation_histogram(m, train.images, bins=10, out_path=hist_path)
+counts, edges = activation_histogram(Dbn([m]), train.images, bins=10, out_path=hist_path)
 print(f"wrote {hist_path}")
 print("bin        count")
 for b in range(len(counts)):

@@ -407,22 +407,36 @@ def _model_tag(meta: dict, d) -> str:
     return meta.get("architecture") or _architecture_tag([m.n_hidden for m in d.layers], [])
 
 
+def _load_model_run(resolved: dict):
+    """(network, meta, train, test-or-None) of a finetune or evaluate run,
+    each split's image size checked against the network's input size."""
+    from .model_io import load_model
+
+    path = resolved["model_path"]
+    d, meta = load_model(path)
+    train, test = _build_datasets(resolved["dataset"])
+    for ds in (train, test):
+        if ds is not None and ds.images.shape[1] != d.n_visible:
+            raise ConfigError(
+                f"{path} takes {d.n_visible} pixels per image, but the dataset's "
+                f"{ds.split} images have {ds.images.shape[1]}"
+            )
+    return d, meta, train, test
+
+
 def cmd_finetune(args) -> int:
     resolved, ft = _resolve_finetune(args, _load_config(args.config, "finetune"))
 
     from .core import Rng
-    from .dbn import Dbn, FineTuneEpoch, attach_head, evaluate, fine_tune
+    from .dbn import FineTuneEpoch, attach_head, evaluate, fine_tune
     from .mixed_norm import write_training_log
-    from .model_io import load_model, save_dbn
+    from .model_io import save_dbn
 
-    model, meta = load_model(resolved["model_path"])
-    d = model if isinstance(model, Dbn) else Dbn([model])
-    train, test = _build_datasets(resolved["dataset"])
+    d, meta, train, test = _load_model_run(resolved)
     top = max(int(ds.labels.max()) for ds in (train, test) if ds is not None)
     if top >= ft.n_classes:
         raise ConfigError(f"finetune: n_classes is {ft.n_classes}, but the largest label is {top}")
     attach_head(d, ft.n_classes)
-    out_dir = _make_dir(resolved["out_dir"])
     t0 = time.perf_counter()
     d, log = fine_tune(d, train, ft.epochs, ft, Rng(ft.seed), eval_dataset=test)
     elapsed = time.perf_counter() - t0
@@ -433,6 +447,7 @@ def cmd_finetune(args) -> int:
     train_acc = log[-1].train_accuracy if log else evaluate(d, train)[0]
     dataset = resolved["dataset"]["name"]
     meta = {"architecture": tag, "dataset": dataset, "finetune": resolved["finetune"]}
+    out_dir = _make_dir(resolved["out_dir"])
     save_dbn(d, out_dir / "dbn_finetuned.mndbn", meta=meta)
     write_training_log(out_dir / "finetune_log.csv", log, FineTuneEpoch)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(reported), elapsed,
@@ -452,15 +467,13 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     resolved = _resolve_model_run(args, _load_config(args.config, "evaluate"))
 
-    from .dbn import Dbn, evaluate
-    from .model_io import load_model
+    from .dbn import evaluate
 
-    model, meta = load_model(resolved["model_path"])
-    if not isinstance(model, Dbn) or model.head is None:
+    model, meta, train, test = _load_model_run(resolved)
+    if model.head is None:
         raise ConfigError(
             f"{resolved['model_path']} has no classification head; run finetune first"
         )
-    train, test = _build_datasets(resolved["dataset"])
     split, dataset = ("test", test) if test is not None else ("train", train)
     t0 = time.perf_counter()
     acc, confusion = evaluate(model, dataset)
@@ -494,7 +507,6 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
 
 
 def cmd_report(args) -> int:
-    from .dbn import Dbn
     from .model_io import load_model
     from .report import ReportConfig, RunRecord, activation_histogram, results_table, weight_tiles
 
@@ -517,7 +529,7 @@ def cmd_report(args) -> int:
     for path, model in zip(model_paths, models):
         rel = path.relative_to(run_dir)
         stem = "_".join(rel.with_suffix("").parts)
-        layer = model.layers[0] if isinstance(model, Dbn) else model
+        layer = model.layers[0]
         side = math.isqrt(layer.n_visible)
         if side * side == layer.n_visible:
             cols = min(rcfg.grid[1], layer.n_hidden)

@@ -190,17 +190,13 @@ def load_usps(path, name: str = "usps", split: str = "", target_side: int = 28) 
     return Dataset(images, labels.astype(np.int64), name=name, split=split)
 
 
-def shuffle_split(data, batch_size: int, rng: Rng) -> list[np.ndarray]:
-    """Seeded random batch order for one epoch.
+def shuffle_split(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
+    """Seeded random batch order over n samples for one epoch.
 
-    Accepts a Dataset, an image matrix, or a sample count. Returns index
-    arrays of length batch_size (the last batch keeps the remainder).
-    Consecutive calls on the same stream give fresh permutations.
+    Returns index arrays of length batch_size (the last batch keeps the
+    remainder). Consecutive calls on the same stream give fresh
+    permutations.
     """
-    if isinstance(data, (int, np.integer)):
-        n = int(data)
-    else:
-        n = np.asarray(getattr(data, "images", data)).shape[0]
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     perm = rng.permutation(n)

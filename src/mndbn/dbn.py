@@ -128,30 +128,25 @@ def predict_labels(d: Dbn, x) -> np.ndarray:
     return np.argmax(_logits(d, x), axis=-1)
 
 
-def pretrain_greedy(data, layer_sizes, cfgs, params, rng: Rng):
-    """Train the layer stack bottom up.
+def pretrain_greedy(dataset, layer_sizes, cfgs, params, rng: Rng):
+    """Train the layer stack bottom up on a Dataset's images.
 
-    cfgs is one PenaltyConfig per layer (or a single config reused when the
-    partition fits every layer); params likewise a TrainConfig or one per
-    layer. Each layer gets its own child generator via rng.spawn(index), so
-    adding layers never perturbs the draws of the ones below. Returns the
-    network and the per-layer training logs.
+    cfgs is a list of one PenaltyConfig per layer; params is the one
+    TrainConfig every layer trains with. Each layer gets its own child
+    generator via rng.spawn(index), so adding layers never perturbs the
+    draws of the ones below. Returns the network and the per-layer
+    training logs.
     """
     layer_sizes = list(layer_sizes)
     if not layer_sizes:
         raise ConfigError("layer_sizes must name at least one layer")
-    cfg_list = list(cfgs) if isinstance(cfgs, (list, tuple)) else [cfgs] * len(layer_sizes)
-    par_list = list(params) if isinstance(params, (list, tuple)) else [params] * len(layer_sizes)
-    if len(cfg_list) != len(layer_sizes) or len(par_list) != len(layer_sizes):
-        raise ConfigError(
-            f"got {len(cfg_list)} penalty configs and {len(par_list)} training configs "
-            f"for {len(layer_sizes)} layers"
-        )
-    current = np.asarray(getattr(data, "images", data), dtype=float)
+    if len(cfgs) != len(layer_sizes):
+        raise ConfigError(f"got {len(cfgs)} penalty configs for {len(layer_sizes)} layers")
+    current = dataset.images
     layers = []
     logs: list[list[EpochStats]] = []
     for idx, size in enumerate(layer_sizes):
-        m, log = train_mnrbm(current, size, cfg_list[idx], par_list[idx], rng.spawn(idx))
+        m, log = train_mnrbm(current, size, cfgs[idx], params, rng.spawn(idx))
         layers.append(m)
         logs.append(log)
         if idx + 1 < len(layer_sizes):

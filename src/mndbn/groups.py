@@ -20,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import row_blocks
 from .errors import ConfigError
-
-# Values per block in `group_norms`: 512 KB of squares, which stay in a
-# typical L2 cache; unblocked, a 2000 x 2000 batch takes about twice as long.
-_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +116,14 @@ def accumulate(aug_values, p: GroupPartition) -> np.ndarray:
     return out
 
 
-def row_blocks(n_rows: int, row_length: int) -> list:
-    """Slices that cut n_rows rows into blocks of about _BLOCK_VALUES values."""
-    step = max(1, _BLOCK_VALUES // row_length)
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
-
-
 def group_norms(values, p: GroupPartition) -> np.ndarray:
     """l2 norm of each group: (..., j_original) -> (..., num_groups).
 
     A group's squares are added over its members in ascending order, one
     after another, as `group_size` strided slice-adds; a reshape-and-sum
     would add them pairwise, which rounds differently from group_size 8 on.
-    Rows go through in blocks of about _BLOCK_VALUES values, so the squares
-    stay in cache across the slice-adds.
+    Rows go through in `core.row_blocks` blocks, so the squares stay in
+    cache across the slice-adds.
     """
     values = _check_last_axis(values, p.j_original)
     rows = values.reshape(-1, p.j_original)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, row_blocks
 from .data import shuffle_split
 from .errors import ConfigError
-from .groups import GroupPartition, divide_accumulate, group_norms, row_blocks
+from .groups import GroupPartition, divide_accumulate, group_norms
 from .rbm import (
     Rbm,
     Velocity,
@@ -127,18 +127,16 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig):
 
     Unit j in group G contributes p_j^2 (1 - p_j) / max(||p_G||_2, epsilon);
     s_j sums that over the groups covering j, the weight column j picks up
-    s_j times x, and the hidden bias picks up s_j itself. Given a batch,
-    returns the batch average. Returns (gw, ga).
+    s_j times x, and the hidden bias picks up s_j itself. Returns (gw, ga),
+    averaged over the rows of the batch x; a single vector is a one-row
+    batch.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     part = cfg.partition
     p = prob_h_given_x(m, x)
     denom = np.maximum(group_norms(p, part), cfg.epsilon)
     s_orig = divide_accumulate(p * p * (1.0 - p), denom, part)
-    if x.ndim == 1:
-        return np.outer(x, s_orig), s_orig
-    n = x.shape[0]
-    return x.T @ s_orig / n, s_orig.mean(axis=0)
+    return x.T @ s_orig / x.shape[0], s_orig.mean(axis=0)
 
 
 def regularized_update(

@@ -99,7 +99,8 @@ def _dim(spec, key: str, path) -> int:
 
 def _load(path, kind=None):
     """Read a model file of the given kind (either kind when None);
-    returns (model, meta).
+    returns (network, meta). An rbm file is a one-layer network with no
+    head.
 
     The header must be an object of format version FORMAT_VERSION whose
     shapes are positive integers, and the payload must hold exactly the
@@ -137,21 +138,21 @@ def _load(path, kind=None):
         pos += size
     try:
         layers = [Rbm(*arrays[k : k + 3]) for k in range(0, 3 * len(specs), 3)]
-        if found == "rbm":
-            return layers[0], meta
         return Dbn(layers, SoftmaxLayer(*arrays[-2:]) if head else None), meta
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def load_rbm(path) -> tuple[Rbm, dict]:
-    return _load(path, "rbm")
+    d, meta = _load(path, "rbm")
+    return d.layers[0], meta
 
 
 def load_dbn(path) -> tuple[Dbn, dict]:
     return _load(path, "dbn")
 
 
-def load_model(path):
-    """Open either container kind; returns (model, meta)."""
+def load_model(path) -> tuple[Dbn, dict]:
+    """Open either container kind; returns (network, meta). An rbm file
+    comes back as a one-layer network with no head."""
     return _load(path)

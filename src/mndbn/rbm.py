@@ -65,7 +65,6 @@ class CdStats:
     dw: np.ndarray
     db_vis: np.ndarray
     da_hid: np.ndarray
-    batch_size: int
 
 
 @dataclass
@@ -159,7 +158,7 @@ def cd_step(m: Rbm, batch, k: int, rng: Rng) -> CdStats:
     dw = (batch.T @ h0_probs - x_tilde.T @ ht_probs) / n
     db_vis = (batch - x_tilde).mean(axis=0)
     da_hid = (h0_probs - ht_probs).mean(axis=0)
-    return CdStats(dw=dw, db_vis=db_vis, da_hid=da_hid, batch_size=n)
+    return CdStats(dw=dw, db_vis=db_vis, da_hid=da_hid)
 
 
 def apply_update(m: Rbm, stats: CdStats, lr: float, momentum: float, velocity: Velocity) -> None:
@@ -253,4 +252,4 @@ def exact_log_likelihood_grad(m: Rbm, x) -> CdStats:
     dw = np.outer(x, ph) - mean_xh
     db_vis = x - mean_x
     da_hid = ph - mean_h
-    return CdStats(dw=dw, db_vis=db_vis, da_hid=da_hid, batch_size=1)
+    return CdStats(dw=dw, db_vis=db_vis, da_hid=da_hid)

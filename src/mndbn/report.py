@@ -15,7 +15,7 @@ import numpy as np
 
 from .dbn import Dbn, forward
 from .errors import ConfigError
-from .rbm import Rbm, prob_h_given_x
+from .rbm import Rbm
 
 TABLE_COLUMNS = ("architecture", "dataset", "accuracy_pct", "cpu_hours", "source")
 HISTOGRAM_COLUMNS = ("bin_low", "bin_high", "count")
@@ -142,11 +142,11 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width)
 
 
-def activation_histogram(model, batch, bins: int, out_path):
-    """Histogram the per-unit mean activation probabilities over a batch.
+def activation_histogram(d: Dbn, batch, bins: int, out_path):
+    """Histogram the per-unit mean activation probabilities of a network's
+    top-layer features over a batch.
 
-    Works on a single feature layer or a full network (top-layer features).
-    Each hidden unit contributes its batch-mean activation, binned into
+    Each top-layer unit contributes its batch-mean activation, binned into
     equal-width bins on [0, 1]; counts therefore sum to the unit count.
     Writes CSV rows bin_low,bin_high,count and returns (counts, edges).
     """
@@ -155,11 +155,7 @@ def activation_histogram(model, batch, bins: int, out_path):
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("batch must be a non-empty 2-D array")
-    if isinstance(model, Dbn):
-        feats = forward(model, batch)
-    else:
-        feats = prob_h_given_x(model, batch)
-    means = feats.mean(axis=0)
+    means = forward(d, batch).mean(axis=0)
     counts, edges = np.histogram(means, bins=bins, range=(0.0, 1.0))
     lines = [",".join(HISTOGRAM_COLUMNS)]
     for b in range(bins):

@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, row_blocks
 from .data import Dataset
-
-# Pixels per block of the prototype gather: a 512 KB temporary in place of
-# one the size of the whole split, so set-up's peak memory stays flat.
-_BLOCK_VALUES = 1 << 16
 
 
 def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:
@@ -79,9 +75,7 @@ def make_synthetic(
             images[i] = rng.normal((side, side), std=noise)
         rows = (np.arange(side) - shifts[:, :1]) % side
         cols = (np.arange(side) - shifts[:, 1:]) % side
-        step = max(1, _BLOCK_VALUES // (side * side))
-        for lo in range(0, n, step):
-            b = slice(lo, lo + step)
+        for b in row_blocks(n, side * side):
             block = images[b]
             block += protos[labels[b, None, None], rows[b, :, None], cols[b, None, :]]
             np.clip(block, 0.0, 1.0, out=block)

@@ -215,7 +215,7 @@ def _desk_scale_classification(train, test, number, context):
     t0 = time.perf_counter()
     cfg = PenaltyConfig(lam=0.1, partition=make_partition(100, 20))
     params = TrainConfig(epochs=15, seed=0)
-    d, _ = pretrain_greedy(train, [100, 100], cfg, params, Rng(0))
+    d, _ = pretrain_greedy(train, [100, 100], [cfg, cfg], params, Rng(0))
     d = attach_head(d, 10)
     d, _ = fine_tune(d, train, 30, FineTuneConfig(head_only=True), Rng(1),
                      eval_dataset=test)

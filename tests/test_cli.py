@@ -434,6 +434,24 @@ class TestFinetune:
         assert main(["finetune", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_image_size_mismatch_is_config_error(tmp_path, pretrained_run, capsys, command):
+    # A 16-input model on 5x5 images fails before any output is made.
+    model, _ = load_model(pretrained_run / "dbn.mndbn")
+    path = tmp_path / "headed.mndbn"
+    save_dbn(attach_head(model, 10), path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.json", {
+        "dataset": synth_block(n_test=40, side=5),
+        "out_dir": str(out),
+    })
+    assert main([command, str(path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path} takes 16 pixels per image" in err
+    assert "train images have 25" in err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_headless_model_rejected(self, tmp_path, pretrained_run, capsys):
         cfg = write_config(tmp_path, "ev.json", {

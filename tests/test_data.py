@@ -234,13 +234,6 @@ class TestShuffleSplit:
         second = np.concatenate(shuffle_split(100, 10, r))
         assert not (first == second).all()
 
-    def test_accepts_dataset_and_array(self):
-        ds = Dataset(images=np.zeros((5, 4)), labels=np.zeros(5, dtype=int), name="x")
-        from_ds = shuffle_split(ds, 2, Rng(8))
-        from_arr = shuffle_split(np.zeros((5, 4)), 2, Rng(8))
-        for x, y in zip(from_ds, from_arr):
-            assert (x == y).all()
-
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             shuffle_split(10, 0, Rng(0))

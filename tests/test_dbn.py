@@ -48,7 +48,7 @@ class TestPretrainGreedy:
         train, _ = make_synthetic(80, 0, side=4, seed=2)
         cfg = penalty(6, 3, lam=0.1)
         params = TrainConfig(epochs=3, batch_size=20, seed=0)
-        d, logs = pretrain_greedy(train, [6], cfg, params, Rng(9))
+        d, logs = pretrain_greedy(train, [6], [cfg], params, Rng(9))
         direct, direct_log = train_mnrbm(train, 6, cfg, params, Rng(9).spawn(0))
         assert (d.layers[0].w == direct.w).all()
         assert (d.layers[0].b_vis == direct.b_vis).all()
@@ -72,7 +72,7 @@ class TestPretrainGreedy:
     def test_greedy_never_revisits_lower_layers(self):
         train, _ = make_synthetic(60, 0, side=4, seed=4)
         params = TrainConfig(epochs=2, batch_size=30, seed=0)
-        solo, _ = pretrain_greedy(train, [3], penalty(3), params, Rng(11))
+        solo, _ = pretrain_greedy(train, [3], [penalty(3)], params, Rng(11))
         deep, _ = pretrain_greedy(train, [3, 2], [penalty(3), penalty(2)], params, Rng(11))
         assert (deep.layers[0].w == solo.layers[0].w).all()
         assert (deep.layers[0].a_hid == solo.layers[0].a_hid).all()
@@ -107,9 +107,6 @@ class TestPretrainGreedy:
         train, _ = make_synthetic(20, 0, side=4, seed=0)
         with pytest.raises(ConfigError):
             pretrain_greedy(train, [3, 2], [penalty(3)], TrainConfig(epochs=1), Rng(0))
-        with pytest.raises(ConfigError):
-            pretrain_greedy(train, [3], penalty(3),
-                            [TrainConfig(epochs=1), TrainConfig(epochs=1)], Rng(0))
 
 
 class TestForward:

@@ -1,0 +1,37 @@
+"""Every module-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mndbn"
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name a module-level import binds that no
+    expression in the module reads. `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_checker_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\nimport os\nimport os.path as osp\n"
+        "from sys import argv, exit\n\ndef f(x: osp.sep):\n    exit(0)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (4, "argv")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

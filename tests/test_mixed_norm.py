@@ -13,8 +13,8 @@ from conftest import (
     reference_accumulate,
     reference_group_norm_sums,
 )
-from mndbn.core import Rng
-from mndbn.groups import _BLOCK_VALUES, make_partition
+from mndbn.core import _BLOCK_VALUES, Rng
+from mndbn.groups import divide_accumulate, group_norms, make_partition
 from mndbn.mixed_norm import (
     PenaltyConfig,
     TrainConfig,
@@ -157,6 +157,21 @@ class TestPenaltyGrad:
         parts = [penalty_grad(m, batch[i], cfg) for i in range(3)]
         assert np.allclose(gw, np.mean([p[0] for p in parts], axis=0), rtol=0, atol=1e-14)
         assert np.allclose(ga, np.mean([p[1] for p in parts], axis=0), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
+    def test_vector_is_a_one_row_batch(self, j, g, a):
+        # The vector's bits and shapes equal the one-row batch's and the
+        # outer-product form computed on the vector itself.
+        cfg = cfg_for(j, g, a)
+        m = random_rbm(j, 8, j)
+        x = Rng(4).uniform((8,))
+        p = prob_h_given_x(m, x)
+        s = divide_accumulate(p * p * (1.0 - p), np.maximum(group_norms(p, cfg.partition),
+                                                            cfg.epsilon), cfg.partition)
+        got = penalty_grad(m, x, cfg)
+        for want in (penalty_grad(m, x[None, :], cfg), (np.outer(x, s), s)):
+            for g_, w_ in zip(got, want):
+                assert g_.shape == w_.shape and np.array_equal(g_, w_)
 
 
 def _grouped(h, part):

@@ -79,16 +79,25 @@ class TestDbnRoundTrip:
 
 class TestLoadModelDispatch:
     def test_dispatches_on_kind(self, tmp_path):
-        from mndbn.dbn import Dbn as DbnType
-        from mndbn.rbm import Rbm as RbmType
         pr = tmp_path / "r.mndbn"
         pd = tmp_path / "d.mndbn"
-        save_rbm(random_rbm(5, 3, 2), pr)
-        save_dbn(Dbn([random_rbm(6, 3, 2)]), pd)
-        mr, _ = load_model(pr)
+        save_rbm(random_rbm(5, 3, 2), pr, meta={"k": 1})
+        d = attach_head(Dbn([random_rbm(6, 3, 2)]), 4)
+        save_dbn(d, pd)
+        mr, meta_r = load_model(pr)
         md, _ = load_model(pd)
-        assert isinstance(mr, RbmType)
-        assert isinstance(md, DbnType)
+        assert isinstance(mr, Dbn) and isinstance(md, Dbn)
+        assert meta_r == {"k": 1}
+        assert (md.head.w_out == d.head.w_out).all()
+
+    def test_rbm_file_is_a_headless_one_layer_network(self, tmp_path):
+        p = tmp_path / "r.mndbn"
+        save_rbm(random_rbm(5, 3, 2), p)
+        d, _ = load_model(p)
+        m, _ = load_rbm(p)
+        assert len(d.layers) == 1 and d.head is None
+        for name in ("w", "b_vis", "a_hid"):
+            assert np.array_equal(getattr(d.layers[0], name), getattr(m, name))
 
     def test_unknown_kind_rejected(self, tmp_path):
         header = json.dumps({"kind": "mystery", "version": 1}).encode()
@@ -248,7 +257,7 @@ class TestAnyBytes:
             model, meta = load_model(p)
         except DataError:
             return
-        assert isinstance(model, (Rbm, Dbn))
+        assert isinstance(model, Dbn)
         assert isinstance(meta, dict)
-        if isinstance(model, Dbn):
-            assert model.head is None or isinstance(model.head, SoftmaxLayer)
+        assert all(isinstance(m, Rbm) for m in model.layers)
+        assert model.head is None or isinstance(model.head, SoftmaxLayer)

@@ -140,13 +140,6 @@ class TestCdStep:
         xt_pair, _, _ = gibbs_chain(m, pair, 1, Rng(33))
         xt_single, _, _ = gibbs_chain(m, row, 1, Rng(33))
         assert (xt_single[0] == xt_pair[0]).all()
-        single = cd_step(m, row, 1, Rng(33))
-        assert single.batch_size == 1
-
-    def test_batch_size_recorded(self):
-        m = random_rbm(10, 3, 2)
-        stats = cd_step(m, Rng(0).uniform((7, 3)), 1, Rng(1))
-        assert stats.batch_size == 7
 
 
 class TestApplyUpdate:
@@ -156,7 +149,6 @@ class TestApplyUpdate:
             dw=Rng(0).normal((3, 2)),
             db_vis=Rng(1).normal((3,)),
             da_hid=Rng(2).normal((2,)),
-            batch_size=1,
         )
         apply_update(m, stats, lr=1.0, momentum=0.0, velocity=Velocity.zeros(m))
         assert (m.w == stats.dw).all()
@@ -166,7 +158,7 @@ class TestApplyUpdate:
     def test_zero_stats_zero_velocity_is_identity(self):
         m = random_rbm(3, 3, 2)
         before = flat_params(m.copy())
-        zero = CdStats(dw=np.zeros((3, 2)), db_vis=np.zeros(3), da_hid=np.zeros(2), batch_size=1)
+        zero = CdStats(dw=np.zeros((3, 2)), db_vis=np.zeros(3), da_hid=np.zeros(2))
         apply_update(m, zero, lr=0.1, momentum=0.9, velocity=Velocity.zeros(m))
         assert (flat_params(m) == before).all()
 
@@ -174,7 +166,7 @@ class TestApplyUpdate:
         # v1 = lr*g, v2 = 0.5*v1 + lr*g = 1.5*lr*g; total change 2.5*lr*g.
         m = zero_rbm(2, 2)
         g = np.array([[1.0, -2.0], [3.0, 0.5]])
-        stats = CdStats(dw=g, db_vis=np.zeros(2), da_hid=np.zeros(2), batch_size=1)
+        stats = CdStats(dw=g, db_vis=np.zeros(2), da_hid=np.zeros(2))
         v = Velocity.zeros(m)
         apply_update(m, stats, lr=0.1, momentum=0.5, velocity=v)
         apply_update(m, stats, lr=0.1, momentum=0.5, velocity=v)
@@ -182,7 +174,7 @@ class TestApplyUpdate:
 
     def test_invalid_hyperparameters_rejected(self):
         m = zero_rbm(2, 2)
-        stats = CdStats(dw=np.zeros((2, 2)), db_vis=np.zeros(2), da_hid=np.zeros(2), batch_size=1)
+        stats = CdStats(dw=np.zeros((2, 2)), db_vis=np.zeros(2), da_hid=np.zeros(2))
         with pytest.raises(ValueError):
             apply_update(m, stats, lr=0.0, momentum=0.5, velocity=Velocity.zeros(m))
         with pytest.raises(ValueError):

@@ -75,7 +75,7 @@ class TestActivationHistogram:
     def test_zero_model_mass_in_central_bin(self, tmp_path):
         m = zero_rbm(4, 6)
         batch = Rng(0).uniform((30, 4))
-        counts, edges = activation_histogram(m, batch, 20, tmp_path / "h.csv")
+        counts, edges = activation_histogram(Dbn([m]), batch, 20, tmp_path / "h.csv")
         assert counts.sum() == 6
         bin_of_half = np.searchsorted(edges, 0.5, side="right") - 1
         assert counts[bin_of_half] == 6
@@ -83,7 +83,7 @@ class TestActivationHistogram:
 
     def test_counts_sum_to_hidden_units(self, tmp_path):
         m = random_rbm(2, 5, 9)
-        counts, edges = activation_histogram(m, Rng(3).uniform((40, 5)), 10,
+        counts, edges = activation_histogram(Dbn([m]), Rng(3).uniform((40, 5)), 10,
                                              tmp_path / "h.csv")
         assert counts.sum() == 9
         assert edges[0] == 0.0 and edges[-1] == 1.0
@@ -95,7 +95,7 @@ class TestActivationHistogram:
 
     def test_csv_layout(self, tmp_path):
         p = tmp_path / "h.csv"
-        activation_histogram(zero_rbm(4, 3), np.ones((5, 4)), 5, p)
+        activation_histogram(Dbn([zero_rbm(4, 3)]), np.ones((5, 4)), 5, p)
         with open(p) as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == HISTOGRAM_COLUMNS
@@ -104,11 +104,11 @@ class TestActivationHistogram:
 
     def test_empty_batch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            activation_histogram(zero_rbm(4, 3), np.zeros((0, 4)), 5, tmp_path / "h.csv")
+            activation_histogram(Dbn([zero_rbm(4, 3)]), np.zeros((0, 4)), 5, tmp_path / "h.csv")
 
     def test_too_few_bins_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            activation_histogram(zero_rbm(4, 3), np.ones((2, 4)), 1, tmp_path / "h.csv")
+            activation_histogram(Dbn([zero_rbm(4, 3)]), np.ones((2, 4)), 1, tmp_path / "h.csv")
 
 
 class TestResultsTable:
