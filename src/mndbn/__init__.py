@@ -66,10 +66,8 @@ _EXPORTS = {
     "evaluate": "dbn",
     "loss_and_grad": "dbn",
     "save_rbm": "model_io",
-    "load_rbm": "model_io",
     "save_dbn": "model_io",
     "load_dbn": "model_io",
-    "load_model": "model_io",
     "ReportConfig": "report",
     "RunRecord": "report",
     "REFERENCE_RESULTS": "report",

@@ -45,13 +45,14 @@ _JSON_KEYS = {"batch_size": "batch"}
 _FIELD_NAMES = {key: name for name, key in _JSON_KEYS.items()}
 
 _REQUIRED = object()
-_KINDS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
+_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false", "str": "a string"}
 
 
 def _coerce(value, kind: str, field: str):
     """Check a JSON value against a field type ("int", "float", "bool",
     "str", or a "tuple[...]" of them, given as a list); integral floats
-    pass as ints and ints as floats."""
+    pass as ints and ints as floats. A float must be finite: JSON's NaN
+    and Infinity, and an int too large for a float, are rejected."""
     if kind.startswith("tuple["):
         kinds = kind[len("tuple[") : -1].split(", ")
         if isinstance(value, (list, tuple)) and len(value) == len(kinds):
@@ -62,6 +63,7 @@ def _coerce(value, kind: str, field: str):
     else:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = ok and (kind == "float" or isinstance(value, int) or value.is_integer())
+        ok = ok and (kind != "float" or abs(value) <= sys.float_info.max)  # NaN fails too
     if not ok:
         raise ConfigError(f"config field '{field}' must be {_KINDS[kind]}, got {value!r}")
     return int(value) if kind == "int" else float(value) if kind == "float" else value
@@ -350,7 +352,6 @@ def cmd_pretrain(args) -> int:
     from .model_io import save_dbn, save_rbm
 
     train, _ = _build_datasets(resolved["dataset"])
-    out_dir = _make_dir(resolved["out_dir"])
     tag = _architecture_tag(sizes, pens)
     single = args.command == "train-rbm"
     if single:
@@ -367,6 +368,7 @@ def cmd_pretrain(args) -> int:
         pen_key: resolved[pen_key],
         "train": resolved["train"],
     }
+    out_dir = _make_dir(resolved["out_dir"])
     save(model, out_dir / model_name, meta=meta)
     for name, log in zip(log_names, logs):
         write_training_log(out_dir / name, log)
@@ -407,13 +409,13 @@ def _model_tag(meta: dict, d) -> str:
     return meta.get("architecture") or _architecture_tag([m.n_hidden for m in d.layers], [])
 
 
-def _load_model_run(resolved: dict):
+def _load_run(resolved: dict):
     """(network, meta, train, test-or-None) of a finetune or evaluate run,
     each split's image size checked against the network's input size."""
-    from .model_io import load_model
+    from .model_io import load_dbn
 
     path = resolved["model_path"]
-    d, meta = load_model(path)
+    d, meta = load_dbn(path)
     train, test = _build_datasets(resolved["dataset"])
     for ds in (train, test):
         if ds is not None and ds.images.shape[1] != d.n_visible:
@@ -432,7 +434,7 @@ def cmd_finetune(args) -> int:
     from .mixed_norm import write_training_log
     from .model_io import save_dbn
 
-    d, meta, train, test = _load_model_run(resolved)
+    d, meta, train, test = _load_run(resolved)
     top = max(int(ds.labels.max()) for ds in (train, test) if ds is not None)
     if top >= ft.n_classes:
         raise ConfigError(f"finetune: n_classes is {ft.n_classes}, but the largest label is {top}")
@@ -469,7 +471,7 @@ def cmd_evaluate(args) -> int:
 
     from .dbn import evaluate
 
-    model, meta, train, test = _load_model_run(resolved)
+    model, meta, train, test = _load_run(resolved)
     if model.head is None:
         raise ConfigError(
             f"{resolved['model_path']} has no classification head; run finetune first"
@@ -507,7 +509,7 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
 
 
 def cmd_report(args) -> int:
-    from .model_io import load_model
+    from .model_io import load_dbn
     from .report import ReportConfig, RunRecord, activation_histogram, results_table, weight_tiles
 
     config = {} if args.config is None else _load_config(args.config, "report")
@@ -524,7 +526,7 @@ def cmd_report(args) -> int:
     batches = {}
     model_paths = sorted(p for p in run_dir.rglob("*.mndbn") if out_dir not in p.parents)
     # A malformed model fails the run before it makes the output directory.
-    models = [load_model(path)[0] for path in model_paths]
+    models = [load_dbn(path)[0] for path in model_paths]
     _make_dir(out_dir)
     for path, model in zip(model_paths, models):
         rel = path.relative_to(run_dir)

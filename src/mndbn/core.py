@@ -58,8 +58,6 @@ class Rng:
 
     def uniform(self, shape=None):
         """Uniform draw(s) in [0, 1); consumes one draw per element."""
-        if shape is None:
-            return self._gen.random()
         return self._gen.random(shape)
 
     def normal(self, shape=None, std: float = 1.0):
@@ -93,9 +91,8 @@ class Rng:
 def sample_bernoulli(p, rng: Rng):
     """Draw 0/1 with success probability p; one RNG draw per element.
 
-    Accepts a scalar probability (returns int) or an array (returns a float
-    array of 0.0/1.0). Probabilities outside [0, 1], and NaN, are a
-    contract violation and raise ValueError.
+    Returns 0.0/1.0 floats shaped like p. Probabilities outside [0, 1], and
+    NaN, are a contract violation and raise ValueError.
     """
     arr = np.asarray(p, dtype=float)
     # Negated so that NaN, which fails every comparison, is rejected too.
@@ -103,8 +100,6 @@ def sample_bernoulli(p, rng: Rng):
         raise ValueError(
             f"bernoulli probability outside [0, 1]: min={arr.min()}, max={arr.max()}"
         )
-    if arr.ndim == 0:
-        return int(rng.uniform() < float(arr))
     return (rng.uniform(arr.shape) < arr).astype(float)
 
 

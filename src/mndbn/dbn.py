@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Rng, require_finite
-from .data import shuffle_split
+from .data import NUM_CLASSES, shuffle_split
 from .errors import ConfigError
 from .mixed_norm import EpochStats, train_mnrbm
 from .rbm import prob_h_given_x
@@ -180,7 +180,7 @@ class FineTuneConfig:
     max_backtracks: int = 30
     epochs: int = 30
     head_only: bool = False
-    n_classes: int = 10
+    n_classes: int = NUM_CLASSES
     seed: int = 0
 
     def __post_init__(self):
@@ -190,8 +190,8 @@ class FineTuneConfig:
             raise ConfigError("batch_size and cg_iters must be >= 1")
         if not 0.0 < self.backtrack < 1.0:
             raise ConfigError(f"backtrack factor must be in (0, 1), got {self.backtrack}")
-        if not (self.lr > 0.0 and self.c1 > 0.0):
-            raise ConfigError("lr and c1 must be positive")
+        if not (self.lr > 0.0 and 0.0 < self.c1 < 1.0):
+            raise ConfigError(f"need lr > 0 and c1 in (0, 1), got {self.lr} and {self.c1}")
         if self.max_backtracks < 1:
             raise ConfigError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 

@@ -51,8 +51,8 @@ class PenaltyConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:  # negated, so NaN fails too
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.epsilon <= 1e-6:
             raise ValueError(f"epsilon must be in (0, 1e-6], got {self.epsilon}")
 
@@ -97,25 +97,20 @@ class EpochStats:
 
 
 def mixed_norm(h_probs, cfg: PenaltyConfig):
-    """Sum over groups of the l2 norm of the group's probabilities.
-
-    For a single vector returns a float; for a batch (rows are samples)
-    returns the per-sample values.
+    """Sum over groups of the l2 norm of the group's probabilities, per
+    sample: rows are samples, and a single vector is one sample (a 0-d
+    result). A sample's bits do not depend on the batch it arrives in.
     """
     h_probs = np.asarray(h_probs, dtype=float)
     if h_probs.size and (h_probs.min() < 0.0 or h_probs.max() > 1.0):
         raise ValueError("activation probabilities must lie in [0, 1]")
-    total = _group_norm_sums(h_probs, cfg.partition)
-    return float(total) if h_probs.ndim == 1 else total
+    return _group_norm_sums(h_probs, cfg.partition)
 
 
 def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition) -> np.ndarray:
     """Each row's group norms added in ascending group order, one after
-    another, one `group_norms` row block at a time: (..., j) -> (...). A lone
-    row or vector gets numpy's pairwise sum, as a contiguous sum gives it."""
+    another, one `group_norms` row block at a time: (..., j) -> (...)."""
     rows = h_probs.reshape(-1, part.j_original)
-    if rows.shape[0] == 1:
-        return group_norms(h_probs, part).sum(axis=-1)
     out = np.empty(rows.shape[0])
     for block in row_blocks(rows.shape[0], part.j_original):
         out[block] = np.cumsum(group_norms(rows[block], part), axis=1)[:, -1]

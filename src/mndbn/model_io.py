@@ -97,10 +97,9 @@ def _dim(spec, key: str, path) -> int:
     return value
 
 
-def _load(path, kind=None):
-    """Read a model file of the given kind (either kind when None);
-    returns (network, meta). An rbm file is a one-layer network with no
-    head.
+def load_dbn(path) -> tuple[Dbn, dict]:
+    """Read a model file of either kind; returns (network, meta). An rbm
+    file is a one-layer network with no head.
 
     The header must be an object of format version FORMAT_VERSION whose
     shapes are positive integers, and the payload must hold exactly the
@@ -108,8 +107,8 @@ def _load(path, kind=None):
     """
     header, payload = _read_header(path)
     found = header.get("kind")
-    if found not in ((kind,) if kind else ("rbm", "dbn")):
-        raise DataError(f"{path}: expected a {kind or 'model'} file, found kind {found!r}")
+    if found not in ("rbm", "dbn"):
+        raise DataError(f"{path}: expected a model file, found kind {found!r}")
     version = header.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DataError(f"{path}: format version {version!r} is not {FORMAT_VERSION}")
@@ -141,18 +140,3 @@ def _load(path, kind=None):
         return Dbn(layers, SoftmaxLayer(*arrays[-2:]) if head else None), meta
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def load_rbm(path) -> tuple[Rbm, dict]:
-    d, meta = _load(path, "rbm")
-    return d.layers[0], meta
-
-
-def load_dbn(path) -> tuple[Dbn, dict]:
-    return _load(path, "dbn")
-
-
-def load_model(path) -> tuple[Dbn, dict]:
-    """Open either container kind; returns (network, meta). An rbm file
-    comes back as a one-layer network with no head."""
-    return _load(path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Rng, row_blocks
-from .data import Dataset
+from .data import NUM_CLASSES, Dataset
 
 
 def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:
@@ -28,8 +28,8 @@ def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:
 
 def _prototypes(side: int, rng: Rng) -> np.ndarray:
     """High-contrast class templates: thresholded smooth noise, soft edges."""
-    protos = np.empty((10, side, side))
-    for c in range(10):
+    protos = np.empty((NUM_CLASSES, side, side))
+    for c in range(NUM_CLASSES):
         raw = rng.uniform((side, side))
         sm = _box_blur(raw, passes=2)
         mask = (sm > np.median(sm)).astype(float)
@@ -67,7 +67,7 @@ def make_synthetic(
         # One shape-2 integers call draws what two scalar calls drew. np.roll
         # is a copy and noise + prototype is the same IEEE sum as
         # prototype + noise, so the gather below gives the rolled bits.
-        labels = np.arange(n, dtype=np.int64) % 10
+        labels = np.arange(n, dtype=np.int64) % NUM_CLASSES
         shifts = np.empty((n, 2), dtype=np.int64)
         images = np.empty((n, side, side))
         for i in range(n):

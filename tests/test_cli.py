@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import idx_bytes, src_env
+from conftest import idx_bytes, random_rbm, src_env
 from mndbn import cli, report, synth
 from mndbn.cli import main
 from mndbn.dbn import Dbn, FineTuneConfig, attach_head
 from mndbn.mixed_norm import TrainConfig
-from mndbn.model_io import load_model, load_rbm, save_dbn
+from mndbn.model_io import load_dbn, save_dbn
 
 
 def synth_block(n_train=120, n_test=0, side=4, seed=0):
@@ -89,6 +89,58 @@ def test_path_key_of_wrong_type_is_config_error(tmp_path, monkeypatch, capsys, c
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+def _float_keys(schema):
+    return [key for key, kind, _ in cli._fields(schema) if kind == "float"]
+
+
+# Every float field of the blocks a run reads: (block, key). The penalty
+# block's fields are listed in cli._resolve_penalty, not in a dataclass.
+_FLOAT_FIELDS = (
+    [("train", k) for k in _float_keys(TrainConfig)]
+    + [("penalty", k) for k in ("lambda", "overlap_pct", "epsilon")]
+    + [("finetune", k) for k in _float_keys(FineTuneConfig)]
+    + [("dataset", k) for k in _float_keys(synth.make_synthetic)]
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("block, key", _FLOAT_FIELDS,
+                         ids=[f"{b}.{k}" for b, k in _FLOAT_FIELDS])
+def test_non_finite_float_is_config_error(tmp_path, capsys, block, key, value):
+    out = tmp_path / "run"
+    payload = {"dataset": synth_block(), "out_dir": str(out)}
+    if block == "finetune":
+        command = ["finetune", str(tmp_path / "m.mndbn")]
+        save_dbn(Dbn([random_rbm(0, 16, 8)]), tmp_path / "m.mndbn")
+        payload["finetune"] = {"epochs": 1}
+    else:
+        command = ["train-rbm"]
+        payload.update(layer_size=8, penalty={"lambda": 0.1, "group_size": 4},
+                       train={"epochs": 1, "batch": 40})
+    payload[block][key] = value
+    cfg = write_config(tmp_path, "bad.json", payload)   # json writes NaN, Infinity
+    assert main([*command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{block}.{key}' must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # lr 1e308 overflows on purpose
+@pytest.mark.parametrize("command, sizes", [("train-rbm", 8), ("pretrain-dbn", [8])],
+                         ids=["train-rbm", "pretrain-dbn"])
+def test_numeric_failure_leaves_no_out_dir(tmp_path, capsys, command, sizes):
+    out = tmp_path / "run"
+    key = "layer_size" if command == "train-rbm" else "layer_sizes"
+    cfg = write_config(tmp_path, "big.json", {
+        "dataset": synth_block(), key: sizes, "train": {"epochs": 2, "lr": 1e308},
+        "out_dir": str(out),
+    })
+    assert main([command, "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not out.exists()
+
+
 class TestTrainRbm:
     def test_group_sparse_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -97,8 +149,9 @@ class TestTrainRbm:
         assert (out / "model.mndbn").is_file()
         assert (out / "training_log.csv").is_file()
         assert (out / "manifest.json").is_file()
-        model, meta = load_rbm(out / "model.mndbn")
-        assert (model.n_visible, model.n_hidden) == (16, 24)
+        model, meta = load_dbn(out / "model.mndbn")
+        assert len(model.layers) == 1 and model.head is None
+        assert (model.n_visible, model.n_features) == (16, 24)
         assert meta["architecture"] == "mn-dbn(g6,24)"
         log = read_csv(out / "training_log.csv")
         assert log[0] == ["epoch", "recon_error", "mean_hidden_activation",
@@ -109,7 +162,7 @@ class TestTrainRbm:
         out = tmp_path / "run"
         cfg = rbm_config(tmp_path, out, lam=0.0)
         assert main(["train-rbm", "--config", str(cfg)]) == 0
-        _, meta = load_rbm(out / "model.mndbn")
+        _, meta = load_dbn(out / "model.mndbn")
         assert meta["architecture"] == "rbm(24)"
 
     def test_invalid_overlap_layout_is_config_error(self, tmp_path, capsys):
@@ -289,7 +342,7 @@ class TestPretrainDbn:
                        {"lambda": 0.05, "group_size": 3}],
         )
         assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
-        model, meta = load_model(out / "dbn.mndbn")
+        model, meta = load_dbn(out / "dbn.mndbn")
         assert isinstance(model, Dbn)
         assert [m.n_hidden for m in model.layers] == [16, 12]
         assert model.head is None
@@ -313,7 +366,7 @@ class TestPretrainDbn:
         }
         cfg = write_config(tmp_path, "dbn.json", payload)
         assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
-        _, meta = load_model(out / "dbn.mndbn")
+        _, meta = load_dbn(out / "dbn.mndbn")
         assert meta["architecture"] == "dbn(16-12)"
 
 
@@ -356,7 +409,7 @@ class TestFinetune:
         assert conf[0][0] == "true"
         body = np.array([[int(v) for v in row[1:]] for row in conf[1:]])
         assert body.sum() == 40
-        model, _ = load_model(out / "dbn_finetuned.mndbn")
+        model, _ = load_dbn(out / "dbn_finetuned.mndbn")
         assert model.head is not None
 
     def test_head_only_freezes_pretrained_stack(self, tmp_path, pretrained_run):
@@ -364,8 +417,8 @@ class TestFinetune:
         cfg = self.ft_config(tmp_path, out, extra={"head_only": True})
         assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
                      "--config", str(cfg)]) == 0
-        pre, _ = load_model(pretrained_run / "dbn.mndbn")
-        post, _ = load_model(out / "dbn_finetuned.mndbn")
+        pre, _ = load_dbn(pretrained_run / "dbn.mndbn")
+        post, _ = load_dbn(out / "dbn_finetuned.mndbn")
         for a, b in zip(pre.layers, post.layers):
             assert (a.w == b.w).all()
             assert (a.a_hid == b.a_hid).all()
@@ -379,7 +432,7 @@ class TestFinetune:
         ft = self.ft_config(tmp_path, out)
         assert main(["finetune", str(rbm_out / "model.mndbn"),
                      "--config", str(ft)]) == 0
-        model, _ = load_model(out / "dbn_finetuned.mndbn")
+        model, _ = load_dbn(out / "dbn_finetuned.mndbn")
         assert len(model.layers) == 1 and model.head is not None
 
     def test_same_seed_reproduces_model_and_accuracy(self, tmp_path, pretrained_run):
@@ -400,7 +453,7 @@ class TestFinetune:
     @pytest.mark.parametrize("block", [{"method": "newton"}, {"batch": 0}, {"head_only": 1},
                                        {"cg_iters": "3"}, {"momentum": 0.5},
                                        {"c1": float("nan")}, {"lr": float("nan")},
-                                       {"max_backtracks": 0}])
+                                       {"max_backtracks": 0}, {"c1": 1.0}, {"c1": 1e300}])
     def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
         out = tmp_path / "ft"
         cfg = self.ft_config(tmp_path, out, extra=block)
@@ -437,7 +490,7 @@ class TestFinetune:
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])
 def test_image_size_mismatch_is_config_error(tmp_path, pretrained_run, capsys, command):
     # A 16-input model on 5x5 images fails before any output is made.
-    model, _ = load_model(pretrained_run / "dbn.mndbn")
+    model, _ = load_dbn(pretrained_run / "dbn.mndbn")
     path = tmp_path / "headed.mndbn"
     save_dbn(attach_head(model, 10), path)
     out = tmp_path / "out"
@@ -464,7 +517,7 @@ class TestEvaluate:
 
     def test_too_few_head_classes_for_the_labels_is_config_error(self, tmp_path, pretrained_run,
                                                                   capsys):
-        model, _ = load_model(pretrained_run / "dbn.mndbn")
+        model, _ = load_dbn(pretrained_run / "dbn.mndbn")
         save_dbn(attach_head(model, 5), tmp_path / "five.mndbn")
         out = tmp_path / "ev"
         cfg = write_config(tmp_path, "ev.json", {

@@ -64,6 +64,11 @@ class TestMixedNormValue:
         with pytest.raises(ValueError):
             mixed_norm(np.array([0.5, 1.5]), cfg_for(2, 2))
 
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_config_rejects_negative_or_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            cfg_for(6, 3, lam=lam)
+
 
 def fd_penalty_grad(m, x, cfg, eps=1e-5):
     """Central finite differences of mixed_norm(prob_h_given_x(.)) in
@@ -219,11 +224,16 @@ class TestKernelsMatchAugmentedReference:
             assert np.array_equal(mixed_norm(p, cfg), reference_group_norm_sums(p, cfg.partition))
 
     @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
-    def test_lone_rows_match_the_contiguous_sum(self, j, g, a):
+    def test_lone_rows_match_their_batch(self, j, g, a):
+        # A sample's value has the same bits whether it arrives alone, as a
+        # vector (a 0-d result) or a one-row batch, or inside a batch.
         cfg = cfg_for(j, g, a)
-        p = prob_h_given_x(random_rbm(j, 8, j), Rng(3).uniform((1, 8)))
-        assert np.array_equal(mixed_norm(p, cfg), reference_group_norm_sums(p, cfg.partition))
-        assert mixed_norm(p[0], cfg) == reference_group_norm_sums(p[0], cfg.partition)
+        p = prob_h_given_x(random_rbm(j, 8, j), Rng(3).uniform((20, 8)))
+        batch = mixed_norm(p, cfg)
+        for i in range(p.shape[0]):
+            alone = mixed_norm(p[i], cfg)
+            assert alone.shape == () and alone.tobytes() == batch[i : i + 1].tobytes()
+            assert mixed_norm(p[i : i + 1], cfg).tobytes() == batch[i : i + 1].tobytes()
 
     @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
     def test_single_samples_agree_to_rounding(self, j, g, a):

@@ -1,5 +1,6 @@
 """Binary model container: byte-exact round trips and corruption handling."""
 
+import hashlib
 import json
 import struct
 
@@ -16,8 +17,6 @@ from mndbn.model_io import (
     FORMAT_VERSION,
     MAGIC,
     load_dbn,
-    load_model,
-    load_rbm,
     save_dbn,
     save_rbm,
 )
@@ -29,7 +28,8 @@ class TestRbmRoundTrip:
         p1 = tmp_path / "m1.mndbn"
         p2 = tmp_path / "m2.mndbn"
         save_rbm(m, p1, meta={"note": "x"})
-        back, meta = load_rbm(p1)
+        d, meta = load_dbn(p1)
+        back = d.layers[0]
         assert (flat_params(back) == flat_params(m)).all()
         assert meta == {"note": "x"}
         save_rbm(back, p2, meta=meta)
@@ -78,24 +78,31 @@ class TestDbnRoundTrip:
 
 
 class TestLoadModelDispatch:
+    """load_dbn reads both kinds; the header's kind picks the layout."""
+
     def test_dispatches_on_kind(self, tmp_path):
         pr = tmp_path / "r.mndbn"
         pd = tmp_path / "d.mndbn"
         save_rbm(random_rbm(5, 3, 2), pr, meta={"k": 1})
         d = attach_head(Dbn([random_rbm(6, 3, 2)]), 4)
         save_dbn(d, pd)
-        mr, meta_r = load_model(pr)
-        md, _ = load_model(pd)
+        mr, meta_r = load_dbn(pr)
+        md, _ = load_dbn(pd)
         assert isinstance(mr, Dbn) and isinstance(md, Dbn)
         assert meta_r == {"k": 1}
         assert (md.head.w_out == d.head.w_out).all()
 
     def test_rbm_file_is_a_headless_one_layer_network(self, tmp_path):
+        # The rbm writer's bytes are pinned, so the file read here is the
+        # one train-rbm has always written.
+        m = random_rbm(5, 3, 2)
         p = tmp_path / "r.mndbn"
-        save_rbm(random_rbm(5, 3, 2), p)
-        d, _ = load_model(p)
-        m, _ = load_rbm(p)
-        assert len(d.layers) == 1 and d.head is None
+        save_rbm(m, p, meta={"k": 1})
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "15eeebee5777bc76dd2d1e93907fda7712f3cccf309ae0a71041144b997da0b6")
+        d, meta = load_dbn(p)
+        assert isinstance(d, Dbn) and len(d.layers) == 1 and d.head is None
+        assert meta == {"k": 1}
         for name in ("w", "b_vis", "a_hid"):
             assert np.array_equal(getattr(d.layers[0], name), getattr(m, name))
 
@@ -103,8 +110,8 @@ class TestLoadModelDispatch:
         header = json.dumps({"kind": "mystery", "version": 1}).encode()
         p = tmp_path / "x.mndbn"
         p.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
-        with pytest.raises(DataError):
-            load_model(p)
+        with pytest.raises(DataError, match="expected a model file, found kind 'mystery'"):
+            load_dbn(p)
 
 
 class TestCorruption:
@@ -117,42 +124,42 @@ class TestCorruption:
         p = tmp_path / "short.mndbn"
         p.write_bytes(b"MN")
         with pytest.raises(DataError):
-            load_rbm(p)
+            load_dbn(p)
 
     def test_bad_magic(self, tmp_path):
         blob = self.good_bytes(tmp_path)
         p = tmp_path / "bad.mndbn"
         p.write_bytes(b"XXXXXX" + blob[6:])
         with pytest.raises(DataError):
-            load_rbm(p)
+            load_dbn(p)
 
     def test_truncated_header(self, tmp_path):
         blob = self.good_bytes(tmp_path)
         p = tmp_path / "bad.mndbn"
         p.write_bytes(blob[:14])
         with pytest.raises(DataError):
-            load_rbm(p)
+            load_dbn(p)
 
     def test_corrupt_header_json(self, tmp_path):
         header = b"{not json"
         p = tmp_path / "bad.mndbn"
         p.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(DataError):
-            load_rbm(p)
+            load_dbn(p)
 
     def test_truncated_payload(self, tmp_path):
         blob = self.good_bytes(tmp_path)
         p = tmp_path / "bad.mndbn"
         p.write_bytes(blob[:-8])
         with pytest.raises(DataError):
-            load_rbm(p)
+            load_dbn(p)
 
     def test_trailing_garbage(self, tmp_path):
         blob = self.good_bytes(tmp_path)
         p = tmp_path / "bad.mndbn"
         p.write_bytes(blob + b"\x00" * 8)
         with pytest.raises(DataError):
-            load_rbm(p)
+            load_dbn(p)
 
     @pytest.mark.parametrize("header, n_floats", [
         ([1, 2], 0),                                            # not an object
@@ -190,7 +197,7 @@ class TestCorruption:
         p = tmp_path / "bad.mndbn"
         p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + b"\x00" * (8 * n_floats))
         with pytest.raises(DataError):
-            load_model(p)
+            load_dbn(p)
 
 
 def _frame(header: bytes, payload: bytes) -> bytes:
@@ -254,7 +261,7 @@ class TestAnyBytes:
         p = tmp_path / "any.mndbn"
         p.write_bytes(blob)
         try:
-            model, meta = load_model(p)
+            model, meta = load_dbn(p)
         except DataError:
             return
         assert isinstance(model, Dbn)
