@@ -1,9 +1,11 @@
-"""The logistic nonlinearity, seeded sampling, a finiteness check, and
-the row blocking that bounds the size of temporaries.
+"""The logistic nonlinearity, seeded sampling, finiteness and overflow
+checks, and the row blocking that bounds the size of temporaries.
 
 Everything operates on float64 numpy arrays.
 """
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -56,9 +58,10 @@ class Rng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self, shape=None):
-        """Uniform draw(s) in [0, 1); consumes one draw per element."""
-        return self._gen.random(shape)
+    def uniform(self, shape=None, out=None):
+        """Uniform draw(s) in [0, 1); consumes one draw per element. With
+        `out` (a float array) the draws fill it in place, same stream."""
+        return self._gen.random(shape, out=out)
 
     def normal(self, shape=None, std: float = 1.0):
         """Zero-mean Gaussian draw(s) with the given standard deviation."""
@@ -88,11 +91,13 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-def sample_bernoulli(p, rng: Rng):
+def sample_bernoulli(p, rng: Rng, out=None):
     """Draw 0/1 with success probability p; one RNG draw per element.
 
     Returns 0.0/1.0 floats shaped like p. Probabilities outside [0, 1], and
-    NaN, are a contract violation and raise ValueError.
+    NaN, are a contract violation and raise ValueError. `out`, a float
+    array shaped like p (not p itself), receives the draws and then the
+    samples, from the same stream as without it.
     """
     arr = np.asarray(p, dtype=float)
     # Negated so that NaN, which fails every comparison, is rejected too.
@@ -100,17 +105,33 @@ def sample_bernoulli(p, rng: Rng):
         raise ValueError(
             f"bernoulli probability outside [0, 1]: min={arr.min()}, max={arr.max()}"
         )
-    return (rng.uniform(arr.shape) < arr).astype(float)
+    if out is None:
+        return (rng.uniform(arr.shape) < arr).astype(float)
+    return np.less(rng.uniform(out=out), arr, out=out)
 
 
 def require_finite(name: str, arr) -> None:
-    """Raise NumericError if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(arr)):
+    """Raise NumericError if any entry is NaN or infinite. min and max
+    carry a NaN through, so no per-entry temporary is made."""
+    arr = np.asarray(arr)
+    if arr.size and not (-np.inf < arr.min() and arr.max() < np.inf):
         raise NumericError(f"non-finite values detected in {name}")
+
+
+@contextlib.contextmanager
+def _overflow_raises(what: str):
+    """Run the body with float overflow raised, as a NumericError naming
+    `what`, instead of warned about and carried on as inf."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"overflow in {what}: {exc}") from exc
 
 
 def row_blocks(n_rows: int, row_length: int) -> list:
     """Slices that cut n_rows rows into blocks of about _BLOCK_VALUES values.
-    The block size only sizes temporaries; it changes no result's bits."""
+    An elementwise result does not depend on the block size; a sum taken
+    one block at a time (the epoch metrics) does, in its last bits."""
     step = max(1, _BLOCK_VALUES // row_length)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, require_finite
+from .core import Rng, _overflow_raises, require_finite
 from .data import NUM_CLASSES, shuffle_split
 from .errors import ConfigError
 from .mixed_norm import EpochStats, train_mnrbm
@@ -150,7 +150,8 @@ def pretrain_greedy(dataset, layer_sizes, cfgs, params, rng: Rng):
         layers.append(m)
         logs.append(log)
         if idx + 1 < len(layer_sizes):
-            current = prob_h_given_x(m, current)
+            with _overflow_raises(f"the forward pass into layer {idx + 2}"):
+                current = prob_h_given_x(m, current)
     return Dbn(layers), logs
 
 

@@ -120,27 +120,32 @@ def group_norms(values, p: GroupPartition) -> np.ndarray:
     """l2 norm of each group: (..., j_original) -> (..., num_groups).
 
     A group's squares are added over its members in ascending order, one
-    after another, as `group_size` strided slice-adds; a reshape-and-sum
-    would add them pairwise, which rounds differently from group_size 8 on.
-    Rows go through in `core.row_blocks` blocks, so the squares stay in
-    cache across the slice-adds.
+    after another (`_group_sums`); a reshape-and-sum would add them
+    pairwise, which rounds differently from group_size 8 on. Rows go
+    through in `core.row_blocks` blocks, so the squares stay in cache
+    across the slice-adds.
     """
     values = _check_last_axis(values, p.j_original)
     rows = values.reshape(-1, p.j_original)
     out = np.empty((rows.shape[0], p.num_groups))
-    span = p.stride * (p.num_groups - 1) + 1
     for block in row_blocks(rows.shape[0], p.j_original):
         x = rows[block]
-        sq = x * x
-        acc = out[block]
-        np.copyto(acc, sq[:, 0:span:p.stride])
-        for i in range(1, p.group_size):
-            acc += sq[:, i : i + span : p.stride]
+        _group_sums(x * x, p, out[block])
     np.sqrt(out, out=out)
     return out.reshape(values.shape[:-1] + (p.num_groups,))
 
 
-def divide_accumulate(u, denom, p: GroupPartition) -> np.ndarray:
+def _group_sums(values: np.ndarray, p: GroupPartition, out: np.ndarray) -> np.ndarray:
+    """Each group's members added in ascending order, as `group_size`
+    strided slice-adds: (rows, j_original) -> out, (rows, num_groups)."""
+    span = p.stride * (p.num_groups - 1) + 1
+    np.copyto(out, values[:, 0:span:p.stride])
+    for i in range(1, p.group_size):
+        out += values[:, i : i + span : p.stride]
+    return out
+
+
+def divide_accumulate(u, denom, p: GroupPartition, out=None) -> np.ndarray:
     """Sum over the groups G covering unit j of u_j / denom_G.
 
     Equals accumulate(expand(u) / d), where d repeats each group's denom
@@ -149,10 +154,23 @@ def divide_accumulate(u, denom, p: GroupPartition) -> np.ndarray:
     must be finite and `denom` positive. Where a unit has no t-th group,
     row t of `cover` points at a padding denominator of inf: the quotient
     is a zero of u's sign, and adding it leaves the sum's bits unchanged.
+    `out`, a float array shaped like u (not u itself), receives the sums;
+    the later groups' quotients go through one `core.row_blocks` block at
+    a time, so no temporary is larger than one block.
     """
     u = _check_last_axis(u, p.j_original)
     padded = np.concatenate([denom, np.full(denom.shape[:-1] + (1,), np.inf)], axis=-1)
-    out = u / np.take(padded, p.cover[0], axis=-1)
-    for groups in p.cover[1:]:
-        out += u / np.take(padded, groups, axis=-1)
+    # mode="clip" (the indices are in range anyway) lets take write into
+    # out directly; the default mode first takes into a temporary.
+    out = np.take(padded, p.cover[0], axis=-1, out=out, mode="clip")
+    np.divide(u, out, out=out)
+    if len(p.cover) > 1:
+        rows_u, rows_out, rows_padded = np.atleast_2d(u, out, padded)
+        blocks = row_blocks(rows_out.shape[0], p.j_original)
+        q = np.empty_like(rows_out[blocks[0]])
+        for groups in p.cover[1:]:
+            for block in blocks:
+                qb = q[: rows_out[block].shape[0]]
+                np.take(rows_padded[block], groups, axis=-1, out=qb, mode="clip")
+                rows_out[block] += np.divide(rows_u[block], qb, out=qb)
     return out

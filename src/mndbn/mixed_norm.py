@@ -23,13 +23,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Rng, row_blocks
+from .core import Rng, _overflow_raises, row_blocks
 from .data import shuffle_split
 from .errors import ConfigError
-from .groups import GroupPartition, divide_accumulate, group_norms
+from .groups import GroupPartition, _group_sums, divide_accumulate, group_norms
 from .rbm import (
     Rbm,
     Velocity,
+    _CdBuffers,
     apply_update,
     cd_step,
     prob_h_given_x,
@@ -117,21 +118,54 @@ def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition) -> np.ndarray:
     return out.reshape(h_probs.shape[:-1])
 
 
-def penalty_grad(m: Rbm, x, cfg: PenaltyConfig):
+@dataclass
+class _StepBuffers(_CdBuffers):
+    """The arrays one layer's batch step works in: `_CdBuffers`, the
+    batch's rows, and the penalty's p, u = p^2 (1 - p) and s."""
+
+    batch: np.ndarray
+    p: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+
+    @classmethod
+    def like(cls, m: Rbm, rows: int):
+        hidden = [np.empty((rows, m.n_hidden)) for _ in range(3)]
+        return super().like(m, rows, batch=np.empty((rows, m.n_visible)),
+                            p=hidden[0], u=hidden[1], s=hidden[2])
+
+
+def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     """Gradient of the penalty w.r.t. the weights and hidden biases.
 
     Unit j in group G contributes p_j^2 (1 - p_j) / max(||p_G||_2, epsilon);
     s_j sums that over the groups covering j, the weight column j picks up
     s_j times x, and the hidden bias picks up s_j itself. Returns (gw, ga),
     averaged over the rows of the batch x; a single vector is a one-row
-    batch.
+    batch. With `out`, a `_StepBuffers` for at least x's rows, p, u and s
+    live in its buffers and gw is its `scratch`: no array the size of the
+    batch or of the weights is made.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[0]
     part = cfg.partition
-    p = prob_h_given_x(m, x)
-    denom = np.maximum(group_norms(p, part), cfg.epsilon)
-    s_orig = divide_accumulate(p * p * (1.0 - p), denom, part)
-    return x.T @ s_orig / x.shape[0], s_orig.mean(axis=0)
+    if out is None:
+        p, u, s = (np.empty((n, m.n_hidden)) for _ in range(3))
+        gw = np.empty_like(m.w)
+    else:
+        p, u, s, gw = out.p[:n], out.u[:n], out.s[:n], out.scratch
+    prob_h_given_x(m, x, out=p)
+    # The group norms of p, as `group_norms` forms them, from u = p * p.
+    denom = np.empty((n, part.num_groups))
+    for block in row_blocks(n, part.j_original):
+        _group_sums(np.multiply(p[block], p[block], out=u[block]), part, denom[block])
+    np.sqrt(denom, out=denom)
+    np.maximum(denom, cfg.epsilon, out=denom)
+    u *= np.subtract(1.0, p, out=s)
+    divide_accumulate(u, denom, part, out=s)
+    np.matmul(x.T, s, out=gw)
+    gw /= n
+    return gw, s.mean(axis=0)
 
 
 def regularized_update(
@@ -143,6 +177,7 @@ def regularized_update(
     velocity: Velocity,
     rng: Rng,
     k: int = 1,
+    out=None,
 ) -> Rbm:
     """One two-step training update, in place.
 
@@ -151,33 +186,44 @@ def regularized_update(
     and hidden biases, using activation probabilities recomputed from the
     post-step-1 parameters. With lambda = 0 the second step is skipped, so
     the call is indistinguishable from vanilla CD training, including RNG
-    consumption.
+    consumption. `out`, a `_StepBuffers` for at least the batch's rows,
+    holds every batch- and weight-sized array of the step.
     """
-    stats = cd_step(m, batch, k, rng)
-    apply_update(m, stats, lr, momentum, velocity)
+    stats = cd_step(m, batch, k, rng, out=out)
+    apply_update(m, stats, lr, momentum, velocity, out=None if out is None else out.scratch)
     if cfg.lam > 0.0:
-        gw, ga = penalty_grad(m, batch, cfg)
-        m.w -= lr * cfg.lam * gw
+        gw, ga = penalty_grad(m, batch, cfg, out=out)
+        gw *= lr * cfg.lam
+        m.w -= gw
         m.a_hid -= lr * cfg.lam * ga
     return m
 
 
-def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, chunk: int = 10000):
+def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, chunk: int | None = None):
     """Deterministic full-pass metrics with the current parameters.
 
     Reconstruction error is the mean squared error of the one-step
     mean-field reconstruction (probabilities everywhere, no sampling).
-    It holds one chunk's p and xhat (the squared error is formed in xhat's
-    buffer) plus O(rows) sums at once.
+    The images go through `chunk` rows at a time, by default one
+    `core.row_blocks` block of the wider layer side, so the pass holds one
+    block's p and xhat (the squared error is formed in xhat's buffer)
+    whatever the number of images. Each sum is taken per block and the
+    block sums added in order, so their last bits depend on the block size.
     """
     sq_err = 0.0
     act_sum = 0.0
     mn_sum = 0.0
     n = images.shape[0]
-    for lo in range(0, n, chunk):
-        xb = images[lo : lo + chunk]
-        p = prob_h_given_x(m, xb)
-        xhat = prob_x_given_h(m, p)
+    if chunk is None:
+        blocks = row_blocks(n, max(m.n_visible, m.n_hidden))
+    else:
+        blocks = [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+    rows = min(n, blocks[0].stop)
+    p_buf, xhat_buf = np.empty((rows, m.n_hidden)), np.empty((rows, m.n_visible))
+    for block in blocks:
+        xb = images[block]
+        p = prob_h_given_x(m, xb, out=p_buf[: len(xb)])
+        xhat = prob_x_given_h(m, p, out=xhat_buf[: len(xb)])
         np.subtract(xb, xhat, out=xhat)
         sq_err += float(np.square(xhat, out=xhat).sum())
         act_sum += float(p.sum())
@@ -207,28 +253,32 @@ def train_mnrbm(data, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, 
         )
     m = Rbm.init_random(images.shape[1], layer_size, rng)
     velocity = Velocity.zeros(m)
+    buf = _StepBuffers.like(m, min(params.batch_size, images.shape[0]))
     log: list[EpochStats] = []
-    for epoch in range(params.epochs):
-        t0 = time.perf_counter()
-        mom = (
-            params.momentum
-            if epoch < params.momentum_switch_epoch
-            else params.final_momentum
-        )
-        for idx in shuffle_split(images.shape[0], params.batch_size, rng):
-            regularized_update(
-                m, images[idx], cfg, params.lr, mom, velocity, rng, k=params.cd_k
+    with _overflow_raises("training"):
+        for epoch in range(params.epochs):
+            t0 = time.perf_counter()
+            mom = (
+                params.momentum
+                if epoch < params.momentum_switch_epoch
+                else params.final_momentum
             )
-        recon, mean_act, mn_value = _epoch_metrics(m, images, cfg)
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                recon_error=recon,
-                mean_hidden_activation=mean_act,
-                mixed_norm_value=mn_value,
-                wall_seconds=time.perf_counter() - t0,
+            for idx in shuffle_split(images.shape[0], params.batch_size, rng):
+                # mode="clip" takes straight into the buffer (see divide_accumulate)
+                batch = np.take(images, idx, axis=0, out=buf.batch[: len(idx)], mode="clip")
+                regularized_update(
+                    m, batch, cfg, params.lr, mom, velocity, rng, k=params.cd_k, out=buf
+                )
+            recon, mean_act, mn_value = _epoch_metrics(m, images, cfg)
+            log.append(
+                EpochStats(
+                    epoch=epoch,
+                    recon_error=recon,
+                    mean_hidden_activation=mean_act,
+                    mixed_norm_value=mn_value,
+                    wall_seconds=time.perf_counter() - t0,
+                )
             )
-        )
     return m, log
 
 

@@ -95,27 +95,28 @@ def energy(m: Rbm, x, h) -> float:
     return float(-(x @ m.w @ h) - m.b_vis @ x - m.a_hid @ h)
 
 
-def prob_h_given_x(m: Rbm, x) -> np.ndarray:
+def prob_h_given_x(m: Rbm, x, out=None) -> np.ndarray:
     """Per-unit hidden activation probabilities.
 
     Accepts one visible vector or a batch (rows are samples); the hidden
     units are conditionally independent so the result is just the sigmoid
-    of each unit's total input.
+    of each unit's total input. `out`, a float array shaped like the
+    result, receives it, and no temporary is made.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != m.n_visible:
         raise ValueError(f"x has last axis {x.shape[-1]}, expected {m.n_visible}")
-    z = x @ m.w
+    z = np.matmul(x, m.w, out=out)
     z += m.a_hid
     return sigmoid(z, out=z)
 
 
-def prob_x_given_h(m: Rbm, h) -> np.ndarray:
+def prob_x_given_h(m: Rbm, h, out=None) -> np.ndarray:
     """Per-unit visible activation probabilities (mirror of the above)."""
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != m.n_hidden:
         raise ValueError(f"h has last axis {h.shape[-1]}, expected {m.n_hidden}")
-    z = h @ m.w.T
+    z = np.matmul(h, m.w.T, out=out)
     z += m.b_vis
     return sigmoid(z, out=z)
 
@@ -131,22 +132,57 @@ def gibbs_chain(m: Rbm, x0, k: int, rng: Rng):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = np.asarray(x0, dtype=float)
-    h0_probs = prob_h_given_x(m, x)
-    h_probs = h0_probs
+    return _chain(m, np.asarray(x0, dtype=float), k, rng, None, None, None, None)
+
+
+def _chain(m: Rbm, x, k: int, rng: Rng, h0, h_sample, x_tilde, h_tilde):
+    """gibbs_chain writing each array into the buffer given for it (None
+    makes a new one). With k > 1, h_tilde is rewritten only after the next
+    sample has been drawn from it."""
+    h_probs = h0 = prob_h_given_x(m, x, out=h0)
     for _ in range(k):
-        h_sample = sample_bernoulli(h_probs, rng)
-        x = prob_x_given_h(m, h_sample)
-        h_probs = prob_h_given_x(m, x)
-    return x, h0_probs, h_probs
+        h_sample = sample_bernoulli(h_probs, rng, out=h_sample)
+        x_tilde = prob_x_given_h(m, h_sample, out=x_tilde)
+        h_probs = h_tilde = prob_h_given_x(m, x_tilde, out=h_tilde)
+    return x_tilde, h0, h_probs
 
 
-def cd_step(m: Rbm, batch, k: int, rng: Rng) -> CdStats:
+@dataclass
+class _CdBuffers:
+    """The arrays `cd_step` works in, for batches of up to `rows` rows: the
+    chain's h0, hidden sample, x_tilde and h_tilde, the statistics it
+    returns, and one more weight-shaped array."""
+
+    h0: np.ndarray
+    h_sample: np.ndarray
+    x_tilde: np.ndarray
+    h_tilde: np.ndarray
+    stats: CdStats
+    scratch: np.ndarray
+
+    @classmethod
+    def like(cls, m: Rbm, rows: int, **more):
+        """Uninitialised buffers for `m`; `more` fills a subclass's fields."""
+        return cls(
+            h0=np.empty((rows, m.n_hidden)),
+            h_sample=np.empty((rows, m.n_hidden)),
+            x_tilde=np.empty((rows, m.n_visible)),
+            h_tilde=np.empty((rows, m.n_hidden)),
+            stats=CdStats(np.empty_like(m.w), np.empty_like(m.b_vis), np.empty_like(m.a_hid)),
+            scratch=np.empty_like(m.w),
+            **more,
+        )
+
+
+def cd_step(m: Rbm, batch, k: int, rng: Rng, out=None) -> CdStats:
     """Contrastive-divergence statistics for one mini-batch.
 
     Positive phase uses the data and its hidden probabilities; negative
     phase uses the k-step reconstruction and its hidden probabilities. All
-    three statistics are averaged over the batch.
+    three statistics are averaged over the batch. `out`, a `_CdBuffers`
+    for at least the batch's rows, holds the chain and receives the
+    statistics (out.stats is returned); the step then makes no array the
+    size of the batch or of the weights.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
@@ -154,23 +190,34 @@ def cd_step(m: Rbm, batch, k: int, rng: Rng) -> CdStats:
     if batch.shape[1] != m.n_visible:
         raise ValueError(f"batch has {batch.shape[1]} columns, expected {m.n_visible}")
     n = batch.shape[0]
-    x_tilde, h0_probs, ht_probs = gibbs_chain(m, batch, k, rng)
-    dw = (batch.T @ h0_probs - x_tilde.T @ ht_probs) / n
-    db_vis = (batch - x_tilde).mean(axis=0)
-    da_hid = (h0_probs - ht_probs).mean(axis=0)
-    return CdStats(dw=dw, db_vis=db_vis, da_hid=da_hid)
+    buf = _CdBuffers.like(m, n) if out is None else out
+    x_tilde, h0_probs, ht_probs = _chain(
+        m, batch, k, rng, buf.h0[:n], buf.h_sample[:n], buf.x_tilde[:n], buf.h_tilde[:n]
+    )
+    stats = buf.stats
+    np.matmul(batch.T, h0_probs, out=stats.dw)
+    stats.dw -= np.matmul(x_tilde.T, ht_probs, out=buf.scratch)
+    stats.dw /= n
+    np.mean(np.subtract(batch, x_tilde, out=x_tilde), axis=0, out=stats.db_vis)
+    np.mean(np.subtract(h0_probs, ht_probs, out=ht_probs), axis=0, out=stats.da_hid)
+    return stats
 
 
-def apply_update(m: Rbm, stats: CdStats, lr: float, momentum: float, velocity: Velocity) -> None:
+def apply_update(
+    m: Rbm, stats: CdStats, lr: float, momentum: float, velocity: Velocity, out=None
+) -> None:
     """Momentum step: velocity <- momentum * velocity + lr * stats, then
-    parameters += velocity. Mutates the model and the velocity in place."""
+    parameters += velocity. Mutates the model and the velocity in place;
+    `stats` is only read. `out`, a float array shaped like the weights,
+    receives lr * stats.dw, so the step makes no weight-sized temporary."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if stats.dw.shape != m.w.shape:
         raise ValueError(f"stats dw shape {stats.dw.shape} does not match w {m.w.shape}")
-    velocity.dw = momentum * velocity.dw + lr * stats.dw
+    velocity.dw *= momentum
+    velocity.dw += np.multiply(stats.dw, lr, out=out)
     velocity.db_vis = momentum * velocity.db_vis + lr * stats.db_vis
     velocity.da_hid = momentum * velocity.da_hid + lr * stats.da_hid
     m.w += velocity.dw

@@ -6,6 +6,7 @@ import gzip
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,25 @@ def test_numeric_failure_leaves_no_out_dir(tmp_path, capsys, command, sizes):
     })
     assert main([command, "--config", str(cfg)]) == 4
     assert capsys.readouterr().err.startswith("numeric error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, sizes", [("train-rbm", 8), ("pretrain-dbn", [8])],
+                         ids=["train-rbm", "pretrain-dbn"])
+def test_overflow_in_first_epoch_is_numeric_error(tmp_path, capsys, command, sizes):
+    # One epoch at lr 1e308 overflows the forward pass without making a
+    # parameter infinite; it must fail like a non-finite parameter does.
+    out = tmp_path / "run"
+    key = "layer_size" if command == "train-rbm" else "layer_sizes"
+    cfg = write_config(tmp_path, "big.json", {
+        "dataset": synth_block(), key: sizes, "train": {"epochs": 1, "lr": 1e308},
+        "out_dir": str(out),
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.startswith("numeric error: overflow")
     assert not out.exists()
 
 

@@ -325,8 +325,8 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
               'manifest.json': 'e72f936ec9066077',
               'metrics.json': '95a02d0f7a9ef6ff'},
  'pretrain-dbn': {'dbn.mndbn': '532c7e24ba1dbda3',
-                  'layer1_log.csv': 'e6133295a66faeaf',
-                  'layer2_log.csv': 'a8d4cf993a7b08b9',
+                  'layer1_log.csv': 'a285b2bc194c3fdf',
+                  'layer2_log.csv': '52c8c32208432e56',
                   'manifest.json': '5fc4cabb08919f62'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
@@ -339,7 +339,7 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
             'results.txt': '30550122e909b55e'},
  'train-rbm': {'manifest.json': '85a6f3090478f6f0',
                'model.mndbn': '10763262dd13e22c',
-               'training_log.csv': 'cea17fad4e165c70'}}
+               'training_log.csv': '66bbcd8911428ff3'}}
 
 
 def test_every_shipped_config_is_pinned():

@@ -87,9 +87,9 @@ class TestPretrainGreedy:
         real = rbm_module.prob_h_given_x
         rows = dict.fromkeys(sizes, 0)  # layer width -> rows forwarded
 
-        def prob(m, x):
+        def prob(m, x, out=None):
             rows[m.n_hidden] += x.shape[0]
-            return real(m, x)
+            return real(m, x, out=out)
 
         for module in (rbm_module, mixed_norm_module, dbn_module):
             monkeypatch.setattr(module, "prob_h_given_x", prob)

@@ -165,3 +165,17 @@ class TestExpandAccumulate:
                 d = r.uniform(rows + (p.num_groups,)) + 0.5
                 copies = expand(u, p) / np.repeat(d, g, axis=-1)
                 assert np.array_equal(divide_accumulate(u, d, p), reference_accumulate(copies, p))
+
+    def test_divide_accumulate_into_out_across_row_blocks(self):
+        # 2000 units take 32 rows per row block, so 70 rows end in a short block
+        for j, g, a in [(2000, 10, 0.5), (2000, 20, 0.25), (500, 10, 0.0)]:
+            p = make_partition(j, g, a)
+            r = Rng(j + g)
+            for rows in [(), (70,)]:
+                u = r.normal(rows + (j,))
+                d = r.uniform(rows + (p.num_groups,)) + 0.5
+                want = reference_accumulate(expand(u, p) / np.repeat(d, g, axis=-1), p)
+                out = np.full_like(u, np.nan)
+                assert divide_accumulate(u, d, p, out=out) is out
+                assert np.array_equal(out, want)
+                assert np.array_equal(divide_accumulate(u, d, p), want)

@@ -112,6 +112,15 @@ class TestSampleBernoulli:
         u = Rng(7).uniform((4, 5))
         assert (drawn == (u < p).astype(float)).all()
 
+    def test_into_out_takes_the_same_draws(self):
+        p = Rng(6).uniform((4, 5))
+        out = np.full((4, 5), np.nan)
+        rng, ref = Rng(7), Rng(7)
+        assert sample_bernoulli(p, rng, out=out) is out
+        assert out.tobytes() == sample_bernoulli(p, ref).tobytes()
+        # one draw per element, so the streams stay in step
+        assert (rng.uniform((3,)) == ref.uniform((3,))).all()
+
 
 class TestArrayOps:
     def test_require_finite_raises_on_nan_and_inf(self):
@@ -120,3 +129,19 @@ class TestArrayOps:
             require_finite("bad", np.array([1.0, np.nan]))
         with pytest.raises(NumericError):
             require_finite("bad", np.array([np.inf]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)], ids=["1d", "2d"])
+    def test_require_finite_finds_a_bad_entry_anywhere(self, shape, bad):
+        arr = np.arange(np.prod(shape), dtype=float).reshape(shape) - 3.0
+        require_finite("ok", arr)
+        for pos in (0, arr.size // 2, arr.size - 1):   # first, middle, last
+            spoiled = arr.copy()
+            spoiled.flat[pos] = bad
+            with pytest.raises(NumericError):
+                require_finite("bad", spoiled)
+
+    def test_require_finite_accepts_empty_and_extreme_finite(self):
+        require_finite("empty", np.empty((0, 3)))
+        big = np.finfo(float).max
+        require_finite("edges", np.array([[big, -big], [0.0, -0.0]]))

@@ -172,6 +172,20 @@ class TestApplyUpdate:
         apply_update(m, stats, lr=0.1, momentum=0.5, velocity=v)
         assert np.allclose(m.w, 2.5 * 0.1 * g, rtol=0, atol=1e-15)
 
+    def test_scratch_out_gives_same_bits_and_leaves_stats_unwritten(self):
+        fresh = random_rbm(4, 5, 3, std=0.3)
+        kept = fresh.copy()
+        v_fresh, v_kept = Velocity.zeros(fresh), Velocity.zeros(kept)
+        scratch = np.empty_like(kept.w)
+        for seed in (5, 6):
+            stats = CdStats(dw=Rng(seed).normal((5, 3)), db_vis=Rng(seed + 10).normal((5,)),
+                            da_hid=Rng(seed + 20).normal((3,)))
+            dw = stats.dw.copy()
+            apply_update(fresh, stats, lr=0.3, momentum=0.7, velocity=v_fresh)
+            apply_update(kept, stats, lr=0.3, momentum=0.7, velocity=v_kept, out=scratch)
+            assert (stats.dw == dw).all()
+            assert flat_params(kept).tobytes() == flat_params(fresh).tobytes()
+
     def test_invalid_hyperparameters_rejected(self):
         m = zero_rbm(2, 2)
         stats = CdStats(dw=np.zeros((2, 2)), db_vis=np.zeros(2), da_hid=np.zeros(2))
