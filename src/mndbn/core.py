@@ -14,7 +14,7 @@ from .errors import NumericError
 SIGMOID_CLIP = 500.0
 
 # Values per row block: a 512 KB float64 temporary stays in a typical L2
-# cache (unblocked, `group_norms` on a 2000 x 2000 batch is about 2x slower).
+# cache (unblocked, the group norms of a 2000 x 2000 batch take about 2x as long).
 _BLOCK_VALUES = 1 << 16
 
 # Largest double strictly below 1; sigmoid output is capped here so that
@@ -131,7 +131,10 @@ def _overflow_raises(what: str):
 
 def row_blocks(n_rows: int, row_length: int) -> list:
     """Slices that cut n_rows rows into blocks of about _BLOCK_VALUES values.
-    An elementwise result does not depend on the block size; a sum taken
-    one block at a time (the epoch metrics) does, in its last bits."""
+    The passes that block their rows (`mixed_norm.penalty_grad`, the epoch
+    metrics, `synth.make_synthetic`) call this once each, and hand the group
+    kernels one block at a time. An elementwise result does not depend on
+    the block size; a sum taken one block at a time (the epoch metrics)
+    does, in its last bits."""
     step = max(1, _BLOCK_VALUES // row_length)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]

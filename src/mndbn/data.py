@@ -154,8 +154,8 @@ def load_usps(path, name: str = "usps", split: str = "", target_side: int = 28) 
     Each line holds a class label followed by 256 grayscale values of a
     16x16 image in [-1, 1] (the standard distribution); values are mapped
     linearly to [0, 1]. Gzipped files are handled transparently. Malformed
-    lines, non-finite values and out-of-range labels raise DataError with
-    the line number.
+    lines, non-finite values, and labels that are not integers in range
+    raise DataError with the line number.
     """
     try:
         text = _read(path).decode("utf-8")
@@ -178,12 +178,18 @@ def load_usps(path, name: str = "usps", split: str = "", target_side: int = 28) 
     if not rows:
         raise DataError(f"{path}: no samples found")
     values = np.array(rows)
-    labels = np.rint(values[:, 0])
+    labels = values[:, 0]
     finite = np.isfinite(values).all(axis=1)
-    bad = ~(finite & (labels >= 0) & (labels < NUM_CLASSES))
+    integral = labels == np.rint(labels)
+    bad = ~(finite & integral & (labels >= 0) & (labels < NUM_CLASSES))
     if bad.any():
         i = bad.argmax()
-        problem = f"label outside [0, {NUM_CLASSES})" if finite[i] else "non-finite value"
+        if not finite[i]:
+            problem = "non-finite value"
+        elif not integral[i]:
+            problem = f"label {labels[i]!r} is not an integer"
+        else:
+            problem = f"label outside [0, {NUM_CLASSES})"
         raise DataError(f"{path}:{linenos[i]}: {problem}")
     pixels = np.clip((values[:, 1:] + 1.0) / 2.0, 0.0, 1.0).reshape(-1, 16, 16)
     images = resize_bilinear(pixels, target_side, target_side).reshape(len(rows), -1)

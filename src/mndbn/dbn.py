@@ -105,6 +105,14 @@ def _head(d: Dbn) -> SoftmaxLayer:
     return d.head
 
 
+def _check_labels(d: Dbn, dataset) -> None:
+    """Raise ValueError if a label of `dataset` has no class in the head."""
+    n_classes = _head(d).n_classes
+    top = int(dataset.labels.max(initial=-1))
+    if top >= n_classes:
+        raise ValueError(f"the head has {n_classes} classes, but the largest label is {top}")
+
+
 def _logits(d: Dbn, x) -> np.ndarray:
     _head(d)
     return _head_logits(d, forward(d, x))
@@ -379,6 +387,9 @@ def fine_tune(
     labels = dataset.labels
     if images.shape[0] == 0:
         raise ValueError("cannot fine-tune on an empty dataset")
+    _check_labels(d, dataset)
+    if eval_dataset is not None:
+        _check_labels(d, eval_dataset)
     params = _bind(d, cfg.head_only)
     alpha_prev = 1.0
     for epoch in range(1, epochs + 1):
@@ -420,9 +431,6 @@ def evaluate(d: Dbn, dataset):
     """Accuracy and the confusion matrix (rows true class, cols predicted)."""
     if dataset.images.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    n_classes = _head(d).n_classes
-    top = int(dataset.labels.max())
-    if top >= n_classes:
-        raise ValueError(f"the head has {n_classes} classes, but the largest label is {top}")
+    _check_labels(d, dataset)
     _, acc, confusion = _mean_loss(d, dataset)
     return acc, confusion

@@ -8,11 +8,14 @@ carries a small index table, `cover`, that lists for every unit the
 groups covering it, so the penalty kernels (`group_norms`,
 `divide_accumulate`) work straight from per-unit values.
 
-The kernels fix their summation order, so on a batch they return the bits
-of the augmented-axis formulation. There every group takes a private copy
-of its members on an "augmented" axis, where the groups are disjoint.
-`expand` copies unit values onto that axis and `accumulate`, its adjoint,
-sums the copies back per unit; the training path never builds the axis.
+The kernels work on all the rows they are given; the passes that call
+them (`mixed_norm.penalty_grad` and `mixed_norm._epoch_metrics`) choose
+the row blocks. They fix their summation order, so on a batch they return
+the bits of the augmented-axis formulation. There every group takes a
+private copy of its members on an "augmented" axis, where the groups are
+disjoint. `expand` copies unit values onto that axis and `accumulate`,
+its adjoint, sums the copies back per unit; the training path never
+builds the axis.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_blocks
 from .errors import ConfigError
 
 
@@ -121,16 +123,13 @@ def group_norms(values, p: GroupPartition) -> np.ndarray:
 
     A group's squares are added over its members in ascending order, one
     after another (`_group_sums`); a reshape-and-sum would add them
-    pairwise, which rounds differently from group_size 8 on. Rows go
-    through in `core.row_blocks` blocks, so the squares stay in cache
-    across the slice-adds.
+    pairwise, which rounds differently from group_size 8 on. The squares
+    of all the given rows are formed at once, so a caller that wants them
+    to stay in cache passes one row block at a time.
     """
     values = _check_last_axis(values, p.j_original)
     rows = values.reshape(-1, p.j_original)
-    out = np.empty((rows.shape[0], p.num_groups))
-    for block in row_blocks(rows.shape[0], p.j_original):
-        x = rows[block]
-        _group_sums(x * x, p, out[block])
+    out = _group_sums(rows * rows, p, np.empty((rows.shape[0], p.num_groups)))
     np.sqrt(out, out=out)
     return out.reshape(values.shape[:-1] + (p.num_groups,))
 
@@ -154,9 +153,9 @@ def divide_accumulate(u, denom, p: GroupPartition, out=None) -> np.ndarray:
     must be finite and `denom` positive. Where a unit has no t-th group,
     row t of `cover` points at a padding denominator of inf: the quotient
     is a zero of u's sign, and adding it leaves the sum's bits unchanged.
-    `out`, a float array shaped like u (not u itself), receives the sums;
-    the later groups' quotients go through one `core.row_blocks` block at
-    a time, so no temporary is larger than one block.
+    `out`, a float array shaped like u (not u itself), receives the sums.
+    The later groups' quotients go through one temporary shaped like u, so
+    `penalty_grad` calls this one row block at a time.
     """
     u = _check_last_axis(u, p.j_original)
     padded = np.concatenate([denom, np.full(denom.shape[:-1] + (1,), np.inf)], axis=-1)
@@ -165,12 +164,7 @@ def divide_accumulate(u, denom, p: GroupPartition, out=None) -> np.ndarray:
     out = np.take(padded, p.cover[0], axis=-1, out=out, mode="clip")
     np.divide(u, out, out=out)
     if len(p.cover) > 1:
-        rows_u, rows_out, rows_padded = np.atleast_2d(u, out, padded)
-        blocks = row_blocks(rows_out.shape[0], p.j_original)
-        q = np.empty_like(rows_out[blocks[0]])
+        q = np.empty_like(out)
         for groups in p.cover[1:]:
-            for block in blocks:
-                qb = q[: rows_out[block].shape[0]]
-                np.take(rows_padded[block], groups, axis=-1, out=qb, mode="clip")
-                rows_out[block] += np.divide(rows_u[block], qb, out=qb)
+            out += np.divide(u, np.take(padded, groups, axis=-1, out=q, mode="clip"), out=q)
     return out

@@ -110,29 +110,8 @@ def mixed_norm(h_probs, cfg: PenaltyConfig):
 
 def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition) -> np.ndarray:
     """Each row's group norms added in ascending group order, one after
-    another, one `group_norms` row block at a time: (..., j) -> (...)."""
-    rows = h_probs.reshape(-1, part.j_original)
-    out = np.empty(rows.shape[0])
-    for block in row_blocks(rows.shape[0], part.j_original):
-        out[block] = np.cumsum(group_norms(rows[block], part), axis=1)[:, -1]
-    return out.reshape(h_probs.shape[:-1])
-
-
-@dataclass
-class _StepBuffers(_CdBuffers):
-    """The arrays one layer's batch step works in: `_CdBuffers`, the
-    batch's rows, and the penalty's p, u = p^2 (1 - p) and s."""
-
-    batch: np.ndarray
-    p: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-
-    @classmethod
-    def like(cls, m: Rbm, rows: int):
-        hidden = [np.empty((rows, m.n_hidden)) for _ in range(3)]
-        return super().like(m, rows, batch=np.empty((rows, m.n_visible)),
-                            p=hidden[0], u=hidden[1], s=hidden[2])
+    another: (..., j) -> (...). All the given rows go through at once."""
+    return np.cumsum(group_norms(h_probs, part), axis=-1)[..., -1].copy()
 
 
 def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
@@ -142,9 +121,12 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     s_j sums that over the groups covering j, the weight column j picks up
     s_j times x, and the hidden bias picks up s_j itself. Returns (gw, ga),
     averaged over the rows of the batch x; a single vector is a one-row
-    batch. With `out`, a `_StepBuffers` for at least x's rows, p, u and s
-    live in its buffers and gw is its `scratch`: no array the size of the
-    batch or of the weights is made.
+    batch. The rows go through in `core.row_blocks` blocks, so the group
+    sums and quotients stay in cache. With `out`, the `rbm._CdBuffers` of
+    a `cd_step` whose statistics have been used, for at least x's rows,
+    p, u = p^2 (1 - p) and s overwrite its h0, h_sample and h_tilde, and
+    gw its scratch: no array the size of the batch or of the weights is
+    made.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -153,16 +135,17 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
         p, u, s = (np.empty((n, m.n_hidden)) for _ in range(3))
         gw = np.empty_like(m.w)
     else:
-        p, u, s, gw = out.p[:n], out.u[:n], out.s[:n], out.scratch
+        p, u, s, gw = out.h0[:n], out.h_sample[:n], out.h_tilde[:n], out.scratch
     prob_h_given_x(m, x, out=p)
-    # The group norms of p, as `group_norms` forms them, from u = p * p.
-    denom = np.empty((n, part.num_groups))
     for block in row_blocks(n, part.j_original):
-        _group_sums(np.multiply(p[block], p[block], out=u[block]), part, denom[block])
-    np.sqrt(denom, out=denom)
-    np.maximum(denom, cfg.epsilon, out=denom)
-    u *= np.subtract(1.0, p, out=s)
-    divide_accumulate(u, denom, part, out=s)
+        pb, ub, sb = p[block], u[block], s[block]
+        # The group norms of p, as `group_norms` forms them, from u = p * p.
+        denom = np.empty((len(pb), part.num_groups))
+        _group_sums(np.multiply(pb, pb, out=ub), part, denom)
+        np.sqrt(denom, out=denom)
+        np.maximum(denom, cfg.epsilon, out=denom)
+        ub *= np.subtract(1.0, pb, out=sb)
+        divide_accumulate(ub, denom, part, out=sb)
     np.matmul(x.T, s, out=gw)
     gw /= n
     return gw, s.mean(axis=0)
@@ -186,8 +169,10 @@ def regularized_update(
     and hidden biases, using activation probabilities recomputed from the
     post-step-1 parameters. With lambda = 0 the second step is skipped, so
     the call is indistinguishable from vanilla CD training, including RNG
-    consumption. `out`, a `_StepBuffers` for at least the batch's rows,
-    holds every batch- and weight-sized array of the step.
+    consumption. `out`, an `rbm._CdBuffers` for at least the batch's rows,
+    holds every batch- and weight-sized array of the step: the penalty
+    overwrites the chain's h0, h_sample and h_tilde and the scratch array
+    once the CD statistics have been applied.
     """
     stats = cd_step(m, batch, k, rng, out=out)
     apply_update(m, stats, lr, momentum, velocity, out=None if out is None else out.scratch)
@@ -199,25 +184,22 @@ def regularized_update(
     return m
 
 
-def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, chunk: int | None = None):
+def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig):
     """Deterministic full-pass metrics with the current parameters.
 
     Reconstruction error is the mean squared error of the one-step
     mean-field reconstruction (probabilities everywhere, no sampling).
-    The images go through `chunk` rows at a time, by default one
-    `core.row_blocks` block of the wider layer side, so the pass holds one
-    block's p and xhat (the squared error is formed in xhat's buffer)
-    whatever the number of images. Each sum is taken per block and the
-    block sums added in order, so their last bits depend on the block size.
+    The images go through one `core.row_blocks` block of the wider layer
+    side at a time, so the pass holds one block's p and xhat (the squared
+    error is formed in xhat's buffer) and block-sized temporaries whatever
+    the number of images. Each sum is taken per block and the block sums
+    added in order, so their last bits depend on the block size.
     """
     sq_err = 0.0
     act_sum = 0.0
     mn_sum = 0.0
     n = images.shape[0]
-    if chunk is None:
-        blocks = row_blocks(n, max(m.n_visible, m.n_hidden))
-    else:
-        blocks = [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+    blocks = row_blocks(n, max(m.n_visible, m.n_hidden))
     rows = min(n, blocks[0].stop)
     p_buf, xhat_buf = np.empty((rows, m.n_hidden)), np.empty((rows, m.n_visible))
     for block in blocks:
@@ -253,7 +235,8 @@ def train_mnrbm(data, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, 
         )
     m = Rbm.init_random(images.shape[1], layer_size, rng)
     velocity = Velocity.zeros(m)
-    buf = _StepBuffers.like(m, min(params.batch_size, images.shape[0]))
+    rows = min(params.batch_size, images.shape[0])
+    buf, batch_buf = _CdBuffers.like(m, rows), np.empty((rows, m.n_visible))
     log: list[EpochStats] = []
     with _overflow_raises("training"):
         for epoch in range(params.epochs):
@@ -265,7 +248,7 @@ def train_mnrbm(data, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, 
             )
             for idx in shuffle_split(images.shape[0], params.batch_size, rng):
                 # mode="clip" takes straight into the buffer (see divide_accumulate)
-                batch = np.take(images, idx, axis=0, out=buf.batch[: len(idx)], mode="clip")
+                batch = np.take(images, idx, axis=0, out=batch_buf[: len(idx)], mode="clip")
                 regularized_update(
                     m, batch, cfg, params.lr, mom, velocity, rng, k=params.cd_k, out=buf
                 )

@@ -151,7 +151,9 @@ def _chain(m: Rbm, x, k: int, rng: Rng, h0, h_sample, x_tilde, h_tilde):
 class _CdBuffers:
     """The arrays `cd_step` works in, for batches of up to `rows` rows: the
     chain's h0, hidden sample, x_tilde and h_tilde, the statistics it
-    returns, and one more weight-shaped array."""
+    returns, and one more weight-shaped array. Once the statistics have
+    been used, the chain arrays are free: `mixed_norm.penalty_grad` reuses
+    h0, h_sample and h_tilde, and `scratch`, for its own batch arrays."""
 
     h0: np.ndarray
     h_sample: np.ndarray
@@ -161,8 +163,8 @@ class _CdBuffers:
     scratch: np.ndarray
 
     @classmethod
-    def like(cls, m: Rbm, rows: int, **more):
-        """Uninitialised buffers for `m`; `more` fills a subclass's fields."""
+    def like(cls, m: Rbm, rows: int):
+        """Uninitialised buffers for `m`."""
         return cls(
             h0=np.empty((rows, m.n_hidden)),
             h_sample=np.empty((rows, m.n_hidden)),
@@ -170,7 +172,6 @@ class _CdBuffers:
             h_tilde=np.empty((rows, m.n_hidden)),
             stats=CdStats(np.empty_like(m.w), np.empty_like(m.b_vis), np.empty_like(m.a_hid)),
             scratch=np.empty_like(m.w),
-            **more,
         )
 
 

@@ -307,6 +307,8 @@ _BAD_DATA_FILES = {
                                  "lb.idx": _GOOD_LABELS}, "im.idx"),
     "usps-inf-label": ("usps", {"u.txt": _usps_text(label="inf").encode()}, "u.txt:1:"),
     "usps-nan-label": ("usps", {"u.txt": _usps_text(label="nan").encode()}, "u.txt:1:"),
+    "usps-label-3.4": ("usps", {"u.txt": _usps_text(label="3.4").encode()}, "u.txt:1:"),
+    "usps-label-minus-0.4": ("usps", {"u.txt": _usps_text(label="-0.4").encode()}, "u.txt:1:"),
     "usps-not-utf8": ("usps", {"u.txt": b"\xff\xfe" + _usps_text().encode()}, "u.txt"),
     "usps-nan-pixels": ("usps", {"u.txt": (_usps_text() + _usps_text(pixel="nan")).encode()},
                         "u.txt:2:"),

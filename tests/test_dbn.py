@@ -10,6 +10,7 @@ from mndbn import dbn as dbn_module
 from mndbn import mixed_norm as mixed_norm_module
 from mndbn import rbm as rbm_module
 from mndbn.core import Rng
+from mndbn.data import Dataset
 from mndbn.dbn import (
     Dbn,
     FineTuneConfig,
@@ -378,6 +379,20 @@ class TestFineTune:
         train, _, _ = self.small_problem()
         with pytest.raises(ValueError):
             fine_tune(Dbn([random_rbm(0, 16, 4)]), train, 1, FineTuneConfig(), Rng(0))
+
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_head_with_fewer_classes_than_labels_rejected_before_any_update(self, split):
+        # a train split whose labels all fit the five-class head, so only
+        # the eval split's labels are out of range in the "eval" case
+        full, test, d = self.small_problem()
+        small = full.labels < 5
+        train = full if split == "train" else Dataset(full.images[small], full.labels[small])
+        d = attach_head(d, 5)
+        before = _bind(d, False).copy()
+        top = int((full if split == "train" else test).labels.max())
+        with pytest.raises(ValueError, match=f"5 classes, but the largest label is {top}"):
+            fine_tune(d, train, 1, FineTuneConfig(batch_size=30), Rng(1), eval_dataset=test)
+        assert (_bind(d, False) == before).all()
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

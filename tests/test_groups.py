@@ -167,7 +167,8 @@ class TestExpandAccumulate:
                 assert np.array_equal(divide_accumulate(u, d, p), reference_accumulate(copies, p))
 
     def test_divide_accumulate_into_out_across_row_blocks(self):
-        # 2000 units take 32 rows per row block, so 70 rows end in a short block
+        # divide_accumulate takes all the rows it is given at once; 70 rows of
+        # 2000 units are two 32-row blocks of penalty_grad and a short one
         for j, g, a in [(2000, 10, 0.5), (2000, 20, 0.25), (500, 10, 0.0)]:
             p = make_partition(j, g, a)
             r = Rng(j + g)

@@ -20,13 +20,20 @@ from mndbn.mixed_norm import (
     PenaltyConfig,
     TrainConfig,
     _epoch_metrics,
-    _StepBuffers,
     mixed_norm,
     penalty_grad,
     regularized_update,
     train_mnrbm,
 )
-from mndbn.rbm import Rbm, Velocity, apply_update, cd_step, prob_h_given_x, prob_x_given_h
+from mndbn.rbm import (
+    Rbm,
+    Velocity,
+    _CdBuffers,
+    apply_update,
+    cd_step,
+    prob_h_given_x,
+    prob_x_given_h,
+)
 from mndbn.data import shuffle_split
 from mndbn.synth import make_synthetic
 
@@ -210,7 +217,7 @@ class TestKernelsMatchAugmentedReference:
     only agrees to rounding: numpy sums those contiguously, pairwise, in
     the reference, so its bits there depend on memory layout.
 
-    The third batch size spans two `group_norms` row blocks and one more
+    The third batch size spans two `penalty_grad` row blocks and one more
     row, so the last block holds a single row."""
 
     @pytest.mark.parametrize("j,g,a", ORACLE_LAYOUTS)
@@ -364,14 +371,13 @@ def reference_epoch_metrics(m, images, cfg, chunk):
 class TestEpochMetrics:
     @pytest.mark.parametrize("overlap", [0.0, 0.5])
     def test_bits_match_full_size_temporaries(self, overlap):
-        # 2000 units take 32 rows per group_norms block; chunk 249 leaves a
-        # one-row last chunk
+        # 2000 units take 32 rows per row block; 225 images leave a one-row
+        # last block
         m = random_rbm(4, 16, 2000, std=0.5)
-        images = Rng(5).uniform((250, 16))
         cfg = cfg_for(2000, 10, overlap)
-        for chunk in (250, 100, 249):
-            got = _epoch_metrics(m, images, cfg, chunk=chunk)
-            assert got == reference_epoch_metrics(m, images, cfg, chunk)
+        for n in (32, 100, 225):
+            images = Rng(5).uniform((n, 16))
+            assert _epoch_metrics(m, images, cfg) == reference_epoch_metrics(m, images, cfg, 32)
 
     @pytest.mark.parametrize("overlap", [0.0, 0.5])
     def test_peak_memory_is_about_one_chunk(self, overlap):
@@ -395,6 +401,36 @@ class TestEpochMetrics:
         assert max(peaks) <= 3 * block_bytes
 
 
+class TestRowBlockSize:
+    """The penalty step treats each row alone, so one-row blocks and a
+    single block give the bits of the default row blocks."""
+
+    @pytest.mark.parametrize("block_values", [1, 1 << 30], ids=["one-row", "one-block"])
+    @pytest.mark.parametrize("j, g, overlap", [(2000, 10, 0.5), (500, 10, 0.0)])
+    def test_penalty_step_bits_do_not_depend_on_block_size(
+        self, monkeypatch, block_values, j, g, overlap
+    ):
+        rows = 70
+        m = random_rbm(24, 16, j, std=0.3)
+        x = Rng(25).uniform((rows, 16))
+        cfg = cfg_for(j, g, overlap, lam=0.1)
+
+        def bits():
+            out = [a.tobytes() for a in penalty_grad(m, x, cfg)]
+            out += [a.tobytes() for a in penalty_grad(m, x, cfg, out=_CdBuffers.like(m, rows))]
+            for buf in (None, _CdBuffers.like(m, rows)):
+                stepped = m.copy()
+                regularized_update(
+                    stepped, x, cfg, 0.05, 0.5, Velocity.zeros(stepped), Rng(26), out=buf
+                )
+                out.append(flat_params(stepped).tobytes())
+            return out
+
+        default = bits()
+        monkeypatch.setattr("mndbn.core._BLOCK_VALUES", block_values)
+        assert bits() == default
+
+
 class TestBatchBuffers:
     @pytest.mark.parametrize("k", [1, 2])
     def test_buffered_steps_match_fresh_arrays_bit_for_bit(self, k):
@@ -403,7 +439,7 @@ class TestBatchBuffers:
         kept = fresh.copy()
         images = Rng(19).uniform((60, 16))
         cfg = cfg_for(12, 4, 0.5, lam=0.3)
-        buf = _StepBuffers.like(kept, 25)
+        buf = _CdBuffers.like(kept, 25)
         v_fresh, v_kept = Velocity.zeros(fresh), Velocity.zeros(kept)
         r_fresh, r_kept = Rng(20), Rng(20)
         for lo in (0, 25, 50):
@@ -423,7 +459,7 @@ class TestBatchBuffers:
         m = random_rbm(21, n_visible, j, std=0.05)
         images = Rng(22).uniform((6 * rows, n_visible))
         cfg = cfg_for(j, g, overlap, lam=0.1)
-        buf = _StepBuffers.like(m, rows)
+        buf = _CdBuffers.like(m, rows)
         velocity, rng = Velocity.zeros(m), Rng(23)
 
         def step(i):
