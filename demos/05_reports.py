@@ -30,7 +30,7 @@ cfg = PenaltyConfig(lam=0.1, partition=make_partition(64, 8))
 params = TrainConfig(epochs=10, batch_size=100, seed=0)
 
 t0 = time.perf_counter()
-m, _ = train_mnrbm(train, 64, cfg, params, Rng(params.seed))
+m, _ = train_mnrbm(train.images, 64, cfg, params, Rng(params.seed))
 wall = time.perf_counter() - t0
 
 # Each hidden unit's incoming weights, rendered as an 8x8 grayscale tile

@@ -65,7 +65,6 @@ _EXPORTS = {
     "fine_tune": "dbn",
     "evaluate": "dbn",
     "loss_and_grad": "dbn",
-    "save_rbm": "model_io",
     "save_dbn": "model_io",
     "load_dbn": "model_io",
     "ReportConfig": "report",

@@ -307,80 +307,67 @@ def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, con
 
 
 def _resolve_pretrain(args, config: dict):
-    """train-rbm trains one layer ("layer_size", "penalty"); pretrain-dbn a
-    stack ("layer_sizes", with one shared "penalty" or per-layer
-    "penalties"). Returns (resolved config, sizes, penalty blocks,
-    PenaltyConfigs, TrainConfig)."""
+    """A stack of "layer_sizes" (one layer or more), with one shared
+    "penalty" or per-layer "penalties". Returns (resolved config, sizes,
+    penalty blocks, PenaltyConfigs, TrainConfig)."""
     from .mixed_norm import TrainConfig
 
-    single = args.command == "train-rbm"
-    size_key, pen_key = ("layer_size", "penalty") if single else ("layer_sizes", "penalties")
-    _check_keys(config, {"dataset", size_key, "penalty", pen_key, "train", "out_dir"}, "config")
+    _check_keys(config, {"dataset", "layer_sizes", "penalty", "penalties", "train", "out_dir"},
+                "config")
+    if "penalty" in config and "penalties" in config:
+        raise ConfigError("config holds both 'penalty' and 'penalties'; give one of them")
     resolved = {"dataset": _resolve_dataset(_require(config, "dataset", ""))}
-    raw_sizes = _require(config, size_key, "")
-    if single:
-        sizes = [_coerce(raw_sizes, "int", size_key)]
-        raw_pens, ctxs = [config.get("penalty")], ["penalty"]
-    else:
-        if not isinstance(raw_sizes, list) or not raw_sizes:
-            raise ConfigError("config field 'layer_sizes' must be a non-empty list")
-        sizes = [_coerce(s, "int", f"layer_sizes[{i}]") for i, s in enumerate(raw_sizes)]
-        raw_pens = config.get("penalties", [config.get("penalty")] * len(sizes))
-        if not isinstance(raw_pens, list):
-            raise ConfigError("config field 'penalties' must be a list (one block per layer)")
-        if len(raw_pens) != len(sizes):
-            raise ConfigError(f"got {len(raw_pens)} penalty blocks for {len(sizes)} layers")
-        ctxs = [f"penalties[{i}]" for i in range(len(sizes))]
+    raw_sizes = _require(config, "layer_sizes", "")
+    if not isinstance(raw_sizes, list) or not raw_sizes:
+        raise ConfigError("config field 'layer_sizes' must be a non-empty list")
+    sizes = [_coerce(s, "int", f"layer_sizes[{i}]") for i, s in enumerate(raw_sizes)]
+    raw_pens = config.get("penalties", [config.get("penalty")] * len(sizes))
+    if not isinstance(raw_pens, list):
+        raise ConfigError("config field 'penalties' must be a list (one block per layer)")
+    if len(raw_pens) != len(sizes):
+        raise ConfigError(f"got {len(raw_pens)} penalty blocks for {len(sizes)} layers")
+    ctxs = [f"penalties[{i}]" if "penalties" in config else "penalty" for i in range(len(sizes))]
     pens, pcfgs = zip(*(_resolve_penalty(*a) for a in zip(raw_pens, sizes, ctxs)))
-    resolved[size_key] = sizes[0] if single else sizes
-    resolved[pen_key] = pens[0] if single else list(pens)
+    resolved["layer_sizes"], resolved["penalties"] = sizes, list(pens)
     resolved["train"], tcfg = _resolve_block(TrainConfig, config.get("train"), "train", args.seed)
     resolved["out_dir"] = str(Path(_resolve_path(args.out, config, "out_dir")))
     return resolved, sizes, list(pens), list(pcfgs), tcfg
 
 
 def cmd_pretrain(args) -> int:
-    """train-rbm writes model.mndbn (one layer) and training_log.csv;
-    pretrain-dbn writes dbn.mndbn and one layer<i>_log.csv per layer."""
+    """Writes dbn.mndbn and one layer<i>_log.csv per layer."""
     resolved, sizes, pens, pcfgs, tcfg = _resolve_pretrain(
         args, _load_config(args.config, args.command)
     )
 
     from .core import Rng
     from .dbn import pretrain_greedy
-    from .mixed_norm import train_mnrbm, write_training_log
-    from .model_io import save_dbn, save_rbm
+    from .mixed_norm import write_training_log
+    from .model_io import save_dbn
 
     train, _ = _build_datasets(resolved["dataset"])
     tag = _architecture_tag(sizes, pens)
-    single = args.command == "train-rbm"
-    if single:
-        model, log = train_mnrbm(train, sizes[0], pcfgs[0], tcfg, Rng(tcfg.seed))
-        logs, save, model_name, pen_key = [log], save_rbm, "model.mndbn", "penalty"
-        log_names = ["training_log.csv"]
-    else:
-        model, logs = pretrain_greedy(train, sizes, pcfgs, tcfg, Rng(tcfg.seed))
-        save, model_name, pen_key = save_dbn, "dbn.mndbn", "penalties"
-        log_names = [f"layer{i}_log.csv" for i in range(1, len(logs) + 1)]
+    model, logs = pretrain_greedy(train, sizes, pcfgs, tcfg, Rng(tcfg.seed))
+    log_names = [f"layer{i}_log.csv" for i in range(1, len(logs) + 1)]
     meta = {
         "architecture": tag,
         "dataset": resolved["dataset"]["name"],
-        pen_key: resolved[pen_key],
+        "penalties": resolved["penalties"],
         "train": resolved["train"],
     }
     out_dir = _make_dir(resolved["out_dir"])
-    save(model, out_dir / model_name, meta=meta)
+    save_dbn(model, out_dir / "dbn.mndbn", meta=meta)
     for name, log in zip(log_names, logs):
         write_training_log(out_dir / name, log)
-    _write_manifest(out_dir, args.command, resolved, tcfg.seed, [model_name, *log_names])
-    if not single:
-        print(f"{tag}: pretrained {len(sizes)} layers on {len(train)} images")
-    elif log:
-        print(
-            f"{tag}: {len(log)} epochs, final reconstruction error "
-            f"{log[-1].recon_error:.6f}, mean activation {log[-1].mean_hidden_activation:.4f}"
-        )
-    print(f"wrote {out_dir / model_name}")
+    _write_manifest(out_dir, args.command, resolved, tcfg.seed, ["dbn.mndbn", *log_names])
+    print(f"{tag}: {len(sizes)}-layer stack pretrained on {len(train)} images")
+    for i, log in enumerate(logs, 1):
+        if log:
+            print(
+                f"layer {i}: {len(log)} epochs, final reconstruction error "
+                f"{log[-1].recon_error:.6f}, mean activation {log[-1].mean_hidden_activation:.4f}"
+            )
+    print(f"wrote {out_dir / 'dbn.mndbn'}")
     return 0
 
 
@@ -588,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = [
-        ("train-rbm", cmd_pretrain, None, "train one (optionally group-sparse) feature layer"),
-        ("pretrain-dbn", cmd_pretrain, None, "greedy layer-wise pretraining of a layer stack"),
+        ("pretrain-dbn", cmd_pretrain, None, "greedy layer-wise pretraining of one or more layers"),
         ("finetune", cmd_finetune, ("model", "path to a pretrained model file"),
          "attach a softmax head and fine-tune"),
         ("evaluate", cmd_evaluate, ("model", "path to a fine-tuned model file"),

@@ -217,16 +217,16 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig):
     )
 
 
-def train_mnrbm(data, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
+def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
     """Train one RBM with the group-sparsity penalty (lambda may be 0).
 
-    `data` is either a Dataset or a plain (samples x visibles) array in
-    [0, 1]. Runs `params.epochs` epochs of shuffled mini-batches of
-    `regularized_update` and returns (model, log), where the log holds one
-    EpochStats per epoch, computed on a deterministic full pass over the
-    training data after the epoch.
+    `images` is a (samples x visibles) array in [0, 1]. Runs
+    `params.epochs` epochs of shuffled mini-batches of `regularized_update`
+    and returns (model, log), where the log holds one EpochStats per epoch,
+    computed on a deterministic full pass over the training data after the
+    epoch.
     """
-    images = np.asarray(getattr(data, "images", data), dtype=float)
+    images = np.asarray(images, dtype=float)
     if images.ndim != 2 or images.shape[0] == 0:
         raise ValueError(f"training data must be a non-empty 2-D array, got {images.shape}")
     if cfg.partition.j_original != layer_size:

@@ -2,10 +2,11 @@
 
 A file is: the 6-byte magic "MNDBN1", a little-endian uint32 header
 length, a compact JSON header with sorted keys, then the raw parameter
-payload as little-endian float64 in a fixed order. For a single feature
-layer the payload is w (row-major, visible rows), b_vis, a_hid. A network
-file stores each layer's section bottom-up in that same order, then the
-head's w_out (row-major) and b_out when a head is present.
+payload as little-endian float64 in a fixed order: each layer's w
+(row-major, visible rows), b_vis and a_hid, bottom-up, then the head's
+w_out (row-major) and b_out when a head is present. save_dbn writes the
+one kind, "dbn"; load_dbn also reads the older single-layer "rbm" kind,
+whose header holds the shape at its top level.
 
 Because the header is canonical JSON and the payload is raw bits,
 save/load round-trips are byte-identical.
@@ -38,30 +39,17 @@ def _write(path, header: dict, arrays) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _shape(m: Rbm) -> dict:
-    return {"n_visible": m.n_visible, "n_hidden": m.n_hidden}
-
-
-def _params(m: Rbm) -> list:
-    return [m.w, m.b_vis, m.a_hid]
-
-
-def save_rbm(m: Rbm, path, meta: dict | None = None) -> None:
-    header = {"kind": "rbm", "version": FORMAT_VERSION, **_shape(m), "meta": meta or {}}
-    _write(path, header, _params(m))
-
-
 def save_dbn(d: Dbn, path, meta: dict | None = None) -> None:
     header = {
         "kind": "dbn",
         "version": FORMAT_VERSION,
-        "layers": [_shape(m) for m in d.layers],
+        "layers": [{"n_visible": m.n_visible, "n_hidden": m.n_hidden} for m in d.layers],
         "head": None
         if d.head is None
         else {"n_features": d.head.w_out.shape[0], "n_classes": d.head.n_classes},
         "meta": meta or {},
     }
-    arrays = [a for m in d.layers for a in _params(m)]
+    arrays = [a for m in d.layers for a in (m.w, m.b_vis, m.a_hid)]
     if d.head is not None:
         arrays += [d.head.w_out, d.head.b_out]
     _write(path, header, arrays)
@@ -98,8 +86,8 @@ def _dim(spec, key: str, path) -> int:
 
 
 def load_dbn(path) -> tuple[Dbn, dict]:
-    """Read a model file of either kind; returns (network, meta). An rbm
-    file is a one-layer network with no head.
+    """Read a model file of either kind; returns (network, meta). A legacy
+    rbm file is a one-layer network with no head.
 
     The header must be an object of format version FORMAT_VERSION whose
     shapes are positive integers, and the payload must hold exactly the
@@ -123,7 +111,7 @@ def load_dbn(path) -> tuple[Dbn, dict]:
         i, j = _dim(spec, "n_visible", path), _dim(spec, "n_hidden", path)
         shapes += [(i, j), (i,), (j,)]
     head = header.get("head")
-    if head:
+    if head is not None:
         f, c = _dim(head, "n_features", path), _dim(head, "n_classes", path)
         shapes += [(f, c), (c,)]
     need = 8 * sum(math.prod(s) for s in shapes)
@@ -137,6 +125,6 @@ def load_dbn(path) -> tuple[Dbn, dict]:
         pos += size
     try:
         layers = [Rbm(*arrays[k : k + 3]) for k in range(0, 3 * len(specs), 3)]
-        return Dbn(layers, SoftmaxLayer(*arrays[-2:]) if head else None), meta
+        return Dbn(layers, SoftmaxLayer(*arrays[-2:]) if head is not None else None), meta
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

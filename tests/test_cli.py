@@ -33,9 +33,10 @@ def write_config(tmp_path, name, payload):
 
 def rbm_config(tmp_path, out_dir, lam=0.1, group_size=6, overlap_pct=0.0,
                layer_size=24, name="rbm.json"):
+    """A pretrain-dbn config of one feature layer."""
     payload = {
         "dataset": synth_block(),
-        "layer_size": layer_size,
+        "layer_sizes": [layer_size],
         "penalty": {"lambda": lam, "group_size": group_size, "overlap_pct": overlap_pct},
         "train": {"epochs": 2, "batch": 40, "seed": 0},
         "out_dir": str(out_dir),
@@ -55,8 +56,7 @@ def rows_without_wall(path):
     return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
 
-@pytest.mark.parametrize("command", ["train-rbm", "pretrain-dbn", "finetune", "evaluate",
-                                     "report"])
+@pytest.mark.parametrize("command", ["pretrain-dbn", "finetune", "evaluate", "report"])
 @pytest.mark.parametrize("text", ["{not json", "[" * 100000, '{"a": ' * 100000],
                          ids=["not-json", "deep-array", "deep-object"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
@@ -68,7 +68,6 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("command, config", [
-    ("train-rbm", {"dataset": synth_block(), "layer_size": 8, "out_dir": 5}),
     ("pretrain-dbn", {"dataset": synth_block(), "layer_sizes": [8], "out_dir": 5}),
     ("finetune", {"model_path": "m.mndbn", "dataset": synth_block(), "out_dir": 5}),
     ("evaluate", {"model_path": "m.mndbn", "dataset": synth_block(), "out_dir": 5}),
@@ -76,7 +75,7 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
     ("report", {"run_dir": 5, "out_dir": "report"}),
     ("finetune", {"model_path": ["a"], "dataset": synth_block(), "out_dir": "ft"}),
     ("evaluate", {"model_path": ["a"], "dataset": synth_block(), "out_dir": "ev"}),
-], ids=["train-rbm", "pretrain-dbn", "finetune", "evaluate", "report", "report-run_dir",
+], ids=["pretrain-dbn", "finetune", "evaluate", "report", "report-run_dir",
         "finetune-model_path", "evaluate-model_path"])
 def test_path_key_of_wrong_type_is_config_error(tmp_path, monkeypatch, capsys, command, config):
     monkeypatch.chdir(tmp_path)
@@ -116,8 +115,8 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, block, key, value):
         save_dbn(Dbn([random_rbm(0, 16, 8)]), tmp_path / "m.mndbn")
         payload["finetune"] = {"epochs": 1}
     else:
-        command = ["train-rbm"]
-        payload.update(layer_size=8, penalty={"lambda": 0.1, "group_size": 4},
+        command = ["pretrain-dbn"]
+        payload.update(layer_sizes=[8], penalty={"lambda": 0.1, "group_size": 4},
                        train={"epochs": 1, "batch": 40})
     payload[block][key] = value
     cfg = write_config(tmp_path, "bad.json", payload)   # json writes NaN, Infinity
@@ -128,13 +127,11 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, block, key, value):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # lr 1e308 overflows on purpose
-@pytest.mark.parametrize("command, sizes", [("train-rbm", 8), ("pretrain-dbn", [8])],
-                         ids=["train-rbm", "pretrain-dbn"])
-def test_numeric_failure_leaves_no_out_dir(tmp_path, capsys, command, sizes):
+@pytest.mark.parametrize("command", ["pretrain-dbn"])
+def test_numeric_failure_leaves_no_out_dir(tmp_path, capsys, command):
     out = tmp_path / "run"
-    key = "layer_size" if command == "train-rbm" else "layer_sizes"
     cfg = write_config(tmp_path, "big.json", {
-        "dataset": synth_block(), key: sizes, "train": {"epochs": 2, "lr": 1e308},
+        "dataset": synth_block(), "layer_sizes": [8], "train": {"epochs": 2, "lr": 1e308},
         "out_dir": str(out),
     })
     assert main([command, "--config", str(cfg)]) == 4
@@ -142,15 +139,13 @@ def test_numeric_failure_leaves_no_out_dir(tmp_path, capsys, command, sizes):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, sizes", [("train-rbm", 8), ("pretrain-dbn", [8])],
-                         ids=["train-rbm", "pretrain-dbn"])
-def test_overflow_in_first_epoch_is_numeric_error(tmp_path, capsys, command, sizes):
+@pytest.mark.parametrize("command", ["pretrain-dbn"])
+def test_overflow_in_first_epoch_is_numeric_error(tmp_path, capsys, command):
     # One epoch at lr 1e308 overflows the forward pass without making a
     # parameter infinite; it must fail like a non-finite parameter does.
     out = tmp_path / "run"
-    key = "layer_size" if command == "train-rbm" else "layer_sizes"
     cfg = write_config(tmp_path, "big.json", {
-        "dataset": synth_block(), key: sizes, "train": {"epochs": 1, "lr": 1e308},
+        "dataset": synth_block(), "layer_sizes": [8], "train": {"epochs": 1, "lr": 1e308},
         "out_dir": str(out),
     })
     with warnings.catch_warnings(record=True) as caught:
@@ -162,27 +157,32 @@ def test_overflow_in_first_epoch_is_numeric_error(tmp_path, capsys, command, siz
 
 
 class TestTrainRbm:
+    """One feature layer: pretrain-dbn with a one-element layer_sizes."""
+
     def test_group_sparse_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = rbm_config(tmp_path, out)
-        assert main(["train-rbm", "--config", str(cfg)]) == 0
-        assert (out / "model.mndbn").is_file()
-        assert (out / "training_log.csv").is_file()
-        assert (out / "manifest.json").is_file()
-        model, meta = load_dbn(out / "model.mndbn")
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["dbn.mndbn", "layer1_log.csv",
+                                                         "manifest.json"]
+        model, meta = load_dbn(out / "dbn.mndbn")
         assert len(model.layers) == 1 and model.head is None
         assert (model.n_visible, model.n_features) == (16, 24)
         assert meta["architecture"] == "mn-dbn(g6,24)"
-        log = read_csv(out / "training_log.csv")
+        log = read_csv(out / "layer1_log.csv")
         assert log[0] == ["epoch", "recon_error", "mean_hidden_activation",
                           "mixed_norm_value", "wall_seconds"]
         assert len(log) == 3   # header + one row per epoch
+        # The console shows each layer's last epoch, as logged.
+        recon, act = float(log[-1][1]), float(log[-1][2])
+        assert (f"layer 1: 2 epochs, final reconstruction error {recon:.6f}, "
+                f"mean activation {act:.4f}") in capsys.readouterr().out
 
     def test_lambda_zero_is_tagged_vanilla(self, tmp_path):
         out = tmp_path / "run"
         cfg = rbm_config(tmp_path, out, lam=0.0)
-        assert main(["train-rbm", "--config", str(cfg)]) == 0
-        _, meta = load_dbn(out / "model.mndbn")
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
+        _, meta = load_dbn(out / "dbn.mndbn")
         assert meta["architecture"] == "rbm(24)"
 
     def test_invalid_overlap_layout_is_config_error(self, tmp_path, capsys):
@@ -190,33 +190,33 @@ class TestTrainRbm:
         out = tmp_path / "run"
         cfg = rbm_config(tmp_path, out, lam=0.1, group_size=50, overlap_pct=20.0,
                          layer_size=500)
-        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
 
     def test_unknown_dataset_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": {"name": "imagenet"},
-            "layer_size": 8,
+            "layer_sizes": [8],
             "out_dir": str(tmp_path / "run"),
         })
-        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
 
     def test_missing_required_field_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": synth_block(),
             "out_dir": str(tmp_path / "run"),
         })
-        assert main(["train-rbm", "--config", str(cfg)]) == 2
-        assert "layer_size" in capsys.readouterr().err
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
+        assert "'layer_sizes'" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": synth_block(),
-            "layer_size": 8,
+            "layer_sizes": [8],
             "learning_rate": 0.1,
             "out_dir": str(tmp_path / "run"),
         })
-        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("train", [
         {"epochs": -2}, {"batch": 0}, {"epochs": 1.5}, {"epochs": float("inf")},
@@ -228,11 +228,11 @@ class TestTrainRbm:
         out = tmp_path / "run"
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": synth_block(),
-            "layer_size": 8,
+            "layer_sizes": [8],
             "train": train,
             "out_dir": str(out),
         })
-        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -246,20 +246,20 @@ class TestTrainRbm:
     def test_invalid_penalty_is_config_error(self, tmp_path, capsys, penalty):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": synth_block(),
-            "layer_size": 8,
+            "layer_sizes": [8],
             "penalty": penalty,
             "out_dir": str(tmp_path / "run"),
         })
-        assert main(["train-rbm", "--config", str(cfg)]) == 2
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
         assert "penalty" in capsys.readouterr().err
 
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": {"name": "usps", "train_path": str(tmp_path / "nope.txt")},
-            "layer_size": 8,
+            "layer_sizes": [8],
             "out_dir": str(tmp_path / "run"),
         })
-        assert main(["train-rbm", "--config", str(cfg)]) == 3
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 3
         assert "data error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -267,21 +267,22 @@ class TestTrainRbm:
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
         cfg = rbm_config(tmp_path, out1)
-        assert main(["train-rbm", "--config", str(cfg)]) == 0
-        assert main(["train-rbm", "--config", str(out1 / "manifest.json"),
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
+        assert main(["pretrain-dbn", "--config", str(out1 / "manifest.json"),
                      "--out", str(out2)]) == 0
-        assert (out1 / "model.mndbn").read_bytes() == (out2 / "model.mndbn").read_bytes()
-        assert rows_without_wall(out1 / "training_log.csv") == \
-            rows_without_wall(out2 / "training_log.csv")
+        assert (out1 / "dbn.mndbn").read_bytes() == (out2 / "dbn.mndbn").read_bytes()
+        assert rows_without_wall(out1 / "layer1_log.csv") == \
+            rows_without_wall(out2 / "layer1_log.csv")
 
     def test_manifest_replay_rejects_wrong_command(self, tmp_path, capsys):
         out1 = tmp_path / "run1"
         cfg = rbm_config(tmp_path, out1)
-        assert main(["train-rbm", "--config", str(cfg)]) == 0
-        assert main(["pretrain-dbn", "--config", str(out1 / "manifest.json")]) == 2
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
+        assert main(["finetune", "--config", str(out1 / "manifest.json")]) == 2
+        assert "written by 'pretrain-dbn', not 'finetune'" in capsys.readouterr().err
 
     def test_thread_flag_validation(self, tmp_path, capsys):
-        assert main(["train-rbm", "--threads", "0",
+        assert main(["pretrain-dbn", "--threads", "0",
                      "--config", str(rbm_config(tmp_path, tmp_path / "r"))]) == 2
 
 
@@ -327,9 +328,9 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, case):
     else:
         dataset = {"name": "idx", "train_images": paths[0], "train_labels": paths[1]}
     out = tmp_path / "run"
-    cfg = write_config(tmp_path, "bad.json", {"dataset": dataset, "layer_size": 4,
+    cfg = write_config(tmp_path, "bad.json", {"dataset": dataset, "layer_sizes": [4],
                                               "out_dir": str(out)})
-    assert main(["train-rbm", "--config", str(cfg)]) == 3
+    assert main(["pretrain-dbn", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
     assert str(tmp_path / where) in err
@@ -391,6 +392,20 @@ class TestPretrainDbn:
         _, meta = load_dbn(out / "dbn.mndbn")
         assert meta["architecture"] == "dbn(16-12)"
 
+    def test_shared_and_per_layer_penalty_together_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "dbn.json", {
+            "dataset": synth_block(),
+            "layer_sizes": [8],
+            "penalty": {"lambda": 0.5, "group_size": 2},
+            "penalties": [{"lambda": 0.0}],
+            "out_dir": str(out),
+        })
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'penalty'" in err and "'penalties'" in err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def pretrained_run(tmp_path):
@@ -449,10 +464,10 @@ class TestFinetune:
     def test_single_rbm_model_accepted(self, tmp_path):
         rbm_out = tmp_path / "rbm"
         cfg = rbm_config(tmp_path, rbm_out)
-        assert main(["train-rbm", "--config", str(cfg)]) == 0
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
         out = tmp_path / "ft"
         ft = self.ft_config(tmp_path, out)
-        assert main(["finetune", str(rbm_out / "model.mndbn"),
+        assert main(["finetune", str(rbm_out / "dbn.mndbn"),
                      "--config", str(ft)]) == 0
         model, _ = load_dbn(out / "dbn_finetuned.mndbn")
         assert len(model.layers) == 1 and model.head is not None
@@ -732,14 +747,31 @@ class TestEntryPoint:
         assert proc.returncode == 2
 
     def test_console_script_runs_module(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = rbm_config(tmp_path, out)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mndbn.cli", "train-rbm",
-             "--config", str(cfg), "--threads", "2"],
-            capture_output=True, text=True, env=src_env())
-        assert proc.returncode == 0, proc.stderr
-        assert (out / "model.mndbn").is_file()
+        # The module runs as a console script, and the manifest of one run
+        # replays in a second process, at the same thread count, to the same
+        # model bytes and log rows.
+        run1, run2 = tmp_path / "run1", tmp_path / "run2"
+        cfg = write_config(tmp_path, "dbn.json", {
+            "dataset": synth_block(), "layer_sizes": [16, 12],
+            "penalty": {"lambda": 0.1, "group_size": 4},
+            "train": {"epochs": 2, "batch": 40, "seed": 0}, "out_dir": str(run1),
+        })
+        for args in (["--config", str(cfg)],
+                     ["--config", str(run1 / "manifest.json"), "--out", str(run2)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mndbn.cli", "pretrain-dbn", *args, "--threads", "1"],
+                capture_output=True, text=True, env=src_env())
+            assert proc.returncode == 0, proc.stderr
+        assert (run1 / "dbn.mndbn").read_bytes() == (run2 / "dbn.mndbn").read_bytes()
+        for name in ("layer1_log.csv", "layer2_log.csv"):
+            assert rows_without_wall(run1 / name) == rows_without_wall(run2 / name)
+
+    def test_train_rbm_is_a_usage_error(self, capsys):
+        # One layer trains as a one-layer pretrain-dbn stack.
+        with pytest.raises(SystemExit) as exc:
+            main(["train-rbm", "--config", "rbm.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'train-rbm'" in capsys.readouterr().err
 
 
 class TestConfigSchemaDocs:
@@ -749,6 +781,13 @@ class TestConfigSchemaDocs:
         """The JSON object under a '// heading' line of the README schema."""
         text = self.README.read_text(encoding="utf-8").split(f"// {heading}\n", 1)[1]
         return json.loads(text[: text.index("}") + 1])
+
+    def test_readme_cli_table_lists_every_subcommand(self):
+        text = self.README.read_text(encoding="utf-8")
+        table = text.split("| command | does | writes |\n", 1)[1].split("\n\n", 1)[0]
+        documented = [row.split("`")[1] for row in table.splitlines()[1:]]
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        assert documented == list(commands)
 
     @pytest.mark.parametrize("heading, block, schema", [
         ("train (CD pretraining)", "train", TrainConfig),

@@ -3,9 +3,11 @@
 The literals below were recorded before the CLI derived its config schema
 from the config dataclasses, and the refactor must not move them; the
 report digests were recorded before the report block went through
-ReportConfig. The resolved blocks are exactly what each shipped config's
-manifest records under "config". The run digests come from the synthetic
-smoke configs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS
+ReportConfig. The report manifest's digest was re-recorded once, when the
+single-layer run left the smoke tree and took its tiles and histogram out
+of the artifact list. The resolved blocks are exactly what each shipped
+config's manifest records under "config". The run digests come from the
+synthetic smoke configs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS
 build may round the model digests differently). Wall-clock durations are
 masked.
 """
@@ -64,13 +66,6 @@ def run_smoke(root: Path) -> dict:
         "finetune": _smoke("synthetic_smoke_finetune.json", "finetune", 5),
     }
     pretrain = runs["pretrain-dbn"]
-    runs["train-rbm"] = {
-        "dataset": pretrain["dataset"],
-        "layer_size": 100,
-        "penalty": pretrain["penalty"],
-        "train": pretrain["train"],
-        "out_dir": "runs/synthetic_smoke/rbm",
-    }
     runs["evaluate"] = {
         "model_path": "runs/synthetic_smoke/finetune/dbn_finetuned.mndbn",
         "dataset": pretrain["dataset"],
@@ -330,16 +325,11 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
                   'manifest.json': '5fc4cabb08919f62'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
-            'manifest.json': '8572208824f00863',
+            'manifest.json': '58a2785e60db3b6f',
             'pretrain_dbn_activations.csv': 'ffb80f85ba1e81a2',
             'pretrain_dbn_tiles.pgm': '86bbc4fd4a073bdf',
-            'rbm_model_activations.csv': '590d66f1b51782a0',
-            'rbm_model_tiles.pgm': '0d27ba7b41136bae',
             'results.csv': 'a481e38be8a44022',
-            'results.txt': '30550122e909b55e'},
- 'train-rbm': {'manifest.json': '85a6f3090478f6f0',
-               'model.mndbn': '10763262dd13e22c',
-               'training_log.csv': '66bbcd8911428ff3'}}
+            'results.txt': '30550122e909b55e'}}
 
 
 def test_every_shipped_config_is_pinned():

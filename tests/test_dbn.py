@@ -50,7 +50,7 @@ class TestPretrainGreedy:
         cfg = penalty(6, 3, lam=0.1)
         params = TrainConfig(epochs=3, batch_size=20, seed=0)
         d, logs = pretrain_greedy(train, [6], [cfg], params, Rng(9))
-        direct, direct_log = train_mnrbm(train, 6, cfg, params, Rng(9).spawn(0))
+        direct, direct_log = train_mnrbm(train.images, 6, cfg, params, Rng(9).spawn(0))
         assert (d.layers[0].w == direct.w).all()
         assert (d.layers[0].b_vis == direct.b_vis).all()
         assert (d.layers[0].a_hid == direct.a_hid).all()
@@ -63,7 +63,7 @@ class TestPretrainGreedy:
         root = Rng(11)
         d, _ = pretrain_greedy(train, [3, 2], cfg, params, root)
 
-        m1, _ = train_mnrbm(train, 3, cfg[0], params, Rng(11).spawn(0))
+        m1, _ = train_mnrbm(train.images, 3, cfg[0], params, Rng(11).spawn(0))
         x2 = prob_h_given_x(m1, train.images)
         m2, _ = train_mnrbm(x2, 2, cfg[1], params, Rng(11).spawn(1))
         assert (d.layers[0].w == m1.w).all()

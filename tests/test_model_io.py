@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_params, random_rbm
+from conftest import flat_params, random_rbm, write_legacy_rbm
 from mndbn.dbn import Dbn, SoftmaxLayer, attach_head
 from mndbn.rbm import Rbm
 from mndbn.errors import DataError
@@ -18,34 +18,35 @@ from mndbn.model_io import (
     MAGIC,
     load_dbn,
     save_dbn,
-    save_rbm,
 )
 
 
 class TestRbmRoundTrip:
+    """One feature layer is a one-layer stack, written by save_dbn."""
+
     def test_parameters_and_bytes_survive(self, tmp_path):
         m = random_rbm(0, 7, 5)
         p1 = tmp_path / "m1.mndbn"
         p2 = tmp_path / "m2.mndbn"
-        save_rbm(m, p1, meta={"note": "x"})
+        save_dbn(Dbn([m]), p1, meta={"note": "x"})
         d, meta = load_dbn(p1)
-        back = d.layers[0]
-        assert (flat_params(back) == flat_params(m)).all()
+        assert len(d.layers) == 1 and d.head is None
+        assert (flat_params(d.layers[0]) == flat_params(m)).all()
         assert meta == {"note": "x"}
-        save_rbm(back, p2, meta=meta)
+        save_dbn(d, p2, meta=meta)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_is_inspectable_json(self, tmp_path):
-        m = random_rbm(1, 3, 2)
         p = tmp_path / "m.mndbn"
-        save_rbm(m, p)
+        save_dbn(Dbn([random_rbm(1, 3, 2)]), p)
         blob = p.read_bytes()
         assert blob.startswith(MAGIC)
         (hlen,) = struct.unpack("<I", blob[len(MAGIC):len(MAGIC) + 4])
         header = json.loads(blob[len(MAGIC) + 4:len(MAGIC) + 4 + hlen])
-        assert header["kind"] == "rbm"
+        assert header["kind"] == "dbn"
         assert header["version"] == FORMAT_VERSION
-        assert (header["n_visible"], header["n_hidden"]) == (3, 2)
+        assert header["layers"] == [{"n_visible": 3, "n_hidden": 2}]
+        assert header["head"] is None
 
 
 class TestDbnRoundTrip:
@@ -78,12 +79,13 @@ class TestDbnRoundTrip:
 
 
 class TestLoadModelDispatch:
-    """load_dbn reads both kinds; the header's kind picks the layout."""
+    """load_dbn reads both kinds, the legacy rbm one included; the header's
+    kind picks the layout."""
 
     def test_dispatches_on_kind(self, tmp_path):
         pr = tmp_path / "r.mndbn"
         pd = tmp_path / "d.mndbn"
-        save_rbm(random_rbm(5, 3, 2), pr, meta={"k": 1})
+        write_legacy_rbm(random_rbm(5, 3, 2), pr, meta={"k": 1})
         d = attach_head(Dbn([random_rbm(6, 3, 2)]), 4)
         save_dbn(d, pd)
         mr, meta_r = load_dbn(pr)
@@ -93,11 +95,11 @@ class TestLoadModelDispatch:
         assert (md.head.w_out == d.head.w_out).all()
 
     def test_rbm_file_is_a_headless_one_layer_network(self, tmp_path):
-        # The rbm writer's bytes are pinned, so the file read here is the
-        # one train-rbm has always written.
+        # The helper's bytes are pinned to what the removed single-layer
+        # writer made, so older rbm files keep loading.
         m = random_rbm(5, 3, 2)
         p = tmp_path / "r.mndbn"
-        save_rbm(m, p, meta={"k": 1})
+        write_legacy_rbm(m, p, meta={"k": 1})
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "15eeebee5777bc76dd2d1e93907fda7712f3cccf309ae0a71041144b997da0b6")
         d, meta = load_dbn(p)
@@ -117,7 +119,7 @@ class TestLoadModelDispatch:
 class TestCorruption:
     def good_bytes(self, tmp_path):
         p = tmp_path / "good.mndbn"
-        save_rbm(random_rbm(7, 3, 2), p)
+        save_dbn(Dbn([random_rbm(7, 3, 2)]), p)
         return p.read_bytes()
 
     def test_short_file(self, tmp_path):
@@ -186,6 +188,8 @@ class TestCorruption:
         ({"kind": "rbm", "version": "1", "n_visible": 3, "n_hidden": 2}, 11),
         ({"kind": "rbm", "version": 1.0, "n_visible": 3, "n_hidden": 2}, 11),
         ({"kind": "rbm", "version": True, "n_visible": 3, "n_hidden": 2}, 11),
+        *[({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2}],
+            "head": head}, 11) for head in ({}, False, 0, [])],     # falsy, yet not null
         pytest.param(b"[" * 100000, 0, id="nested-too-deep"),
         pytest.param(b'{"kind": "rbm", "version": 1, "n_visible": ' + b"3" * 5000 + b"}", 0,
                      id="int-too-long"),
