@@ -27,8 +27,6 @@ _EXPORTS = {
     "sample_bernoulli": "core",
     "GroupPartition": "groups",
     "make_partition": "groups",
-    "expand": "groups",
-    "accumulate": "groups",
     "Rbm": "rbm",
     "CdStats": "rbm",
     "Velocity": "rbm",

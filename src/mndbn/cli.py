@@ -422,9 +422,6 @@ def cmd_finetune(args) -> int:
     from .model_io import save_dbn
 
     d, meta, train, test = _load_run(resolved)
-    top = max(int(ds.labels.max()) for ds in (train, test) if ds is not None)
-    if top >= ft.n_classes:
-        raise ConfigError(f"finetune: n_classes is {ft.n_classes}, but the largest label is {top}")
     attach_head(d, ft.n_classes)
     t0 = time.perf_counter()
     d, log = fine_tune(d, train, ft.epochs, ft, Rng(ft.seed), eval_dataset=test)
@@ -545,11 +542,11 @@ def cmd_report(args) -> int:
                 RunRecord(
                     architecture=blob["architecture"],
                     dataset=blob["dataset"],
-                    accuracy_pct=float(blob["accuracy_pct"]),
-                    wall_seconds=float(blob["wall_seconds"]),
+                    accuracy_pct=blob["accuracy_pct"],
+                    wall_seconds=blob["wall_seconds"],
                 )
             )
-        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             warnings.append(f"{path}: unreadable metrics ({exc})")
     empty = not records and not model_paths
     results_table(records, out_dir / "results.csv", out_dir / "results.txt", include_reference=not empty)

@@ -111,11 +111,12 @@ def sample_bernoulli(p, rng: Rng, out=None):
 
 
 def require_finite(name: str, arr) -> None:
-    """Raise NumericError if any entry is NaN or infinite. min and max
-    carry a NaN through, so no per-entry temporary is made."""
-    arr = np.asarray(arr)
-    if arr.size and not (-np.inf < arr.min() and arr.max() < np.inf):
-        raise NumericError(f"non-finite values detected in {name}")
+    """Raise NumericError if any entry is NaN or infinite. One pass, in
+    blocks of _BLOCK_VALUES entries, so the bool temporary stays small."""
+    flat = np.ravel(arr)
+    for lo in range(0, flat.size, _BLOCK_VALUES):
+        if not np.isfinite(flat[lo : lo + _BLOCK_VALUES]).all():
+            raise NumericError(f"non-finite values detected in {name}")
 
 
 @contextlib.contextmanager

@@ -193,6 +193,8 @@ class FineTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method not in ("cg", "gd"):
             raise ConfigError(f"method must be 'cg' or 'gd', got {self.method!r}")
         if self.batch_size < 1 or self.cg_iters < 1:

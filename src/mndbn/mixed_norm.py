@@ -73,6 +73,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.batch_size < 1 or self.cd_k < 1:
             raise ConfigError(
                 "need epochs >= 0, batch_size >= 1 and cd_k >= 1, got "

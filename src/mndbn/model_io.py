@@ -91,7 +91,7 @@ def load_dbn(path) -> tuple[Dbn, dict]:
 
     The header must be an object of format version FORMAT_VERSION whose
     shapes are positive integers, and the payload must hold exactly the
-    arrays those shapes call for.
+    arrays those shapes call for, every value finite.
     """
     header, payload = _read_header(path)
     found = header.get("kind")
@@ -118,6 +118,8 @@ def load_dbn(path) -> tuple[Dbn, dict]:
     if len(payload) != need:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, the header needs {need}")
     flat = np.frombuffer(payload, dtype="<f8").astype(float)
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: the parameters hold NaN or infinite values")
     arrays, pos = [], 0
     for s in shapes:
         size = math.prod(s)

@@ -80,6 +80,14 @@ class RunRecord:
     accuracy_pct: float
     wall_seconds: float
 
+    def __post_init__(self):
+        if not (isinstance(self.architecture, str) and isinstance(self.dataset, str)):
+            raise TypeError("architecture and dataset must be strings")
+        for value in (self.accuracy_pct, self.wall_seconds):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
+                raise ValueError(f"accuracy_pct/wall_seconds must be finite numbers, got {value!r}")
+
 
 def weight_tiles(m: Rbm, grid, out_path) -> np.ndarray:
     """Render hidden-unit weight columns as a grid of grayscale tiles.

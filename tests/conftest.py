@@ -123,17 +123,6 @@ ORACLE_LAYOUTS = [
 ]
 
 
-def reference_accumulate(aug_values, p):
-    """`accumulate` as a loop over the groups: each group adds its window of
-    the augmented axis onto its units, groups in ascending order."""
-    out = np.zeros(aug_values.shape[:-1] + (p.j_original,))
-    for k in range(p.num_groups):
-        lo, hi = k * p.group_size, (k + 1) * p.group_size
-        start = int(p.aug_to_orig[lo])
-        out[..., start : start + p.group_size] += aug_values[..., lo:hi]
-    return out
-
-
 def reference_group_norm_sums(h, p):
     """Each row's group norms added over the groups, with the groups moved
     to the outer axis of one contiguous (num_groups, rows) array, so numpy

@@ -28,7 +28,7 @@ from mndbn.dbn import (
     _loss_only,
 )
 from mndbn.data import load_usps
-from mndbn.groups import accumulate, expand, make_partition
+from mndbn.groups import accumulate, divide_accumulate, expand, group_norms, make_partition
 from mndbn.mixed_norm import PenaltyConfig, TrainConfig, mixed_norm, penalty_grad, train_mnrbm
 from mndbn.rbm import (
     Rbm,
@@ -116,11 +116,11 @@ def test_criterion_2_penalty_gradient_matches_finite_differences():
             part = cfg.partition
             p = prob_h_given_x(m, x)
             grouped = expand(p, part).reshape(part.num_groups, part.group_size)
-            group_norms = np.linalg.norm(grouped, axis=1)
+            norms = np.linalg.norm(grouped, axis=1)
             # units whose every group copy sits in a vanishing group are
             # excluded; here all norms are far above the 1e-7 floor
             unit_ok = accumulate(
-                np.repeat(group_norms > 1e-7, part.group_size).astype(float), part
+                np.repeat(norms > 1e-7, part.group_size).astype(float), part
             ) > 0.0
             gw, ga = penalty_grad(m, x, cfg)
             fw, fa = fd_grad(m, x, cfg)
@@ -156,31 +156,49 @@ def test_criterion_3_joint_distribution_normalizes():
 def test_criterion_4_overlap_algebra():
     shapes = [(6, 4, 0.5), (100, 20, 0.2), (100, 50, 0.5)]
     worst = 0.0
+    kernels_exact = True
     for j, g, a in shapes:
         part = make_partition(j, g, a)
         for trial in range(100):
             r = Rng(j * 1000 + trial)
             v = r.normal((part.j_original,))
-            u = r.normal((part.j_augmented,))
+            u = r.normal((part.num_groups * g,))
             lhs = float(expand(v, part) @ u)
             rhs = float(v @ accumulate(u, part))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        # the index-table kernels against their augmented-axis compositions:
+        # each group's l2 norm over its copies (members added in ascending
+        # order), and the per-copy quotients summed back per unit
+        r = Rng(j + g)
+        v = r.normal((7, j))
+        d = r.uniform((7, part.num_groups)) + 0.5
+        copies = expand(v, part).reshape(7, part.num_groups, g)
+        squares = copies[..., 0] * copies[..., 0]
+        for i in range(1, g):
+            squares = squares + copies[..., i] * copies[..., i]
+        quotients = accumulate(expand(v, part) / np.repeat(d, g, axis=-1), part)
+        kernels_exact = (kernels_exact
+                         and np.array_equal(group_norms(v, part), np.sqrt(squares))
+                         and np.array_equal(divide_accumulate(v, d, part), quotients))
     # zero overlap is the disjoint tiling written out: each unit is its own
     # single copy, so both maps are the identity
     zero_overlap = make_partition(12, 3, 0.0)
     v = Rng(0).normal((12,))
-    u = Rng(1).normal((zero_overlap.j_augmented,))
+    u = Rng(1).normal((12,))
     bit_identical = (
-        zero_overlap.j_augmented == 12
-        and (zero_overlap.aug_to_orig == np.arange(12)).all()
+        zero_overlap.stride == 3
+        and zero_overlap.num_groups * zero_overlap.group_size == 12
+        and (expand(np.arange(12, dtype=float), zero_overlap) == np.arange(12)).all()
         and zero_overlap.cover.shape == (1, 12)
         and (zero_overlap.cover[0] == np.arange(12) // 3).all()
         and (expand(v, zero_overlap) == v).all()
         and (accumulate(u, zero_overlap) == u).all()
     )
-    verdict(4, worst <= 1e-12 and bit_identical,
+    verdict(4, worst <= 1e-12 and bit_identical and kernels_exact,
             f"adjointness error {worst:.2e} <= 1e-12 on 3 shapes x 100 pairs, "
-            f"zero overlap is the disjoint tiling, maps the identity: {bit_identical}")
+            f"zero overlap is the disjoint tiling, maps the identity: {bit_identical}, "
+            f"group_norms/divide_accumulate equal their augmented-axis compositions: "
+            f"{kernels_exact}")
 
 
 def _paired_sparsity_runs(train, number, context):

@@ -222,7 +222,7 @@ class TestTrainRbm:
         {"epochs": -2}, {"batch": 0}, {"epochs": 1.5}, {"epochs": float("inf")},
         {"epochs": 1, "lr": -1}, {"epochs": 0, "lr": -1}, {"lr": 0}, {"lr": float("nan")},
         {"momentum": 1.0}, {"momentum": -0.1}, {"final_momentum": 1.0},
-        {"final_momentum": -0.5}, {"cd_k": 0},
+        {"final_momentum": -0.5}, {"cd_k": 0}, {"seed": -1},
     ])
     def test_invalid_schedule_is_config_error(self, tmp_path, capsys, train):
         out = tmp_path / "run"
@@ -490,7 +490,8 @@ class TestFinetune:
     @pytest.mark.parametrize("block", [{"method": "newton"}, {"batch": 0}, {"head_only": 1},
                                        {"cg_iters": "3"}, {"momentum": 0.5},
                                        {"c1": float("nan")}, {"lr": float("nan")},
-                                       {"max_backtracks": 0}, {"c1": 1.0}, {"c1": 1e300}])
+                                       {"max_backtracks": 0}, {"c1": 1.0}, {"c1": 1e300},
+                                       {"seed": -1}])
     def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
         out = tmp_path / "ft"
         cfg = self.ft_config(tmp_path, out, extra=block)
@@ -507,7 +508,7 @@ class TestFinetune:
                      "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         top = int(synth.make_synthetic(120, 40, side=4, seed=0)[0].labels.max())
-        assert "config error: finetune:" in err and f"largest label is {top}" in err
+        assert "config error:" in err and f"largest label is {top}" in err
         assert not out.exists()
 
     def test_malformed_model_header_is_data_error(self, tmp_path, capsys):
@@ -522,6 +523,28 @@ class TestFinetune:
     def test_model_path_required(self, tmp_path, capsys):
         cfg = self.ft_config(tmp_path, tmp_path / "ft")
         assert main(["finetune", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("from_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("command, block", [("pretrain-dbn", "train"), ("finetune", "finetune")])
+def test_negative_seed_is_config_error_before_data_loads(tmp_path, capsys, command, block,
+                                                         from_flag):
+    # The model and data files are missing: reading either would be a data error.
+    out = tmp_path / "out"
+    payload = {"dataset": {"name": "usps", "train_path": str(tmp_path / "nope.txt")},
+               "out_dir": str(out)}
+    argv = [command]
+    if command == "pretrain-dbn":
+        payload["layer_sizes"] = [8]
+    else:
+        argv.append(str(tmp_path / "nope.mndbn"))
+    if from_flag:
+        argv += ["--seed", "-1"]
+    else:
+        payload[block] = {"seed": -1}
+    assert main([*argv, "--config", str(write_config(tmp_path, "c.json", payload))]) == 2
+    assert f"config error: {block}: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])
@@ -566,6 +589,19 @@ class TestEvaluate:
         top = int(synth.make_synthetic(120, 40, side=4, seed=0)[1].labels.max())
         assert "config error:" in err and "head has 5 classes" in err
         assert f"largest label is {top}" in err
+        assert not out.exists()
+
+    def test_non_finite_model_is_data_error(self, tmp_path, pretrained_run, capsys):
+        model, _ = load_dbn(pretrained_run / "dbn.mndbn")
+        attach_head(model, 10).layers[0].w[0, 0] = np.nan
+        save_dbn(model, tmp_path / "nan.mndbn")
+        out = tmp_path / "ev"
+        cfg = write_config(tmp_path, "ev.json", {
+            "dataset": synth_block(n_test=40),
+            "out_dir": str(out),
+        })
+        assert main(["evaluate", str(tmp_path / "nan.mndbn"), "--config", str(cfg)]) == 3
+        assert "data error:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_finetuned_model_evaluates(self, tmp_path, pretrained_run):
@@ -679,6 +715,22 @@ class TestReport:
         assert "cannot reload dataset for histogram" in err
         assert "unreadable metrics" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("architecture", 5), ("dataset", ["u"]), ("accuracy_pct", float("nan")),
+        ("accuracy_pct", float("-inf")), ("wall_seconds", float("inf")),
+        ("accuracy_pct", "12.5"), ("wall_seconds", True), ("wall_seconds", 10**400),
+    ])
+    def test_malformed_metrics_are_warnings(self, tmp_path, pretrained_run, capsys, field,
+                                            value):
+        metrics = {"architecture": "rbm(16)", "dataset": "synthetic", "accuracy_pct": 50.0,
+                   "wall_seconds": 1.0, field: value}
+        (pretrained_run / "metrics.json").write_text(json.dumps(metrics))
+        out = tmp_path / "report"
+        assert main(["report", str(pretrained_run), "--out", str(out)]) == 0
+        assert "unreadable metrics" in capsys.readouterr().err
+        table = read_csv(out / "results.csv")
+        assert [row[-1] for row in table[1:]] == ["reference"] * len(report.REFERENCE_RESULTS)
+
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2
 
@@ -788,6 +840,11 @@ class TestConfigSchemaDocs:
         documented = [row.split("`")[1] for row in table.splitlines()[1:]]
         commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
         assert documented == list(commands)
+
+    def test_readme_penalty_block_lists_the_resolved_keys(self):
+        resolved, _ = cli._resolve_penalty({}, 8, "penalty")
+        documented = self.readme_block("penalty (per layer): lambda 0 disables the regularizer")
+        assert sorted(documented) == sorted(resolved)
 
     @pytest.mark.parametrize("heading, block, schema", [
         ("train (CD pretraining)", "train", TrainConfig),

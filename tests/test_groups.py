@@ -1,19 +1,21 @@
 """Hidden-unit group partitions: layout math, expand/accumulate pair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import ORACLE_LAYOUTS, reference_accumulate
+from conftest import ORACLE_LAYOUTS
 from mndbn.core import Rng
 from mndbn.errors import ConfigError
-from mndbn.groups import accumulate, divide_accumulate, expand, make_partition
+from mndbn.groups import GroupPartition, accumulate, divide_accumulate, expand, make_partition
 
 
 class TestNonOverlapping:
     def test_500_units_groups_of_5(self):
         p = make_partition(500, 5)
-        assert (p.num_groups, p.j_augmented, p.stride) == (100, 500, 5)
-        assert (p.aug_to_orig == np.arange(500)).all()
+        assert (p.num_groups, p.num_groups * p.group_size, p.stride) == (100, 500, 5)
+        assert (expand(np.arange(500, dtype=float), p) == np.arange(500)).all()
         assert (p.cover == np.arange(500) // 5).all() and p.cover.shape == (1, 500)
 
     def test_whole_layer_single_group(self):
@@ -32,13 +34,14 @@ class TestNonOverlapping:
 class TestOverlapping:
     def test_layout_100_20_20pct(self):
         p = make_partition(100, 20, 0.2)
-        assert (p.num_groups, p.j_augmented, p.stride) == (6, 120, 16)
+        assert (p.num_groups, p.num_groups * p.group_size, p.stride) == (6, 120, 16)
         # group k covers units [16 k, 16 k + 20)
-        assert (p.aug_to_orig == (16 * np.arange(6)[:, None] + np.arange(20)).ravel()).all()
+        assert (expand(np.arange(100, dtype=float), p)
+                == (16 * np.arange(6)[:, None] + np.arange(20)).ravel()).all()
 
     def test_layout_100_50_50pct(self):
         p = make_partition(100, 50, 0.5)
-        assert (p.num_groups, p.j_augmented, p.stride) == (3, 150, 25)
+        assert (p.num_groups, p.num_groups * p.group_size, p.stride) == (3, 150, 25)
 
     def test_layout_100_50_20pct_rejected(self):
         # stride 40 does not tile 100 units with groups of 50
@@ -47,8 +50,8 @@ class TestOverlapping:
 
     def test_layout_6_4_50pct(self):
         p = make_partition(6, 4, 0.5)
-        assert (p.num_groups, p.j_augmented, p.stride) == (2, 8, 2)
-        assert p.aug_to_orig.tolist() == [0, 1, 2, 3, 2, 3, 4, 5]
+        assert (p.num_groups, p.num_groups * p.group_size, p.stride) == (2, 8, 2)
+        assert expand(np.arange(6, dtype=float), p).tolist() == [0, 1, 2, 3, 2, 3, 4, 5]
         # units 2 and 3 lie in both groups; the padding index 2 marks "none"
         assert p.cover.tolist() == [[0, 0, 0, 0, 1, 1], [2, 2, 1, 1, 2, 2]]
 
@@ -60,7 +63,10 @@ class TestOverlapping:
                 covering = np.flatnonzero((starts <= unit) & (unit < starts + g)).tolist()
                 listed = [int(k) for k in p.cover[:, unit] if k < p.num_groups]
                 assert listed == covering
-            assert p.cover.shape[0] == max(np.bincount(p.aug_to_orig))
+            # one row per window over the most-covered unit
+            units = np.arange(j)
+            counts = ((starts[:, None] <= units) & (units < starts[:, None] + g)).sum(axis=0)
+            assert p.cover.shape[0] == counts.max()
 
     def test_non_integral_stride_rejected(self):
         with pytest.raises(ConfigError):
@@ -96,9 +102,13 @@ class TestMakePartition:
         with pytest.raises(ConfigError):
             make_partition(j, group_size, overlap)
 
+    def test_partition_holds_only_the_window_layout(self):
+        names = [f.name for f in dataclasses.fields(GroupPartition)]
+        assert names == ["j_original", "group_size", "num_groups", "stride", "cover"]
+
     def test_overlap_defaults_to_disjoint(self):
         p = make_partition(12, 3)
-        assert (p.stride, p.num_groups, p.overlap_fraction) == (3, 4, 0.0)
+        assert (p.stride, p.num_groups) == (3, 4) and p.stride == p.group_size
         assert p.cover.tolist() == [(np.arange(12) // 3).tolist()]
 
 
@@ -129,7 +139,7 @@ class TestExpandAccumulate:
             for trial in range(20):
                 r = Rng(1000 * j + trial)
                 v = r.normal((p.j_original,))
-                u = r.normal((p.j_augmented,))
+                u = r.normal((p.num_groups * g,))
                 lhs = float(expand(v, p) @ u)
                 rhs = float(v @ accumulate(u, p))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -139,15 +149,6 @@ class TestExpandAccumulate:
         v = Rng(2).normal((10,))
         assert (expand(v, p) == v).all()
         assert (accumulate(v, p) == v).all()
-
-    def test_accumulate_matches_group_loop_bit_for_bit(self):
-        for j, g, a in ORACLE_LAYOUTS:
-            p = make_partition(j, g, a)
-            r = Rng(j + g)
-            for shape in [(p.j_augmented,), (1, p.j_augmented), (7, p.j_augmented),
-                          (100, p.j_augmented)]:
-                u = r.normal(shape)
-                assert np.array_equal(accumulate(u, p), reference_accumulate(u, p))
 
     def test_wrong_length_rejected(self):
         p = make_partition(6, 4, 0.5)
@@ -164,7 +165,7 @@ class TestExpandAccumulate:
                 u = r.normal(rows + (j,))
                 d = r.uniform(rows + (p.num_groups,)) + 0.5
                 copies = expand(u, p) / np.repeat(d, g, axis=-1)
-                assert np.array_equal(divide_accumulate(u, d, p), reference_accumulate(copies, p))
+                assert np.array_equal(divide_accumulate(u, d, p), accumulate(copies, p))
 
     def test_divide_accumulate_into_out_across_row_blocks(self):
         # divide_accumulate takes all the rows it is given at once; 70 rows of
@@ -175,7 +176,7 @@ class TestExpandAccumulate:
             for rows in [(), (70,)]:
                 u = r.normal(rows + (j,))
                 d = r.uniform(rows + (p.num_groups,)) + 0.5
-                want = reference_accumulate(expand(u, p) / np.repeat(d, g, axis=-1), p)
+                want = accumulate(expand(u, p) / np.repeat(d, g, axis=-1), p)
                 out = np.full_like(u, np.nan)
                 assert divide_accumulate(u, d, p, out=out) is out
                 assert np.array_equal(out, want)

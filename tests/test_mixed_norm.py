@@ -10,12 +10,11 @@ from conftest import (
     ORACLE_LAYOUTS,
     flat_params,
     random_rbm,
-    reference_accumulate,
     reference_group_norm_sums,
 )
 from mndbn.core import _BLOCK_VALUES, Rng, row_blocks
 from mndbn.errors import NumericError
-from mndbn.groups import divide_accumulate, group_norms, make_partition
+from mndbn.groups import accumulate, divide_accumulate, expand, group_norms, make_partition
 from mndbn.mixed_norm import (
     PenaltyConfig,
     TrainConfig,
@@ -190,7 +189,7 @@ class TestPenaltyGrad:
 
 def _grouped(h, part):
     """The probabilities copied onto the augmented axis, one row per group."""
-    pe = h[..., part.aug_to_orig]
+    pe = expand(h, part)
     return pe.reshape(pe.shape[:-1] + (part.num_groups, part.group_size))
 
 
@@ -206,7 +205,7 @@ def reference_penalty_grad(m, x, cfg):
     grouped = _grouped(p, cfg.partition)
     norms = np.sqrt((grouped * grouped).sum(axis=-1, keepdims=True))
     s = grouped * grouped * (1.0 - grouped) / np.maximum(norms, cfg.epsilon)
-    s_orig = reference_accumulate(s.reshape(s.shape[:-2] + (-1,)), cfg.partition)
+    s_orig = accumulate(s.reshape(s.shape[:-2] + (-1,)), cfg.partition)
     if x.ndim == 1:
         return np.outer(x, s_orig), s_orig
     return x.T @ s_orig / x.shape[0], s_orig.mean(axis=0)

@@ -163,6 +163,15 @@ class TestCorruption:
         with pytest.raises(DataError):
             load_dbn(p)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter(self, tmp_path, value):
+        # training never writes such a file; the last float is a hidden bias
+        blob = self.good_bytes(tmp_path)
+        p = tmp_path / "bad.mndbn"
+        p.write_bytes(blob[:-8] + struct.pack("<d", value))
+        with pytest.raises(DataError, match="NaN or infinite"):
+            load_dbn(p)
+
     @pytest.mark.parametrize("header, n_floats", [
         ([1, 2], 0),                                            # not an object
         ("rbm", 0),
