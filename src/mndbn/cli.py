@@ -321,6 +321,9 @@ def _resolve_pretrain(args, config: dict):
     if not isinstance(raw_sizes, list) or not raw_sizes:
         raise ConfigError("config field 'layer_sizes' must be a non-empty list")
     sizes = [_coerce(s, "int", f"layer_sizes[{i}]") for i, s in enumerate(raw_sizes)]
+    for i, size in enumerate(sizes):
+        if size < 1:
+            raise ConfigError(f"config field 'layer_sizes[{i}]' must be >= 1, got {size}")
     raw_pens = config.get("penalties", [config.get("penalty")] * len(sizes))
     if not isinstance(raw_pens, list):
         raise ConfigError("config field 'penalties' must be a list (one block per layer)")
@@ -417,12 +420,13 @@ def cmd_finetune(args) -> int:
     resolved, ft = _resolve_finetune(args, _load_config(args.config, "finetune"))
 
     from .core import Rng
+    from .data import NUM_CLASSES
     from .dbn import FineTuneEpoch, attach_head, evaluate, fine_tune
     from .mixed_norm import write_training_log
     from .model_io import save_dbn
 
     d, meta, train, test = _load_run(resolved)
-    attach_head(d, ft.n_classes)
+    attach_head(d, NUM_CLASSES)
     t0 = time.perf_counter()
     d, log = fine_tune(d, train, ft.epochs, ft, Rng(ft.seed), eval_dataset=test)
     elapsed = time.perf_counter() - t0

@@ -3,9 +3,9 @@
 Layers are pretrained greedily, bottom up, each on the mean-field hidden
 probabilities of the layer below. Classification attaches a softmax head
 on top of the deepest feature layer; supervised fine-tuning runs nonlinear
-conjugate gradients (Polak-Ribiere with restarts) over mini-batches, with a
-plain gradient-descent fallback. Visible biases take no part in the
-feedforward pass, so fine-tuning leaves them untouched.
+conjugate gradients (Polak-Ribiere with restarts) over mini-batches.
+Visible biases take no part in the feedforward pass, so fine-tuning leaves
+them untouched.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Rng, _overflow_raises, require_finite
-from .data import NUM_CLASSES, shuffle_split
+from .data import shuffle_split
 from .errors import ConfigError
 from .mixed_norm import EpochStats, train_mnrbm
 from .rbm import prob_h_given_x
@@ -167,44 +167,26 @@ def pretrain_greedy(dataset, layer_sizes, cfgs, params, rng: Rng):
 class FineTuneConfig:
     """Knobs for supervised fine-tuning.
 
-    method "cg" runs cg_iters conjugate-gradient iterations per mini-batch
-    with Armijo backtracking; "gd" takes the same number of fixed-step
-    gradient moves instead. Every mini-batch starts from steepest descent,
-    and within a batch the direction resets to steepest descent whenever
-    it stops descending (Polak-Ribiere with beta clipped at zero).
+    Each mini-batch gets cg_iters Polak-Ribiere iterations with Armijo
+    backtracking, starting from steepest descent and resetting to it
+    whenever the direction stops descending (beta clipped at zero).
     head_only moves the head alone; fine_tune says what a batch costs.
-
-    epochs, n_classes and seed describe the run around fine_tune, as
-    TrainConfig.seed does for pretraining: the caller passes them to
-    fine_tune (epochs by position, as the benchmark does), attach_head
-    and Rng.
+    epochs and seed describe the run around fine_tune, as TrainConfig.seed
+    does for pretraining: the caller passes them to fine_tune (epochs by
+    position, as the benchmark does) and Rng.
     """
 
     batch_size: int = 1000
     cg_iters: int = 3
-    method: str = "cg"
-    lr: float = 0.1
-    c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 30
     epochs: int = 30
     head_only: bool = False
-    n_classes: int = NUM_CLASSES
     seed: int = 0
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.method not in ("cg", "gd"):
-            raise ConfigError(f"method must be 'cg' or 'gd', got {self.method!r}")
         if self.batch_size < 1 or self.cg_iters < 1:
             raise ConfigError("batch_size and cg_iters must be >= 1")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ConfigError(f"backtrack factor must be in (0, 1), got {self.backtrack}")
-        if not (self.lr > 0.0 and 0.0 < self.c1 < 1.0):
-            raise ConfigError(f"need lr > 0 and c1 in (0, 1), got {self.lr} and {self.c1}")
-        if self.max_backtracks < 1:
-            raise ConfigError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 
 
 @dataclass
@@ -294,26 +276,30 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     return loss, grad
 
 
-def _armijo(d, params, direction, loss0, slope, x, y, cfg, alpha0):
+# Armijo sufficient-decrease constant, step shrink factor and trial budget.
+_C1, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 30
+
+
+def _armijo(d, params, direction, loss0, slope, x, y, alpha0):
     """Backtracking line search satisfying the Armijo condition.
 
-    Starts from the adaptive trial step alpha0 and shrinks geometrically,
+    Starts from the adaptive trial step alpha0 and shrinks by _BACKTRACK,
     writing each trial point into params, the vector _bind returned. Returns
     the accepted step, its loss and the activations of its forward pass,
     with params holding the accepted point; or (None, loss0, None) when
-    max_backtracks shrinkings never reach sufficient decrease, with params
+    _MAX_BACKTRACKS trials never reach sufficient decrease, with params
     restored.
     """
     theta = params.copy()
     alpha = alpha0
-    for _ in range(cfg.max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         np.multiply(direction, alpha, out=params)
         params += theta
         trial, acts = _loss_only(d, x, y)
-        if np.isfinite(trial) and trial <= loss0 + cfg.c1 * alpha * slope:
+        if np.isfinite(trial) and trial <= loss0 + _C1 * alpha * slope:
             return alpha, trial, acts
         del acts  # keep one trial's activations alive at a time
-        alpha *= cfg.backtrack
+        alpha *= _BACKTRACK
     params[:] = theta
     return None, loss0, None
 
@@ -337,9 +323,7 @@ def _cg_batch(d, params, x, y, cfg, alpha_prev):
         if slope >= 0.0:
             direction = -g
             slope = -gg
-        alpha, loss, acts = _armijo(
-            d, params, direction, loss, slope, x, y, cfg, 2.0 * alpha_prev
-        )
+        alpha, loss, acts = _armijo(d, params, direction, loss, slope, x, y, 2.0 * alpha_prev)
         if alpha is None:
             break
         alpha_prev = alpha
@@ -363,21 +347,20 @@ def fine_tune(
 ):
     """Supervised fine-tuning of the feedforward parameters.
 
-    Runs cfg.cg_iters conjugate-gradient (or plain gradient) iterations on
-    each mini-batch, a fresh steepest-descent direction per batch, and
-    logs one row per epoch (epoch loss and accuracies are measured on the
-    full splits after the epoch's updates). epochs is its own argument,
-    not cfg.epochs, because the benchmark passes it by position. Zero
-    epochs returns the model untouched with an empty log; otherwise its
-    trained arrays come back as views of one vector (see _bind).
+    Runs cfg.cg_iters conjugate-gradient iterations on each mini-batch, a
+    fresh steepest-descent direction per batch, and logs one row per epoch
+    (epoch loss and accuracies are measured on the full splits after the
+    epoch's updates). epochs is its own argument, not cfg.epochs, because
+    the benchmark passes it by position. Zero epochs returns the model
+    untouched with an empty log; otherwise its trained arrays come back as
+    views of one vector (see _bind).
 
     One conjugate-gradient batch costs one forward and backward pass at
     its start, one forward pass per Armijo trial, and one backward pass
     for each accepted step except the last; nothing runs after the last
     iteration. Trials write into the model's own arrays: a line search
     copies the parameters once, and a trial allocates no vector of their
-    size. A gradient-descent batch costs one forward and backward pass per
-    step. Each epoch then makes one forward pass over each split.
+    size. Each epoch then makes one forward pass over each split.
     """
     _head(d)
     if epochs < 0:
@@ -385,8 +368,7 @@ def fine_tune(
     log: list[FineTuneEpoch] = []
     if epochs == 0:
         return d, log
-    images = dataset.images
-    labels = dataset.labels
+    images, labels = dataset.images, dataset.labels
     if images.shape[0] == 0:
         raise ValueError("cannot fine-tune on an empty dataset")
     _check_labels(d, dataset)
@@ -397,13 +379,7 @@ def fine_tune(
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         for idx in shuffle_split(images.shape[0], cfg.batch_size, rng):
-            x, y = images[idx], labels[idx]
-            if cfg.method == "cg":
-                alpha_prev = _cg_batch(d, params, x, y, cfg, alpha_prev)
-                continue
-            for _ in range(cfg.cg_iters):
-                _, g = loss_and_grad(d, x, y, cfg.head_only)
-                params -= cfg.lr * g
+            alpha_prev = _cg_batch(d, params, images[idx], labels[idx], cfg, alpha_prev)
         require_finite("fine-tune parameters", params)
         epoch_loss, train_acc, _ = _mean_loss(d, dataset)
         test_acc = float("nan")
@@ -415,15 +391,18 @@ def fine_tune(
     return d, log
 
 
-def _mean_loss(d: Dbn, dataset, chunk: int = 10000):
+_LOSS_CHUNK = 10000
+
+
+def _mean_loss(d: Dbn, dataset):
     """Mean cross-entropy, accuracy and confusion matrix (rows true class,
-    cols predicted) over a split, from one chunked forward pass."""
+    cols predicted) over a split, from one pass in _LOSS_CHUNK-row chunks."""
     n = dataset.images.shape[0]
     total = 0.0
     confusion = np.zeros((d.head.n_classes,) * 2, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        logits = _logits(d, dataset.images[lo : lo + chunk])
-        y = dataset.labels[lo : lo + chunk]
+    for lo in range(0, n, _LOSS_CHUNK):
+        logits = _logits(d, dataset.images[lo : lo + _LOSS_CHUNK])
+        y = dataset.labels[lo : lo + _LOSS_CHUNK]
         total += _cross_entropy(logits, y) * y.shape[0]
         np.add.at(confusion, (y, np.argmax(logits, axis=-1)), 1)
     return total / n, int(np.trace(confusion)) / n, confusion

@@ -124,8 +124,15 @@ def group_norms(values, p: GroupPartition) -> np.ndarray:
 
 
 def _group_sums(values: np.ndarray, p: GroupPartition, out: np.ndarray) -> np.ndarray:
-    """Each group's members added in ascending order, as `group_size`
-    strided slice-adds: (rows, j_original) -> out, (rows, num_groups)."""
+    """Each group's members added in ascending order: (rows, j_original)
+    -> out, (rows, num_groups). The loop runs over whichever is fewer:
+    members, as `group_size` strided slice-adds, or groups, each a
+    cumulative sum along its window, which adds in the same order."""
+    if p.num_groups < p.group_size:
+        for k in range(p.num_groups):
+            window = values[:, k * p.stride : k * p.stride + p.group_size]
+            out[:, k] = np.cumsum(window, axis=1)[:, -1]
+        return out
     span = p.stride * (p.num_groups - 1) + 1
     np.copyto(out, values[:, 0:span:p.stride])
     for i in range(1, p.group_size):

@@ -119,7 +119,7 @@ def write_legacy_rbm(m, path, meta=None):
 # kernels must reproduce the augmented-axis reference bit for bit.
 ORACLE_LAYOUTS = [
     (6, 4, 0.5), (100, 20, 0.2), (100, 50, 0.5), (2000, 10, 0.5), (2000, 20, 0.25),
-    (100, 10, 0.8), (30, 10, 0.9), (500, 10, 0.0), (12, 3, 0.0), (40, 1, 0.0),
+    (100, 10, 0.8), (30, 10, 0.9), (500, 10, 0.0), (12, 3, 0.0), (40, 1, 0.0), (40, 40, 0.0),
 ]
 
 

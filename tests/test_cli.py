@@ -373,6 +373,18 @@ class TestPretrainDbn:
         assert (out / "layer1_log.csv").is_file()
         assert (out / "layer2_log.csv").is_file()
 
+    @pytest.mark.parametrize("sizes, bad", [([0], 0), ([-3], 0), ([4, 0], 1)])
+    def test_non_positive_layer_size_is_config_error(self, tmp_path, capsys, sizes, bad):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "dbn.json", {
+            "dataset": synth_block(), "layer_sizes": sizes, "out_dir": str(out),
+        })
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config field 'layer_sizes[{bad}]' must be >= 1" in err
+        assert "penalty" not in err
+        assert not out.exists()
+
     def test_penalty_list_length_mismatch_rejected(self, tmp_path, capsys):
         cfg = self.dbn_config(tmp_path, tmp_path / "run",
                               penalties=[{"lambda": 0.1, "group_size": 4}])
@@ -487,29 +499,36 @@ class TestFinetune:
         acc1 = json.loads((outs[1] / "metrics.json").read_text())["accuracy_pct"]
         assert acc0 == acc1
 
-    @pytest.mark.parametrize("block", [{"method": "newton"}, {"batch": 0}, {"head_only": 1},
-                                       {"cg_iters": "3"}, {"momentum": 0.5},
-                                       {"c1": float("nan")}, {"lr": float("nan")},
-                                       {"max_backtracks": 0}, {"c1": 1.0}, {"c1": 1e300},
-                                       {"seed": -1}])
+    # The last six rows are the keys, at their last defaults, that a block
+    # held while fine-tuning had a gradient-descent path and line-search
+    # settings; a block or manifest that still holds one is rejected.
+    REMOVED = [{"method": "cg"}, {"lr": 0.1}, {"c1": 1e-4}, {"backtrack": 0.5},
+               {"max_backtracks": 30}, {"n_classes": 10}]
+
+    @pytest.mark.parametrize("block", [{"batch": 0}, {"head_only": 1}, {"cg_iters": "3"},
+                                       {"momentum": 0.5}, {"seed": -1}, *REMOVED])
     def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
         out = tmp_path / "ft"
         cfg = self.ft_config(tmp_path, out, extra=block)
         assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
                      "--config", str(cfg)]) == 2
-        assert "finetune" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finetune" in err and next(iter(block)) in err
         assert not out.exists()
 
-    def test_too_few_classes_for_the_labels_is_config_error(self, tmp_path, pretrained_run,
-                                                             capsys):
-        out = tmp_path / "ft"
-        cfg = self.ft_config(tmp_path, out, extra={"n_classes": 5})
+    @pytest.mark.parametrize("block", REMOVED, ids=[next(iter(b)) for b in REMOVED])
+    def test_manifest_with_removed_key_is_config_error(self, tmp_path, pretrained_run, capsys,
+                                                       block):
+        out, replay = tmp_path / "ft", tmp_path / "replay"
         assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
-                     "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        top = int(synth.make_synthetic(120, 40, side=4, seed=0)[0].labels.max())
-        assert "config error:" in err and f"largest label is {top}" in err
-        assert not out.exists()
+                     "--config", str(self.ft_config(tmp_path, out))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["finetune"].update(block)
+        old = write_config(tmp_path, "old_manifest.json", manifest)
+        assert main(["finetune", "--config", str(old), "--out", str(replay)]) == 2
+        assert f"unknown config field(s) in 'finetune': {next(iter(block))}" in \
+            capsys.readouterr().err
+        assert not replay.exists()
 
     def test_malformed_model_header_is_data_error(self, tmp_path, capsys):
         header = json.dumps({"kind": "dbn", "version": 1}).encode()

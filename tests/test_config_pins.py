@@ -5,11 +5,13 @@ from the config dataclasses, and the refactor must not move them; the
 report digests were recorded before the report block went through
 ReportConfig. The report manifest's digest was re-recorded once, when the
 single-layer run left the smoke tree and took its tiles and histogram out
-of the artifact list. The resolved blocks are exactly what each shipped
-config's manifest records under "config". The run digests come from the
-synthetic smoke configs (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS
-build may round the model digests differently). Wall-clock durations are
-masked.
+of the artifact list. The fine-tune model and manifest digests were
+re-recorded once, when the fine-tune block lost its gradient-descent and
+line-search keys; the model's float payload kept its bytes. The resolved
+blocks are exactly what each shipped config's manifest records under
+"config". The run digests come from the synthetic smoke configs (numpy
+2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS build may round the
+model digests differently). Wall-clock durations are masked.
 """
 
 import csv
@@ -117,16 +119,10 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                                'test_labels': 'data/t10k-labels-idx1-ubyte.gz',
                                                'train_images': 'data/train-images-idx3-ubyte.gz',
                                                'train_labels': 'data/train-labels-idx1-ubyte.gz'},
-                                   'finetune': {'backtrack': 0.5,
-                                                'batch': 1000,
-                                                'c1': 0.0001,
+                                   'finetune': {'batch': 1000,
                                                 'cg_iters': 3,
                                                 'epochs': 100,
                                                 'head_only': False,
-                                                'lr': 0.1,
-                                                'max_backtracks': 30,
-                                                'method': 'cg',
-                                                'n_classes': 10,
                                                 'seed': 1},
                                    'model_path': 'runs/mnist_full/pretrain/dbn.mndbn',
                                    'out_dir': 'runs/mnist_full/finetune'}],
@@ -166,16 +162,10 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                                 'noise': 0.1,
                                                 'seed': 0,
                                                 'side': 8},
-                                    'finetune': {'backtrack': 0.5,
-                                                 'batch': 1000,
-                                                 'c1': 0.0001,
+                                    'finetune': {'batch': 1000,
                                                  'cg_iters': 3,
                                                  'epochs': 30,
                                                  'head_only': True,
-                                                 'lr': 0.1,
-                                                 'max_backtracks': 30,
-                                                 'method': 'cg',
-                                                 'n_classes': 10,
                                                  'seed': 1},
                                     'model_path': 'runs/synthetic_smoke/pretrain/dbn.mndbn',
                                     'out_dir': 'runs/synthetic_smoke/finetune'}],
@@ -207,16 +197,10 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                               'name': 'usps',
                                               'test_path': 'data/zip.test',
                                               'train_path': 'data/zip.train'},
-                                  'finetune': {'backtrack': 0.5,
-                                               'batch': 1000,
-                                               'c1': 0.0001,
+                                  'finetune': {'batch': 1000,
                                                'cg_iters': 3,
                                                'epochs': 30,
                                                'head_only': True,
-                                               'lr': 0.1,
-                                               'max_backtracks': 30,
-                                               'method': 'cg',
-                                               'n_classes': 10,
                                                'seed': 1},
                                   'model_path': 'runs/usps_desk/pretrain/dbn.mndbn',
                                   'out_dir': 'runs/usps_desk/finetune'}],
@@ -252,16 +236,10 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                               'name': 'usps',
                                               'test_path': 'data/zip.test',
                                               'train_path': 'data/zip.train'},
-                                  'finetune': {'backtrack': 0.5,
-                                               'batch': 1000,
-                                               'c1': 0.0001,
+                                  'finetune': {'batch': 1000,
                                                'cg_iters': 3,
                                                'epochs': 100,
                                                'head_only': False,
-                                               'lr': 0.1,
-                                               'max_backtracks': 30,
-                                               'method': 'cg',
-                                               'n_classes': 10,
                                                'seed': 1},
                                   'model_path': 'runs/usps_full/pretrain/dbn.mndbn',
                                   'out_dir': 'runs/usps_full/finetune'}],
@@ -297,16 +275,10 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                                 'name': 'usps',
                                                 'test_path': 'data/zip.test',
                                                 'train_path': 'data/zip.train'},
-                                    'finetune': {'backtrack': 0.5,
-                                                 'batch': 1000,
-                                                 'c1': 0.0001,
+                                    'finetune': {'batch': 1000,
                                                  'cg_iters': 3,
                                                  'epochs': 100,
                                                  'head_only': False,
-                                                 'lr': 0.1,
-                                                 'max_backtracks': 30,
-                                                 'method': 'cg',
-                                                 'n_classes': 10,
                                                  'seed': 1},
                                     'model_path': 'runs/usps_mn_full/pretrain/dbn.mndbn',
                                     'out_dir': 'runs/usps_mn_full/finetune'}]}
@@ -315,9 +287,9 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
               'manifest.json': 'e979b4aca9f58275',
               'metrics.json': 'f19c96741eb939e8'},
  'finetune': {'confusion.csv': '0f0cf689d9cc1439',
-              'dbn_finetuned.mndbn': 'ebc08bbb60559f74',
+              'dbn_finetuned.mndbn': '95a30c03d8d1e46e',
               'finetune_log.csv': 'af94add168b8a9b5',
-              'manifest.json': 'e72f936ec9066077',
+              'manifest.json': '61e509cc231ffc18',
               'metrics.json': '95a02d0f7a9ef6ff'},
  'pretrain-dbn': {'dbn.mndbn': '532c7e24ba1dbda3',
                   'layer1_log.csv': 'a285b2bc194c3fdf',
