@@ -1,12 +1,24 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+The suite runs BLAS at one thread: the recorded digests hold the bits of
+one-thread gemms, and two threads round some of them differently. The
+thread count is fixed before numpy loads, because BLAS reads it only then.
+"""
 
 import gzip
 import json
 import os
 import struct
+import sys
 from pathlib import Path
 
-import numpy as np
+from mndbn.cli import THREAD_ENV_VARS  # imports no numpy
+
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS to one thread")
+os.environ.update(dict.fromkeys(THREAD_ENV_VARS, "1"))
+
+import numpy as np  # noqa: E402
 
 from mndbn.core import Rng
 from mndbn.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC

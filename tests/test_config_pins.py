@@ -7,7 +7,13 @@ ReportConfig. The report manifest's digest was re-recorded once, when the
 single-layer run left the smoke tree and took its tiles and histogram out
 of the artifact list. The fine-tune model and manifest digests were
 re-recorded once, when the fine-tune block lost its gradient-descent and
-line-search keys; the model's float payload kept its bytes. The resolved
+line-search keys; the model's float payload kept its bytes. Six run
+digests were re-recorded when the suite pinned BLAS to one thread (see
+conftest.py), because a two-thread gemm rounds differently: the
+pretrain-dbn dbn.mndbn and layer2_log.csv (layer 2's weights and metrics),
+its manifest.json (their digests), and the finetune dbn_finetuned.mndbn,
+finetune_log.csv and manifest.json, which start from that model. The
+resolved
 blocks are exactly what each shipped config's manifest records under
 "config". The run digests come from the synthetic smoke configs (numpy
 2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS build may round the
@@ -287,14 +293,14 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
               'manifest.json': 'e979b4aca9f58275',
               'metrics.json': 'f19c96741eb939e8'},
  'finetune': {'confusion.csv': '0f0cf689d9cc1439',
-              'dbn_finetuned.mndbn': '95a30c03d8d1e46e',
-              'finetune_log.csv': 'af94add168b8a9b5',
-              'manifest.json': '61e509cc231ffc18',
+              'dbn_finetuned.mndbn': '064b1548d56e72c3',
+              'finetune_log.csv': '57cfb77f5800c124',
+              'manifest.json': 'a2228e7f413f555c',
               'metrics.json': '95a02d0f7a9ef6ff'},
- 'pretrain-dbn': {'dbn.mndbn': '532c7e24ba1dbda3',
+ 'pretrain-dbn': {'dbn.mndbn': '91a275bbb1933cc4',
                   'layer1_log.csv': 'a285b2bc194c3fdf',
-                  'layer2_log.csv': '52c8c32208432e56',
-                  'manifest.json': '5fc4cabb08919f62'},
+                  'layer2_log.csv': 'cec45bd64db4b7b2',
+                  'manifest.json': 'cf820d1fad8fcf0a'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
             'manifest.json': '58a2785e60db3b6f',

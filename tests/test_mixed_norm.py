@@ -343,13 +343,15 @@ class TestTraining:
         # sha256 of the parameters and of the logged metrics after two epochs
         # on 2000 units in groups of 10 with 50% overlap, recorded before the
         # penalty was computed without the augmented axis (numpy 2.4.6 with
-        # OpenBLAS 0.3.31 on x86-64; another BLAS build may round differently)
+        # OpenBLAS 0.3.31 on x86-64; another BLAS build may round differently).
+        # The parameter digest was re-recorded once, at the one BLAS thread
+        # the suite pins; the metrics digest is the same at one and two threads.
         train, _ = make_synthetic(200, side=8, seed=5)
         cfg = PenaltyConfig(lam=0.1, partition=make_partition(2000, 10, 0.5))
         params = TrainConfig(lr=0.05, epochs=2, batch_size=64)
         m, log = train_mnrbm(train.images, 2000, cfg, params, Rng(5))
         metrics = [(e.recon_error, e.mean_hidden_activation, e.mixed_norm_value) for e in log]
-        assert hashlib.sha256(flat_params(m).tobytes()).hexdigest()[:16] == "c1646a1aa6ab0f75"
+        assert hashlib.sha256(flat_params(m).tobytes()).hexdigest()[:16] == "ac796196b685fe62"
         assert hashlib.sha256(repr(metrics).encode()).hexdigest()[:16] == "1e06abc343cc54fc"
 
 
