@@ -65,7 +65,6 @@ _EXPORTS = {
     "loss_and_grad": "dbn",
     "save_dbn": "model_io",
     "load_dbn": "model_io",
-    "ReportConfig": "report",
     "RunRecord": "report",
     "REFERENCE_RESULTS": "report",
     "weight_tiles": "report",

@@ -7,8 +7,7 @@ through --config to replay the run.
 
 The config dataclasses are the schema: the keys, defaults and types of a
 "train" or "finetune" block are the fields of TrainConfig or
-FineTuneConfig, those of a report config (beside its paths) the fields of
-ReportConfig, and those of a synthetic dataset the parameters of
+FineTuneConfig, and those of a synthetic dataset the parameters of
 make_synthetic. Each block is built into its dataclass before any data is
 loaded, so the dataclasses' own checks are the config checks.
 
@@ -49,15 +48,10 @@ _KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or fals
 
 
 def _coerce(value, kind: str, field: str):
-    """Check a JSON value against a field type ("int", "float", "bool",
-    "str", or a "tuple[...]" of them, given as a list); integral floats
-    pass as ints and ints as floats. A float must be finite: JSON's NaN
-    and Infinity, and an int too large for a float, are rejected."""
-    if kind.startswith("tuple["):
-        kinds = kind[len("tuple[") : -1].split(", ")
-        if isinstance(value, (list, tuple)) and len(value) == len(kinds):
-            return [_coerce(v, k, f"{field}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
-        raise ConfigError(f"config field '{field}' must be a list of {len(kinds)} values, got {value!r}")
+    """Check a JSON value against a field type ("int", "float", "bool" or
+    "str"); integral floats pass as ints and ints as floats. A float must
+    be finite: JSON's NaN and Infinity, and an int too large for a float,
+    are rejected."""
     if kind in ("bool", "str"):
         ok = isinstance(value, bool if kind == "bool" else str)
     else:
@@ -202,13 +196,11 @@ def _resolve_dataset(cfg) -> dict:
         fields = _fields(make_synthetic)
     elif name == "usps":
         fields = [("train_path", "str", _REQUIRED), ("test_path", "str", None)]
-    elif name in ("mnist", "idx"):
+    elif name == "mnist":
         fields = [(f"train_{k}", "str", _REQUIRED) for k in ("images", "labels")]
         fields += [(f"test_{k}", "str", None) for k in ("images", "labels")]
     else:
-        raise ConfigError(
-            f"unknown dataset name '{name}' (expected synthetic, usps, mnist, or idx)"
-        )
+        raise ConfigError(f"unknown dataset name '{name}' (expected synthetic, usps or mnist)")
     fields = [("name", "str", _REQUIRED), *fields, ("limit", "int", None)]
     resolved = _resolve_fields(cfg, fields, "dataset")
     if (resolved.get("test_images") is None) != (resolved.get("test_labels") is None):
@@ -257,7 +249,6 @@ def _resolve_penalty(cfg, layer_size: int, ctx: str):
         ("lambda", "float", 0.0),
         ("group_size", "int", None),
         ("overlap_pct", "float", 0.0),
-        ("epsilon", "float", PenaltyConfig.epsilon),
     ]
     resolved = _resolve_fields({} if cfg is None else cfg, fields, ctx)
     if resolved["group_size"] is None:
@@ -267,7 +258,7 @@ def _resolve_penalty(cfg, layer_size: int, ctx: str):
     partition = _build(
         ctx, make_partition, layer_size, resolved["group_size"], resolved["overlap_pct"] / 100.0
     )
-    return resolved, _build(ctx, PenaltyConfig, resolved["lambda"], partition, resolved["epsilon"])
+    return resolved, _build(ctx, PenaltyConfig, resolved["lambda"], partition)
 
 
 def _architecture_tag(layer_sizes, penalties) -> str:
@@ -476,10 +467,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
-    """The first training images of the dataset recorded in the manifest
-    next to a model file. `batches` holds the batches already built in this
-    report, keyed by resolved dataset block, so each dataset loads once."""
+# The report's weight-tile grid (rows, cols), its histogram bins, and how
+# many training images feed each histogram.
+_TILE_GRID, _HISTOGRAM_BINS, _HISTOGRAM_IMAGES = (10, 10), 20, 1000
+
+
+def _histogram_batch(model_path: Path, batches: dict):
+    """The first _HISTOGRAM_IMAGES training images of the dataset recorded
+    in the manifest next to a model file. `batches` holds the batches
+    already built in this report, keyed by resolved dataset block, so each
+    dataset loads once."""
     manifest_path = model_path.parent / "manifest.json"
     if not manifest_path.exists():
         return None, f"{model_path}: no manifest.json beside it, skipping histogram"
@@ -489,7 +486,7 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
         key = json.dumps(block, sort_keys=True)
         if key not in batches:
             train, _ = _build_datasets(block)
-            batches[key] = train.images[:batch_limit].copy()
+            batches[key] = train.images[:_HISTOGRAM_IMAGES].copy()
     except (OSError, KeyError, TypeError, ValueError, RecursionError, ConfigError,
             DataError) as exc:
         return None, f"{model_path}: cannot reload dataset for histogram ({exc})"
@@ -498,16 +495,15 @@ def _histogram_batch(model_path: Path, batch_limit: int, batches: dict):
 
 def cmd_report(args) -> int:
     from .model_io import load_dbn
-    from .report import ReportConfig, RunRecord, activation_histogram, results_table, weight_tiles
+    from .report import RunRecord, activation_histogram, results_table, weight_tiles
 
     config = {} if args.config is None else _load_config(args.config, "report")
-    block = {k: v for k, v in config.items() if k not in ("run_dir", "out_dir")}
-    resolved, rcfg = _resolve_block(ReportConfig, block, "report", None)
+    _check_keys(config, {"run_dir", "out_dir"}, "config")
     run_dir = Path(_resolve_path(args.run_dir, config, "run_dir"))
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
     out_dir = Path(_resolve_path(args.out, config, "out_dir", run_dir / "report"))
-    resolved.update(run_dir=str(run_dir), out_dir=str(out_dir))
+    resolved = {"run_dir": str(run_dir), "out_dir": str(out_dir)}
 
     warnings = []
     artifacts = []
@@ -522,20 +518,20 @@ def cmd_report(args) -> int:
         layer = model.layers[0]
         side = math.isqrt(layer.n_visible)
         if side * side == layer.n_visible:
-            cols = min(rcfg.grid[1], layer.n_hidden)
-            rows = min(rcfg.grid[0], layer.n_hidden // cols)
+            cols = min(_TILE_GRID[1], layer.n_hidden)
+            rows = min(_TILE_GRID[0], layer.n_hidden // cols)
             name = f"{stem}_tiles.pgm"
             weight_tiles(layer, (rows, cols), out_dir / name)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
         else:
             warnings.append(f"{path}: visible size {layer.n_visible} is not square, skipping tiles")
-        batch, problem = _histogram_batch(path, rcfg.batch_limit, batches)
+        batch, problem = _histogram_batch(path, batches)
         if batch is None:
             warnings.append(problem)
         else:
             name = f"{stem}_activations.csv"
-            activation_histogram(model, batch, rcfg.bins, out_dir / name)
+            activation_histogram(model, batch, _HISTOGRAM_BINS, out_dir / name)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
     records = []

@@ -185,8 +185,11 @@ class FineTuneConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1 or self.cg_iters < 1:
-            raise ConfigError("batch_size and cg_iters must be >= 1")
+        if self.epochs < 0 or self.batch_size < 1 or self.cg_iters < 1:
+            raise ConfigError(
+                "need epochs >= 0, batch_size >= 1 and cg_iters >= 1, got "
+                f"{self.epochs}, {self.batch_size} and {self.cg_iters}"
+            )
 
 
 @dataclass

@@ -40,51 +40,36 @@ from .rbm import (
 
 @dataclass
 class PenaltyConfig:
-    """Penalty strength, group layout, and the norm-denominator floor.
-
-    epsilon floors the per-group norm in the gradient so the all-zero group
-    (where the l2 norm is not differentiable) gets a well-defined, vanishing
-    subgradient.
-    """
+    """Penalty strength and group layout."""
 
     lam: float
     partition: GroupPartition
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:  # negated, so NaN fails too
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.epsilon <= 1e-6:
-            raise ValueError(f"epsilon must be in (0, 1e-6], got {self.epsilon}")
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one RBM training run. seed is the caller's: it
-    makes the Rng that train_mnrbm and pretrain_greedy are handed."""
+    """Hyperparameters for one RBM training run: CD-1 with momentum 0.5
+    before epoch momentum_switch_epoch and 0.9 from it on. seed is the
+    caller's: it makes the Rng that train_mnrbm and pretrain_greedy are
+    handed."""
 
     lr: float = 0.1
-    momentum: float = 0.5
-    final_momentum: float = 0.9
     momentum_switch_epoch: int = 5
     batch_size: int = 100
     epochs: int = 30
-    cd_k: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 0 or self.batch_size < 1 or self.cd_k < 1:
+        if self.epochs < 0 or self.batch_size < 1 or not self.lr > 0.0:
             raise ConfigError(
-                "need epochs >= 0, batch_size >= 1 and cd_k >= 1, got "
-                f"{self.epochs}, {self.batch_size} and {self.cd_k}"
-            )
-        momenta = (self.momentum, self.final_momentum)
-        if not (self.lr > 0.0 and all(0.0 <= m < 1.0 for m in momenta)):
-            raise ConfigError(
-                "need lr > 0 and momentum and final_momentum in [0, 1), got "
-                f"{self.lr}, {self.momentum} and {self.final_momentum}"
+                "need epochs >= 0, batch_size >= 1 and lr > 0, got "
+                f"{self.epochs}, {self.batch_size} and {self.lr}"
             )
 
 
@@ -116,10 +101,15 @@ def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition) -> np.ndarray:
     return np.cumsum(group_norms(h_probs, part), axis=-1)[..., -1].copy()
 
 
+# Floors each group norm in the gradient's denominator, so the all-zero group
+# (where the l2 norm is not differentiable) gets a vanishing subgradient.
+_EPSILON = 1e-8
+
+
 def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     """Gradient of the penalty w.r.t. the weights and hidden biases.
 
-    Unit j in group G contributes p_j^2 (1 - p_j) / max(||p_G||_2, epsilon);
+    Unit j in group G contributes p_j^2 (1 - p_j) / max(||p_G||_2, _EPSILON);
     s_j sums that over the groups covering j, the weight column j picks up
     s_j times x, and the hidden bias picks up s_j itself. Returns (gw, ga),
     averaged over the rows of the batch x; a single vector is a one-row
@@ -145,7 +135,7 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
         denom = np.empty((len(pb), part.num_groups))
         _group_sums(np.multiply(pb, pb, out=ub), part, denom)
         np.sqrt(denom, out=denom)
-        np.maximum(denom, cfg.epsilon, out=denom)
+        np.maximum(denom, _EPSILON, out=denom)
         ub *= np.subtract(1.0, pb, out=sb)
         divide_accumulate(ub, denom, part, out=sb)
     np.matmul(x.T, s, out=gw)
@@ -161,12 +151,11 @@ def regularized_update(
     momentum: float,
     velocity: Velocity,
     rng: Rng,
-    k: int = 1,
     out=None,
 ) -> Rbm:
     """One two-step training update, in place.
 
-    Step 1 is the plain CD update with momentum. Step 2 subtracts
+    Step 1 is the plain CD-1 update with momentum. Step 2 subtracts
     lr * lambda times the batch-averaged penalty gradient from the weights
     and hidden biases, using activation probabilities recomputed from the
     post-step-1 parameters. With lambda = 0 the second step is skipped, so
@@ -176,7 +165,7 @@ def regularized_update(
     overwrites the chain's h0, h_sample and h_tilde and the scratch array
     once the CD statistics have been applied.
     """
-    stats = cd_step(m, batch, k, rng, out=out)
+    stats = cd_step(m, batch, 1, rng, out=out)
     apply_update(m, stats, lr, momentum, velocity, out=None if out is None else out.scratch)
     if cfg.lam > 0.0:
         gw, ga = penalty_grad(m, batch, cfg, out=out)
@@ -219,6 +208,10 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig):
     )
 
 
+# Momentum before and from TrainConfig.momentum_switch_epoch.
+_MOMENTUM, _FINAL_MOMENTUM = 0.5, 0.9
+
+
 def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
     """Train one RBM with the group-sparsity penalty (lambda may be 0).
 
@@ -243,17 +236,11 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
     with _overflow_raises("training"):
         for epoch in range(params.epochs):
             t0 = time.perf_counter()
-            mom = (
-                params.momentum
-                if epoch < params.momentum_switch_epoch
-                else params.final_momentum
-            )
+            mom = _MOMENTUM if epoch < params.momentum_switch_epoch else _FINAL_MOMENTUM
             for idx in shuffle_split(images.shape[0], params.batch_size, rng):
                 # mode="clip" takes straight into the buffer (see divide_accumulate)
                 batch = np.take(images, idx, axis=0, out=batch_buf[: len(idx)], mode="clip")
-                regularized_update(
-                    m, batch, cfg, params.lr, mom, velocity, rng, k=params.cd_k, out=buf
-                )
+                regularized_update(m, batch, cfg, params.lr, mom, velocity, rng, out=buf)
             recon, mean_act, mn_value = _epoch_metrics(m, images, cfg)
             log.append(
                 EpochStats(

@@ -55,23 +55,6 @@ REFERENCE_RESULTS = (
 
 
 @dataclass
-class ReportConfig:
-    """The settings of `mndbn report`: histogram bins, the weight-tile grid
-    as (rows, cols), and how many training images feed each histogram."""
-
-    bins: int = 20
-    grid: tuple[int, int] = (10, 10)
-    batch_limit: int = 1000
-
-    def __post_init__(self):
-        if self.bins < 2 or min(self.grid) < 1 or self.batch_limit < 1:
-            raise ConfigError(
-                "need bins >= 2, grid rows and cols >= 1 and batch_limit >= 1, got "
-                f"{self.bins}, {list(self.grid)} and {self.batch_limit}"
-            )
-
-
-@dataclass
 class RunRecord:
     """One completed run for the results table."""
 

@@ -97,7 +97,7 @@ def _float_keys(schema):
 # block's fields are listed in cli._resolve_penalty, not in a dataclass.
 _FLOAT_FIELDS = (
     [("train", k) for k in _float_keys(TrainConfig)]
-    + [("penalty", k) for k in ("lambda", "overlap_pct", "epsilon")]
+    + [("penalty", k) for k in ("lambda", "overlap_pct")]
     + [("finetune", k) for k in _float_keys(FineTuneConfig)]
     + [("dataset", k) for k in _float_keys(synth.make_synthetic)]
 )
@@ -201,6 +201,23 @@ class TestTrainRbm:
         })
         assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
 
+    def test_idx_dataset_name_is_config_error(self, tmp_path, capsys):
+        # "idx" was an alias of "mnist"; the files are good, so only the
+        # name can be at fault.
+        (tmp_path / "im.idx").write_bytes(_GOOD_IMAGES)
+        (tmp_path / "lb.idx").write_bytes(_GOOD_LABELS)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "bad.json", {
+            "dataset": {"name": "idx", "train_images": str(tmp_path / "im.idx"),
+                        "train_labels": str(tmp_path / "lb.idx")},
+            "layer_sizes": [4],
+            "out_dir": str(out),
+        })
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
+        assert "unknown dataset name 'idx' (expected synthetic, usps or mnist)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_field_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": synth_block(),
@@ -221,8 +238,10 @@ class TestTrainRbm:
     @pytest.mark.parametrize("train", [
         {"epochs": -2}, {"batch": 0}, {"epochs": 1.5}, {"epochs": float("inf")},
         {"epochs": 1, "lr": -1}, {"epochs": 0, "lr": -1}, {"lr": 0}, {"lr": float("nan")},
-        {"momentum": 1.0}, {"momentum": -0.1}, {"final_momentum": 1.0},
-        {"final_momentum": -0.5}, {"cd_k": 0}, {"seed": -1},
+        # keys the block held, at their last defaults, before CD-1 and the
+        # momentum values became constants
+        {"momentum": 0.5}, {"final_momentum": 0.9}, {"cd_k": 1},
+        {"momentum_switch_epoch": 2.5}, {"batch": "100"}, {"seed": -1},
     ])
     def test_invalid_schedule_is_config_error(self, tmp_path, capsys, train):
         out = tmp_path / "run"
@@ -240,7 +259,7 @@ class TestTrainRbm:
         {"lambda": -0.1, "group_size": 4},
         {"lambda": 0.1, "group_size": 4, "overlap_pct": 100.0},
         {"lambda": 0.1, "group_size": 4, "overlap_pct": -50.0},
-        {"lambda": 0.1, "group_size": 4, "epsilon": 0.0},
+        {"lambda": 0.1, "group_size": 3},
         {"lambda": 0.1},
     ])
     def test_invalid_penalty_is_config_error(self, tmp_path, capsys, penalty):
@@ -326,7 +345,7 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, case):
     if kind == "usps":
         dataset = {"name": "usps", "train_path": paths[0]}
     else:
-        dataset = {"name": "idx", "train_images": paths[0], "train_labels": paths[1]}
+        dataset = {"name": "mnist", "train_images": paths[0], "train_labels": paths[1]}
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "bad.json", {"dataset": dataset, "layer_sizes": [4],
                                               "out_dir": str(out)})
@@ -418,6 +437,23 @@ class TestPretrainDbn:
         assert err.startswith("config error:") and "'penalty'" in err and "'penalties'" in err
         assert not out.exists()
 
+    # Keys, at their last defaults, that a manifest held before CD-1, the
+    # momentum values and the penalty's norm floor became constants.
+    REMOVED = [("train", "cd_k", 1), ("train", "momentum", 0.5),
+               ("train", "final_momentum", 0.9), ("penalties[1]", "epsilon", 1e-8)]
+
+    @pytest.mark.parametrize("ctx, key, value", REMOVED, ids=[key for _, key, _ in REMOVED])
+    def test_manifest_with_removed_key_is_config_error(self, tmp_path, pretrained_run, capsys,
+                                                       ctx, key, value):
+        manifest = json.loads((pretrained_run / "manifest.json").read_text())
+        config = manifest["config"]
+        (config["train"] if ctx == "train" else config["penalties"][1])[key] = value
+        old, replay = write_config(tmp_path, "old_manifest.json", manifest), tmp_path / "replay"
+        assert main(["pretrain-dbn", "--config", str(old), "--out", str(replay)]) == 2
+        assert f"config error: unknown config field(s) in '{ctx}': {key}" in \
+            capsys.readouterr().err
+        assert not replay.exists()
+
 
 @pytest.fixture()
 def pretrained_run(tmp_path):
@@ -444,6 +480,15 @@ class TestFinetune:
             "out_dir": str(out_dir),
         }
         return write_config(tmp_path, name, payload)
+
+    def test_negative_epochs_is_config_error_before_load(self, tmp_path, capsys):
+        # The model file is missing, so a block checked only after loading
+        # would exit 3.
+        out = tmp_path / "ft"
+        cfg = self.ft_config(tmp_path, out, extra={"epochs": -1})
+        assert main(["finetune", str(tmp_path / "missing.mndbn"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: finetune: need epochs >= 0")
+        assert not out.exists()
 
     def test_full_run_writes_metrics(self, tmp_path, pretrained_run):
         out = tmp_path / "ft"
@@ -762,7 +807,11 @@ class TestReport:
         assert "data error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_block_values_take_effect(self, tmp_path, pretrained_run, monkeypatch):
+    def test_fixed_settings_take_effect(self, tmp_path, pretrained_run, monkeypatch):
+        # A histogram takes the first _HISTOGRAM_IMAGES training images (7
+        # here, of the run's 120) into 20 bins; tiles fill up to a 10x10
+        # grid, so the first layer's 16 units make one row of 10.
+        monkeypatch.setattr(cli, "_HISTOGRAM_IMAGES", 7)
         rows = []
         real = report.activation_histogram
 
@@ -773,24 +822,25 @@ class TestReport:
         monkeypatch.setattr(report, "activation_histogram", recorded)
         out = tmp_path / "report"
         cfg = write_config(tmp_path, "report.json", {
-            "run_dir": str(pretrained_run), "bins": 5, "grid": [2, 3], "batch_limit": 7,
-            "out_dir": str(out),
-        })
+            "run_dir": str(pretrained_run), "out_dir": str(out)})
         assert main(["report", "--config", str(cfg)]) == 0
         assert rows == [7]
-        assert len(read_csv(out / "dbn_activations.csv")) == 1 + 5
-        assert report.read_pgm(out / "dbn_tiles.pgm").shape == (2 * 4, 3 * 4)
+        assert len(read_csv(out / "dbn_activations.csv")) == 1 + 20
+        assert report.read_pgm(out / "dbn_tiles.pgm").shape == (1 * 4, 10 * 4)
         resolved = json.loads((out / "manifest.json").read_text())["config"]
-        assert (resolved["bins"], resolved["grid"], resolved["batch_limit"]) == (5, [2, 3], 7)
+        assert resolved == {"run_dir": str(pretrained_run), "out_dir": str(out)}
 
-    @pytest.mark.parametrize("block", [{"bins": 1}, {"grid": [2, 0]}, {"grid": [0, 2]},
-                                       {"batch_limit": -5}, {"batch_limit": 0}])
+    # The first three are the settings, at their last defaults, that a report
+    # config held before they became constants.
+    @pytest.mark.parametrize("block", [{"bins": 20}, {"grid": [10, 10]}, {"batch_limit": 1000},
+                                       {"outdir": "typo"}, {"layer_sizes": [8]}])
     def test_invalid_block_is_config_error(self, tmp_path, pretrained_run, capsys, block):
         out = tmp_path / "report"
         cfg = write_config(tmp_path, "report.json", {
             "run_dir": str(pretrained_run), "out_dir": str(out), **block})
         assert main(["report", "--config", str(cfg)]) == 2
-        assert "config error:" in capsys.readouterr().err
+        assert f"config error: unknown config field(s) in 'config': {next(iter(block))}" in \
+            capsys.readouterr().err
         assert not out.exists()
 
 
@@ -868,7 +918,6 @@ class TestConfigSchemaDocs:
     @pytest.mark.parametrize("heading, block, schema", [
         ("train (CD pretraining)", "train", TrainConfig),
         ("finetune (conjugate-gradient softmax training)", "finetune", FineTuneConfig),
-        ("report (top-level keys beside run_dir and out_dir)", "report", report.ReportConfig),
     ])
     def test_readme_defaults_match_resolver(self, heading, block, schema):
         resolved, _ = cli._resolve_block(schema, {}, block, None)

@@ -1,23 +1,30 @@
 """Pins of config resolution and of the bytes every CLI command writes.
 
 The literals below were recorded before the CLI derived its config schema
-from the config dataclasses, and the refactor must not move them; the
-report digests were recorded before the report block went through
-ReportConfig. The report manifest's digest was re-recorded once, when the
-single-layer run left the smoke tree and took its tiles and histogram out
-of the artifact list. The fine-tune model and manifest digests were
-re-recorded once, when the fine-tune block lost its gradient-descent and
-line-search keys; the model's float payload kept its bytes. Six run
-digests were re-recorded when the suite pinned BLAS to one thread (see
-conftest.py), because a two-thread gemm rounds differently: the
-pretrain-dbn dbn.mndbn and layer2_log.csv (layer 2's weights and metrics),
-its manifest.json (their digests), and the finetune dbn_finetuned.mndbn,
-finetune_log.csv and manifest.json, which start from that model. The
-resolved
-blocks are exactly what each shipped config's manifest records under
-"config". The run digests come from the synthetic smoke configs (numpy
-2.4.6 with OpenBLAS 0.3.31 on x86-64; another BLAS build may round the
-model digests differently). Wall-clock durations are masked.
+from the config dataclasses, and the refactor must not move them. Each
+re-recording since, and why:
+
+- The report manifest, when the single-layer run left the smoke tree and
+  took its tiles and histogram out of the artifact list.
+- The fine-tune model and manifest, when the fine-tune block lost its
+  gradient-descent and line-search keys; the model's float payload kept
+  its bytes.
+- Six digests, when the suite pinned BLAS to one thread (see conftest.py),
+  because a two-thread gemm rounds differently: pretrain-dbn's dbn.mndbn
+  and layer2_log.csv (layer 2's weights and metrics) and its manifest.json
+  (their digests), and finetune's dbn_finetuned.mndbn, finetune_log.csv
+  and manifest.json, which start from that model.
+- The pretrain-dbn model and manifest and the report manifest, when CD-1,
+  the momentum values, the penalty's norm floor and the report's grid,
+  bins and image count became constants: the model header's meta and the
+  resolved blocks lost those keys, and the model's float payload kept its
+  bytes.
+
+The resolved blocks are exactly what each shipped config's manifest
+records under "config". The run digests come from the synthetic smoke
+configs at one BLAS thread (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64;
+another BLAS build may round the model digests differently). Wall-clock
+durations are masked.
 """
 
 import csv
@@ -98,24 +105,18 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                       'train_labels': 'data/train-labels-idx1-ubyte.gz'},
                           'layer_sizes': [500, 500, 2000],
                           'out_dir': 'runs/mnist_full/pretrain',
-                          'penalties': [{'epsilon': 1e-08,
-                                         'group_size': 500,
+                          'penalties': [{'group_size': 500,
                                          'lambda': 0.0,
                                          'overlap_pct': 0.0},
-                                        {'epsilon': 1e-08,
-                                         'group_size': 500,
+                                        {'group_size': 500,
                                          'lambda': 0.0,
                                          'overlap_pct': 0.0},
-                                        {'epsilon': 1e-08,
-                                         'group_size': 2000,
+                                        {'group_size': 2000,
                                          'lambda': 0.0,
                                          'overlap_pct': 0.0}],
                           'train': {'batch': 100,
-                                    'cd_k': 1,
                                     'epochs': 50,
-                                    'final_momentum': 0.9,
                                     'lr': 0.1,
-                                    'momentum': 0.5,
                                     'momentum_switch_epoch': 5,
                                     'seed': 0}}],
  'mnist_dbn_full_finetune.json': ['finetune',
@@ -143,20 +144,15 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                        'side': 8},
                            'layer_sizes': [100, 100],
                            'out_dir': 'runs/synthetic_smoke/pretrain',
-                           'penalties': [{'epsilon': 1e-08,
-                                          'group_size': 20,
+                           'penalties': [{'group_size': 20,
                                           'lambda': 0.1,
                                           'overlap_pct': 0.0},
-                                         {'epsilon': 1e-08,
-                                          'group_size': 20,
+                                         {'group_size': 20,
                                           'lambda': 0.1,
                                           'overlap_pct': 0.0}],
                            'train': {'batch': 100,
-                                     'cd_k': 1,
                                      'epochs': 15,
-                                     'final_momentum': 0.9,
                                      'lr': 0.1,
-                                     'momentum': 0.5,
                                      'momentum_switch_epoch': 5,
                                      'seed': 0}}],
  'synthetic_smoke_finetune.json': ['finetune',
@@ -182,20 +178,15 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                      'train_path': 'data/zip.train'},
                          'layer_sizes': [100, 100],
                          'out_dir': 'runs/usps_desk/pretrain',
-                         'penalties': [{'epsilon': 1e-08,
-                                        'group_size': 20,
+                         'penalties': [{'group_size': 20,
                                         'lambda': 0.1,
                                         'overlap_pct': 0.0},
-                                       {'epsilon': 1e-08,
-                                        'group_size': 20,
+                                       {'group_size': 20,
                                         'lambda': 0.1,
                                         'overlap_pct': 0.0}],
                          'train': {'batch': 100,
-                                   'cd_k': 1,
                                    'epochs': 15,
-                                   'final_momentum': 0.9,
                                    'lr': 0.1,
-                                   'momentum': 0.5,
                                    'momentum_switch_epoch': 5,
                                    'seed': 0}}],
  'usps_dbn_desk_finetune.json': ['finetune',
@@ -217,24 +208,18 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                      'train_path': 'data/zip.train'},
                          'layer_sizes': [500, 500, 2000],
                          'out_dir': 'runs/usps_full/pretrain',
-                         'penalties': [{'epsilon': 1e-08,
-                                        'group_size': 500,
+                         'penalties': [{'group_size': 500,
                                         'lambda': 0.0,
                                         'overlap_pct': 0.0},
-                                       {'epsilon': 1e-08,
-                                        'group_size': 500,
+                                       {'group_size': 500,
                                         'lambda': 0.0,
                                         'overlap_pct': 0.0},
-                                       {'epsilon': 1e-08,
-                                        'group_size': 2000,
+                                       {'group_size': 2000,
                                         'lambda': 0.0,
                                         'overlap_pct': 0.0}],
                          'train': {'batch': 100,
-                                   'cd_k': 1,
                                    'epochs': 50,
-                                   'final_momentum': 0.9,
                                    'lr': 0.1,
-                                   'momentum': 0.5,
                                    'momentum_switch_epoch': 5,
                                    'seed': 0}}],
  'usps_dbn_full_finetune.json': ['finetune',
@@ -256,24 +241,18 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                        'train_path': 'data/zip.train'},
                            'layer_sizes': [500, 500, 2000],
                            'out_dir': 'runs/usps_mn_full/pretrain',
-                           'penalties': [{'epsilon': 1e-08,
-                                          'group_size': 10,
+                           'penalties': [{'group_size': 10,
                                           'lambda': 0.1,
                                           'overlap_pct': 0.0},
-                                         {'epsilon': 1e-08,
-                                          'group_size': 10,
+                                         {'group_size': 10,
                                           'lambda': 0.1,
                                           'overlap_pct': 0.0},
-                                         {'epsilon': 1e-08,
-                                          'group_size': 10,
+                                         {'group_size': 10,
                                           'lambda': 0.1,
                                           'overlap_pct': 0.0}],
                            'train': {'batch': 100,
-                                     'cd_k': 1,
                                      'epochs': 50,
-                                     'final_momentum': 0.9,
                                      'lr': 0.1,
-                                     'momentum': 0.5,
                                      'momentum_switch_epoch': 5,
                                      'seed': 0}}],
  'usps_mndbn_full_finetune.json': ['finetune',
@@ -297,13 +276,13 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
               'finetune_log.csv': '57cfb77f5800c124',
               'manifest.json': 'a2228e7f413f555c',
               'metrics.json': '95a02d0f7a9ef6ff'},
- 'pretrain-dbn': {'dbn.mndbn': '91a275bbb1933cc4',
+ 'pretrain-dbn': {'dbn.mndbn': 'e494d5618aeb1822',
                   'layer1_log.csv': 'a285b2bc194c3fdf',
                   'layer2_log.csv': 'cec45bd64db4b7b2',
-                  'manifest.json': 'cf820d1fad8fcf0a'},
+                  'manifest.json': 'c78b00e8e6865ff8'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
-            'manifest.json': '58a2785e60db3b6f',
+            'manifest.json': 'abec49510b232586',
             'pretrain_dbn_activations.csv': 'ffb80f85ba1e81a2',
             'pretrain_dbn_tiles.pgm': '86bbc4fd4a073bdf',
             'results.csv': 'a481e38be8a44022',

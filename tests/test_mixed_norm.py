@@ -16,6 +16,7 @@ from mndbn.core import _BLOCK_VALUES, Rng, row_blocks
 from mndbn.errors import NumericError
 from mndbn.groups import accumulate, divide_accumulate, expand, group_norms, make_partition
 from mndbn.mixed_norm import (
+    _EPSILON,
     PenaltyConfig,
     TrainConfig,
     _epoch_metrics,
@@ -180,7 +181,7 @@ class TestPenaltyGrad:
         x = Rng(4).uniform((8,))
         p = prob_h_given_x(m, x)
         s = divide_accumulate(p * p * (1.0 - p), np.maximum(group_norms(p, cfg.partition),
-                                                            cfg.epsilon), cfg.partition)
+                                                            _EPSILON), cfg.partition)
         got = penalty_grad(m, x, cfg)
         for want in (penalty_grad(m, x[None, :], cfg), (np.outer(x, s), s)):
             for g_, w_ in zip(got, want):
@@ -204,7 +205,7 @@ def reference_penalty_grad(m, x, cfg):
     p = prob_h_given_x(m, x)
     grouped = _grouped(p, cfg.partition)
     norms = np.sqrt((grouped * grouped).sum(axis=-1, keepdims=True))
-    s = grouped * grouped * (1.0 - grouped) / np.maximum(norms, cfg.epsilon)
+    s = grouped * grouped * (1.0 - grouped) / np.maximum(norms, _EPSILON)
     s_orig = accumulate(s.reshape(s.shape[:-2] + (-1,)), cfg.partition)
     if x.ndim == 1:
         return np.outer(x, s_orig), s_orig
@@ -309,8 +310,7 @@ class TestTraining:
     def test_lambda_zero_training_matches_vanilla_loop(self):
         train, _ = make_synthetic(60, 0, side=4, seed=3)
         cfg = cfg_for(6, 3, lam=0.0)
-        params = TrainConfig(lr=0.1, momentum=0.5, final_momentum=0.9,
-                             momentum_switch_epoch=2, batch_size=20, epochs=4, seed=0)
+        params = TrainConfig(lr=0.1, momentum_switch_epoch=2, batch_size=20, epochs=4, seed=0)
         m, log = train_mnrbm(train.images, 6, cfg, params, Rng(21))
 
         # independent replay of the training loop without the penalty module
@@ -318,9 +318,9 @@ class TestTraining:
         ref = Rbm.init_random(16, 6, r)
         vel = Velocity.zeros(ref)
         for epoch in range(params.epochs):
-            mom = params.momentum if epoch < params.momentum_switch_epoch else params.final_momentum
+            mom = 0.5 if epoch < params.momentum_switch_epoch else 0.9
             for idx in shuffle_split(train.images.shape[0], params.batch_size, r):
-                stats = cd_step(ref, train.images[idx], params.cd_k, r)
+                stats = cd_step(ref, train.images[idx], 1, r)
                 apply_update(ref, stats, params.lr, mom, vel)
         assert (flat_params(m) == flat_params(ref)).all()
 
@@ -435,7 +435,9 @@ class TestRowBlockSize:
 class TestBatchBuffers:
     @pytest.mark.parametrize("k", [1, 2])
     def test_buffered_steps_match_fresh_arrays_bit_for_bit(self, k):
-        # buffers for 25 rows take batches of 25, 25 and 10
+        # buffers for 25 rows take batches of 25, 25 and 10. Training takes
+        # CD-1 steps; k = 2 runs the chain alone, where h_tilde is rewritten
+        # only after the next sample has been drawn from it.
         fresh = random_rbm(18, 16, 12, std=0.3)
         kept = fresh.copy()
         images = Rng(19).uniform((60, 16))
@@ -443,10 +445,17 @@ class TestBatchBuffers:
         buf = _CdBuffers.like(kept, 25)
         v_fresh, v_kept = Velocity.zeros(fresh), Velocity.zeros(kept)
         r_fresh, r_kept = Rng(20), Rng(20)
+
+        def step(m, batch, v, r, out=None):
+            if k == 1:
+                regularized_update(m, batch, cfg, 0.1, 0.5, v, r, out=out)
+            else:
+                apply_update(m, cd_step(m, batch, k, r, out=out), 0.1, 0.5, v)
+
         for lo in (0, 25, 50):
             batch = images[lo : lo + 25]
-            regularized_update(fresh, batch, cfg, 0.1, 0.5, v_fresh, r_fresh, k=k)
-            regularized_update(kept, batch, cfg, 0.1, 0.5, v_kept, r_kept, k=k, out=buf)
+            step(fresh, batch, v_fresh, r_fresh)
+            step(kept, batch, v_kept, r_kept, out=buf)
             assert flat_params(kept).tobytes() == flat_params(fresh).tobytes()
         assert (r_fresh.uniform((4,)) == r_kept.uniform((4,))).all()
 
