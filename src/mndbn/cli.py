@@ -16,7 +16,12 @@ pin the BLAS thread-count environment variables before numpy comes in;
 the numeric modules are imported inside the command handlers.
 
 Exit codes: 0 success, 1 completed with warnings (e.g. empty report
-directory), 2 configuration error, 3 data error, 4 numeric failure.
+directory), 2 configuration error or out of memory (the config asks for
+more data than the machine holds), 3 data error, 4 numeric failure.
+
+Model, log, metrics, confusion and manifest files replace their old
+versions atomically (core.atomic_write), and the manifest is written last,
+so a run cut short never leaves a manifest beside a truncated model or log.
 """
 from __future__ import annotations
 
@@ -168,6 +173,13 @@ def _make_dir(path) -> Path:
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    from .core import atomic_write
+
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifacts) -> None:
     manifest = {
         "command": command,
@@ -179,8 +191,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifa
             for rel in sorted(artifacts)
         },
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- datasets
@@ -284,14 +295,12 @@ def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, con
         "wall_seconds": elapsed,
         **extra,
     }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(out_dir / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     n = confusion.shape[0]
     lines = ["true," + ",".join(f"pred_{c}" for c in range(n))]
     for r in range(n):
         lines.append(str(r) + "," + ",".join(str(int(v)) for v in confusion[r]))
-    (out_dir / "confusion.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out_dir / "confusion.csv", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -593,12 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A contract violation (ValueError) inside a command comes from a config value.
+# A contract violation (ValueError) inside a command comes from a config
+# value, and so does an allocation too large for the machine: a synthetic
+# dataset's size, or a real dataset that needs a smaller "limit".
 _EXIT_CODES = {
     ConfigError: ("config", 2),
     DataError: ("data", 3),
     NumericError: ("numeric", 4),
     ValueError: ("config", 2),
+    MemoryError: ("memory", 2),
 }
 
 
@@ -616,7 +628,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         label, code = next(v for cls, v in _EXIT_CODES.items() if isinstance(exc, cls))
-        print(f"{label} error: {exc}", file=sys.stderr)
+        print(f"{label} error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return code
 
 

@@ -1,11 +1,14 @@
 """The logistic nonlinearity, seeded sampling, finiteness and overflow
-checks, and the row blocking that bounds the size of temporaries.
+checks, the row blocking that bounds the size of temporaries, and the
+atomic file replacement every output file is written through.
 
-Everything operates on float64 numpy arrays.
+Everything numeric operates on float64 numpy arrays.
 """
 from __future__ import annotations
 
 import contextlib
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -139,3 +142,22 @@ def row_blocks(n_rows: int, row_length: int) -> list:
     does, in its last bits."""
     step = max(1, _BLOCK_VALUES // row_length)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a new temporary file beside path for binary writing; on a clean
+    exit it replaces path in one os.replace. A reader, or a process cut
+    short, then finds either the old file whole or the new one whole, never
+    a truncated one. On any error the temporary is removed and path is left
+    as it was. The file is not fsynced: this guards against an interrupted
+    process, not against losing power."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -251,9 +251,15 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     The gradient comes back flat, in the vector order of _slots: each
     block is written straight into its piece of one vector. Backprop
     multiplies by p(1-p) at each sigmoid layer, in the incoming gradient's
-    buffer; no gradient is formed for the input. forward, when given, is the (loss, activations) pair that
-    _loss_only returned for this x at the model's current parameters; only
-    the backward pass then runs.
+    buffer, forming 1-p in the activation's own buffer; no gradient is
+    formed for the input. The gradient passed down to the next layer goes
+    into the memory of the activation just consumed when it fits, as it
+    does when no layer is wider than the one above it; the pass then
+    allocates one layer-width gradient buffer besides the result.
+    forward, when given, is the (loss, activations) pair that _loss_only
+    returned for this x at the model's current parameters; only the
+    backward pass then runs, and it consumes those activations: every one
+    but the input is overwritten with scratch values.
     """
     y = np.asarray(y, dtype=np.int64)
     loss, acts = forward if forward is not None else _loss_only(d, x, y)
@@ -271,11 +277,13 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
         for idx in range(len(d.layers) - 1, -1, -1):
             layer, a = d.layers[idx], acts[idx + 1]
             d_pre = np.multiply(d_act, a, out=d_act)
-            d_pre *= 1.0 - a
+            d_pre *= np.subtract(1.0, a, out=a)
             np.matmul(acts[idx].T, d_pre, out=layer_views[2 * idx])
             d_pre.sum(axis=0, out=layer_views[2 * idx + 1])
             if idx > 0:
-                d_act = d_pre @ layer.w.T
+                need = a.shape[0] * layer.n_visible
+                spare = a.reshape(-1)[:need].reshape(a.shape[0], -1) if a.size >= need else None
+                d_act = np.matmul(d_pre, layer.w.T, out=spare)
     return loss, grad
 
 
@@ -314,17 +322,21 @@ def _cg_batch(d, params, x, y, cfg, alpha_prev):
 
     The gradient at an accepted point reuses the line search's forward
     pass. After the last iteration no gradient is taken: it would only
-    build a direction that the next batch discards.
+    build a direction that the next batch discards. The direction is
+    updated in place, and the Polak-Ribiere difference new_g - g is formed
+    in the old gradient's buffer, so an iteration allocates no vector of
+    the parameters' size beyond the new gradient and the line search's
+    start point.
     """
     loss, g = loss_and_grad(d, x, y, cfg.head_only)
-    direction = -g
+    direction = np.negative(g)
     for it in range(cfg.cg_iters):
         gg = float(g @ g)
         if gg == 0.0:
             break
         slope = float(g @ direction)
         if slope >= 0.0:
-            direction = -g
+            np.negative(g, out=direction)
             slope = -gg
         alpha, loss, acts = _armijo(d, params, direction, loss, slope, x, y, 2.0 * alpha_prev)
         if alpha is None:
@@ -334,10 +346,17 @@ def _cg_batch(d, params, x, y, cfg, alpha_prev):
             break
         _, new_g = loss_and_grad(d, x, y, cfg.head_only, forward=(loss, acts))
         del acts
-        beta = max(0.0, float(new_g @ (new_g - g)) / gg)
-        direction = -new_g + beta * direction
+        np.subtract(new_g, g, out=g)  # g becomes new_g - g: the old gradient is dead
+        _conjugate(direction, new_g, max(0.0, float(new_g @ g) / gg))
         g = new_g
     return alpha_prev
+
+
+def _conjugate(direction, new_g, beta):
+    """direction := -new_g + beta * direction, in place and to the bit:
+    products commute, and IEEE defines b - a as b + (-a) exactly."""
+    direction *= beta
+    direction -= new_g
 
 
 def fine_tune(
@@ -364,6 +383,12 @@ def fine_tune(
     iteration. Trials write into the model's own arrays: a line search
     copies the parameters once, and a trial allocates no vector of their
     size. Each epoch then makes one forward pass over each split.
+
+    A conjugate-gradient step holds the parameters, the gradient and the
+    direction, and one more vector of their size: the line search's start
+    point during the search, then the new gradient. Besides these it holds
+    the batch, one forward pass's activations and one layer-width gradient
+    buffer.
     """
     _head(d)
     if epochs < 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Rng, _overflow_raises, row_blocks
+from .core import Rng, _overflow_raises, atomic_write, row_blocks
 from .data import shuffle_split
 from .errors import ConfigError
 from .groups import GroupPartition, _group_sums, divide_accumulate, group_norms
@@ -256,9 +256,10 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
 
 def write_training_log(path, log: list, row_type=EpochStats) -> None:
     """Write a per-epoch log as CSV: one column per field of row_type, in
-    field order, each value written by repr so floats round-trip exactly."""
+    field order, each value written by repr so floats round-trip exactly.
+    The file is replaced atomically (core.atomic_write)."""
     names = [f.name for f in fields(row_type)]
     lines = [",".join(names)]
     lines += [",".join(repr(getattr(row, name)) for name in names) for row in log]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -9,18 +9,21 @@ one kind, "dbn"; load_dbn also reads the older single-layer "rbm" kind,
 whose header holds the shape at its top level.
 
 Because the header is canonical JSON and the payload is raw bits,
-save/load round-trips are byte-identical.
+save/load round-trips are byte-identical. save_dbn replaces its file
+atomically: an interrupted save leaves the old file whole.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
 
+from .core import atomic_write, require_finite
 from .dbn import Dbn, SoftmaxLayer
-from .errors import DataError
+from .errors import DataError, NumericError
 from .rbm import Rbm
 
 MAGIC = b"MNDBN1"
@@ -29,14 +32,15 @@ FORMAT_VERSION = 1
 
 def _write(path, header: dict, arrays) -> None:
     """Magic, header length, canonical JSON header, then each array's raw
-    little-endian float64 bytes in the order given."""
+    little-endian float64 bytes in the order given, written through
+    core.atomic_write so that path is replaced whole or not at all."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def save_dbn(d: Dbn, path, meta: dict | None = None) -> None:
@@ -55,27 +59,28 @@ def save_dbn(d: Dbn, path, meta: dict | None = None) -> None:
     _write(path, header, arrays)
 
 
-def _read_header(path) -> tuple[dict, bytes]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open ({exc})") from exc
-    if len(raw) < len(MAGIC) + 4:
-        raise DataError(f"{path}: file too short to hold a header")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: bad magic {raw[:len(MAGIC)]!r} (expected {MAGIC!r})")
-    (header_len,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
+def _read_header(fh, path) -> tuple[dict, int]:
+    """The JSON header of an open model file, and the number of bytes that
+    follow it; fh is left at the payload. Each length is checked against
+    the file's size before it is read."""
+    size = os.fstat(fh.fileno()).st_size
     start = len(MAGIC) + 4
-    if len(raw) < start + header_len:
+    lead = fh.read(start)
+    if len(lead) < start:
+        raise DataError(f"{path}: file too short to hold a header")
+    if lead[: len(MAGIC)] != MAGIC:
+        raise DataError(f"{path}: bad magic {lead[:len(MAGIC)]!r} (expected {MAGIC!r})")
+    (header_len,) = struct.unpack("<I", lead[len(MAGIC) :])
+    blob = fh.read(header_len) if size >= start + header_len else b""
+    if len(blob) < header_len:
         raise DataError(f"{path}: truncated header (need {header_len} bytes)")
     try:
-        header = json.loads(raw[start : start + header_len].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise DataError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: header is not a JSON object")
-    return header, raw[start + header_len :]
+    return header, size - start - header_len
 
 
 def _dim(spec, key: str, path) -> int:
@@ -85,23 +90,17 @@ def _dim(spec, key: str, path) -> int:
     return value
 
 
-def load_dbn(path) -> tuple[Dbn, dict]:
-    """Read a model file of either kind; returns (network, meta). A legacy
-    rbm file is a one-layer network with no head.
-
-    The header must be an object of format version FORMAT_VERSION whose
-    shapes are positive integers, and the payload must hold exactly the
-    arrays those shapes call for, every value finite.
-    """
-    header, payload = _read_header(path)
+def _shapes(header: dict, path) -> tuple[list, int, bool]:
+    """The payload's array shapes in file order, the number of feature
+    layers and whether a head follows, from a header checked field by
+    field."""
     found = header.get("kind")
     if found not in ("rbm", "dbn"):
         raise DataError(f"{path}: expected a model file, found kind {found!r}")
     version = header.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DataError(f"{path}: format version {version!r} is not {FORMAT_VERSION}")
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
+    if not isinstance(header.get("meta", {}), dict):
         raise DataError(f"{path}: header field 'meta' must be an object")
     specs = [header] if found == "rbm" else header.get("layers")
     if not isinstance(specs, list) or not specs:
@@ -114,19 +113,46 @@ def load_dbn(path) -> tuple[Dbn, dict]:
     if head is not None:
         f, c = _dim(head, "n_features", path), _dim(head, "n_classes", path)
         shapes += [(f, c), (c,)]
-    need = 8 * sum(math.prod(s) for s in shapes)
-    if len(payload) != need:
-        raise DataError(f"{path}: payload holds {len(payload)} bytes, the header needs {need}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    if not np.isfinite(flat).all():
-        raise DataError(f"{path}: the parameters hold NaN or infinite values")
+    return shapes, len(specs), head is not None
+
+
+def load_dbn(path) -> tuple[Dbn, dict]:
+    """Read a model file of either kind; returns (network, meta). A legacy
+    rbm file is a one-layer network with no head.
+
+    The header must be an object of format version FORMAT_VERSION whose
+    shapes are positive integers, and the payload must hold exactly the
+    arrays those shapes call for, every value finite. The payload is read
+    straight into the one float array that the returned model's arrays
+    view, so loading holds it once.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header, payload_len = _read_header(fh, path)
+            shapes, n_layers, has_head = _shapes(header, path)
+            need = 8 * sum(math.prod(s) for s in shapes)
+            if payload_len != need:
+                raise DataError(
+                    f"{path}: payload holds {payload_len} bytes, the header needs {need}"
+                )
+            flat = np.empty(need // 8, dtype="<f8")
+            if fh.readinto(flat) != need:
+                raise DataError(f"{path}: the payload ended early")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from exc
+    flat = flat.astype(float, copy=False)
+    try:
+        require_finite("the parameters", flat)
+    except NumericError as exc:
+        raise DataError(f"{path}: the parameters hold NaN or infinite values") from exc
     arrays, pos = [], 0
     for s in shapes:
         size = math.prod(s)
         arrays.append(flat[pos : pos + size].reshape(s))
         pos += size
     try:
-        layers = [Rbm(*arrays[k : k + 3]) for k in range(0, 3 * len(specs), 3)]
-        return Dbn(layers, SoftmaxLayer(*arrays[-2:]) if head is not None else None), meta
+        layers = [Rbm(*arrays[k : k + 3]) for k in range(0, 3 * n_layers, 3)]
+        head = SoftmaxLayer(*arrays[-2:]) if has_head else None
+        return Dbn(layers, head), header.get("meta", {})
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

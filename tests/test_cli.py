@@ -156,6 +156,30 @@ def test_overflow_in_first_epoch_is_numeric_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain-dbn", "finetune"])
+def test_out_of_memory_is_config_error_exit(tmp_path, monkeypatch, capsys, command):
+    # A synthetic block of side 100000 asks _prototypes for 745 GiB. The
+    # failure is simulated on a small block: an overcommitting host grants
+    # the real request, and the process is killed while the array fills.
+    def oversized(side, rng):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(10, 100000, 100000) and data type float64")
+
+    monkeypatch.setattr(synth, "_prototypes", oversized)
+    out = tmp_path / "run"
+    payload = {"dataset": synth_block(), "out_dir": str(out)}
+    args = [command]
+    if command == "pretrain-dbn":
+        payload["layer_sizes"] = [8]
+    else:
+        save_dbn(attach_head(Dbn([random_rbm(0, 16, 8)]), 10), tmp_path / "m.mndbn")
+        args.append(str(tmp_path / "m.mndbn"))
+    cfg = write_config(tmp_path, "big.json", payload)
+    assert main([*args, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: Unable to allocate 745. GiB") and err.count("\n") == 1
+    assert not out.exists()
+
 class TestTrainRbm:
     """One feature layer: pretrain-dbn with a one-element layer_sizes."""
 

@@ -1,6 +1,7 @@
 """Greedy stack pre-training, softmax head, conjugate-gradient fine-tuning."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,135 @@ class TestFineTune:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             FineTuneConfig(cg_iters=0)
+
+
+def _reference_loss_and_grad(d, x, y, forward=None):
+    """The full-stack gradient with every temporary allocated afresh: the
+    arithmetic loss_and_grad had before it worked in place."""
+    loss, acts = forward if forward is not None else _loss_only(d, x, y)
+    n = y.shape[0]
+    d_logits = dbn_module._softmax(dbn_module._head_logits(d, acts[-1]))
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    blocks = [acts[-1].T @ d_logits, d_logits.sum(axis=0)]
+    d_act = d_logits @ d.head.w_out.T
+    for idx in range(len(d.layers) - 1, -1, -1):
+        a = acts[idx + 1]
+        d_pre = d_act * a
+        d_pre *= 1.0 - a
+        blocks = [acts[idx].T @ d_pre, d_pre.sum(axis=0)] + blocks
+        d_act = d_pre @ d.layers[idx].w.T
+    return loss, np.concatenate([b.ravel() for b in blocks])
+
+
+def _reference_cg_batch(d, params, x, y, cfg, alpha_prev):
+    """_cg_batch with a new vector for each direction and difference."""
+    loss, g = _reference_loss_and_grad(d, x, y)
+    direction = -g
+    for it in range(cfg.cg_iters):
+        gg = float(g @ g)
+        if gg == 0.0:
+            break
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            direction = -g
+            slope = -gg
+        alpha, loss, acts = dbn_module._armijo(
+            d, params, direction, loss, slope, x, y, 2.0 * alpha_prev
+        )
+        if alpha is None:
+            break
+        alpha_prev = alpha
+        if it == cfg.cg_iters - 1:
+            break
+        _, new_g = _reference_loss_and_grad(d, x, y, forward=(loss, acts))
+        beta = max(0.0, float(new_g @ (new_g - g)) / gg)
+        direction = -new_g + beta * direction
+        g = new_g
+    return alpha_prev
+
+
+def _two_layer(sizes, seed=0):
+    layers = [Rbm.init_random(i, j, Rng(seed + k), std=0.3)
+              for k, (i, j) in enumerate(zip(sizes, sizes[1:]))]
+    d = attach_head(Dbn(layers), 10)
+    d.head.w_out[:] = Rng(seed + 9).normal(d.head.w_out.shape, std=0.3)
+    return d
+
+
+class TestInPlaceFineTune:
+    """The CG step and the backward pass work in the arrays they hold, with
+    the bits of the arithmetic that allocated its temporaries."""
+
+    # The gradient passed down fits in the consumed activation (16-12-20),
+    # or does not and gets its own buffer (16-20-12).
+    @pytest.mark.parametrize("sizes", [(16, 12, 20), (16, 20, 12)])
+    def test_gradient_matches_reference_bitwise(self, sizes):
+        d = _two_layer(sizes)
+        x = Rng(3).uniform((30, 16))
+        y = Rng(4).integers(0, 10, (30,))
+        loss, grad = loss_and_grad(d, x, y)
+        ref_loss, ref = _reference_loss_and_grad(d, x, y)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(16, 12, 20), (16, 20, 12)])
+    def test_cg_batches_match_reference_bitwise(self, sizes):
+        train, _ = make_synthetic(120, 0, side=4, seed=6)
+        cfg = FineTuneConfig(cg_iters=4)
+        models = [_two_layer(sizes), _two_layer(sizes)]
+        params = [_bind(d, False) for d in models]
+        alphas = [1.0, 1.0]
+        for lo in range(0, 120, 40):
+            x, y = train.images[lo : lo + 40], train.labels[lo : lo + 40]
+            alphas[0] = dbn_module._cg_batch(models[0], params[0], x, y, cfg, alphas[0])
+            alphas[1] = _reference_cg_batch(models[1], params[1], x, y, cfg, alphas[1])
+            assert alphas[0] == alphas[1]
+            assert params[0].tobytes() == params[1].tobytes()
+        assert not (params[0] == _bind(_two_layer(sizes), False)).all()
+
+    def test_direction_update_matches_reference_bitwise(self):
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 3.3]
+        pairs = np.array([(p, q) for p in special for q in special]).T
+        rnd = Rng(5).normal((2, 100000)) * np.exp(Rng(6).normal((2, 100000), std=20.0))
+        direction0, new_g = np.concatenate([pairs, rnd], axis=1)
+        for beta in [0.0, 5e-324, 1e-300, 0.37, 1.0, 3.3, 1e300]:
+            with np.errstate(over="ignore"):
+                expected = -new_g + beta * direction0
+                direction = direction0.copy()
+                dbn_module._conjugate(direction, new_g, beta)
+            assert direction.tobytes() == expected.tobytes()
+
+    def test_cg_batch_allocates_only_what_a_step_holds(self):
+        # Vectors of the parameters' size: the gradient, the direction and
+        # one of the line search's start point or the next gradient. Besides
+        # them one forward pass's activations, one layer-width gradient
+        # buffer, and a slack for the head's (batch, classes) arrays and
+        # Python objects. Forming the direction with a new vector for each
+        # term would add three more parameter vectors. The widths do not
+        # shrink going up, so each gradient passed down fits in the
+        # activation it replaces, as on the shipped stacks.
+        sizes, batch = (64, 64, 96), 16
+        d = _two_layer(sizes)
+        params = _bind(d, False)
+        x = Rng(7).uniform((batch, sizes[0]))
+        y = Rng(8).integers(0, 10, (batch,))
+        cfg = FineTuneConfig(cg_iters=3)
+        allowed = (
+            3 * params.nbytes
+            + 8 * batch * sum(sizes[1:])
+            + 8 * batch * max(sizes[1:])
+            + 16 * 1024
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dbn_module._cg_batch(d, params, x, y, cfg, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= allowed, (peak, allowed, params.nbytes)
 
 
 class TestEvaluate:

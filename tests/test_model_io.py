@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,37 @@ class TestLoadModelDispatch:
         p.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(DataError, match="expected a model file, found kind 'mystery'"):
             load_dbn(p)
+
+
+class TestFileHandling:
+    def test_load_holds_the_payload_once(self, tmp_path):
+        d = attach_head(Dbn([random_rbm(1, 300, 200), random_rbm(2, 200, 100)]), 10)
+        p = tmp_path / "m.mndbn"
+        save_dbn(d, p)
+        arrays = [a for m in d.layers for a in (m.w, m.b_vis, m.a_hid)]
+        payload = sum(a.nbytes for a in arrays + [d.head.w_out, d.head.b_out])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded, _ = load_dbn(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * payload, (peak, payload)
+        save_dbn(loaded, tmp_path / "again.mndbn")
+        assert (tmp_path / "again.mndbn").read_bytes() == p.read_bytes()
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "dbn.mndbn"
+        save_dbn(Dbn([random_rbm(3, 7, 3)]), p)
+        old = p.read_bytes()
+        broken = Dbn([random_rbm(4, 7, 3)])
+        broken.layers[0].b_vis = ["not a number"] * 7   # fails after w is written
+        with pytest.raises(ValueError):
+            save_dbn(broken, p)
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["dbn.mndbn"]
 
 
 class TestCorruption:
