@@ -133,14 +133,20 @@ def _overflow_raises(what: str):
         raise NumericError(f"overflow in {what}: {exc}") from exc
 
 
+def block_rows(row_length: int) -> int:
+    """Rows in one `row_blocks` block of rows of row_length values."""
+    return max(1, _BLOCK_VALUES // row_length)
+
+
 def row_blocks(n_rows: int, row_length: int) -> list:
-    """Slices that cut n_rows rows into blocks of about _BLOCK_VALUES values.
-    The passes that block their rows (`mixed_norm.penalty_grad`, the epoch
-    metrics, `synth.make_synthetic`) call this once each, and hand the group
-    kernels one block at a time. An elementwise result does not depend on
-    the block size; a sum taken one block at a time (the epoch metrics)
-    does, in its last bits."""
-    step = max(1, _BLOCK_VALUES // row_length)
+    """Slices that cut n_rows rows into blocks of about _BLOCK_VALUES values
+    (`block_rows` rows each; the last may be shorter). The passes that
+    block their rows (`mixed_norm.penalty_grad`, the epoch metrics,
+    `synth.make_synthetic`) call this once each, and hand the group kernels
+    one block at a time. An elementwise result does not depend on the
+    block size; a sum taken one block at a time (the epoch metrics) does,
+    in its last bits."""
+    step = block_rows(row_length)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 

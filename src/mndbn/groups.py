@@ -107,18 +107,20 @@ def accumulate(aug_values, p: GroupPartition) -> np.ndarray:
     return out
 
 
-def group_norms(values, p: GroupPartition) -> np.ndarray:
+def group_norms(values, p: GroupPartition, squares=None) -> np.ndarray:
     """l2 norm of each group: (..., j_original) -> (..., num_groups).
 
     A group's squares are added over its members in ascending order, one
     after another (`_group_sums`); a reshape-and-sum would add them
     pairwise, which rounds differently from group_size 8 on. The squares
-    of all the given rows are formed at once, so a caller that wants them
-    to stay in cache passes one row block at a time.
+    of all the given rows are formed at once, in `squares` when it is given
+    (a (rows, j_original) float array, not values itself), so a caller
+    that wants them to stay in cache passes one row block at a time.
     """
     values = _check_last_axis(values, p.j_original)
     rows = values.reshape(-1, p.j_original)
-    out = _group_sums(rows * rows, p, np.empty((rows.shape[0], p.num_groups)))
+    sq = np.multiply(rows, rows, out=squares)
+    out = _group_sums(sq, p, np.empty((rows.shape[0], p.num_groups)))
     np.sqrt(out, out=out)
     return out.reshape(values.shape[:-1] + (p.num_groups,))
 

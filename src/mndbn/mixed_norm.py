@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Rng, _overflow_raises, atomic_write, row_blocks
+from .core import Rng, _overflow_raises, atomic_write, block_rows, row_blocks
 from .data import shuffle_split
 from .errors import ConfigError
 from .groups import GroupPartition, _group_sums, divide_accumulate, group_norms
@@ -90,15 +90,17 @@ def mixed_norm(h_probs, cfg: PenaltyConfig):
     result). A sample's bits do not depend on the batch it arrives in.
     """
     h_probs = np.asarray(h_probs, dtype=float)
-    if h_probs.size and (h_probs.min() < 0.0 or h_probs.max() > 1.0):
+    # Negated so that NaN, which fails every comparison, is rejected too.
+    if h_probs.size and not (h_probs.min() >= 0.0 and h_probs.max() <= 1.0):
         raise ValueError("activation probabilities must lie in [0, 1]")
     return _group_norm_sums(h_probs, cfg.partition)
 
 
-def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition) -> np.ndarray:
+def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition, squares=None) -> np.ndarray:
     """Each row's group norms added in ascending group order, one after
-    another: (..., j) -> (...). All the given rows go through at once."""
-    return np.cumsum(group_norms(h_probs, part), axis=-1)[..., -1].copy()
+    another: (..., j) -> (...). All the given rows go through at once;
+    `squares` is handed to `group_norms`."""
+    return np.cumsum(group_norms(h_probs, part, squares), axis=-1)[..., -1].copy()
 
 
 # Floors each group norm in the gradient's denominator, so the all-zero group
@@ -114,30 +116,37 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     s_j times x, and the hidden bias picks up s_j itself. Returns (gw, ga),
     averaged over the rows of the batch x; a single vector is a one-row
     batch. The rows go through in `core.row_blocks` blocks, so the group
-    sums and quotients stay in cache. With `out`, the `rbm._CdBuffers` of
-    a `cd_step` whose statistics have been used, for at least x's rows,
-    p, u = p^2 (1 - p) and s overwrite its h0, h_sample and h_tilde, and
-    gw its scratch: no array the size of the batch or of the weights is
-    made.
+    sums and quotients stay in cache.
+
+    The step works in two batch arrays. p is formed in the first; per
+    block, u = p * p goes into the second, the group norms are taken from
+    it, and then u *= 1 - p, where 1 - p overwrites p's block (p is dead
+    once u is formed). s = `divide_accumulate`(u, norms) overwrites that
+    block again, and gw and the bias gradient are read from it. With
+    `out`, the `rbm._CdBuffers` of a `cd_step` whose statistics have been
+    applied, for at least x's rows, the two arrays are its h0 and chain
+    and gw is its scratch: no array the size of the batch or of the
+    weights is made. Without it, two batch arrays and gw are allocated.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     part = cfg.partition
     if out is None:
-        p, u, s = (np.empty((n, m.n_hidden)) for _ in range(3))
+        p, u = np.empty((n, m.n_hidden)), np.empty((n, m.n_hidden))
         gw = np.empty_like(m.w)
     else:
-        p, u, s, gw = out.h0[:n], out.h_sample[:n], out.h_tilde[:n], out.scratch
+        p, u, gw = out.h0[:n], out.chain[:n], out.scratch
     prob_h_given_x(m, x, out=p)
     for block in row_blocks(n, part.j_original):
-        pb, ub, sb = p[block], u[block], s[block]
+        pb, ub = p[block], u[block]
         # The group norms of p, as `group_norms` forms them, from u = p * p.
         denom = np.empty((len(pb), part.num_groups))
         _group_sums(np.multiply(pb, pb, out=ub), part, denom)
         np.sqrt(denom, out=denom)
         np.maximum(denom, _EPSILON, out=denom)
-        ub *= np.subtract(1.0, pb, out=sb)
-        divide_accumulate(ub, denom, part, out=sb)
+        ub *= np.subtract(1.0, pb, out=pb)
+        divide_accumulate(ub, denom, part, out=pb)
+    s = p  # divide_accumulate left s in p's buffer
     np.matmul(x.T, s, out=gw)
     gw /= n
     return gw, s.mean(axis=0)
@@ -161,9 +170,11 @@ def regularized_update(
     post-step-1 parameters. With lambda = 0 the second step is skipped, so
     the call is indistinguishable from vanilla CD training, including RNG
     consumption. `out`, an `rbm._CdBuffers` for at least the batch's rows,
-    holds every batch- and weight-sized array of the step: the penalty
-    overwrites the chain's h0, h_sample and h_tilde and the scratch array
-    once the CD statistics have been applied.
+    holds every batch- and weight-sized array of the step: `cd_step`
+    works in h0, chain, x_tilde and scratch and leaves its statistics in
+    stats; once `apply_update` has applied them (forming lr * dw in
+    scratch), `penalty_grad` overwrites h0 and chain with its two batch
+    arrays and scratch with its weight gradient.
     """
     stats = cd_step(m, batch, 1, rng, out=out)
     apply_update(m, stats, lr, momentum, velocity, out=None if out is None else out.scratch)
@@ -175,32 +186,33 @@ def regularized_update(
     return m
 
 
-def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig):
+def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, buf: _CdBuffers):
     """Deterministic full-pass metrics with the current parameters.
 
     Reconstruction error is the mean squared error of the one-step
     mean-field reconstruction (probabilities everywhere, no sampling).
     The images go through one `core.row_blocks` block of the wider layer
-    side at a time, so the pass holds one block's p and xhat (the squared
-    error is formed in xhat's buffer) and block-sized temporaries whatever
-    the number of images. Each sum is taken per block and the block sums
-    added in order, so their last bits depend on the block size.
+    side at a time, in the layer's `rbm._CdBuffers`, which are free
+    between steps and must have the rows of one block (`core.block_rows`):
+    p goes into h0, xhat into x_tilde (the squared error is then formed
+    over it), and the squares for the mixed-norm value into chain. So the
+    pass makes only group-sized temporaries, whatever the number of
+    images. Each sum is taken per block and the block sums added in
+    order, so their last bits depend on the block size.
     """
     sq_err = 0.0
     act_sum = 0.0
     mn_sum = 0.0
     n = images.shape[0]
-    blocks = row_blocks(n, max(m.n_visible, m.n_hidden))
-    rows = min(n, blocks[0].stop)
-    p_buf, xhat_buf = np.empty((rows, m.n_hidden)), np.empty((rows, m.n_visible))
-    for block in blocks:
+    for block in row_blocks(n, max(m.n_visible, m.n_hidden)):
         xb = images[block]
-        p = prob_h_given_x(m, xb, out=p_buf[: len(xb)])
-        xhat = prob_x_given_h(m, p, out=xhat_buf[: len(xb)])
+        rows = len(xb)
+        p = prob_h_given_x(m, xb, out=buf.h0[:rows])
+        xhat = prob_x_given_h(m, p, out=buf.x_tilde[:rows])
         np.subtract(xb, xhat, out=xhat)
         sq_err += float(np.square(xhat, out=xhat).sum())
         act_sum += float(p.sum())
-        mn_sum += float(np.sum(_group_norm_sums(p, cfg.partition)))
+        mn_sum += float(np.sum(_group_norm_sums(p, cfg.partition, buf.chain[:rows])))
     return (
         sq_err / (n * m.n_visible),
         act_sum / (n * m.n_hidden),
@@ -230,8 +242,10 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
         )
     m = Rbm.init_random(images.shape[1], layer_size, rng)
     velocity = Velocity.zeros(m)
-    rows = min(params.batch_size, images.shape[0])
-    buf, batch_buf = _CdBuffers.like(m, rows), np.empty((rows, m.n_visible))
+    n = images.shape[0]
+    # One set of buffers holds a batch and one block of the metrics pass.
+    rows = min(n, max(params.batch_size, block_rows(max(m.n_visible, layer_size))))
+    buf, batch_buf = _CdBuffers.like(m, rows), np.empty((min(n, params.batch_size), m.n_visible))
     log: list[EpochStats] = []
     with _overflow_raises("training"):
         for epoch in range(params.epochs):
@@ -241,7 +255,7 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
                 # mode="clip" takes straight into the buffer (see divide_accumulate)
                 batch = np.take(images, idx, axis=0, out=batch_buf[: len(idx)], mode="clip")
                 regularized_update(m, batch, cfg, params.lr, mom, velocity, rng, out=buf)
-            recon, mean_act, mn_value = _epoch_metrics(m, images, cfg)
+            recon, mean_act, mn_value = _epoch_metrics(m, images, cfg, buf)
             log.append(
                 EpochStats(
                     epoch=epoch,

@@ -128,37 +128,47 @@ def gibbs_chain(m: Rbm, x0, k: int, rng: Rng):
     stay as probabilities. Returns (x_tilde, h0_probs, h_tilde_probs):
     the final reconstruction probabilities, the hidden probabilities at the
     data, and the hidden probabilities at the final reconstruction. Accepts
-    a single vector or a batch.
+    a single vector or a batch; k must be at least 1.
     """
+    return _chain(m, np.asarray(x0, dtype=float), k, rng, None, None, None)
+
+
+def _chain(m: Rbm, x, k: int, rng: Rng, h0, h, x_tilde):
+    """gibbs_chain writing h0 and x_tilde into the buffers given for them
+    and the chain into `h` (None makes a new one). h first receives the
+    hidden sample; once x_tilde has been formed from it, the sample is dead
+    and h_tilde overwrites it. With k > 1 the next sample is drawn from
+    h_tilde into one spare array, and the two swap roles at each step."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _chain(m, np.asarray(x0, dtype=float), k, rng, None, None, None, None)
-
-
-def _chain(m: Rbm, x, k: int, rng: Rng, h0, h_sample, x_tilde, h_tilde):
-    """gibbs_chain writing each array into the buffer given for it (None
-    makes a new one). With k > 1, h_tilde is rewritten only after the next
-    sample has been drawn from it."""
     h_probs = h0 = prob_h_given_x(m, x, out=h0)
+    spare = np.empty_like(h0) if k > 1 else None
     for _ in range(k):
-        h_sample = sample_bernoulli(h_probs, rng, out=h_sample)
-        x_tilde = prob_x_given_h(m, h_sample, out=x_tilde)
-        h_probs = h_tilde = prob_h_given_x(m, x_tilde, out=h_tilde)
+        h = sample_bernoulli(h_probs, rng, out=h)
+        x_tilde = prob_x_given_h(m, h, out=x_tilde)
+        h_probs = prob_h_given_x(m, x_tilde, out=h)
+        h, spare = spare, h
     return x_tilde, h0, h_probs
 
 
 @dataclass
 class _CdBuffers:
-    """The arrays `cd_step` works in, for batches of up to `rows` rows: the
-    chain's h0, hidden sample, x_tilde and h_tilde, the statistics it
-    returns, and one more weight-shaped array. Once the statistics have
-    been used, the chain arrays are free: `mixed_norm.penalty_grad` reuses
-    h0, h_sample and h_tilde, and `scratch`, for its own batch arrays."""
+    """The arrays `cd_step` works in, for batches of up to `rows` rows.
+
+    - `h0` holds the hidden probabilities at the data.
+    - `chain` holds the hidden sample, then h_tilde, the hidden
+      probabilities at the reconstruction (see `_chain`).
+    - `x_tilde` holds the reconstruction.
+    - `stats` receives the statistics and `scratch` the negative-phase
+      product x_tilde.T @ h_tilde.
+
+    Once the statistics have been applied, the rest is free:
+    `mixed_norm.penalty_grad` works in h0, chain and scratch, and
+    `mixed_norm._epoch_metrics` in h0, chain and x_tilde."""
 
     h0: np.ndarray
-    h_sample: np.ndarray
+    chain: np.ndarray
     x_tilde: np.ndarray
-    h_tilde: np.ndarray
     stats: CdStats
     scratch: np.ndarray
 
@@ -167,9 +177,8 @@ class _CdBuffers:
         """Uninitialised buffers for `m`."""
         return cls(
             h0=np.empty((rows, m.n_hidden)),
-            h_sample=np.empty((rows, m.n_hidden)),
+            chain=np.empty((rows, m.n_hidden)),
             x_tilde=np.empty((rows, m.n_visible)),
-            h_tilde=np.empty((rows, m.n_hidden)),
             stats=CdStats(np.empty_like(m.w), np.empty_like(m.b_vis), np.empty_like(m.a_hid)),
             scratch=np.empty_like(m.w),
         )
@@ -180,10 +189,14 @@ def cd_step(m: Rbm, batch, k: int, rng: Rng, out=None) -> CdStats:
 
     Positive phase uses the data and its hidden probabilities; negative
     phase uses the k-step reconstruction and its hidden probabilities. All
-    three statistics are averaged over the batch. `out`, a `_CdBuffers`
-    for at least the batch's rows, holds the chain and receives the
-    statistics (out.stats is returned); the step then makes no array the
-    size of the batch or of the weights.
+    three statistics are averaged over the batch; k must be at least 1.
+    `out`, a `_CdBuffers` for at least the batch's rows, holds the chain
+    (h0, the sample and then h_tilde in `chain`, x_tilde) and receives the
+    statistics (out.stats is returned). Afterwards h0 still holds the
+    data's hidden probabilities, while x_tilde and h_tilde have been
+    overwritten by the differences batch - x_tilde and h0 - h_tilde. With
+    `out` the CD-1 step makes no array the size of the batch or of the
+    weights; k > 1 adds one hidden-sized array.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
@@ -193,7 +206,7 @@ def cd_step(m: Rbm, batch, k: int, rng: Rng, out=None) -> CdStats:
     n = batch.shape[0]
     buf = _CdBuffers.like(m, n) if out is None else out
     x_tilde, h0_probs, ht_probs = _chain(
-        m, batch, k, rng, buf.h0[:n], buf.h_sample[:n], buf.x_tilde[:n], buf.h_tilde[:n]
+        m, batch, k, rng, buf.h0[:n], buf.chain[:n], buf.x_tilde[:n]
     )
     stats = buf.stats
     np.matmul(batch.T, h0_probs, out=stats.dw)
@@ -211,7 +224,7 @@ def apply_update(
     parameters += velocity. Mutates the model and the velocity in place;
     `stats` is only read. `out`, a float array shaped like the weights,
     receives lr * stats.dw, so the step makes no weight-sized temporary."""
-    if lr <= 0:
+    if not lr > 0:  # negated, so NaN fails too
         raise ValueError(f"lr must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")

@@ -3,16 +3,19 @@
 Images are binary PGM (P5) so they stay dependency-free and byte-auditable;
 tabular outputs are CSV plus an aligned plain-text rendering. Published
 full-scale reference results are embedded as annotation rows so measured
-runs can be read side by side with them.
+runs can be read side by side with them. Every output replaces its old
+version atomically (core.atomic_write).
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import atomic_write
 from .dbn import Dbn, forward
 from .errors import ConfigError
 from .rbm import Rbm
@@ -101,7 +104,7 @@ def weight_tiles(m: Rbm, grid, out_path) -> np.ndarray:
             tile = np.full((side, side), 127, dtype=np.uint8)
         r, c = divmod(t, cols)
         canvas[r * side : (r + 1) * side, c * side : (c + 1) * side] = tile
-    with open(out_path, "wb") as fh:
+    with atomic_write(out_path) as fh:
         fh.write(f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii"))
         fh.write(canvas.tobytes())
     return canvas
@@ -151,8 +154,8 @@ def activation_histogram(d: Dbn, batch, bins: int, out_path):
     lines = [",".join(HISTOGRAM_COLUMNS)]
     for b in range(bins):
         lines.append(f"{repr(float(edges[b]))},{repr(float(edges[b + 1]))},{int(counts[b])}")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(out_path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     return counts, edges
 
 
@@ -184,16 +187,19 @@ def results_table(records, out_csv, out_txt, include_reference: bool = True):
     Returns the row tuples that were written.
     """
     rows = _table_rows(records, include_reference)
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(TABLE_COLUMNS)
+    writer.writerows(rows)
+    with atomic_write(out_csv) as fh:
+        fh.write(text.getvalue().encode("utf-8"))
     all_rows = [TABLE_COLUMNS] + rows
     widths = [max(len(r[c]) for r in all_rows) for c in range(len(TABLE_COLUMNS))]
-    with open(out_txt, "w", encoding="utf-8") as fh:
-        for r, row in enumerate(all_rows):
-            fh.write("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
-            fh.write("\n")
-            if r == 0:
-                fh.write("  ".join("-" * widths[c] for c in range(len(widths))) + "\n")
+    lines = []
+    for r, row in enumerate(all_rows):
+        lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
+        if r == 0:
+            lines.append("  ".join("-" * widths[c] for c in range(len(widths))))
+    with atomic_write(out_txt) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     return rows

@@ -12,7 +12,7 @@ from conftest import (
     random_rbm,
     reference_group_norm_sums,
 )
-from mndbn.core import _BLOCK_VALUES, Rng, row_blocks
+from mndbn.core import _BLOCK_VALUES, Rng, block_rows
 from mndbn.errors import NumericError
 from mndbn.groups import accumulate, divide_accumulate, expand, group_norms, make_partition
 from mndbn.mixed_norm import (
@@ -72,6 +72,13 @@ class TestMixedNormValue:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             mixed_norm(np.array([0.5, 1.5]), cfg_for(2, 2))
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_rejects_nan(self, at):
+        h = np.full(4, 0.5)
+        h[at] = np.nan
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            mixed_norm(h, cfg_for(4, 2))
 
     @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
     def test_config_rejects_negative_or_non_finite_lambda(self, lam):
@@ -373,33 +380,37 @@ class TestEpochMetrics:
     @pytest.mark.parametrize("overlap", [0.0, 0.5])
     def test_bits_match_full_size_temporaries(self, overlap):
         # 2000 units take 32 rows per row block; 225 images leave a one-row
-        # last block
+        # last block. The buffers are a training step's, sized for a batch
+        # of 100 rows, of which each block uses the first 32.
         m = random_rbm(4, 16, 2000, std=0.5)
         cfg = cfg_for(2000, 10, overlap)
+        buf = _CdBuffers.like(m, 100)
         for n in (32, 100, 225):
             images = Rng(5).uniform((n, 16))
-            assert _epoch_metrics(m, images, cfg) == reference_epoch_metrics(m, images, cfg, 32)
+            got = _epoch_metrics(m, images, cfg, buf)
+            assert got == reference_epoch_metrics(m, images, cfg, 32)
 
     @pytest.mark.parametrize("overlap", [0.0, 0.5])
     def test_peak_memory_is_about_one_chunk(self, overlap):
         # 784 pixels into 500 units: the default chunk is one row block of
-        # 83 rows. The pass holds one block's p and xhat and block-sized
-        # temporaries, so its peak does not grow with the number of images.
+        # 83 rows. The pass works in the step's buffers and makes only
+        # group-sized temporaries, so its peak does not grow with the
+        # number of images and stays below one block's hidden array.
         m = random_rbm(6, 784, 500, std=0.05)
         cfg = cfg_for(500, 10, overlap)
-        block_rows = row_blocks(1, 784)[0].stop
-        block_bytes = block_rows * (784 + 500) * 8
+        rows = block_rows(784)
+        buf = _CdBuffers.like(m, rows)
         peaks = []
         for n in (1000, 8000):
             images = Rng(7).uniform((n, 784))
             tracemalloc.start()
             try:
-                _epoch_metrics(m, images, cfg)
+                _epoch_metrics(m, images, cfg, buf)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 64 * 1024
-        assert max(peaks) <= 3 * block_bytes
+        assert max(peaks) <= rows * 500 * 8
 
 
 class TestRowBlockSize:
@@ -485,6 +496,27 @@ class TestBatchBuffers:
         finally:
             tracemalloc.stop()
         assert peak < rows * j * 8
+
+    def test_training_epoch_holds_two_hidden_arrays_and_one_block(self):
+        # 64 inputs into 2000 units, 50% overlap, batches of 100. A step
+        # keeps four weight-sized arrays (w, the velocity, stats.dw and
+        # scratch), two batch x hidden arrays (h0 and chain), x_tilde and
+        # the batch; beyond those, one 32-row block of hidden values (the
+        # quotient temporary of divide_accumulate) and group-sized
+        # temporaries. The metrics pass borrows the step's buffers.
+        n_visible, j, rows = 64, 2000, 100
+        images = Rng(27).uniform((3 * rows, n_visible))
+        cfg = cfg_for(j, 10, 0.5, lam=0.1)
+        params = TrainConfig(lr=0.05, epochs=1, batch_size=rows)
+        tracemalloc.start()
+        try:
+            train_mnrbm(images, j, cfg, params, Rng(28))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights, hidden, visible = n_visible * j * 8, rows * j * 8, rows * n_visible * 8
+        block = block_rows(j) * j * 8
+        assert peak <= 4 * weights + 2 * hidden + 2 * visible + block + 512 * 1024
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_numeric_error(self):

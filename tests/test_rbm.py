@@ -11,6 +11,7 @@ from mndbn.rbm import (
     CdStats,
     Rbm,
     Velocity,
+    _CdBuffers,
     apply_update,
     cd_step,
     energy,
@@ -141,6 +142,19 @@ class TestCdStep:
         xt_single, _, _ = gibbs_chain(m, row, 1, Rng(33))
         assert (xt_single[0] == xt_pair[0]).all()
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_rejects_fewer_than_one_gibbs_step(self, k, buffered):
+        # A zero-step chain has no negative phase: without the check the
+        # statistics came out NaN, or were read from uninitialised buffers.
+        m = random_rbm(8, 4, 3)
+        batch = Rng(1).uniform((5, 4))
+        out = _CdBuffers.like(m, 5) if buffered else None
+        rng = Rng(2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            cd_step(m, batch, k, rng, out=out)
+        assert rng.uniform((3,)).tobytes() == Rng(2).uniform((3,)).tobytes()
+
 
 class TestApplyUpdate:
     def test_no_momentum_unit_lr_adds_stats(self):
@@ -193,6 +207,17 @@ class TestApplyUpdate:
             apply_update(m, stats, lr=0.0, momentum=0.5, velocity=Velocity.zeros(m))
         with pytest.raises(ValueError):
             apply_update(m, stats, lr=0.1, momentum=1.0, velocity=Velocity.zeros(m))
+
+    def test_nan_lr_rejected_before_anything_changes(self):
+        m = random_rbm(3, 4, 3, std=0.3)
+        v = Velocity(dw=Rng(4).normal((4, 3)), db_vis=Rng(5).normal((4,)),
+                     da_hid=Rng(6).normal((3,)))
+        stats = CdStats(dw=np.ones((4, 3)), db_vis=np.ones(4), da_hid=np.ones(3))
+        before = [a.tobytes() for a in (m.w, m.b_vis, m.a_hid, v.dw, v.db_vis, v.da_hid)]
+        with pytest.raises(ValueError, match="lr must be positive"):
+            apply_update(m, stats, lr=float("nan"), momentum=0.5, velocity=v)
+        after = [a.tobytes() for a in (m.w, m.b_vis, m.a_hid, v.dw, v.db_vis, v.da_hid)]
+        assert after == before
 
 
 class TestEnumerationOracles:

@@ -147,3 +147,61 @@ class TestResultsTable:
         assert lines[0].startswith("architecture")
         assert set(lines[1]) <= {"-", " "}
         assert any("rbm(64-10)" in line for line in lines[2:])
+
+
+class _FailingFile:
+    """A file opened for writing whose first write puts down half of its
+    data and then fails, as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestAtomicOutputs:
+    """A write that fails part-way leaves the old file whole and no
+    temporary file beside it."""
+
+    OUTPUTS = {
+        "tiles": (lambda d: weight_tiles(random_rbm(1, 16, 4), (2, 2), d / "out.pgm"), 1),
+        "histogram": (lambda d: activation_histogram(
+            Dbn([random_rbm(2, 4, 6)]), Rng(3).uniform((8, 4)), 5, d / "out.csv"), 1),
+        "results-csv": (lambda d: results_table([], d / "out.csv", d / "t.txt"), 1),
+        "results-txt": (lambda d: results_table([], d / "t.csv", d / "out.txt"), 2),
+    }
+
+    @pytest.mark.parametrize("output", sorted(OUTPUTS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, output):
+        write, failing_open = self.OUTPUTS[output]
+        write(tmp_path)
+        target = next(p for p in tmp_path.iterdir() if p.stem == "out")
+        old = target.read_bytes()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        real_open = open
+        opened = []
+
+        def open_failing(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" not in mode and "x" not in mode:
+                return fh
+            opened.append(path)
+            return _FailingFile(fh) if len(opened) == failing_open else fh
+
+        monkeypatch.setattr("builtins.open", open_failing)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path)
+        monkeypatch.undo()
+        assert target.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
