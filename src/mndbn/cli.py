@@ -19,9 +19,10 @@ Exit codes: 0 success, 1 completed with warnings (e.g. empty report
 directory), 2 configuration error or out of memory (the config asks for
 more data than the machine holds), 3 data error, 4 numeric failure.
 
-Model, log, metrics, confusion and manifest files replace their old
-versions atomically (core.atomic_write), and the manifest is written last,
-so a run cut short never leaves a manifest beside a truncated model or log.
+Model, histogram, log, metrics, confusion and manifest files replace their
+old versions atomically (core.atomic_write), and the manifest is written
+last, so a run cut short never leaves a manifest beside a truncated model
+or log.
 """
 from __future__ import annotations
 
@@ -305,6 +306,16 @@ def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, con
 
 # ---------------------------------------------------------------- commands
 
+# The bins and the training images of the activation histogram that
+# pretrain-dbn and finetune write beside their model, and the report's
+# weight-tile grid (rows, cols).
+_HISTOGRAM_BINS, _HISTOGRAM_IMAGES, _TILE_GRID = 20, 1000, (10, 10)
+
+
+def _histogram_path(model_path: Path) -> Path:
+    """Where a run writes its model's histogram, and the report finds it."""
+    return model_path.with_name(f"{model_path.stem}_activations.csv")
+
 
 def _resolve_pretrain(args, config: dict):
     """A stack of "layer_sizes" (one layer or more), with one shared
@@ -338,7 +349,8 @@ def _resolve_pretrain(args, config: dict):
 
 
 def cmd_pretrain(args) -> int:
-    """Writes dbn.mndbn and one layer<i>_log.csv per layer."""
+    """Writes dbn.mndbn, its activation histogram dbn_activations.csv and
+    one layer<i>_log.csv per layer."""
     resolved, sizes, pens, pcfgs, tcfg = _resolve_pretrain(
         args, _load_config(args.config, args.command)
     )
@@ -347,6 +359,7 @@ def cmd_pretrain(args) -> int:
     from .dbn import pretrain_greedy
     from .mixed_norm import write_training_log
     from .model_io import save_dbn
+    from .report import activation_histogram
 
     train, _ = _build_datasets(resolved["dataset"])
     tag = _architecture_tag(sizes, pens)
@@ -360,9 +373,12 @@ def cmd_pretrain(args) -> int:
     }
     out_dir = _make_dir(resolved["out_dir"])
     save_dbn(model, out_dir / "dbn.mndbn", meta=meta)
+    hist = _histogram_path(out_dir / "dbn.mndbn")
+    activation_histogram(model, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
     for name, log in zip(log_names, logs):
         write_training_log(out_dir / name, log)
-    _write_manifest(out_dir, args.command, resolved, tcfg.seed, ["dbn.mndbn", *log_names])
+    artifacts = ["dbn.mndbn", hist.name, *log_names]
+    _write_manifest(out_dir, args.command, resolved, tcfg.seed, artifacts)
     print(f"{tag}: {len(sizes)}-layer stack pretrained on {len(train)} images")
     for i, log in enumerate(logs, 1):
         if log:
@@ -424,6 +440,7 @@ def cmd_finetune(args) -> int:
     from .dbn import FineTuneEpoch, attach_head, evaluate, fine_tune
     from .mixed_norm import write_training_log
     from .model_io import save_dbn
+    from .report import activation_histogram
 
     d, meta, train, test = _load_run(resolved)
     attach_head(d, NUM_CLASSES)
@@ -439,6 +456,8 @@ def cmd_finetune(args) -> int:
     meta = {"architecture": tag, "dataset": dataset, "finetune": resolved["finetune"]}
     out_dir = _make_dir(resolved["out_dir"])
     save_dbn(d, out_dir / "dbn_finetuned.mndbn", meta=meta)
+    hist = _histogram_path(out_dir / "dbn_finetuned.mndbn")
+    activation_histogram(d, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
     write_training_log(out_dir / "finetune_log.csv", log, FineTuneEpoch)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(reported), elapsed,
                    train_accuracy_pct=100.0 * train_acc)
@@ -447,7 +466,7 @@ def cmd_finetune(args) -> int:
         "finetune",
         resolved,
         ft.seed,
-        ["dbn_finetuned.mndbn", "finetune_log.csv", "metrics.json", "confusion.csv"],
+        ["dbn_finetuned.mndbn", hist.name, "finetune_log.csv", "metrics.json", "confusion.csv"],
     )
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% after {ft.epochs} epochs")
     print(f"wrote {out_dir / 'dbn_finetuned.mndbn'}")
@@ -476,35 +495,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The report's weight-tile grid (rows, cols), its histogram bins, and how
-# many training images feed each histogram.
-_TILE_GRID, _HISTOGRAM_BINS, _HISTOGRAM_IMAGES = (10, 10), 20, 1000
-
-
-def _histogram_batch(model_path: Path, batches: dict):
-    """The first _HISTOGRAM_IMAGES training images of the dataset recorded
-    in the manifest next to a model file. `batches` holds the batches
-    already built in this report, keyed by resolved dataset block, so each
-    dataset loads once."""
-    manifest_path = model_path.parent / "manifest.json"
-    if not manifest_path.exists():
-        return None, f"{model_path}: no manifest.json beside it, skipping histogram"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        block = _resolve_dataset(manifest["config"]["dataset"])
-        key = json.dumps(block, sort_keys=True)
-        if key not in batches:
-            train, _ = _build_datasets(block)
-            batches[key] = train.images[:_HISTOGRAM_IMAGES].copy()
-    except (OSError, KeyError, TypeError, ValueError, RecursionError, ConfigError,
-            DataError) as exc:
-        return None, f"{model_path}: cannot reload dataset for histogram ({exc})"
-    return batches[key], None
-
-
 def cmd_report(args) -> int:
+    """Tiles each model's first layer, copies the activation histogram its
+    run wrote beside it, and tabulates every metrics.json under run_dir."""
+    from .core import atomic_write
     from .model_io import load_dbn
-    from .report import RunRecord, activation_histogram, results_table, weight_tiles
+    from .report import RunRecord, results_table, weight_tiles
 
     config = {} if args.config is None else _load_config(args.config, "report")
     _check_keys(config, {"run_dir", "out_dir"}, "config")
@@ -512,11 +508,12 @@ def cmd_report(args) -> int:
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
     out_dir = Path(_resolve_path(args.out, config, "out_dir", run_dir / "report"))
+    if out_dir.resolve() in (run_dir.resolve(), *run_dir.resolve().parents):
+        raise ConfigError(f"output directory {out_dir} holds the run directory {run_dir}")
     resolved = {"run_dir": str(run_dir), "out_dir": str(out_dir)}
 
     warnings = []
     artifacts = []
-    batches = {}
     model_paths = sorted(p for p in run_dir.rglob("*.mndbn") if out_dir not in p.parents)
     # A malformed model fails the run before it makes the output directory.
     models = [load_dbn(path)[0] for path in model_paths]
@@ -535,12 +532,14 @@ def cmd_report(args) -> int:
             print(f"wrote {out_dir / name}")
         else:
             warnings.append(f"{path}: visible size {layer.n_visible} is not square, skipping tiles")
-        batch, problem = _histogram_batch(path, batches)
-        if batch is None:
-            warnings.append(problem)
+        try:
+            hist = _histogram_path(path).read_bytes()
+        except OSError as exc:
+            warnings.append(f"{path}: no readable histogram beside it, skipping it ({exc})")
         else:
             name = f"{stem}_activations.csv"
-            activation_histogram(model, batch, _HISTOGRAM_BINS, out_dir / name)
+            with atomic_write(out_dir / name) as fh:
+                fh.write(hist)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
     records = []

@@ -26,7 +26,7 @@ import numpy as np
 from .core import Rng, _overflow_raises, atomic_write, block_rows, row_blocks
 from .data import shuffle_split
 from .errors import ConfigError
-from .groups import GroupPartition, _group_sums, divide_accumulate, group_norms
+from .groups import GroupPartition, divide_accumulate, group_norms
 from .rbm import (
     Rbm,
     Velocity,
@@ -139,10 +139,7 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     prob_h_given_x(m, x, out=p)
     for block in row_blocks(n, part.j_original):
         pb, ub = p[block], u[block]
-        # The group norms of p, as `group_norms` forms them, from u = p * p.
-        denom = np.empty((len(pb), part.num_groups))
-        _group_sums(np.multiply(pb, pb, out=ub), part, denom)
-        np.sqrt(denom, out=denom)
+        denom = group_norms(pb, part, squares=ub)  # leaves u = p * p in ub
         np.maximum(denom, _EPSILON, out=denom)
         ub *= np.subtract(1.0, pb, out=pb)
         divide_accumulate(ub, denom, part, out=pb)

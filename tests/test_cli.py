@@ -1,7 +1,7 @@
 """End-to-end command-line workflows on the synthetic dataset."""
 
+import ast
 import csv
-import functools
 import gzip
 import json
 import subprocess
@@ -187,8 +187,8 @@ class TestTrainRbm:
         out = tmp_path / "run"
         cfg = rbm_config(tmp_path, out)
         assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["dbn.mndbn", "layer1_log.csv",
-                                                         "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dbn.mndbn", "dbn_activations.csv", "layer1_log.csv", "manifest.json"]
         model, meta = load_dbn(out / "dbn.mndbn")
         assert len(model.layers) == 1 and model.head is None
         assert (model.n_visible, model.n_features) == (16, 24)
@@ -479,8 +479,7 @@ class TestPretrainDbn:
         assert not replay.exists()
 
 
-@pytest.fixture()
-def pretrained_run(tmp_path):
+def pretrain_run(tmp_path):
     out = tmp_path / "pre"
     payload = {
         "dataset": synth_block(),
@@ -492,6 +491,11 @@ def pretrained_run(tmp_path):
     cfg = write_config(tmp_path, "pre.json", payload)
     assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
     return out
+
+
+@pytest.fixture()
+def pretrained_run(tmp_path):
+    return pretrain_run(tmp_path)
 
 
 class TestFinetune:
@@ -762,28 +766,85 @@ class TestReport:
         assert main(["report", str(root)]) == 0
         assert len(list(out.glob("*_tiles.pgm"))) == n_first
 
-    def test_each_dataset_builds_once(self, tmp_path, monkeypatch):
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        runs = tmp_path / "runs"
-        pre = json.loads((configs / "synthetic_smoke.json").read_text())
-        pre.update(out_dir=str(runs / "pretrain"), train={**pre["train"], "epochs": 1})
-        ft = json.loads((configs / "synthetic_smoke_finetune.json").read_text())
-        ft.update(model_path=str(runs / "pretrain" / "dbn.mndbn"), out_dir=str(runs / "finetune"),
-                  finetune={**ft["finetune"], "epochs": 1})
-        assert main(["pretrain-dbn", "--config", str(write_config(tmp_path, "pre.json", pre))]) == 0
-        assert main(["finetune", "--config", str(write_config(tmp_path, "ft.json", ft))]) == 0
-        calls = []
-        real = synth.make_synthetic
+    def test_report_builds_no_dataset(self, tmp_path, pretrained_run, monkeypatch):
+        root = self.populated_run(tmp_path, pretrained_run)
 
-        @functools.wraps(real)   # the CLI reads the dataset schema from the signature
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the report built a dataset")
 
-        monkeypatch.setattr(synth, "make_synthetic", counted)
-        assert main(["report", str(runs), "--out", str(tmp_path / "report")]) == 0
-        assert len(list((tmp_path / "report").glob("*_activations.csv"))) == 2
-        assert len(calls) == 1
+        monkeypatch.setattr(cli, "_build_datasets", unreachable)
+        monkeypatch.setattr(synth, "make_synthetic", unreachable)
+        out = tmp_path / "report"
+        assert main(["report", str(root), "--out", str(out)]) == 0
+        for run, stem in [(root / "pre", "dbn"), (root / "ft", "dbn_finetuned")]:
+            copied = out / f"{run.name}_{stem}_activations.csv"
+            assert copied.read_bytes() == (run / f"{stem}_activations.csv").read_bytes()
+
+    def test_report_reaches_no_data_loader(self):
+        # Every name cmd_report reads, and those of the cli functions it
+        # calls, transitively.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        seen, todo, names = set(), ["cmd_report"], set()
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                    if node.id in functions and node.id not in seen:
+                        todo.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+        loaders = {"_build_datasets", "_resolve_dataset", "load_idx", "load_usps", "make_synthetic"}
+        assert not names & loaders
+
+    def test_report_over_idx_run_without_its_data(self, tmp_path, capsys):
+        images = tmp_path / "im.idx"
+        labels = tmp_path / "lb.idx"
+        images.write_bytes(idx_bytes(0x803, 6, 2, 2, payload=bytes(range(0, 240, 10))))
+        labels.write_bytes(idx_bytes(0x801, 6, payload=bytes(range(6))))
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path, "pre.json", {
+            "dataset": {"name": "mnist", "train_images": str(images),
+                        "train_labels": str(labels)},
+            "layer_sizes": [4],
+            "train": {"epochs": 1, "batch": 3},
+            "out_dir": str(run),
+        })
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
+        images.unlink()
+        labels.unlink()
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert main(["report", str(run), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "dbn_activations.csv").read_bytes() == \
+            (run / "dbn_activations.csv").read_bytes()
+
+    def test_model_without_histogram_warns_once(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        save_dbn(Dbn([random_rbm(0, 16, 8)]), run / "m.mndbn")
+        out = tmp_path / "report"
+        assert main(["report", str(run), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"warning: {run / 'm.mndbn'}: no readable histogram")
+        assert not (out / "m_activations.csv").exists()
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(artifacts) == ["m_tiles.pgm", "results.csv", "results.txt"]
+
+    @pytest.mark.parametrize("out", [".", "..", "../pre", "../.."])
+    def test_output_holding_the_run_dir_is_config_error(self, tmp_path, pretrained_run, capsys,
+                                                        monkeypatch, out):
+        monkeypatch.chdir(pretrained_run)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["report", str(pretrained_run), "--out", out]) == 2
+        assert "config error: output directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_empty_directory_warns_and_fails(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
@@ -794,14 +855,16 @@ class TestReport:
         table = read_csv(out / "results.csv")
         assert len(table) == 1   # header only, no reference rows for empty runs
 
-    def test_unreadable_metrics_and_manifest_are_warnings(self, tmp_path, pretrained_run,
-                                                          capsys):
+    def test_unreadable_metrics_warn_and_manifest_is_not_read(self, tmp_path, pretrained_run,
+                                                              capsys):
         (pretrained_run / "manifest.json").write_text("[" * 100000)
         (pretrained_run / "metrics.json").write_text("[" * 100000)
-        assert main(["report", str(pretrained_run), "--out", str(tmp_path / "report")]) == 0
-        err = capsys.readouterr().err
-        assert "cannot reload dataset for histogram" in err
-        assert "unreadable metrics" in err
+        out = tmp_path / "report"
+        assert main(["report", str(pretrained_run), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unreadable metrics" in err[0]
+        assert (out / "dbn_activations.csv").read_bytes() == \
+            (pretrained_run / "dbn_activations.csv").read_bytes()
 
     @pytest.mark.parametrize("field, value", [
         ("architecture", 5), ("dataset", ["u"]), ("accuracy_pct", float("nan")),
@@ -831,10 +894,10 @@ class TestReport:
         assert "data error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fixed_settings_take_effect(self, tmp_path, pretrained_run, monkeypatch):
-        # A histogram takes the first _HISTOGRAM_IMAGES training images (7
-        # here, of the run's 120) into 20 bins; tiles fill up to a 10x10
-        # grid, so the first layer's 16 units make one row of 10.
+    def test_fixed_settings_take_effect(self, tmp_path, monkeypatch):
+        # A run's histogram takes the first _HISTOGRAM_IMAGES training images
+        # (7 here, of the run's 120) into 20 bins; the report's tiles fill
+        # up to a 10x10 grid, so the first layer's 16 units make one row of 10.
         monkeypatch.setattr(cli, "_HISTOGRAM_IMAGES", 7)
         rows = []
         real = report.activation_histogram
@@ -844,6 +907,7 @@ class TestReport:
             return real(model, batch, bins, out_path)
 
         monkeypatch.setattr(report, "activation_histogram", recorded)
+        pretrained_run = pretrain_run(tmp_path)
         out = tmp_path / "report"
         cfg = write_config(tmp_path, "report.json", {
             "run_dir": str(pretrained_run), "out_dir": str(out)})

@@ -19,6 +19,10 @@ re-recording since, and why:
   bins and image count became constants: the model header's meta and the
   resolved blocks lost those keys, and the model's float payload kept its
   bytes.
+- The pretrain-dbn and finetune manifests, when each run began to write
+  its model's activation histogram beside the model and list it as an
+  artifact. The histograms carry the digest the report's copies had when
+  the report recomputed them, and every report digest kept its value.
 
 The resolved blocks are exactly what each shipped config's manifest
 records under "config". The run digests come from the synthetic smoke
@@ -273,13 +277,15 @@ RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
               'metrics.json': 'f19c96741eb939e8'},
  'finetune': {'confusion.csv': '0f0cf689d9cc1439',
               'dbn_finetuned.mndbn': '064b1548d56e72c3',
+              'dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
               'finetune_log.csv': '57cfb77f5800c124',
-              'manifest.json': 'a2228e7f413f555c',
+              'manifest.json': '168a54f664f8e98f',
               'metrics.json': '95a02d0f7a9ef6ff'},
  'pretrain-dbn': {'dbn.mndbn': 'e494d5618aeb1822',
+                  'dbn_activations.csv': 'ffb80f85ba1e81a2',
                   'layer1_log.csv': 'a285b2bc194c3fdf',
                   'layer2_log.csv': 'cec45bd64db4b7b2',
-                  'manifest.json': 'c78b00e8e6865ff8'},
+                  'manifest.json': 'ce73d7ab1b50dbbe'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
             'manifest.json': 'abec49510b232586',
