@@ -1,6 +1,6 @@
 """
-Energy model basics: conditionals, Gibbs steps, and CD training
-===============================================================
+Energy model basics: conditionals, a Gibbs step, and CD-1 training
+==================================================================
 
 Trains a tiny binary-latent energy model on two noisy prototypes and
 watches the exact log likelihood improve. The model is small enough
@@ -38,16 +38,18 @@ print(f"energy(x, h)      = {energy(m, x, h):+.4f}")
 print(f"p(h=1 | x)        = {np.round(prob_h_given_x(m, x), 3)}")
 print(f"p(x=1 | h)        = {np.round(prob_x_given_h(m, h), 3)}")
 
-# One Gibbs sweep: sample hiddens, reconstruct visibles as probabilities.
-x_tilde, h0, ht = gibbs_chain(m, x, k=1, rng=rng)
+# One Gibbs step, the chain of CD-1: sample hiddens, then reconstruct the
+# visibles as probabilities.
+x_tilde, h0, ht = gibbs_chain(m, x, rng=rng)
 print(f"reconstruction    = {np.round(x_tilde, 3)}")
 
-# Contrastive divergence: push the data term up, the reconstruction down.
+# One-step contrastive divergence (CD-1): push the data term up and the
+# one-step reconstruction down.
 print("\nepoch  mean log p(x)")
 for epoch in range(30):
     velocity = Velocity.zeros(m)
     for start in range(0, len(data), 20):
-        stats = cd_step(m, data[start : start + 20], k=1, rng=rng)
+        stats = cd_step(m, data[start : start + 20], rng=rng)
         apply_update(m, stats, lr=0.2, momentum=0.5, velocity=velocity)
     if epoch % 5 == 4:
         ll = np.mean([exact_log_likelihood(m, v) for v in data])
@@ -55,6 +57,6 @@ for epoch in range(30):
 
 # The trained model reconstructs a corrupted prototype.
 noisy = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-x_tilde, _, _ = gibbs_chain(m, noisy, k=1, rng=rng)
+x_tilde, _, _ = gibbs_chain(m, noisy, rng=rng)
 print(f"\ncorrupted input   = {noisy}")
 print(f"denoised          = {np.round(x_tilde, 2)}")

@@ -168,9 +168,42 @@ def _resolve_path(given, config: dict, key: str, default=None):
     return given
 
 
+def _resolve_out_dir(args, config: dict, default=None) -> str:
+    """The "out_dir" path key (see _resolve_path), checked before anything
+    is loaded or written: it must not be a file or lie under one, and a
+    manifest.json already in it must name this same command, so a run
+    never overwrites another command's run. Reading that one file is the
+    check's only disk access besides looking up the path."""
+    out = Path(_resolve_path(args.out, config, "out_dir", default))
+    manifest = out / "manifest.json"
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {out} is not a directory: {existing} is a file")
+        blob = manifest.read_bytes() if manifest.exists() else None
+    except OSError as exc:
+        raise ConfigError(f"cannot read output directory {out}: {exc}") from exc
+    if blob is not None:
+        try:
+            command = json.loads(blob)["command"]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise ConfigError(
+                f"{manifest} is not a manifest; pick another output directory"
+            ) from exc
+        if command != args.command:
+            raise ConfigError(
+                f"output directory {out} holds a '{command}' run, which "
+                f"'{args.command}' would overwrite; pick another output directory"
+            )
+    return str(out)
+
+
 def _make_dir(path) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -319,8 +352,8 @@ def _histogram_path(model_path: Path) -> Path:
 
 def _resolve_pretrain(args, config: dict):
     """A stack of "layer_sizes" (one layer or more), with one shared
-    "penalty" or per-layer "penalties". Returns (resolved config, sizes,
-    penalty blocks, PenaltyConfigs, TrainConfig)."""
+    "penalty" or per-layer "penalties". Returns (resolved config,
+    PenaltyConfigs, TrainConfig)."""
     from .mixed_norm import TrainConfig
 
     _check_keys(config, {"dataset", "layer_sizes", "penalty", "penalties", "train", "out_dir"},
@@ -344,16 +377,15 @@ def _resolve_pretrain(args, config: dict):
     pens, pcfgs = zip(*(_resolve_penalty(*a) for a in zip(raw_pens, sizes, ctxs)))
     resolved["layer_sizes"], resolved["penalties"] = sizes, list(pens)
     resolved["train"], tcfg = _resolve_block(TrainConfig, config.get("train"), "train", args.seed)
-    resolved["out_dir"] = str(Path(_resolve_path(args.out, config, "out_dir")))
-    return resolved, sizes, list(pens), list(pcfgs), tcfg
+    resolved["out_dir"] = _resolve_out_dir(args, config)
+    return resolved, list(pcfgs), tcfg
 
 
 def cmd_pretrain(args) -> int:
     """Writes dbn.mndbn, its activation histogram dbn_activations.csv and
     one layer<i>_log.csv per layer."""
-    resolved, sizes, pens, pcfgs, tcfg = _resolve_pretrain(
-        args, _load_config(args.config, args.command)
-    )
+    resolved, pcfgs, tcfg = _resolve_pretrain(args, _load_config(args.config, args.command))
+    sizes = resolved["layer_sizes"]
 
     from .core import Rng
     from .dbn import pretrain_greedy
@@ -362,7 +394,7 @@ def cmd_pretrain(args) -> int:
     from .report import activation_histogram
 
     train, _ = _build_datasets(resolved["dataset"])
-    tag = _architecture_tag(sizes, pens)
+    tag = _architecture_tag(sizes, resolved["penalties"])
     model, logs = pretrain_greedy(train, sizes, pcfgs, tcfg, Rng(tcfg.seed))
     log_names = [f"layer{i}_log.csv" for i in range(1, len(logs) + 1)]
     meta = {
@@ -396,7 +428,7 @@ def _resolve_model_run(args, config: dict, blocks=()) -> dict:
     return {
         "model_path": _resolve_path(args.model, config, "model_path"),
         "dataset": _resolve_dataset(_require(config, "dataset", "")),
-        "out_dir": str(Path(_resolve_path(args.out, config, "out_dir"))),
+        "out_dir": _resolve_out_dir(args, config),
     }
 
 
@@ -507,7 +539,7 @@ def cmd_report(args) -> int:
     run_dir = Path(_resolve_path(args.run_dir, config, "run_dir"))
     if not run_dir.is_dir():
         raise ConfigError(f"run directory {run_dir} does not exist")
-    out_dir = Path(_resolve_path(args.out, config, "out_dir", run_dir / "report"))
+    out_dir = Path(_resolve_out_dir(args, config, run_dir / "report"))
     if out_dir.resolve() in (run_dir.resolve(), *run_dir.resolve().parents):
         raise ConfigError(f"output directory {out_dir} holds the run directory {run_dir}")
     resolved = {"run_dir": str(run_dir), "out_dir": str(out_dir)}

@@ -173,7 +173,7 @@ def regularized_update(
     scratch), `penalty_grad` overwrites h0 and chain with its two batch
     arrays and scratch with its weight gradient.
     """
-    stats = cd_step(m, batch, 1, rng, out=out)
+    stats = cd_step(m, batch, rng, out=out)
     apply_update(m, stats, lr, momentum, velocity, out=None if out is None else out.scratch)
     if cfg.lam > 0.0:
         gw, ga = penalty_grad(m, batch, cfg, out=out)

@@ -1,4 +1,4 @@
-"""Binary-binary RBM: energy, conditionals, CD-k sampling, updates, and
+"""Binary-binary RBM: energy, conditionals, CD-1 sampling, updates, and
 exact enumeration oracles for tiny models.
 
 Conventions used throughout: visible values live in [0, 1] and are treated
@@ -121,34 +121,27 @@ def prob_x_given_h(m: Rbm, h, out=None) -> np.ndarray:
     return sigmoid(z, out=z)
 
 
-def gibbs_chain(m: Rbm, x0, k: int, rng: Rng):
-    """Run k alternating Gibbs steps from x0.
+def gibbs_chain(m: Rbm, x0, rng: Rng):
+    """Run one Gibbs step (CD-1's chain) from x0.
 
-    Hidden states are sampled binary at each step; visible reconstructions
-    stay as probabilities. Returns (x_tilde, h0_probs, h_tilde_probs):
-    the final reconstruction probabilities, the hidden probabilities at the
-    data, and the hidden probabilities at the final reconstruction. Accepts
-    a single vector or a batch; k must be at least 1.
+    The hidden state is sampled binary; the visible reconstruction stays
+    as probabilities. Returns (x_tilde, h0_probs, h_tilde_probs): the
+    reconstruction probabilities, the hidden probabilities at the data,
+    and the hidden probabilities at the reconstruction. Accepts a single
+    vector or a batch.
     """
-    return _chain(m, np.asarray(x0, dtype=float), k, rng, None, None, None)
+    return _chain(m, np.asarray(x0, dtype=float), rng, None, None, None)
 
 
-def _chain(m: Rbm, x, k: int, rng: Rng, h0, h, x_tilde):
-    """gibbs_chain writing h0 and x_tilde into the buffers given for them
-    and the chain into `h` (None makes a new one). h first receives the
-    hidden sample; once x_tilde has been formed from it, the sample is dead
-    and h_tilde overwrites it. With k > 1 the next sample is drawn from
-    h_tilde into one spare array, and the two swap roles at each step."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    h_probs = h0 = prob_h_given_x(m, x, out=h0)
-    spare = np.empty_like(h0) if k > 1 else None
-    for _ in range(k):
-        h = sample_bernoulli(h_probs, rng, out=h)
-        x_tilde = prob_x_given_h(m, h, out=x_tilde)
-        h_probs = prob_h_given_x(m, x_tilde, out=h)
-        h, spare = spare, h
-    return x_tilde, h0, h_probs
+def _chain(m: Rbm, x, rng: Rng, h0, h, x_tilde):
+    """gibbs_chain writing into the buffers given for h0, h and x_tilde
+    (None makes a new one). h first receives the hidden sample; once
+    x_tilde has been formed from it, the sample is dead and h_tilde
+    overwrites it."""
+    h0 = prob_h_given_x(m, x, out=h0)
+    h = sample_bernoulli(h0, rng, out=h)
+    x_tilde = prob_x_given_h(m, h, out=x_tilde)
+    return x_tilde, h0, prob_h_given_x(m, x_tilde, out=h)
 
 
 @dataclass
@@ -184,19 +177,18 @@ class _CdBuffers:
         )
 
 
-def cd_step(m: Rbm, batch, k: int, rng: Rng, out=None) -> CdStats:
-    """Contrastive-divergence statistics for one mini-batch.
+def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
+    """One-step contrastive-divergence (CD-1) statistics for one mini-batch.
 
     Positive phase uses the data and its hidden probabilities; negative
-    phase uses the k-step reconstruction and its hidden probabilities. All
-    three statistics are averaged over the batch; k must be at least 1.
-    `out`, a `_CdBuffers` for at least the batch's rows, holds the chain
-    (h0, the sample and then h_tilde in `chain`, x_tilde) and receives the
-    statistics (out.stats is returned). Afterwards h0 still holds the
-    data's hidden probabilities, while x_tilde and h_tilde have been
-    overwritten by the differences batch - x_tilde and h0 - h_tilde. With
-    `out` the CD-1 step makes no array the size of the batch or of the
-    weights; k > 1 adds one hidden-sized array.
+    phase uses the one-step reconstruction and its hidden probabilities.
+    All three statistics are averaged over the batch. `out`, a `_CdBuffers`
+    for at least the batch's rows, holds the chain (h0, the sample and then
+    h_tilde in `chain`, x_tilde) and receives the statistics (out.stats is
+    returned). Afterwards h0 still holds the data's hidden probabilities,
+    while x_tilde and h_tilde have been overwritten by the differences
+    batch - x_tilde and h0 - h_tilde. With `out` the step makes no array
+    the size of the batch or of the weights.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
@@ -205,9 +197,7 @@ def cd_step(m: Rbm, batch, k: int, rng: Rng, out=None) -> CdStats:
         raise ValueError(f"batch has {batch.shape[1]} columns, expected {m.n_visible}")
     n = batch.shape[0]
     buf = _CdBuffers.like(m, n) if out is None else out
-    x_tilde, h0_probs, ht_probs = _chain(
-        m, batch, k, rng, buf.h0[:n], buf.chain[:n], buf.x_tilde[:n]
-    )
+    x_tilde, h0_probs, ht_probs = _chain(m, batch, rng, buf.h0[:n], buf.chain[:n], buf.x_tilde[:n])
     stats = buf.stats
     np.matmul(batch.T, h0_probs, out=stats.dw)
     stats.dw -= np.matmul(x_tilde.T, ht_probs, out=buf.scratch)

@@ -70,7 +70,7 @@ def test_criterion_1_cd_ascent_direction_matches_exact_gradient():
     acc = np.zeros((3, 2))
     n = 20000
     for _ in range(n):
-        acc += cd_step(m, batch, 1, stream).dw
+        acc += cd_step(m, batch, stream).dw
     mean_dw = acc / n
     cos = float(
         (mean_dw.ravel() @ exact.dw.ravel())

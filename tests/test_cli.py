@@ -932,6 +932,89 @@ class TestReport:
         assert not out.exists()
 
 
+def snapshot(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOutDir:
+    """Every command checks --out before it loads data or writes a file."""
+
+    COMMANDS = ["pretrain-dbn", "finetune", "evaluate", "report"]
+
+    def argv(self, tmp_path, command, out):
+        if command == "report":
+            runs = tmp_path / "runs"
+            runs.mkdir(exist_ok=True)
+            (runs / "m.mndbn").write_bytes(b"")
+            return ["report", str(runs), "--out", str(out)]
+        if command == "pretrain-dbn":
+            return ["pretrain-dbn", "--config", str(rbm_config(tmp_path, out))]
+        cfg = write_config(tmp_path, "c.json", {"dataset": synth_block(n_test=40),
+                                                "out_dir": str(out)})
+        return [command, str(tmp_path / "m.mndbn"), "--config", str(cfg)]
+
+    def refused(self, argv, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data loaded before --out was checked")
+
+        monkeypatch.setattr(cli, "_build_datasets", unreachable)
+        monkeypatch.setattr("mndbn.model_io.load_dbn", unreachable)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_at_a_file_is_config_error(self, tmp_path, capsys, monkeypatch, command, under):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory\n")
+        argv = self.argv(tmp_path, command, afile / "sub" if under else afile)
+        self.refused(argv, capsys, monkeypatch)
+        assert afile.read_bytes() == b"not a directory\n"
+
+    @pytest.mark.parametrize("manifest", [b'{"command": "other", "config": {}}\n', b"[",
+                                          b"[1]", b"{}"], ids=["other", "json", "list", "empty"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_holding_another_run_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, manifest):
+        out = tmp_path / "other"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(manifest)
+        (out / "metrics.json").write_bytes(b"{}")
+        before = snapshot(out)
+        self.refused(self.argv(tmp_path, command, out), capsys, monkeypatch)
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command", ["report", "finetune"])
+    def test_pretrain_run_is_not_overwritten(self, tmp_path, pretrained_run, capsys, command):
+        before = snapshot(pretrained_run)
+        if command == "report":
+            argv = ["report", str(tmp_path), "--out", str(pretrained_run)]
+        else:
+            cfg = write_config(tmp_path, "ft.json", {
+                "dataset": synth_block(n_test=40),
+                "finetune": {"epochs": 1, "batch": 60, "seed": 1},
+                "out_dir": str(pretrained_run),
+            })
+            argv = ["finetune", str(pretrained_run / "dbn.mndbn"), "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"holds a 'pretrain-dbn' run, which '{command}' would overwrite" in err
+        assert snapshot(pretrained_run) == before
+
+    def test_same_command_reruns_in_its_own_directory(self, tmp_path, pretrained_run):
+        model = (pretrained_run / "dbn.mndbn").read_bytes()
+        assert main(["pretrain-dbn", "--config", str(tmp_path / "pre.json")]) == 0
+        assert main(["pretrain-dbn", "--config", str(pretrained_run / "manifest.json")]) == 0
+        assert (pretrained_run / "dbn.mndbn").read_bytes() == model
+        cfg = write_config(tmp_path, "ft.json", {"dataset": synth_block(n_test=40),
+                                                 "finetune": {"epochs": 1, "batch": 60},
+                                                 "out_dir": str(tmp_path / "ft")})
+        argv = ["finetune", str(pretrained_run / "dbn.mndbn"), "--config", str(cfg)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+
+
 class TestEntryPoint:
     def test_cli_import_leaves_numpy_out_and_threads_pin_blas(self):
         # --threads works only because importing the CLI and building its

@@ -275,7 +275,7 @@ class TestRegularizedUpdate:
         cfg = cfg_for(4, 2, lam=0.0)
         for _ in range(3):
             regularized_update(m_reg, batch, cfg, 0.1, 0.5, v_reg, r_reg)
-            stats = cd_step(m_van, batch, 1, r_van)
+            stats = cd_step(m_van, batch, r_van)
             apply_update(m_van, stats, 0.1, 0.5, v_van)
         assert (flat_params(m_reg) == flat_params(m_van)).all()
         # streams stayed in lockstep
@@ -287,7 +287,7 @@ class TestRegularizedUpdate:
         cfg = cfg_for(4, 2, lam=0.3)
         base = m.copy()
         v_base = Velocity.zeros(base)
-        stats = cd_step(base, batch, 1, Rng(17))
+        stats = cd_step(base, batch, Rng(17))
         apply_update(base, stats, 0.1, 0.0, v_base)
         gw, ga = penalty_grad(base, batch, cfg)
         reg = m.copy()
@@ -327,7 +327,7 @@ class TestTraining:
         for epoch in range(params.epochs):
             mom = 0.5 if epoch < params.momentum_switch_epoch else 0.9
             for idx in shuffle_split(train.images.shape[0], params.batch_size, r):
-                stats = cd_step(ref, train.images[idx], 1, r)
+                stats = cd_step(ref, train.images[idx], r)
                 apply_update(ref, stats, params.lr, mom, vel)
         assert (flat_params(m) == flat_params(ref)).all()
 
@@ -444,11 +444,8 @@ class TestRowBlockSize:
 
 
 class TestBatchBuffers:
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_buffered_steps_match_fresh_arrays_bit_for_bit(self, k):
-        # buffers for 25 rows take batches of 25, 25 and 10. Training takes
-        # CD-1 steps; k = 2 runs the chain alone, where h_tilde is rewritten
-        # only after the next sample has been drawn from it.
+    def test_buffered_steps_match_fresh_arrays_bit_for_bit(self):
+        # buffers for 25 rows take batches of 25, 25 and 10.
         fresh = random_rbm(18, 16, 12, std=0.3)
         kept = fresh.copy()
         images = Rng(19).uniform((60, 16))
@@ -456,17 +453,10 @@ class TestBatchBuffers:
         buf = _CdBuffers.like(kept, 25)
         v_fresh, v_kept = Velocity.zeros(fresh), Velocity.zeros(kept)
         r_fresh, r_kept = Rng(20), Rng(20)
-
-        def step(m, batch, v, r, out=None):
-            if k == 1:
-                regularized_update(m, batch, cfg, 0.1, 0.5, v, r, out=out)
-            else:
-                apply_update(m, cd_step(m, batch, k, r, out=out), 0.1, 0.5, v)
-
         for lo in (0, 25, 50):
             batch = images[lo : lo + 25]
-            step(fresh, batch, v_fresh, r_fresh)
-            step(kept, batch, v_kept, r_kept, out=buf)
+            regularized_update(fresh, batch, cfg, 0.1, 0.5, v_fresh, r_fresh)
+            regularized_update(kept, batch, cfg, 0.1, 0.5, v_kept, r_kept, out=buf)
             assert flat_params(kept).tobytes() == flat_params(fresh).tobytes()
         assert (r_fresh.uniform((4,)) == r_kept.uniform((4,))).all()
 

@@ -11,7 +11,6 @@ from mndbn.rbm import (
     CdStats,
     Rbm,
     Velocity,
-    _CdBuffers,
     apply_update,
     cd_step,
     energy,
@@ -78,15 +77,15 @@ class TestGibbsChain:
     def test_zero_model_reconstructs_half(self):
         m = zero_rbm(3, 2)
         x0 = np.array([[1.0, 0.0, 1.0]])
-        xt, h0, ht = gibbs_chain(m, x0, 3, Rng(0))
+        xt, h0, ht = gibbs_chain(m, x0, Rng(0))
         assert (xt == 0.5).all()
         assert (h0 == 0.5).all() and (ht == 0.5).all()
 
     def test_seed_determinism(self):
         m = random_rbm(5, 3, 2)
         x0 = Rng(6).uniform((4, 3))
-        a = gibbs_chain(m, x0, 2, Rng(42))
-        b = gibbs_chain(m, x0, 2, Rng(42))
+        a = gibbs_chain(m, x0, Rng(42))
+        b = gibbs_chain(m, x0, Rng(42))
         for left, right in zip(a, b):
             assert (left == right).all()
 
@@ -101,7 +100,7 @@ class TestGibbsChain:
         atom_probs = np.prod(np.where(hs == 1.0, ph, 1.0 - ph), axis=1)
         atoms = sigmoid(hs @ m.w.T + m.b_vis)
         n = 10**5
-        xt, _, _ = gibbs_chain(m, np.tile(x0, (n, 1)), 1, Rng(99))
+        xt, _, _ = gibbs_chain(m, np.tile(x0, (n, 1)), Rng(99))
         d2 = ((xt[:, None, :] - atoms[None, :, :]) ** 2).sum(-1)
         freq = np.bincount(d2.argmin(1), minlength=4) / n
         tv = 0.5 * np.abs(freq - atom_probs).sum()
@@ -112,7 +111,7 @@ class TestCdStep:
     def test_zero_model_constant_batch_gives_zero_stats(self):
         m = zero_rbm(4, 3)
         batch = np.full((10, 4), 0.5)
-        stats = cd_step(m, batch, 1, Rng(0))
+        stats = cd_step(m, batch, Rng(0))
         assert (stats.dw == 0.0).all()
         assert (stats.db_vis == 0.0).all()
         assert (stats.da_hid == 0.0).all()
@@ -122,7 +121,7 @@ class TestCdStep:
         # per-sample statistics; their average must equal the batch result.
         m = Rbm(w=Rng(6).normal((4, 3)), b_vis=np.zeros(4), a_hid=np.zeros(3))
         batch = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
-        stats = cd_step(m, batch, 1, Rng(9))
+        stats = cd_step(m, batch, Rng(9))
         u = Rng(9).uniform((2, 3))
         h0 = prob_h_given_x(m, batch)
         h_sample = (u < h0).astype(float)
@@ -138,22 +137,9 @@ class TestCdStep:
         m = random_rbm(8, 4, 3)
         row = Rng(1).uniform((1, 4))
         pair = np.vstack([row, Rng(2).uniform((1, 4))])
-        xt_pair, _, _ = gibbs_chain(m, pair, 1, Rng(33))
-        xt_single, _, _ = gibbs_chain(m, row, 1, Rng(33))
+        xt_pair, _, _ = gibbs_chain(m, pair, Rng(33))
+        xt_single, _, _ = gibbs_chain(m, row, Rng(33))
         assert (xt_single[0] == xt_pair[0]).all()
-
-    @pytest.mark.parametrize("k", [0, -1])
-    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
-    def test_rejects_fewer_than_one_gibbs_step(self, k, buffered):
-        # A zero-step chain has no negative phase: without the check the
-        # statistics came out NaN, or were read from uninitialised buffers.
-        m = random_rbm(8, 4, 3)
-        batch = Rng(1).uniform((5, 4))
-        out = _CdBuffers.like(m, 5) if buffered else None
-        rng = Rng(2)
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            cd_step(m, batch, k, rng, out=out)
-        assert rng.uniform((3,)).tobytes() == Rng(2).uniform((3,)).tobytes()
 
 
 class TestApplyUpdate:
