@@ -52,7 +52,7 @@ for epoch in range(30):
         stats = cd_step(m, data[start : start + 20], rng=rng)
         apply_update(m, stats, lr=0.2, momentum=0.5, velocity=velocity)
     if epoch % 5 == 4:
-        ll = np.mean([exact_log_likelihood(m, v) for v in data])
+        ll = exact_log_likelihood(m, data).mean()
         print(f"{epoch:5d}  {ll:+.4f}")
 
 # The trained model reconstructs a corrupted prototype.

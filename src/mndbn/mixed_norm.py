@@ -64,8 +64,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("seed", "momentum_switch_epoch"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.epochs < 0 or self.batch_size < 1 or not self.lr > 0.0:
             raise ConfigError(
                 "need epochs >= 0, batch_size >= 1 and lr > 0, got "

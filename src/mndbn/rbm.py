@@ -244,63 +244,61 @@ def _enum_states(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)) & 1).astype(float)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over `axis` (all of `a` by default), without overflow."""
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
-def _check_enum_size(m: Rbm) -> None:
+def _enumerate(m: Rbm):
+    """Every configuration of a tiny model at once: returns log Z, the joint
+    probabilities p[s, t] of visible state s and hidden state t, and the
+    visible and hidden enumeration matrices."""
     if m.n_visible + m.n_hidden > _ENUM_LIMIT:
         raise ValueError(
             f"model too large for exact enumeration: I + J = "
             f"{m.n_visible + m.n_hidden} > {_ENUM_LIMIT}"
         )
-
-
-def _energy_table(m: Rbm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energies of every configuration: E[s, t] for visible state s and
-    hidden state t, plus the enumeration matrices."""
     xs = _enum_states(m.n_visible)
     hs = _enum_states(m.n_hidden)
-    e = -(xs @ m.w @ hs.T + (xs @ m.b_vis)[:, None] + (hs @ m.a_hid)[None, :])
-    return e, xs, hs
+    neg_e = xs @ m.w @ hs.T + (xs @ m.b_vis)[:, None] + (hs @ m.a_hid)[None, :]
+    log_z = float(_logsumexp(neg_e.ravel()))
+    return log_z, np.exp(neg_e - log_z), xs, hs
+
+
+def _visible_rows(m: Rbm, x) -> np.ndarray:
+    """x as a (samples x visibles) batch; a vector is a one-row batch."""
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != m.n_visible:
+        raise ValueError(f"x has shape {np.shape(x)}, expected rows of length {m.n_visible}")
+    return rows
 
 
 def exact_partition_function(m: Rbm) -> float:
     """Normalizing constant by brute-force enumeration, in log space."""
-    _check_enum_size(m)
-    e, _, _ = _energy_table(m)
-    return float(np.exp(_logsumexp(-e.ravel())))
+    return float(np.exp(_enumerate(m)[0]))
 
 
-def exact_log_likelihood(m: Rbm, x) -> float:
-    """log p(x) with the hidden units summed out exactly."""
-    _check_enum_size(m)
-    x = np.asarray(x, dtype=float)
-    hs = _enum_states(m.n_hidden)
-    e_x = -(x @ m.w @ hs.T + m.b_vis @ x + hs @ m.a_hid)
-    e, _, _ = _energy_table(m)
-    return _logsumexp(-e_x) - _logsumexp(-e.ravel())
+def exact_log_likelihood(m: Rbm, x):
+    """log p(x) with the hidden units summed out exactly: one value per row
+    of a batch, or a float for a single vector."""
+    log_z, _, _, hs = _enumerate(m)
+    rows = _visible_rows(m, x)
+    neg_e = rows @ m.w @ hs.T + (rows @ m.b_vis)[:, None] + hs @ m.a_hid
+    ll = _logsumexp(neg_e, axis=1) - log_z
+    return float(ll[0]) if np.ndim(x) == 1 else ll
 
 
 def exact_log_likelihood_grad(m: Rbm, x) -> CdStats:
-    """Exact gradient of log p(x): data-clamped statistics minus the model
-    expectation, both computed by enumeration. Same sign convention as the
-    CD estimate (ascent on log-likelihood)."""
-    _check_enum_size(m)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.n_visible,):
-        raise ValueError(f"x has length {x.shape}, expected {m.n_visible}")
-    e, xs, hs = _energy_table(m)
-    log_p = -e - _logsumexp(-e.ravel())
-    p = np.exp(log_p)
-    # model expectations
-    mean_xh = xs.T @ p @ hs
-    mean_x = xs.T @ p.sum(axis=1)
-    mean_h = hs.T @ p.sum(axis=0)
-    # data-clamped expectations
-    ph = prob_h_given_x(m, x)
-    dw = np.outer(x, ph) - mean_xh
-    db_vis = x - mean_x
-    da_hid = ph - mean_h
-    return CdStats(dw=dw, db_vis=db_vis, da_hid=da_hid)
+    """Exact gradient of the batch-mean log p(x), a vector being a one-row
+    batch: data-clamped statistics minus the model expectation, both
+    computed by enumeration. Same sign convention as the CD estimate
+    (ascent on log-likelihood)."""
+    _, p, xs, hs = _enumerate(m)
+    rows = _visible_rows(m, x)
+    ph = prob_h_given_x(m, rows)
+    return CdStats(
+        dw=rows.T @ ph / rows.shape[0] - xs.T @ p @ hs,
+        db_vis=rows.mean(axis=0) - xs.T @ p.sum(axis=1),
+        da_hid=ph.mean(axis=0) - hs.T @ p.sum(axis=0),
+    )

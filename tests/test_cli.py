@@ -266,6 +266,7 @@ class TestTrainRbm:
         # momentum values became constants
         {"momentum": 0.5}, {"final_momentum": 0.9}, {"cd_k": 1},
         {"momentum_switch_epoch": 2.5}, {"batch": "100"}, {"seed": -1},
+        {"momentum_switch_epoch": -1},
     ])
     def test_invalid_schedule_is_config_error(self, tmp_path, capsys, train):
         out = tmp_path / "run"

@@ -31,6 +31,8 @@ from mndbn.rbm import (
     _CdBuffers,
     apply_update,
     cd_step,
+    exact_log_likelihood,
+    exact_log_likelihood_grad,
     prob_h_given_x,
     prob_x_given_h,
 )
@@ -311,6 +313,38 @@ class TestRegularizedUpdate:
                 probe = PenaltyConfig(lam=1.0, partition=part)
                 after[lam] = float(np.mean(mixed_norm(prob_h_given_x(m, batch), probe)))
             assert after[0.5] <= after[0.0]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_exact_two_step_update_descends_the_penalised_objective(self, lam):
+        # The paper's objective F = -mean log p(x) + lam * mean sum_G ||p_G(x)||,
+        # with log p(x) and its gradient by enumeration. The two-step update
+        # (an exact ascent step, then the penalty step at the new parameters)
+        # must lower F at every step and end where the joint step ends.
+        cfg = PenaltyConfig(lam=lam, partition=make_partition(8, 4))
+        data = (Rng(1).uniform((60, 8)) < 0.5).astype(float)
+        lr = 0.05
+
+        def objective(m):
+            ll = exact_log_likelihood(m, data).mean()
+            return -ll + lam * mixed_norm(prob_h_given_x(m, data), cfg).mean()
+
+        def step(m, joint):
+            stats = exact_log_likelihood_grad(m, data)
+            before = m.copy()
+            apply_update(m, stats, lr, 0.0, Velocity.zeros(m))
+            gw, ga = penalty_grad(before if joint else m, data, cfg)
+            m.w -= lr * lam * gw
+            m.a_hid -= lr * lam * ga
+
+        m0 = Rbm.init_random(8, 8, Rng(0), std=0.1)
+        two_step, joint = m0.copy(), m0.copy()
+        f = [objective(two_step)]
+        for _ in range(200):
+            step(two_step, joint=False)
+            step(joint, joint=True)
+            f.append(objective(two_step))
+        assert (np.diff(f) < 0).all()
+        assert abs(f[-1] - objective(joint)) <= 1e-3
 
 
 class TestTraining:

@@ -258,6 +258,21 @@ class TestEnumerationOracles:
         with pytest.raises(ValueError):
             exact_partition_function(zero_rbm(15, 6))
 
+    def test_batch_log_likelihood_normalizes(self):
+        # One call scores every visible state; p(x) must sum to 1 over them.
+        for seed, (nv, nh) in enumerate([(3, 2), (5, 4), (8, 8)]):
+            m = random_rbm(seed, nv, nh)
+            states = np.array(list(itertools.product([0.0, 1.0], repeat=nv)))
+            ll = exact_log_likelihood(m, states)
+            assert ll.shape == (2**nv,)
+            assert abs(np.exp(ll).sum() - 1.0) <= 1e-12
+
+    def test_wrong_column_count_rejected(self):
+        m = random_rbm(0, 3, 2)
+        for oracle in (exact_log_likelihood, exact_log_likelihood_grad):
+            with pytest.raises(ValueError, match="expected rows of length 3"):
+                oracle(m, np.ones((4, 2)))
+
 
 class TestExactGradient:
     def test_zero_model_hidden_gradient_vanishes(self):
@@ -290,6 +305,16 @@ class TestExactGradient:
             mm = m.copy(); mm.a_hid[j] -= eps
             fd = (ll(mp) - ll(mm)) / (2 * eps)
             assert abs(fd - g.da_hid[j]) <= 1e-6 * max(abs(fd), abs(g.da_hid[j]), 1e-12)
+
+    def test_batch_is_the_mean_of_its_rows(self):
+        m = random_rbm(5, 4, 3)
+        batch = Rng(6).uniform((7, 4))
+        batch[:4] = batch[:4] < 0.5
+        g = exact_log_likelihood_grad(m, batch)
+        rows = [exact_log_likelihood_grad(m, x[None, :]) for x in batch]
+        for field in ("dw", "db_vis", "da_hid"):
+            mean = np.mean([getattr(r, field) for r in rows], axis=0)
+            np.testing.assert_allclose(getattr(g, field), mean, rtol=0, atol=1e-12)
 
     def test_ascent_converges_to_stationary_point(self):
         # Maximum-likelihood fit of a single repeated sample: after 1e4 exact
