@@ -19,14 +19,15 @@ Exit codes: 0 success, 1 completed with warnings (e.g. empty report
 directory), 2 configuration error or out of memory (the config asks for
 more data than the machine holds), 3 data error, 4 numeric failure.
 
-Model, histogram, log, metrics, confusion and manifest files replace their
-old versions atomically (core.atomic_write), and the manifest is written
-last, so a run cut short never leaves a manifest beside a truncated model
-or log.
+Every file replaces its old version atomically (core.atomic_write) and the
+manifest is written last, so a run cut short never leaves a manifest beside
+a truncated model or log. timings.json (see _write_manifest) is the one
+file a run writes that is not deterministic, and no manifest lists it.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -214,9 +215,37 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifacts) -> None:
+_TIMINGS = "timings.json"  # a run's clocks, beside its model and metrics
+
+
+def _recorded_seconds(path, key: str):
+    """The seconds under key in the timings.json beside path: None when the
+    file or the key is absent, ValueError when either is malformed."""
+    try:
+        value = json.loads(Path(path).with_name(_TIMINGS).read_bytes()).get(key)
+    except FileNotFoundError:
+        return None
+    except (OSError, AttributeError, RecursionError) as exc:
+        raise ValueError(exc) from exc
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if value is not None and not (number and 0.0 <= value <= sys.float_info.max):
+        raise ValueError(f"'{key}' must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def _write_manifest(args, out_dir: Path, config: dict, seed: int, artifacts, model_path=None):
+    """Write timings.json (the wall and CPU seconds since main dispatched),
+    then manifest.json. A finetune's training_cpu_seconds adds the
+    cpu_seconds beside model_path, and is left out where those are unknown."""
+    wall0, cpu0 = args.clock
+    cpu = time.process_time() - cpu0
+    timings = {"wall_seconds": time.perf_counter() - wall0, "cpu_seconds": cpu}
+    if model_path is not None:
+        with contextlib.suppress(TypeError, ValueError):  # None (absent) or unreadable
+            timings["training_cpu_seconds"] = cpu + _recorded_seconds(model_path, "cpu_seconds")
+    _write_text(out_dir / _TIMINGS, json.dumps(timings, indent=2, sort_keys=True) + "\n")
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": seed,
         "out_dir": str(out_dir),
@@ -318,7 +347,7 @@ def _architecture_tag(layer_sizes, penalties) -> str:
 
 
 def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, confusion,
-                   n_samples: int, elapsed: float, **extra) -> None:
+                   n_samples: int, **extra) -> None:
     """metrics.json, and confusion.csv (rows true class, columns predicted)."""
     metrics = {
         "architecture": tag,
@@ -326,7 +355,6 @@ def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, con
         "split": split,
         "accuracy_pct": 100.0 * acc,
         "n_samples": n_samples,
-        "wall_seconds": elapsed,
         **extra,
     }
     _write_text(out_dir / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n")
@@ -410,7 +438,7 @@ def cmd_pretrain(args) -> int:
     for name, log in zip(log_names, logs):
         write_training_log(out_dir / name, log)
     artifacts = ["dbn.mndbn", hist.name, *log_names]
-    _write_manifest(out_dir, args.command, resolved, tcfg.seed, artifacts)
+    _write_manifest(args, out_dir, resolved, tcfg.seed, artifacts)
     print(f"{tag}: {len(sizes)}-layer stack pretrained on {len(train)} images")
     for i, log in enumerate(logs, 1):
         if log:
@@ -476,9 +504,7 @@ def cmd_finetune(args) -> int:
 
     d, meta, train, test = _load_run(resolved)
     attach_head(d, NUM_CLASSES)
-    t0 = time.perf_counter()
     d, log = fine_tune(d, train, ft.epochs, ft, Rng(ft.seed), eval_dataset=test)
-    elapsed = time.perf_counter() - t0
     tag = _model_tag(meta, d)
     split, reported = ("test", test) if test is not None else ("train", train)
     acc, confusion = evaluate(d, reported)
@@ -491,15 +517,11 @@ def cmd_finetune(args) -> int:
     hist = _histogram_path(out_dir / "dbn_finetuned.mndbn")
     activation_histogram(d, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
     write_training_log(out_dir / "finetune_log.csv", log, FineTuneEpoch)
-    _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(reported), elapsed,
+    _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(reported),
                    train_accuracy_pct=100.0 * train_acc)
-    _write_manifest(
-        out_dir,
-        "finetune",
-        resolved,
-        ft.seed,
-        ["dbn_finetuned.mndbn", hist.name, "finetune_log.csv", "metrics.json", "confusion.csv"],
-    )
+    artifacts = ["dbn_finetuned.mndbn", hist.name, "finetune_log.csv", "metrics.json",
+                 "confusion.csv"]
+    _write_manifest(args, out_dir, resolved, ft.seed, artifacts, resolved["model_path"])
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% after {ft.epochs} epochs")
     print(f"wrote {out_dir / 'dbn_finetuned.mndbn'}")
     return 0
@@ -516,20 +538,19 @@ def cmd_evaluate(args) -> int:
             f"{resolved['model_path']} has no classification head; run finetune first"
         )
     split, dataset = ("test", test) if test is not None else ("train", train)
-    t0 = time.perf_counter()
     acc, confusion = evaluate(model, dataset)
-    elapsed = time.perf_counter() - t0
     out_dir = _make_dir(resolved["out_dir"])
     tag = _model_tag(meta, model)
-    _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset), elapsed)
-    _write_manifest(out_dir, "evaluate", resolved, 0, ["metrics.json", "confusion.csv"])
+    _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset))
+    _write_manifest(args, out_dir, resolved, 0, ["metrics.json", "confusion.csv"])
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% on {len(dataset)} samples")
     return 0
 
 
 def cmd_report(args) -> int:
     """Tiles each model's first layer, copies the activation histogram its
-    run wrote beside it, and tabulates every metrics.json under run_dir."""
+    run wrote beside it, and tabulates every metrics.json under run_dir,
+    costed by the training_cpu_seconds in the timings.json beside it."""
     from .core import atomic_write
     from .model_io import load_dbn
     from .report import RunRecord, results_table, weight_tiles
@@ -578,21 +599,20 @@ def cmd_report(args) -> int:
     for path in sorted(p for p in run_dir.rglob("metrics.json") if out_dir not in p.parents):
         try:
             blob = json.loads(path.read_text(encoding="utf-8"))
-            records.append(
-                RunRecord(
-                    architecture=blob["architecture"],
-                    dataset=blob["dataset"],
-                    accuracy_pct=blob["accuracy_pct"],
-                    wall_seconds=blob["wall_seconds"],
-                )
-            )
+            record = RunRecord(blob["architecture"], blob["dataset"], blob["accuracy_pct"], None)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             warnings.append(f"{path}: unreadable metrics ({exc})")
+            continue
+        try:
+            record.cpu_seconds = _recorded_seconds(path, "training_cpu_seconds")
+        except ValueError as exc:
+            warnings.append(f"{path.with_name(_TIMINGS)}: unreadable, cost left blank ({exc})")
+        records.append(record)
     empty = not records and not model_paths
     results_table(records, out_dir / "results.csv", out_dir / "results.txt", include_reference=not empty)
     artifacts.extend(["results.csv", "results.txt"])
     print(f"wrote {out_dir / 'results.csv'}")
-    _write_manifest(out_dir, "report", resolved, 0, artifacts)
+    _write_manifest(args, out_dir, resolved, 0, artifacts)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
     if empty:
@@ -655,6 +675,7 @@ def main(argv=None) -> int:
 
         for var in THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
+    args.clock = (time.perf_counter(), time.process_time())
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

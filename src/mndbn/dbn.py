@@ -9,7 +9,6 @@ them untouched.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +197,6 @@ class FineTuneEpoch:
     loss: float
     train_accuracy: float
     test_accuracy: float
-    wall_seconds: float
 
 
 def _slots(d: Dbn, head_only: bool) -> list:
@@ -405,7 +403,6 @@ def fine_tune(
     params = _bind(d, cfg.head_only)
     alpha_prev = 1.0
     for epoch in range(1, epochs + 1):
-        t0 = time.perf_counter()
         for idx in shuffle_split(images.shape[0], cfg.batch_size, rng):
             alpha_prev = _cg_batch(d, params, images[idx], labels[idx], cfg, alpha_prev)
         require_finite("fine-tune parameters", params)
@@ -413,9 +410,7 @@ def fine_tune(
         test_acc = float("nan")
         if eval_dataset is not None:
             test_acc, _ = evaluate(d, eval_dataset)
-        log.append(
-            FineTuneEpoch(epoch, epoch_loss, train_acc, test_acc, time.perf_counter() - t0)
-        )
+        log.append(FineTuneEpoch(epoch, epoch_loss, train_acc, test_acc))
     return d, log
 
 

@@ -18,7 +18,6 @@ regularized.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +30,7 @@ from .rbm import (
     Rbm,
     Velocity,
     _CdBuffers,
+    _visible_rows,
     apply_update,
     cd_step,
     prob_h_given_x,
@@ -76,13 +76,12 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
-    """One training-log row; wall_seconds is the only clock-derived field."""
+    """One training-log row; it holds no clock reading, so replays match byte for byte."""
 
     epoch: int
     recon_error: float
     mean_hidden_activation: float
     mixed_norm_value: float
-    wall_seconds: float
 
 
 def mixed_norm(h_probs, cfg: PenaltyConfig):
@@ -115,9 +114,9 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     Unit j in group G contributes p_j^2 (1 - p_j) / max(||p_G||_2, _EPSILON);
     s_j sums that over the groups covering j, the weight column j picks up
     s_j times x, and the hidden bias picks up s_j itself. Returns (gw, ga),
-    averaged over the rows of the batch x; a single vector is a one-row
-    batch. The rows go through in `core.row_blocks` blocks, so the group
-    sums and quotients stay in cache.
+    averaged over the rows of the batch x (at least one); a single vector
+    is a one-row batch. The rows go through in `core.row_blocks` blocks, so
+    the group sums and quotients stay in cache.
 
     The step works in two batch arrays. p is formed in the first; per
     block, u = p * p goes into the second, the group norms are taken from
@@ -129,7 +128,7 @@ def penalty_grad(m: Rbm, x, cfg: PenaltyConfig, out=None):
     and gw is its scratch: no array the size of the batch or of the
     weights is made. Without it, two batch arrays and gw are allocated.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _visible_rows(m, x)
     n = x.shape[0]
     part = cfg.partition
     if out is None:
@@ -247,7 +246,6 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
     log: list[EpochStats] = []
     with _overflow_raises("training"):
         for epoch in range(params.epochs):
-            t0 = time.perf_counter()
             mom = _MOMENTUM if epoch < params.momentum_switch_epoch else _FINAL_MOMENTUM
             for idx in shuffle_split(images.shape[0], params.batch_size, rng):
                 # mode="clip" takes straight into the buffer (see divide_accumulate)
@@ -260,7 +258,6 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
                     recon_error=recon,
                     mean_hidden_activation=mean_act,
                     mixed_norm_value=mn_value,
-                    wall_seconds=time.perf_counter() - t0,
                 )
             )
     return m, log

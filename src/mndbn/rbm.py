@@ -191,8 +191,8 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
     the size of the batch or of the weights.
     """
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2:
-        raise ValueError(f"batch must be 2-D (samples x visibles), got {batch.shape}")
+    if batch.ndim != 2 or batch.shape[0] == 0:
+        raise ValueError(f"batch must be non-empty and 2-D (samples x visibles), got {batch.shape}")
     if batch.shape[1] != m.n_visible:
         raise ValueError(f"batch has {batch.shape[1]} columns, expected {m.n_visible}")
     n = batch.shape[0]
@@ -267,9 +267,9 @@ def _enumerate(m: Rbm):
 
 
 def _visible_rows(m: Rbm, x) -> np.ndarray:
-    """x as a (samples x visibles) batch; a vector is a one-row batch."""
+    """x as a (samples x visibles) batch of one row or more; a vector is one row."""
     rows = np.atleast_2d(np.asarray(x, dtype=float))
-    if rows.ndim != 2 or rows.shape[1] != m.n_visible:
+    if rows.ndim != 2 or rows.shape[1] != m.n_visible or rows.shape[0] == 0:
         raise ValueError(f"x has shape {np.shape(x)}, expected rows of length {m.n_visible}")
     return rows
 
@@ -282,8 +282,8 @@ def exact_partition_function(m: Rbm) -> float:
 def exact_log_likelihood(m: Rbm, x):
     """log p(x) with the hidden units summed out exactly: one value per row
     of a batch, or a float for a single vector."""
-    log_z, _, _, hs = _enumerate(m)
     rows = _visible_rows(m, x)
+    log_z, _, _, hs = _enumerate(m)
     neg_e = rows @ m.w @ hs.T + (rows @ m.b_vis)[:, None] + hs @ m.a_hid
     ll = _logsumexp(neg_e, axis=1) - log_z
     return float(ll[0]) if np.ndim(x) == 1 else ll
@@ -294,8 +294,8 @@ def exact_log_likelihood_grad(m: Rbm, x) -> CdStats:
     batch: data-clamped statistics minus the model expectation, both
     computed by enumeration. Same sign convention as the CD estimate
     (ascent on log-likelihood)."""
-    _, p, xs, hs = _enumerate(m)
     rows = _visible_rows(m, x)
+    _, p, xs, hs = _enumerate(m)
     ph = prob_h_given_x(m, rows)
     return CdStats(
         dw=rows.T @ ph / rows.shape[0] - xs.T @ p @ hs,

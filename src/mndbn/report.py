@@ -59,20 +59,21 @@ REFERENCE_RESULTS = (
 
 @dataclass
 class RunRecord:
-    """One completed run for the results table."""
+    """One completed run for the results table: cpu_seconds is the CPU time
+    of its whole training run, or None where unknown or nothing trained."""
 
     architecture: str
     dataset: str
     accuracy_pct: float
-    wall_seconds: float
+    cpu_seconds: float | None
 
     def __post_init__(self):
         if not (isinstance(self.architecture, str) and isinstance(self.dataset, str)):
             raise TypeError("architecture and dataset must be strings")
-        for value in (self.accuracy_pct, self.wall_seconds):
+        for value in (self.accuracy_pct, 0.0 if self.cpu_seconds is None else self.cpu_seconds):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and math.isfinite(value)):
-                raise ValueError(f"accuracy_pct/wall_seconds must be finite numbers, got {value!r}")
+                raise ValueError(f"accuracy_pct/cpu_seconds must be finite numbers, got {value!r}")
 
 
 def weight_tiles(m: Rbm, grid, out_path) -> np.ndarray:
@@ -160,30 +161,25 @@ def activation_histogram(d: Dbn, batch, bins: int, out_path):
 
 
 def _table_rows(records, include_reference: bool) -> list[tuple[str, str, str, str, str]]:
-    rows = []
-    for rec in records:
-        rows.append(
-            (
-                rec.architecture,
-                rec.dataset,
-                f"{rec.accuracy_pct:.2f}",
-                f"{rec.wall_seconds / 3600.0:.2f}",
-                "measured",
-            )
-        )
+    """The measured runs, then the references, in one format."""
+    rows = [
+        (r.architecture, r.dataset, r.accuracy_pct,
+         None if r.cpu_seconds is None else r.cpu_seconds / 3600.0, "measured")
+        for r in records
+    ]
     if include_reference:
-        for arch, dataset, acc, hours in REFERENCE_RESULTS:
-            rows.append(
-                (arch, dataset, f"{acc:.2f}", "" if hours is None else f"{hours:.2f}", "reference")
-            )
-    return rows
+        rows += [(*ref, "reference") for ref in REFERENCE_RESULTS]
+    return [
+        (arch, dataset, f"{acc:.2f}", "" if hours is None else f"{hours:.2f}", source)
+        for arch, dataset, acc, hours, source in rows
+    ]
 
 
 def results_table(records, out_csv, out_txt, include_reference: bool = True):
     """Write accuracy/CPU-hours tables as CSV and aligned text.
 
-    One row per completed run (wall time converted to hours, 2 decimals),
-    followed by the published reference annotations unless suppressed.
+    One row per completed run (CPU hours, 2 decimals, or blank), followed
+    by the published reference annotations unless suppressed.
     Returns the row tuples that were written.
     """
     rows = _table_rows(records, include_reference)

@@ -5,7 +5,6 @@ points at the files (see conftest.usps_paths); a synthetic stand-in with the
 same shape always runs so the logic is exercised either way.
 """
 
-import csv
 import itertools
 import json
 import time
@@ -258,19 +257,9 @@ def test_criterion_6_desk_scale_classification_usps():
     _desk_scale_classification(train, test, 6, "usps full")
 
 
-def _rows_masking_wall(path):
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    if "wall_seconds" not in header:
-        return rows
-    drop = header.index("wall_seconds")
-    return [[c for i, c in enumerate(row) if i != drop] for row in rows]
-
-
 def test_criterion_7_manifest_replay_is_byte_identical(tmp_path):
-    # Durations recorded in logs/metrics are the one sanctioned source of
-    # run-to-run variation; every other byte must match exactly.
+    # No artifact a manifest lists holds a clock reading (those go to the
+    # unlisted timings.json), so a replay must reproduce every digest.
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps({
         "dataset": {"name": "synthetic", "n_train": 300, "n_test": 80, "side": 4,
@@ -297,31 +286,14 @@ def test_criterion_7_manifest_replay_is_byte_identical(tmp_path):
                  "--out", str(tmp_path / "ft2")]) == 0
 
     problems = []
-    pairs = [
-        ("pre1", "pre2", "dbn.mndbn", "model"),
-        ("pre1", "pre2", "layer1_log.csv", "csv"),
-        ("pre1", "pre2", "layer2_log.csv", "csv"),
-        ("ft1", "ft2", "dbn_finetuned.mndbn", "model"),
-        ("ft1", "ft2", "finetune_log.csv", "csv"),
-        ("ft1", "ft2", "confusion.csv", "exact"),
-    ]
-    for da, db, name, kind in pairs:
-        a = tmp_path / da / name
-        b = tmp_path / db / name
-        if kind == "csv":
-            same = _rows_masking_wall(a) == _rows_masking_wall(b)
-        else:
-            same = a.read_bytes() == b.read_bytes()
-        if not same:
-            problems.append(f"{name} differs between {da} and {db}")
-    ma = json.loads((tmp_path / "ft1" / "metrics.json").read_text())
-    mb = json.loads((tmp_path / "ft2" / "metrics.json").read_text())
-    ma.pop("wall_seconds"); mb.pop("wall_seconds")
-    if ma != mb:
-        problems.append("metrics.json differs beyond wall_seconds")
+    for da, db in (("pre1", "pre2"), ("ft1", "ft2")):
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text())["artifacts"]
+                for d in (da, db))
+        problems += [f"{name} differs between {da} and {db}"
+                     for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
     verdict(7, not problems,
-            "replayed pretrain-dbn and finetune runs byte-identical "
-            "(durations masked)" if not problems else "; ".join(problems))
+            "replayed pretrain-dbn and finetune manifests record identical digests, "
+            "nothing masked" if not problems else "; ".join(problems))
 
 
 def test_criterion_8_backprop_matches_finite_differences():

@@ -49,13 +49,6 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def rows_without_wall(path):
-    rows = read_csv(path)
-    header = rows[0]
-    drop = header.index("wall_seconds")
-    return [[c for i, c in enumerate(row) if i != drop] for row in rows]
-
-
 @pytest.mark.parametrize("command", ["pretrain-dbn", "finetune", "evaluate", "report"])
 @pytest.mark.parametrize("text", ["{not json", "[" * 100000, '{"a": ' * 100000],
                          ids=["not-json", "deep-array", "deep-object"])
@@ -188,14 +181,14 @@ class TestTrainRbm:
         cfg = rbm_config(tmp_path, out)
         assert main(["pretrain-dbn", "--config", str(cfg)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "dbn.mndbn", "dbn_activations.csv", "layer1_log.csv", "manifest.json"]
+            "dbn.mndbn", "dbn_activations.csv", "layer1_log.csv", "manifest.json",
+            "timings.json"]
         model, meta = load_dbn(out / "dbn.mndbn")
         assert len(model.layers) == 1 and model.head is None
         assert (model.n_visible, model.n_features) == (16, 24)
         assert meta["architecture"] == "mn-dbn(g6,24)"
         log = read_csv(out / "layer1_log.csv")
-        assert log[0] == ["epoch", "recon_error", "mean_hidden_activation",
-                          "mixed_norm_value", "wall_seconds"]
+        assert log[0] == ["epoch", "recon_error", "mean_hidden_activation", "mixed_norm_value"]
         assert len(log) == 3   # header + one row per epoch
         # The console shows each layer's last epoch, as logged.
         recon, act = float(log[-1][1]), float(log[-1][2])
@@ -315,8 +308,8 @@ class TestTrainRbm:
         assert main(["pretrain-dbn", "--config", str(out1 / "manifest.json"),
                      "--out", str(out2)]) == 0
         assert (out1 / "dbn.mndbn").read_bytes() == (out2 / "dbn.mndbn").read_bytes()
-        assert rows_without_wall(out1 / "layer1_log.csv") == \
-            rows_without_wall(out2 / "layer1_log.csv")
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
 
     def test_manifest_replay_rejects_wrong_command(self, tmp_path, capsys):
         out1 = tmp_path / "run1"
@@ -743,7 +736,7 @@ class TestReport:
         table = read_csv(out / "results.csv")
         measured = [r for r in table[1:] if r[4] == "measured"]
         reference = [r for r in table[1:] if r[4] == "reference"]
-        assert len(measured) == 1
+        assert len(measured) == 1 and measured[0][3] == "0.00"   # CPU hours of both runs
         assert len(reference) > 0
         assert (out / "results.txt").is_file()
         assert (out / "manifest.json").is_file()
@@ -869,19 +862,42 @@ class TestReport:
 
     @pytest.mark.parametrize("field, value", [
         ("architecture", 5), ("dataset", ["u"]), ("accuracy_pct", float("nan")),
-        ("accuracy_pct", float("-inf")), ("wall_seconds", float("inf")),
-        ("accuracy_pct", "12.5"), ("wall_seconds", True), ("wall_seconds", 10**400),
+        ("accuracy_pct", float("-inf")), ("accuracy_pct", "12.5"),
     ])
     def test_malformed_metrics_are_warnings(self, tmp_path, pretrained_run, capsys, field,
                                             value):
         metrics = {"architecture": "rbm(16)", "dataset": "synthetic", "accuracy_pct": 50.0,
-                   "wall_seconds": 1.0, field: value}
+                   field: value}
         (pretrained_run / "metrics.json").write_text(json.dumps(metrics))
         out = tmp_path / "report"
         assert main(["report", str(pretrained_run), "--out", str(out)]) == 0
         assert "unreadable metrics" in capsys.readouterr().err
         table = read_csv(out / "results.csv")
         assert [row[-1] for row in table[1:]] == ["reference"] * len(report.REFERENCE_RESULTS)
+
+    @pytest.mark.parametrize("timings", [
+        *(json.dumps({"training_cpu_seconds": v}) for v in (float("inf"), True, 10**400)),
+        "[" * 100000, '["training_cpu_seconds"]',
+    ], ids=["inf", "True", "10**400", "deep", "list"])
+    def test_malformed_timings_leave_cost_blank(self, tmp_path, pretrained_run, capsys,
+                                                timings):
+        (pretrained_run / "metrics.json").write_text(json.dumps(
+            {"architecture": "rbm(16)", "dataset": "synthetic", "accuracy_pct": 50.0}))
+        (pretrained_run / "timings.json").write_text(timings)
+        assert main(["report", str(pretrained_run), "--out", str(tmp_path / "report")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"warning: {pretrained_run / 'timings.json'}")
+        table = read_csv(tmp_path / "report" / "results.csv")
+        assert table[1] == ["rbm(16)", "synthetic", "50.00", "", "measured"]
+
+    def test_model_without_timings_has_no_cost(self, tmp_path, pretrained_run, capsys):
+        (pretrained_run / "timings.json").unlink()
+        root = self.populated_run(tmp_path, pretrained_run)
+        assert "training_cpu_seconds" not in json.loads((root / "ft" / "timings.json").read_text())
+        assert main(["report", str(root), "--out", str(tmp_path / "report")]) == 0
+        assert capsys.readouterr().err == ""
+        table = read_csv(tmp_path / "report" / "results.csv")
+        assert [row[3] for row in table[1:] if row[4] == "measured"] == [""]
 
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2
@@ -1039,25 +1055,23 @@ class TestEntryPoint:
                               capture_output=True, text=True, env=src_env())
         assert proc.returncode == 2
 
-    def test_console_script_runs_module(self, tmp_path):
-        # The module runs as a console script, and the manifest of one run
-        # replays in a second process, at the same thread count, to the same
-        # model bytes and log rows.
-        run1, run2 = tmp_path / "run1", tmp_path / "run2"
-        cfg = write_config(tmp_path, "dbn.json", {
-            "dataset": synth_block(), "layer_sizes": [16, 12],
-            "penalty": {"lambda": 0.1, "group_size": 4},
-            "train": {"epochs": 2, "batch": 40, "seed": 0}, "out_dir": str(run1),
-        })
-        for args in (["--config", str(cfg)],
-                     ["--config", str(run1 / "manifest.json"), "--out", str(run2)]):
+    def test_console_script_runs_module(self, tmp_path, pretrained_run):
+        # The module runs as a console script, and the manifests of a
+        # pretrain-dbn and a finetune run replay in a second process, at one
+        # thread, to every digest they record.
+        cfg = write_config(tmp_path, "ft.json", {"dataset": synth_block(n_test=40),
+                                                 "finetune": {"epochs": 2, "batch": 60},
+                                                 "out_dir": str(tmp_path / "ft")})
+        assert main(["finetune", str(pretrained_run / "dbn.mndbn"), "--config", str(cfg)]) == 0
+        for command, run in (("pretrain-dbn", pretrained_run), ("finetune", tmp_path / "ft")):
+            replay = tmp_path / f"{run.name}_replay"
             proc = subprocess.run(
-                [sys.executable, "-m", "mndbn.cli", "pretrain-dbn", *args, "--threads", "1"],
+                [sys.executable, "-m", "mndbn.cli", command, "--config",
+                 str(run / "manifest.json"), "--out", str(replay), "--threads", "1"],
                 capture_output=True, text=True, env=src_env())
             assert proc.returncode == 0, proc.stderr
-        assert (run1 / "dbn.mndbn").read_bytes() == (run2 / "dbn.mndbn").read_bytes()
-        for name in ("layer1_log.csv", "layer2_log.csv"):
-            assert rows_without_wall(run1 / name) == rows_without_wall(run2 / name)
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (run, replay)]
+            assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
 
     def test_train_rbm_is_a_usage_error(self, capsys):
         # One layer trains as a one-layer pretrain-dbn stack.

@@ -23,17 +23,20 @@ re-recording since, and why:
   its model's activation histogram beside the model and list it as an
   artifact. The histograms carry the digest the report's copies had when
   the report recomputed them, and every report digest kept its value.
+- Every log, metrics, manifest and results digest, when the clocks moved
+  out of them into each run's timings.json and the pins stopped masking
+  them: both layer logs, finetune_log.csv, both metrics.json, all four
+  manifests, and results.csv and results.txt (the evaluate row lost its
+  cost). Every model, histogram, confusion matrix and tile kept its digest.
 
 The resolved blocks are exactly what each shipped config's manifest
 records under "config". The run digests come from the synthetic smoke
 configs at one BLAS thread (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64;
-another BLAS build may round the model digests differently). Wall-clock
-durations are masked.
+another BLAS build may round the model digests differently). Each run's
+timings.json, the one file that holds clock readings, is left out.
 """
 
-import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -43,30 +46,12 @@ from mndbn import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# Artifacts that record a wall-clock duration.
-TIMED = ("_log.csv", "metrics.json")
-
-
-def _masked(path: Path) -> bytes:
-    if path.suffix == ".csv" and path.name.endswith("_log.csv"):
-        rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
-        drop = rows[0].index("wall_seconds")
-        return json.dumps([[c for i, c in enumerate(r) if i != drop] for r in rows]).encode()
-    if path.suffix == ".json":
-        blob = json.loads(path.read_text(encoding="utf-8"))
-        blob.pop("wall_seconds", None)
-        for name in blob.get("artifacts", {}):
-            if name.endswith(TIMED):
-                blob["artifacts"][name] = "masked"
-        return json.dumps(blob, sort_keys=True).encode()
-    return path.read_bytes()
-
 
 def digests(out_dir: Path) -> dict:
-    """sha256 of every file a command wrote, durations masked."""
+    """sha256 of the raw bytes of every file a command wrote but its timings."""
     return {
-        p.name: hashlib.sha256(_masked(p)).hexdigest()[:16]
-        for p in sorted(out_dir.iterdir())
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        for p in sorted(out_dir.iterdir()) if p.name != "timings.json"
     }
 
 
@@ -273,26 +258,26 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                     'out_dir': 'runs/usps_mn_full/finetune'}]}
 
 RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
-              'manifest.json': 'e979b4aca9f58275',
-              'metrics.json': 'f19c96741eb939e8'},
+              'manifest.json': '7dc24fe4554d295f',
+              'metrics.json': '9a7f805b7be23843'},
  'finetune': {'confusion.csv': '0f0cf689d9cc1439',
               'dbn_finetuned.mndbn': '064b1548d56e72c3',
               'dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
-              'finetune_log.csv': '57cfb77f5800c124',
-              'manifest.json': '168a54f664f8e98f',
-              'metrics.json': '95a02d0f7a9ef6ff'},
+              'finetune_log.csv': 'ff438089f439d255',
+              'manifest.json': 'a14704ed578f2490',
+              'metrics.json': '5eb23643a04db252'},
  'pretrain-dbn': {'dbn.mndbn': 'e494d5618aeb1822',
                   'dbn_activations.csv': 'ffb80f85ba1e81a2',
-                  'layer1_log.csv': 'a285b2bc194c3fdf',
-                  'layer2_log.csv': 'cec45bd64db4b7b2',
-                  'manifest.json': 'ce73d7ab1b50dbbe'},
+                  'layer1_log.csv': '431602df206c6813',
+                  'layer2_log.csv': '693bd2defca02502',
+                  'manifest.json': 'dd76e7c4dbbc8636'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
-            'manifest.json': 'abec49510b232586',
+            'manifest.json': '280e8a8c2187ce7f',
             'pretrain_dbn_activations.csv': 'ffb80f85ba1e81a2',
             'pretrain_dbn_tiles.pgm': '86bbc4fd4a073bdf',
-            'results.csv': 'a481e38be8a44022',
-            'results.txt': '30550122e909b55e'}}
+            'results.csv': 'c9b0824678909626',
+            'results.txt': '9c21280b494d7cca'}}
 
 
 def test_every_shipped_config_is_pinned():
@@ -315,3 +300,10 @@ def test_shipped_config_resolves_to_pinned_block(name, tmp_path, monkeypatch):
 def test_commands_write_pinned_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_smoke(tmp_path) == RUN_DIGESTS
+    # The fine-tuned model's cost adds its pretraining's CPU time; an
+    # evaluate run trains nothing, so its row's cost (pinned above) is blank.
+    runs = tmp_path / "runs" / "synthetic_smoke"
+    pre, ft, ev = (json.loads((runs / run / "timings.json").read_text())
+                   for run in ("pretrain", "finetune", "evaluate"))
+    assert ft["training_cpu_seconds"] == ft["cpu_seconds"] + pre["cpu_seconds"]
+    assert "training_cpu_seconds" not in ev

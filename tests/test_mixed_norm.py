@@ -347,6 +347,27 @@ class TestRegularizedUpdate:
         assert abs(f[-1] - objective(joint)) <= 1e-3
 
 
+# Kernels that average over a batch reject an empty one before any write.
+_EMPTY_BATCH_CALLS = {
+    "cd_step": lambda m, x: cd_step(m, x, Rng(0)),
+    "cd_step-buffers": lambda m, x: cd_step(m, x, Rng(0), out=_CdBuffers.like(m, 2)),
+    "penalty_grad": lambda m, x: penalty_grad(m, x, cfg_for(4, 2)),
+    "regularized_update": lambda m, x: regularized_update(
+        m, x, cfg_for(4, 2, lam=0.1), 0.1, 0.5, Velocity.zeros(m), Rng(0)),
+    "exact_log_likelihood": exact_log_likelihood,
+    "exact_log_likelihood_grad": exact_log_likelihood_grad,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_EMPTY_BATCH_CALLS))
+def test_empty_batch_is_rejected_before_any_write(call):
+    m = random_rbm(0, 3, 4)
+    before = flat_params(m).tobytes()
+    with pytest.raises(ValueError):
+        _EMPTY_BATCH_CALLS[call](m, np.zeros((0, 3)))
+    assert flat_params(m).tobytes() == before
+
+
 class TestTraining:
     def test_lambda_zero_training_matches_vanilla_loop(self):
         train, _ = make_synthetic(60, 0, side=4, seed=3)
@@ -373,7 +394,6 @@ class TestTraining:
         for e in log:
             assert np.isfinite([e.recon_error, e.mean_hidden_activation,
                                 e.mixed_norm_value]).all()
-            assert e.wall_seconds >= 0.0
 
     def test_partition_layer_mismatch_rejected(self):
         train, _ = make_synthetic(20, 0, side=4, seed=0)

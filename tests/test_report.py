@@ -114,7 +114,7 @@ class TestActivationHistogram:
 class TestResultsTable:
     def test_single_run_single_measured_row(self, tmp_path):
         rec = RunRecord(architecture="dbn(100-100)", dataset="synthetic",
-                        accuracy_pct=97.5, wall_seconds=7200.0)
+                        accuracy_pct=97.5, cpu_seconds=7200.0)
         csv_path = tmp_path / "t.csv"
         txt_path = tmp_path / "t.txt"
         rows = results_table([rec], csv_path, txt_path)
@@ -139,10 +139,11 @@ class TestResultsTable:
         assert rows == []
 
     def test_text_table_is_aligned(self, tmp_path):
+        # An unknown cost is a blank cell.
         rec = RunRecord(architecture="rbm(64-10)", dataset="synthetic",
-                        accuracy_pct=88.0, wall_seconds=36.0)
+                        accuracy_pct=88.0, cpu_seconds=None)
         txt_path = tmp_path / "t.txt"
-        results_table([rec], tmp_path / "t.csv", txt_path)
+        assert results_table([rec], tmp_path / "t.csv", txt_path)[0][3] == ""
         lines = txt_path.read_text().splitlines()
         assert lines[0].startswith("architecture")
         assert set(lines[1]) <= {"-", " "}
