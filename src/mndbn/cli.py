@@ -218,15 +218,17 @@ def _write_text(path: Path, text: str) -> None:
 _TIMINGS = "timings.json"  # a run's clocks, beside its model and metrics
 
 
-def _recorded_seconds(path, key: str):
-    """The seconds under key in the timings.json beside path: None when the
-    file or the key is absent, ValueError when either is malformed."""
+def _recorded_seconds(path, *keys: str):
+    """The seconds under the first key set in the timings.json beside path:
+    None when the file or all keys are absent, ValueError when malformed."""
     try:
-        value = json.loads(Path(path).with_name(_TIMINGS).read_bytes()).get(key)
+        timings = json.loads(Path(path).with_name(_TIMINGS).read_bytes())
+        key = next((k for k in keys if timings.get(k) is not None), keys[0])
     except FileNotFoundError:
         return None
     except (OSError, AttributeError, RecursionError) as exc:
         raise ValueError(exc) from exc
+    value = timings.get(key)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if value is not None and not (number and 0.0 <= value <= sys.float_info.max):
         raise ValueError(f"'{key}' must be a finite number >= 0, got {value!r}")
@@ -235,14 +237,16 @@ def _recorded_seconds(path, key: str):
 
 def _write_manifest(args, out_dir: Path, config: dict, seed: int, artifacts, model_path=None):
     """Write timings.json (the wall and CPU seconds since main dispatched),
-    then manifest.json. A finetune's training_cpu_seconds adds the
-    cpu_seconds beside model_path, and is left out where those are unknown."""
+    then manifest.json. A finetune's training_cpu_seconds adds the input
+    model's training_cpu_seconds (else its cpu_seconds), and is left out
+    where neither is known."""
     wall0, cpu0 = args.clock
     cpu = time.process_time() - cpu0
     timings = {"wall_seconds": time.perf_counter() - wall0, "cpu_seconds": cpu}
     if model_path is not None:
         with contextlib.suppress(TypeError, ValueError):  # None (absent) or unreadable
-            timings["training_cpu_seconds"] = cpu + _recorded_seconds(model_path, "cpu_seconds")
+            timings["training_cpu_seconds"] = cpu + _recorded_seconds(
+                model_path, "training_cpu_seconds", "cpu_seconds")
     _write_text(out_dir / _TIMINGS, json.dumps(timings, indent=2, sort_keys=True) + "\n")
     manifest = {
         "command": args.command,

@@ -19,6 +19,7 @@ window arithmetic alone, and the training path never builds the axis.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,10 @@ def make_partition(j: int, group_size: int, overlap_fraction: float = 0.0) -> Gr
             f"{group_size}; choose sizes so (j - group_size) / stride is integral"
         )
     m = (j - group_size) // stride + 1
+    table = 8 * j * min(m, -(-group_size // stride))  # cover's bytes, before it exists
+    if table > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"layer size {j} with group_size {group_size} needs a {table}-byte "
+                          "group cover table, more than this machine's physical memory")
     units = np.arange(j)
     first = np.maximum((units - group_size) // stride + 1, 0)
     last = np.minimum(units // stride, m - 1)

@@ -1,5 +1,6 @@
 """Binary-binary RBM: energy, conditionals, CD-1 sampling, updates, and
-exact enumeration oracles for tiny models.
+exact oracles that enumerate the 2^J hidden states, for models with
+2^J * max(I, J) <= 2^24 (784x14 or 16x16, say).
 
 Conventions used throughout: visible values live in [0, 1] and are treated
 as probabilities (grayscale pixels are fed in directly), hidden states are
@@ -232,10 +233,13 @@ def apply_update(
     require_finite("rbm parameters", m.a_hid)
 
 
-# Exact oracles. Everything below enumerates all 2^I * 2^J configurations
-# and is guarded to tiny models; the training path never calls these.
+# Exact oracles. Given h the visibles are independent, so they are summed
+# out in closed form (the softplus free energy) and only the 2^J hidden
+# states are visited. The largest array then holds 2^J * max(I, J) values,
+# at most _ENUM_VALUES (128 MB), which admits e.g. 64x16, 784x14 and 16x16
+# but not 784x16 or 8x30. The training path never calls these.
 
-_ENUM_LIMIT = 20
+_ENUM_VALUES = 1 << 24
 
 
 def _enum_states(n: int) -> np.ndarray:
@@ -244,26 +248,21 @@ def _enum_states(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)) & 1).astype(float)
 
 
-def _logsumexp(a: np.ndarray, axis=None):
-    """log(sum(exp(a))) over `axis` (all of `a` by default), without overflow."""
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
 def _enumerate(m: Rbm):
-    """Every configuration of a tiny model at once: returns log Z, the joint
-    probabilities p[s, t] of visible state s and hidden state t, and the
-    visible and hidden enumeration matrices."""
-    if m.n_visible + m.n_hidden > _ENUM_LIMIT:
-        raise ValueError(
-            f"model too large for exact enumeration: I + J = "
-            f"{m.n_visible + m.n_hidden} > {_ENUM_LIMIT}"
-        )
-    xs = _enum_states(m.n_visible)
-    hs = _enum_states(m.n_hidden)
-    neg_e = xs @ m.w @ hs.T + (xs @ m.b_vis)[:, None] + (hs @ m.a_hid)[None, :]
-    log_z = float(_logsumexp(neg_e.ravel()))
-    return log_z, np.exp(neg_e - log_z), xs, hs
+    """Every hidden state h once, the visibles summed out: returns log Z,
+    then p(h), sigma(b + W h) and h itself, one row per state. The size
+    bound is checked in integers before anything is allocated."""
+    i, j = m.n_visible, m.n_hidden
+    if max(i, j) << j > _ENUM_VALUES:
+        raise ValueError(f"model too large for exact enumeration: 2^J * max(I, J) = "
+                         f"2^{j} * {max(i, j)} values > {_ENUM_VALUES}")
+    hs = _enum_states(j)
+    z = hs @ m.w.T + m.b_vis
+    log_ph = hs @ m.a_hid + np.logaddexp(0.0, z).sum(axis=1)
+    top = log_ph.max()
+    p = np.exp(log_ph - top)
+    total = p.sum()
+    return float(top + np.log(total)), p / total, sigmoid(z, out=z), hs
 
 
 def _visible_rows(m: Rbm, x) -> np.ndarray:
@@ -275,30 +274,29 @@ def _visible_rows(m: Rbm, x) -> np.ndarray:
 
 
 def exact_partition_function(m: Rbm) -> float:
-    """Normalizing constant by brute-force enumeration, in log space."""
+    """Normalizing constant by enumeration of the hidden states, in log space."""
     return float(np.exp(_enumerate(m)[0]))
 
 
 def exact_log_likelihood(m: Rbm, x):
-    """log p(x) with the hidden units summed out exactly: one value per row
-    of a batch, or a float for a single vector."""
+    """log p(x) = b.x + sum_j softplus(a_j + x.W[:, j]) - log Z: one value
+    per row of a batch, or a float for a single vector."""
     rows = _visible_rows(m, x)
-    log_z, _, _, hs = _enumerate(m)
-    neg_e = rows @ m.w @ hs.T + (rows @ m.b_vis)[:, None] + hs @ m.a_hid
-    ll = _logsumexp(neg_e, axis=1) - log_z
+    log_z = _enumerate(m)[0]
+    ll = rows @ m.b_vis + np.logaddexp(0.0, rows @ m.w + m.a_hid).sum(axis=1) - log_z
     return float(ll[0]) if np.ndim(x) == 1 else ll
 
 
 def exact_log_likelihood_grad(m: Rbm, x) -> CdStats:
     """Exact gradient of the batch-mean log p(x), a vector being a one-row
-    batch: data-clamped statistics minus the model expectation, both
-    computed by enumeration. Same sign convention as the CD estimate
-    (ascent on log-likelihood)."""
+    batch: data-clamped statistics minus the model expectation, the latter
+    summed over the hidden states (E[x h^T] = sum_h p(h) sigma(b + W h) h^T).
+    Same sign convention as the CD estimate (ascent on log-likelihood)."""
     rows = _visible_rows(m, x)
-    _, p, xs, hs = _enumerate(m)
+    _, p, x_given_h, hs = _enumerate(m)
     ph = prob_h_given_x(m, rows)
     return CdStats(
-        dw=rows.T @ ph / rows.shape[0] - xs.T @ p @ hs,
-        db_vis=rows.mean(axis=0) - xs.T @ p.sum(axis=1),
-        da_hid=ph.mean(axis=0) - hs.T @ p.sum(axis=0),
+        dw=rows.T @ ph / rows.shape[0] - x_given_h.T @ (hs * p[:, None]),
+        db_vis=rows.mean(axis=0) - p @ x_given_h,
+        da_hid=ph.mean(axis=0) - p @ hs,
     )

@@ -173,6 +173,19 @@ def test_out_of_memory_is_config_error_exit(tmp_path, monkeypatch, capsys, comma
     assert err.startswith("memory error: Unable to allocate 745. GiB") and err.count("\n") == 1
     assert not out.exists()
 
+
+def test_layer_beyond_physical_memory_is_config_error(tmp_path, capsys):
+    # At lambda 0 the one group spans the layer; its 256 TiB cover table is
+    # refused from the sizes, not left to the allocator.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "big.json", {"dataset": synth_block(),
+                                              "layer_sizes": [2**45], "out_dir": str(out)})
+    assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: penalty: layer size 35184372088832") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
 class TestTrainRbm:
     """One feature layer: pretrain-dbn with a one-element layer_sizes."""
 
@@ -565,6 +578,18 @@ class TestFinetune:
         acc0 = json.loads((outs[0] / "metrics.json").read_text())["accuracy_pct"]
         acc1 = json.loads((outs[1] / "metrics.json").read_text())["accuracy_pct"]
         assert acc0 == acc1
+
+    def test_chained_finetune_counts_the_whole_training_cost(self, tmp_path, pretrained_run):
+        # pretrain, finetune a, then finetune b from a's model: b's cost adds
+        # everything a's model cost, pretraining included.
+        a, b = tmp_path / "a", tmp_path / "b"
+        for model, out in ((pretrained_run / "dbn.mndbn", a), (a / "dbn_finetuned.mndbn", b)):
+            cfg = self.ft_config(tmp_path, out, name=f"{out.name}.json")
+            assert main(["finetune", str(model), "--config", str(cfg)]) == 0
+        pre, ft_a, ft_b = (json.loads((run / "timings.json").read_text())
+                           for run in (pretrained_run, a, b))
+        assert ft_a["training_cpu_seconds"] == ft_a["cpu_seconds"] + pre["cpu_seconds"]
+        assert ft_b["training_cpu_seconds"] == ft_b["cpu_seconds"] + ft_a["training_cpu_seconds"]
 
     # The last six rows are the keys, at their last defaults, that a block
     # held while fine-tuning had a gradient-descent path and line-search

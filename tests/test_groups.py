@@ -1,6 +1,7 @@
 """Hidden-unit group partitions: layout math, expand/accumulate pair."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestMakePartition:
     def test_invalid_layouts_rejected(self, j, group_size, overlap):
         with pytest.raises(ConfigError):
             make_partition(j, group_size, overlap)
+
+    @pytest.mark.parametrize("j, group_size, overlap, table_bytes", [
+        (2**45, 2**45, 0.0, 2**48),   # one row of 2^45 int64 entries
+        (2**40, 2**20, 0.5, 2**44),   # two rows: each unit lies in two groups
+    ], ids=["whole-layer", "overlap"])
+    def test_table_beyond_physical_memory_rejected_before_allocating(self, j, group_size,
+                                                                     overlap, table_bytes):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"needs a {table_bytes}-byte"):
+                make_partition(j, group_size, overlap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_partition_holds_only_the_window_layout(self):
         names = [f.name for f in dataclasses.fields(GroupPartition)]

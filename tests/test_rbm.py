@@ -1,6 +1,7 @@
 """RBM energies, conditionals, CD statistics, and enumeration oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,41 @@ def zero_rbm(n_visible, n_hidden):
         b_vis=np.zeros(n_visible),
         a_hid=np.zeros(n_hidden),
     )
+
+
+def peak_bytes(call, *args):
+    """The tracemalloc peak while call(*args) runs, and its result or the
+    exception it raised."""
+    tracemalloc.start()
+    try:
+        try:
+            out = call(*args)
+        except Exception as exc:
+            out = exc
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def visible_side_oracle(m):
+    """log Z and the model's E[x h^T], E[x] and E[h] from the free energy
+    summed over the 2^I visible states: independent of the library's
+    hidden-side sum."""
+    xs = np.array(list(itertools.product([0.0, 1.0], repeat=m.n_visible)))
+    act = xs @ m.w + m.a_hid
+    neg_f = xs @ m.b_vis + np.logaddexp(0.0, act).sum(axis=1)
+    top = neg_f.max()
+    log_z = top + np.log(np.exp(neg_f - top).sum())
+    px = np.exp(neg_f - log_z)
+    ph = 0.5 * (1.0 + np.tanh(0.5 * act))
+    return log_z, (xs * px[:, None]).T @ ph, px @ xs, px @ ph
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), \
+        np.max(np.abs(got - want))
 
 
 class TestEnergy:
@@ -255,8 +291,53 @@ class TestEnumerationOracles:
                 assert abs(joint - split) <= 1e-12 * max(1.0, abs(joint))
 
     def test_enumeration_size_limit(self):
-        with pytest.raises(ValueError):
-            exact_partition_function(zero_rbm(15, 6))
+        # The bound is 2^J * max(I, J) values, checked in integers before
+        # anything is allocated: no OverflowError or MemoryError, even for
+        # a million hidden units.
+        for nv, nh in [(1, 24), (784, 16), (1, 10**6)]:
+            m = zero_rbm(nv, nh)
+            for oracle, args in [(exact_partition_function, (m,)),
+                                 (exact_log_likelihood, (m, np.zeros(nv))),
+                                 (exact_log_likelihood_grad, (m, np.zeros(nv)))]:
+                peak, out = peak_bytes(oracle, *args)
+                assert type(out) is ValueError and "too large" in str(out), (nv, nh, out)
+                assert peak < 2**20, (nv, nh, peak)
+
+    @pytest.mark.parametrize("std", [0.1, 1.0, 3.0])
+    def test_hidden_side_matches_visible_side_enumeration(self, std):
+        # Twelve models per weight scale, I, J <= 12, the extremes included.
+        r = Rng(int(10 * std))
+        shapes = [(1, 12), (12, 1), (12, 12)] + [tuple(r.integers(1, 13, 2)) for _ in range(9)]
+        for seed, (nv, nh) in enumerate(shapes):
+            m = random_rbm(seed, nv, nh, std=std)
+            log_z, exh, ex, eh = visible_side_oracle(m)
+            assert_close(np.log(exact_partition_function(m)), log_z)
+            batch = Rng(seed).uniform((6, nv))
+            batch[:3] = batch[:3] < 0.5
+            act = batch @ m.w + m.a_hid
+            ll = batch @ m.b_vis + np.logaddexp(0.0, act).sum(axis=1) - log_z
+            assert_close(exact_log_likelihood(m, batch), ll)
+            assert_close(exact_log_likelihood(m, batch[0]), ll[0])
+            ph = 0.5 * (1.0 + np.tanh(0.5 * act))
+            g = exact_log_likelihood_grad(m, batch)
+            assert_close(g.dw, batch.T @ ph / 6 - exh)
+            assert_close(g.db_vis, batch.mean(axis=0) - ex)
+            assert_close(g.da_hid, ph.mean(axis=0) - eh)
+
+    def test_sixteen_by_sixteen_normalizes_in_one_batch(self):
+        # I + J = 32, beyond a joint table: p(x) over all 2^16 visible
+        # states, scored in one call, sums to 1.
+        m = random_rbm(16, 16, 16)
+        states = np.array(list(itertools.product([0.0, 1.0], repeat=16)))
+        assert abs(np.exp(exact_log_likelihood(m, states)).sum() - 1.0) <= 1e-12
+
+    def test_gradient_memory_scales_with_hidden_states_only(self):
+        # A 20x16 joint table would hold 2^36 values; the hidden-side sum
+        # keeps a 100-row gradient under 64 MB.
+        m = random_rbm(20, 20, 16)
+        batch = (Rng(21).uniform((100, 20)) < 0.5).astype(float)
+        peak, out = peak_bytes(exact_log_likelihood_grad, m, batch)
+        assert isinstance(out, CdStats) and peak < 64 * 2**20
 
     def test_batch_log_likelihood_normalizes(self):
         # One call scores every visible state; p(x) must sum to 1 over them.
