@@ -9,9 +9,9 @@ watches the exact log likelihood improve. The model is small enough
 import numpy as np
 
 from mndbn import (
+    CdStats,
     Rbm,
     Rng,
-    Velocity,
     apply_update,
     cd_step,
     energy,
@@ -47,7 +47,7 @@ print(f"reconstruction    = {np.round(x_tilde, 3)}")
 # one-step reconstruction down.
 print("\nepoch  mean log p(x)")
 for epoch in range(30):
-    velocity = Velocity.zeros(m)
+    velocity = CdStats.zeros(m)
     for start in range(0, len(data), 20):
         stats = cd_step(m, data[start : start + 20], rng=rng)
         apply_update(m, stats, lr=0.2, momentum=0.5, velocity=velocity)

@@ -52,6 +52,7 @@ for b in range(len(counts)):
 
 # Measured rows merge with the built-in reference table.
 record = RunRecord(
+    run="demo",
     architecture="mn-rbm(g8,64)",
     dataset="synthetic",
     accuracy_pct=0.0,

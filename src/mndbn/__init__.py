@@ -29,14 +29,13 @@ _EXPORTS = {
     "make_partition": "groups",
     "Rbm": "rbm",
     "CdStats": "rbm",
-    "Velocity": "rbm",
     "energy": "rbm",
     "prob_h_given_x": "rbm",
     "prob_x_given_h": "rbm",
     "gibbs_chain": "rbm",
     "cd_step": "rbm",
     "apply_update": "rbm",
-    "exact_partition_function": "rbm",
+    "exact_log_partition_function": "rbm",
     "exact_log_likelihood": "rbm",
     "exact_log_likelihood_grad": "rbm",
     "PenaltyConfig": "mixed_norm",

@@ -1,9 +1,9 @@
 """Command-line interface for training, evaluation, and reporting.
 
 Every command reads one JSON config, materializes all defaults, and writes
-a manifest.json into the output directory capturing the resolved config,
-the effective seed, and a sha256 per artifact. A manifest can be fed back
-through --config to replay the run.
+a manifest.json into the output directory capturing the resolved config
+(the seed is in its train or finetune block) and a sha256 per artifact. A
+manifest can be fed back through --config to replay the run.
 
 The config dataclasses are the schema: the keys, defaults and types of a
 "train" or "finetune" block are the fields of TrainConfig or
@@ -235,7 +235,7 @@ def _recorded_seconds(path, *keys: str):
     return value
 
 
-def _write_manifest(args, out_dir: Path, config: dict, seed: int, artifacts, model_path=None):
+def _write_manifest(args, out_dir: Path, config: dict, artifacts, model_path=None):
     """Write timings.json (the wall and CPU seconds since main dispatched),
     then manifest.json. A finetune's training_cpu_seconds adds the input
     model's training_cpu_seconds (else its cpu_seconds), and is left out
@@ -251,8 +251,6 @@ def _write_manifest(args, out_dir: Path, config: dict, seed: int, artifacts, mod
     manifest = {
         "command": args.command,
         "config": config,
-        "seed": seed,
-        "out_dir": str(out_dir),
         "artifacts": {
             str(rel): hashlib.sha256((out_dir / rel).read_bytes()).hexdigest()
             for rel in sorted(artifacts)
@@ -304,9 +302,9 @@ def _build_datasets(resolved: dict):
         def load(split):
             if name == "usps":
                 path = resolved[f"{split}_path"]
-                return None if path is None else load_usps(path, split=split)
+                return None if path is None else load_usps(path)
             images, labels = resolved[f"{split}_images"], resolved[f"{split}_labels"]
-            return None if images is None else load_idx(images, labels, name=name, split=split)
+            return None if images is None else load_idx(images, labels)
 
         train, test = load("train"), load("test")
     if resolved["limit"] is not None:
@@ -442,7 +440,7 @@ def cmd_pretrain(args) -> int:
     for name, log in zip(log_names, logs):
         write_training_log(out_dir / name, log)
     artifacts = ["dbn.mndbn", hist.name, *log_names]
-    _write_manifest(args, out_dir, resolved, tcfg.seed, artifacts)
+    _write_manifest(args, out_dir, resolved, artifacts)
     print(f"{tag}: {len(sizes)}-layer stack pretrained on {len(train)} images")
     for i, log in enumerate(logs, 1):
         if log:
@@ -487,11 +485,11 @@ def _load_run(resolved: dict):
     path = resolved["model_path"]
     d, meta = load_dbn(path)
     train, test = _build_datasets(resolved["dataset"])
-    for ds in (train, test):
+    for split, ds in (("train", train), ("test", test)):
         if ds is not None and ds.images.shape[1] != d.n_visible:
             raise ConfigError(
                 f"{path} takes {d.n_visible} pixels per image, but the dataset's "
-                f"{ds.split} images have {ds.images.shape[1]}"
+                f"{split} images have {ds.images.shape[1]}"
             )
     return d, meta, train, test
 
@@ -525,7 +523,7 @@ def cmd_finetune(args) -> int:
                    train_accuracy_pct=100.0 * train_acc)
     artifacts = ["dbn_finetuned.mndbn", hist.name, "finetune_log.csv", "metrics.json",
                  "confusion.csv"]
-    _write_manifest(args, out_dir, resolved, ft.seed, artifacts, resolved["model_path"])
+    _write_manifest(args, out_dir, resolved, artifacts, resolved["model_path"])
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% after {ft.epochs} epochs")
     print(f"wrote {out_dir / 'dbn_finetuned.mndbn'}")
     return 0
@@ -546,7 +544,7 @@ def cmd_evaluate(args) -> int:
     out_dir = _make_dir(resolved["out_dir"])
     tag = _model_tag(meta, model)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset))
-    _write_manifest(args, out_dir, resolved, 0, ["metrics.json", "confusion.csv"])
+    _write_manifest(args, out_dir, resolved, ["metrics.json", "confusion.csv"])
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% on {len(dataset)} samples")
     return 0
 
@@ -603,7 +601,8 @@ def cmd_report(args) -> int:
     for path in sorted(p for p in run_dir.rglob("metrics.json") if out_dir not in p.parents):
         try:
             blob = json.loads(path.read_text(encoding="utf-8"))
-            record = RunRecord(blob["architecture"], blob["dataset"], blob["accuracy_pct"], None)
+            record = RunRecord(path.parent.relative_to(run_dir).as_posix(), blob["architecture"],
+                               blob["dataset"], blob["accuracy_pct"], None)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             warnings.append(f"{path}: unreadable metrics ({exc})")
             continue
@@ -616,7 +615,7 @@ def cmd_report(args) -> int:
     results_table(records, out_dir / "results.csv", out_dir / "results.txt", include_reference=not empty)
     artifacts.extend(["results.csv", "results.txt"])
     print(f"wrote {out_dir / 'results.csv'}")
-    _write_manifest(args, out_dir, resolved, 0, artifacts)
+    _write_manifest(args, out_dir, resolved, artifacts)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
     if empty:

@@ -29,8 +29,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    name: str = ""
-    split: str = ""
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=float)
@@ -51,7 +49,7 @@ class Dataset:
 
     def subset(self, n: int) -> "Dataset":
         """First n samples, in stored order."""
-        return Dataset(self.images[:n], self.labels[:n], self.name, self.split)
+        return Dataset(self.images[:n], self.labels[:n])
 
 
 def _read(path) -> bytes:
@@ -87,7 +85,7 @@ def _read_idx(path, magic: int, what: str) -> np.ndarray:
     return np.frombuffer(raw, np.uint8, size, header).reshape(shape)
 
 
-def load_idx(images_path, labels_path, name: str = "idx", split: str = "") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse a big-endian IDX image/label file pair.
 
     Image files start with magic 0x00000803 then count, rows, cols and raw
@@ -109,7 +107,7 @@ def load_idx(images_path, labels_path, name: str = "idx", split: str = "") -> Da
     if labels.max() >= NUM_CLASSES:
         raise DataError(f"{labels_path}: label {labels.max()} outside [0, {NUM_CLASSES})")
     images = images.reshape(count, rows * cols).astype(float) / 255.0
-    return Dataset(images, labels.astype(np.int64), name=name, split=split)
+    return Dataset(images, labels.astype(np.int64))
 
 
 def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
@@ -148,7 +146,7 @@ def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def load_usps(path, name: str = "usps", split: str = "", target_side: int = 28) -> Dataset:
+def load_usps(path, target_side: int = 28) -> Dataset:
     """Parse the USPS plain-text layout and resize to the 28x28 frame.
 
     Each line holds a class label followed by 256 grayscale values of a
@@ -193,7 +191,7 @@ def load_usps(path, name: str = "usps", split: str = "", target_side: int = 28) 
         raise DataError(f"{path}:{linenos[i]}: {problem}")
     pixels = np.clip((values[:, 1:] + 1.0) / 2.0, 0.0, 1.0).reshape(-1, 16, 16)
     images = resize_bilinear(pixels, target_side, target_side).reshape(len(rows), -1)
-    return Dataset(images, labels.astype(np.int64), name=name, split=split)
+    return Dataset(images, labels.astype(np.int64))
 
 
 def shuffle_split(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:

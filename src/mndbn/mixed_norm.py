@@ -27,8 +27,8 @@ from .data import shuffle_split
 from .errors import ConfigError
 from .groups import GroupPartition, divide_accumulate, group_norms
 from .rbm import (
+    CdStats,
     Rbm,
-    Velocity,
     _CdBuffers,
     _visible_rows,
     apply_update,
@@ -155,7 +155,7 @@ def regularized_update(
     cfg: PenaltyConfig,
     lr: float,
     momentum: float,
-    velocity: Velocity,
+    velocity: CdStats,
     rng: Rng,
     out=None,
 ) -> Rbm:
@@ -238,7 +238,7 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
             f"partition is over {cfg.partition.j_original} units, layer has {layer_size}"
         )
     m = Rbm.init_random(images.shape[1], layer_size, rng)
-    velocity = Velocity.zeros(m)
+    velocity = CdStats.zeros(m)
     n = images.shape[0]
     # One set of buffers holds a batch and one block of the metrics pass.
     rows = min(n, max(params.batch_size, block_rows(max(m.n_visible, layer_size))))

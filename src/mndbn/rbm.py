@@ -61,23 +61,15 @@ class Rbm:
 
 @dataclass
 class CdStats:
-    """Batch-averaged update statistics (ascent direction)."""
-
-    dw: np.ndarray
-    db_vis: np.ndarray
-    da_hid: np.ndarray
-
-
-@dataclass
-class Velocity:
-    """Momentum state for `apply_update`; same shapes as the parameters."""
+    """Batch-averaged update statistics (ascent direction), or the momentum
+    state of `apply_update`; same shapes as the parameters."""
 
     dw: np.ndarray
     db_vis: np.ndarray
     da_hid: np.ndarray
 
     @classmethod
-    def zeros(cls, m: Rbm) -> "Velocity":
+    def zeros(cls, m: Rbm) -> "CdStats":
         return cls(
             dw=np.zeros_like(m.w),
             db_vis=np.zeros_like(m.b_vis),
@@ -209,7 +201,7 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
 
 
 def apply_update(
-    m: Rbm, stats: CdStats, lr: float, momentum: float, velocity: Velocity, out=None
+    m: Rbm, stats: CdStats, lr: float, momentum: float, velocity: CdStats, out=None
 ) -> None:
     """Momentum step: velocity <- momentum * velocity + lr * stats, then
     parameters += velocity. Mutates the model and the velocity in place;
@@ -250,8 +242,8 @@ def _enum_states(n: int) -> np.ndarray:
 
 def _enumerate(m: Rbm):
     """Every hidden state h once, the visibles summed out: returns log Z,
-    then p(h), sigma(b + W h) and h itself, one row per state. The size
-    bound is checked in integers before anything is allocated."""
+    then p(h), b + W h and h itself, one row per state. The size bound is
+    checked in integers before anything is allocated."""
     i, j = m.n_visible, m.n_hidden
     if max(i, j) << j > _ENUM_VALUES:
         raise ValueError(f"model too large for exact enumeration: 2^J * max(I, J) = "
@@ -262,7 +254,7 @@ def _enumerate(m: Rbm):
     top = log_ph.max()
     p = np.exp(log_ph - top)
     total = p.sum()
-    return float(top + np.log(total)), p / total, sigmoid(z, out=z), hs
+    return float(top + np.log(total)), p / total, z, hs
 
 
 def _visible_rows(m: Rbm, x) -> np.ndarray:
@@ -273,9 +265,10 @@ def _visible_rows(m: Rbm, x) -> np.ndarray:
     return rows
 
 
-def exact_partition_function(m: Rbm) -> float:
-    """Normalizing constant by enumeration of the hidden states, in log space."""
-    return float(np.exp(_enumerate(m)[0]))
+def exact_log_partition_function(m: Rbm) -> float:
+    """log Z by enumeration of the hidden states; finite wherever Z itself
+    would overflow a float."""
+    return _enumerate(m)[0]
 
 
 def exact_log_likelihood(m: Rbm, x):
@@ -293,8 +286,8 @@ def exact_log_likelihood_grad(m: Rbm, x) -> CdStats:
     summed over the hidden states (E[x h^T] = sum_h p(h) sigma(b + W h) h^T).
     Same sign convention as the CD estimate (ascent on log-likelihood)."""
     rows = _visible_rows(m, x)
-    _, p, x_given_h, hs = _enumerate(m)
-    ph = prob_h_given_x(m, rows)
+    _, p, z, hs = _enumerate(m)
+    x_given_h, ph = sigmoid(z, out=z), prob_h_given_x(m, rows)
     return CdStats(
         dw=rows.T @ ph / rows.shape[0] - x_given_h.T @ (hs * p[:, None]),
         db_vis=rows.mean(axis=0) - p @ x_given_h,

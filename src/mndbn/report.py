@@ -20,7 +20,7 @@ from .dbn import Dbn, forward
 from .errors import ConfigError
 from .rbm import Rbm
 
-TABLE_COLUMNS = ("architecture", "dataset", "accuracy_pct", "cpu_hours", "source")
+TABLE_COLUMNS = ("run", "architecture", "dataset", "accuracy_pct", "cpu_hours", "source")
 HISTOGRAM_COLUMNS = ("bin_low", "bin_high", "count")
 
 # Published full-scale results (500-500-2000 stacks trained to completion on
@@ -59,17 +59,19 @@ REFERENCE_RESULTS = (
 
 @dataclass
 class RunRecord:
-    """One completed run for the results table: cpu_seconds is the CPU time
-    of its whole training run, or None where unknown or nothing trained."""
+    """One completed run for the results table: run names its directory,
+    and cpu_seconds is the CPU time of its whole training run, or None
+    where unknown or nothing trained."""
 
+    run: str
     architecture: str
     dataset: str
     accuracy_pct: float
     cpu_seconds: float | None
 
     def __post_init__(self):
-        if not (isinstance(self.architecture, str) and isinstance(self.dataset, str)):
-            raise TypeError("architecture and dataset must be strings")
+        if not all(isinstance(v, str) for v in (self.run, self.architecture, self.dataset)):
+            raise TypeError("run, architecture and dataset must be strings")
         for value in (self.accuracy_pct, 0.0 if self.cpu_seconds is None else self.cpu_seconds):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and math.isfinite(value)):
@@ -160,18 +162,18 @@ def activation_histogram(d: Dbn, batch, bins: int, out_path):
     return counts, edges
 
 
-def _table_rows(records, include_reference: bool) -> list[tuple[str, str, str, str, str]]:
-    """The measured runs, then the references, in one format."""
+def _table_rows(records, include_reference: bool) -> list[tuple[str, ...]]:
+    """The measured runs, then the references (blank run), in one format."""
     rows = [
-        (r.architecture, r.dataset, r.accuracy_pct,
+        (r.run, r.architecture, r.dataset, r.accuracy_pct,
          None if r.cpu_seconds is None else r.cpu_seconds / 3600.0, "measured")
         for r in records
     ]
     if include_reference:
-        rows += [(*ref, "reference") for ref in REFERENCE_RESULTS]
+        rows += [("", *ref, "reference") for ref in REFERENCE_RESULTS]
     return [
-        (arch, dataset, f"{acc:.2f}", "" if hours is None else f"{hours:.2f}", source)
-        for arch, dataset, acc, hours, source in rows
+        (run, arch, dataset, f"{acc:.2f}", "" if hours is None else f"{hours:.2f}", source)
+        for run, arch, dataset, acc, hours, source in rows
     ]
 
 

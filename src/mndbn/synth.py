@@ -63,7 +63,7 @@ def make_synthetic(
     rng = Rng(seed)
     protos = _prototypes(side, rng)
 
-    def draw(n, split):
+    def draw(n):
         # One shape-2 integers call draws what two scalar calls drew. np.roll
         # is a copy and noise + prototype is the same IEEE sum as
         # prototype + noise, so the gather below gives the rolled bits.
@@ -79,6 +79,6 @@ def make_synthetic(
             block = images[b]
             block += protos[labels[b, None, None], rows[b, :, None], cols[b, None, :]]
             np.clip(block, 0.0, 1.0, out=block)
-        return Dataset(images.reshape(n, side * side), labels, name="synthetic", split=split)
+        return Dataset(images.reshape(n, side * side), labels)
 
-    return draw(n_train, "train"), draw(n_test, "test")
+    return draw(n_train), draw(n_test)

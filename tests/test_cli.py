@@ -324,6 +324,18 @@ class TestTrainRbm:
         manifests = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
         assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
 
+    def test_manifest_with_top_level_seed_and_out_dir_replays(self, tmp_path):
+        # Manifests once repeated the seed and out_dir beside their config
+        # block; replay reads only the block, so such a manifest still replays.
+        out = tmp_path / "run1"
+        assert main(["pretrain-dbn", "--config", str(rbm_config(tmp_path, out))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.update(seed=0, out_dir=str(out))
+        old, replay = write_config(tmp_path, "old_manifest.json", manifest), tmp_path / "replay"
+        assert main(["pretrain-dbn", "--config", str(old), "--out", str(replay)]) == 0
+        assert json.loads((replay / "manifest.json").read_text())["artifacts"] == \
+            manifest["artifacts"]
+
     def test_manifest_replay_rejects_wrong_command(self, tmp_path, capsys):
         out1 = tmp_path / "run1"
         cfg = rbm_config(tmp_path, out1)
@@ -503,6 +515,30 @@ def pretrain_run(tmp_path):
 @pytest.fixture()
 def pretrained_run(tmp_path):
     return pretrain_run(tmp_path)
+
+
+def command_tree(tmp_path, pretrained_run) -> dict:
+    """Finetune the pretrained run, evaluate the result and report over
+    tmp_path; returns each command's output directory."""
+    runs = {"pretrain-dbn": pretrained_run, "finetune": tmp_path / "ft",
+            "evaluate": tmp_path / "ev", "report": tmp_path / "report"}
+    dataset = synth_block(n_test=40)
+    for command, model, block in [
+        ("finetune", pretrained_run / "dbn.mndbn", {"finetune": {"epochs": 2, "batch": 60}}),
+        ("evaluate", runs["finetune"] / "dbn_finetuned.mndbn", {}),
+    ]:
+        cfg = write_config(tmp_path, f"{command}.json",
+                           {"dataset": dataset, "out_dir": str(runs[command]), **block})
+        assert main([command, str(model), "--config", str(cfg)]) == 0
+    assert main(["report", str(tmp_path), "--out", str(runs["report"])]) == 0
+    return runs
+
+
+def test_every_manifest_holds_command_config_and_artifacts(tmp_path, pretrained_run):
+    # The seed and out_dir live in the config block only.
+    for out in command_tree(tmp_path, pretrained_run).values():
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifacts", "command", "config"]
 
 
 class TestFinetune:
@@ -759,12 +795,30 @@ class TestReport:
         assert len(tiles) == 2   # pretrained stack + finetuned stack
         assert len(hists) == 2
         table = read_csv(out / "results.csv")
-        measured = [r for r in table[1:] if r[4] == "measured"]
-        reference = [r for r in table[1:] if r[4] == "reference"]
-        assert len(measured) == 1 and measured[0][3] == "0.00"   # CPU hours of both runs
+        measured = [r for r in table[1:] if r[5] == "measured"]
+        reference = [r for r in table[1:] if r[5] == "reference"]
+        assert len(measured) == 1 and measured[0][4] == "0.00"   # CPU hours of both runs
+        assert measured[0][0] == "ft" and {r[0] for r in reference} == {""}
         assert len(reference) > 0
         assert (out / "results.txt").is_file()
         assert (out / "manifest.json").is_file()
+
+    def test_rows_name_their_run(self, tmp_path, pretrained_run):
+        # Two finetunes of one model score alike; the run column, each
+        # metrics.json's directory under the tree, tells their rows apart.
+        for name in ("a", "nested/b"):
+            cfg = write_config(tmp_path, "ft.json", {
+                "dataset": synth_block(n_test=40),
+                "finetune": {"epochs": 1, "batch": 60, "seed": 1},
+                "out_dir": str(tmp_path / "runs" / name),
+            })
+            assert main(["finetune", str(pretrained_run / "dbn.mndbn"),
+                         "--config", str(cfg)]) == 0
+        assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "report")]) == 0
+        table = read_csv(tmp_path / "report" / "results.csv")
+        measured = [r for r in table[1:] if r[-1] == "measured"]
+        assert [r[0] for r in measured] == ["a", "nested/b"]
+        assert measured[0][1:4] == measured[1][1:4]
 
     def test_report_rerun_is_idempotent(self, tmp_path, pretrained_run):
         root = self.populated_run(tmp_path, pretrained_run)
@@ -913,7 +967,7 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"warning: {pretrained_run / 'timings.json'}")
         table = read_csv(tmp_path / "report" / "results.csv")
-        assert table[1] == ["rbm(16)", "synthetic", "50.00", "", "measured"]
+        assert table[1] == [".", "rbm(16)", "synthetic", "50.00", "", "measured"]
 
     def test_model_without_timings_has_no_cost(self, tmp_path, pretrained_run, capsys):
         (pretrained_run / "timings.json").unlink()
@@ -922,7 +976,7 @@ class TestReport:
         assert main(["report", str(root), "--out", str(tmp_path / "report")]) == 0
         assert capsys.readouterr().err == ""
         table = read_csv(tmp_path / "report" / "results.csv")
-        assert [row[3] for row in table[1:] if row[4] == "measured"] == [""]
+        assert [row[4] for row in table[1:] if row[5] == "measured"] == [""]
 
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2
@@ -1080,16 +1134,13 @@ class TestEntryPoint:
                               capture_output=True, text=True, env=src_env())
         assert proc.returncode == 2
 
-    def test_console_script_runs_module(self, tmp_path, pretrained_run):
-        # The module runs as a console script, and the manifests of a
-        # pretrain-dbn and a finetune run replay in a second process, at one
-        # thread, to every digest they record.
-        cfg = write_config(tmp_path, "ft.json", {"dataset": synth_block(n_test=40),
-                                                 "finetune": {"epochs": 2, "batch": 60},
-                                                 "out_dir": str(tmp_path / "ft")})
-        assert main(["finetune", str(pretrained_run / "dbn.mndbn"), "--config", str(cfg)]) == 0
-        for command, run in (("pretrain-dbn", pretrained_run), ("finetune", tmp_path / "ft")):
-            replay = tmp_path / f"{run.name}_replay"
+    def test_console_script_runs_module(self, tmp_path, tmp_path_factory, pretrained_run):
+        # The module runs as a console script, and the manifest of every
+        # command replays in a second process, at one thread, to every
+        # digest it records. The replays land outside the reported tree.
+        replays = tmp_path_factory.mktemp("replays")
+        for command, run in command_tree(tmp_path, pretrained_run).items():
+            replay = replays / command
             proc = subprocess.run(
                 [sys.executable, "-m", "mndbn.cli", command, "--config",
                  str(run / "manifest.json"), "--out", str(replay), "--threads", "1"],

@@ -28,6 +28,13 @@ re-recording since, and why:
   them: both layer logs, finetune_log.csv, both metrics.json, all four
   manifests, and results.csv and results.txt (the evaluate row lost its
   cost). Every model, histogram, confusion matrix and tile kept its digest.
+- All four manifests, when a manifest stopped repeating the seed and
+  out_dir that its config block holds, and evaluate and report stopped
+  recording a seed of 0 they never read; it now holds only command,
+  config and artifacts.
+- results.csv and results.txt, and the report manifest again (their
+  digests), when the results table gained a leading run column naming
+  each measured row's directory under the run tree.
 
 The resolved blocks are exactly what each shipped config's manifest
 records under "config". The run digests come from the synthetic smoke
@@ -258,26 +265,26 @@ RESOLVED = {'mnist_dbn_full.json': ['pretrain-dbn',
                                     'out_dir': 'runs/usps_mn_full/finetune'}]}
 
 RUN_DIGESTS = {'evaluate': {'confusion.csv': '0f0cf689d9cc1439',
-              'manifest.json': '7dc24fe4554d295f',
+              'manifest.json': '1347ea0116a3c4bf',
               'metrics.json': '9a7f805b7be23843'},
  'finetune': {'confusion.csv': '0f0cf689d9cc1439',
               'dbn_finetuned.mndbn': '064b1548d56e72c3',
               'dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
               'finetune_log.csv': 'ff438089f439d255',
-              'manifest.json': 'a14704ed578f2490',
+              'manifest.json': '07dcbcc9c244309c',
               'metrics.json': '5eb23643a04db252'},
  'pretrain-dbn': {'dbn.mndbn': 'e494d5618aeb1822',
                   'dbn_activations.csv': 'ffb80f85ba1e81a2',
                   'layer1_log.csv': '431602df206c6813',
                   'layer2_log.csv': '693bd2defca02502',
-                  'manifest.json': 'dd76e7c4dbbc8636'},
+                  'manifest.json': '2486fe9674b1869b'},
  'report': {'finetune_dbn_finetuned_activations.csv': 'ffb80f85ba1e81a2',
             'finetune_dbn_finetuned_tiles.pgm': '86bbc4fd4a073bdf',
-            'manifest.json': '280e8a8c2187ce7f',
+            'manifest.json': '8c4350fae294d797',
             'pretrain_dbn_activations.csv': 'ffb80f85ba1e81a2',
             'pretrain_dbn_tiles.pgm': '86bbc4fd4a073bdf',
-            'results.csv': 'c9b0824678909626',
-            'results.txt': '9c21280b494d7cca'}}
+            'results.csv': 'c97f2464924064de',
+            'results.txt': '21f91fa5f3eadbe1'}}
 
 
 def test_every_shipped_config_is_pinned():

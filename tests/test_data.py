@@ -1,5 +1,6 @@
 """Dataset ingestion: IDX bytes, USPS text, bilinear resize, batching."""
 
+import dataclasses
 import gzip
 import hashlib
 import struct
@@ -96,7 +97,7 @@ class TestLoadIdx:
     def test_write_then_load_round_trip(self, tmp_path):
         rng = Rng(0)
         quantized = np.rint(rng.uniform((6, 16)) * 255) / 255
-        ds = Dataset(images=quantized, labels=rng.integers(0, 10, (6,)), name="t", split="train")
+        ds = Dataset(images=quantized, labels=rng.integers(0, 10, (6,)))
         ip = tmp_path / "im.idx"
         lp = tmp_path / "lb.idx"
         write_idx(ds, ip, lp)
@@ -161,7 +162,7 @@ class TestLoadUsps:
     def test_parses_and_rescales(self, tmp_path):
         values = np.linspace(-1.0, 1.0, 256)
         p = self.make_file(tmp_path, [usps_line(6, values)])
-        ds = load_usps(p, split="train")
+        ds = load_usps(p)
         assert ds.labels.tolist() == [6]
         assert ds.images.shape == (1, 784)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
@@ -240,17 +241,19 @@ class TestShuffleSplit:
 
 
 class TestDataset:
+    def test_fields_are_images_and_labels(self):
+        assert [f.name for f in dataclasses.fields(Dataset)] == ["images", "labels"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            Dataset(images=np.zeros((2, 4)), labels=np.zeros(3, dtype=int), name="x")
+            Dataset(images=np.zeros((2, 4)), labels=np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
-            Dataset(images=np.full((2, 4), 1.5), labels=np.zeros(2, dtype=int), name="x")
+            Dataset(images=np.full((2, 4), 1.5), labels=np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
-            Dataset(images=np.array([[np.nan, 0.5]]), labels=[0], name="x")
+            Dataset(images=np.array([[np.nan, 0.5]]), labels=[0])
 
     def test_subset(self):
-        ds = Dataset(images=Rng(0).uniform((10, 4)), labels=Rng(1).integers(0, 10, (10,)),
-                     name="x", split="train")
+        ds = Dataset(images=Rng(0).uniform((10, 4)), labels=Rng(1).integers(0, 10, (10,)))
         sub = ds.subset(4)
         assert len(sub) == 4
         assert (sub.images == ds.images[:4]).all()

@@ -491,7 +491,7 @@ class TestEvaluate:
         # hand-built lookup network: one-hot input i lights hidden unit i,
         # and the head maps hidden unit i to class i
         from mndbn.data import Dataset
-        ds = Dataset(images=np.eye(10), labels=np.arange(10), name="onehot")
+        ds = Dataset(images=np.eye(10), labels=np.arange(10))
         stack = Rbm(w=60.0 * np.eye(10), b_vis=np.zeros(10), a_hid=np.full(10, -30.0))
         d = attach_head(Dbn([stack]), 10)
         d.head.w_out[:] = 60.0 * np.eye(10)
@@ -529,4 +529,4 @@ class TestEvaluate:
         d = attach_head(Dbn([random_rbm(0, 4, 3)]), 10)
         from mndbn.data import Dataset
         with pytest.raises(ValueError):
-            evaluate(d, Dataset(images=np.zeros((0, 4)), labels=np.zeros(0, dtype=int), name="e"))
+            evaluate(d, Dataset(images=np.zeros((0, 4)), labels=np.zeros(0, dtype=int)))

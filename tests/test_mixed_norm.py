@@ -26,8 +26,8 @@ from mndbn.mixed_norm import (
     train_mnrbm,
 )
 from mndbn.rbm import (
+    CdStats,
     Rbm,
-    Velocity,
     _CdBuffers,
     apply_update,
     cd_step,
@@ -270,8 +270,8 @@ class TestRegularizedUpdate:
         m_reg = random_rbm(12, 6, 4, std=0.1)
         m_van = m_reg.copy()
         batch = (Rng(13).uniform((8, 6)) < 0.5).astype(float)
-        v_reg = Velocity.zeros(m_reg)
-        v_van = Velocity.zeros(m_van)
+        v_reg = CdStats.zeros(m_reg)
+        v_van = CdStats.zeros(m_van)
         r_reg = Rng(14)
         r_van = Rng(14)
         cfg = cfg_for(4, 2, lam=0.0)
@@ -288,12 +288,12 @@ class TestRegularizedUpdate:
         batch = (Rng(16).uniform((8, 6)) < 0.5).astype(float)
         cfg = cfg_for(4, 2, lam=0.3)
         base = m.copy()
-        v_base = Velocity.zeros(base)
+        v_base = CdStats.zeros(base)
         stats = cd_step(base, batch, Rng(17))
         apply_update(base, stats, 0.1, 0.0, v_base)
         gw, ga = penalty_grad(base, batch, cfg)
         reg = m.copy()
-        regularized_update(reg, batch, cfg, 0.1, 0.0, Velocity.zeros(reg), Rng(17))
+        regularized_update(reg, batch, cfg, 0.1, 0.0, CdStats.zeros(reg), Rng(17))
         assert np.allclose(reg.w, base.w - 0.1 * 0.3 * gw, rtol=0, atol=1e-15)
         assert np.allclose(reg.a_hid, base.a_hid - 0.1 * 0.3 * ga, rtol=0, atol=1e-15)
         assert (reg.b_vis == base.b_vis).all()
@@ -309,7 +309,7 @@ class TestRegularizedUpdate:
             for lam in (0.0, 0.5):
                 m = m0.copy()
                 cfg = PenaltyConfig(lam=lam, partition=part)
-                regularized_update(m, batch, cfg, 0.1, 0.0, Velocity.zeros(m), Rng(7))
+                regularized_update(m, batch, cfg, 0.1, 0.0, CdStats.zeros(m), Rng(7))
                 probe = PenaltyConfig(lam=1.0, partition=part)
                 after[lam] = float(np.mean(mixed_norm(prob_h_given_x(m, batch), probe)))
             assert after[0.5] <= after[0.0]
@@ -331,7 +331,7 @@ class TestRegularizedUpdate:
         def step(m, joint):
             stats = exact_log_likelihood_grad(m, data)
             before = m.copy()
-            apply_update(m, stats, lr, 0.0, Velocity.zeros(m))
+            apply_update(m, stats, lr, 0.0, CdStats.zeros(m))
             gw, ga = penalty_grad(before if joint else m, data, cfg)
             m.w -= lr * lam * gw
             m.a_hid -= lr * lam * ga
@@ -353,7 +353,7 @@ _EMPTY_BATCH_CALLS = {
     "cd_step-buffers": lambda m, x: cd_step(m, x, Rng(0), out=_CdBuffers.like(m, 2)),
     "penalty_grad": lambda m, x: penalty_grad(m, x, cfg_for(4, 2)),
     "regularized_update": lambda m, x: regularized_update(
-        m, x, cfg_for(4, 2, lam=0.1), 0.1, 0.5, Velocity.zeros(m), Rng(0)),
+        m, x, cfg_for(4, 2, lam=0.1), 0.1, 0.5, CdStats.zeros(m), Rng(0)),
     "exact_log_likelihood": exact_log_likelihood,
     "exact_log_likelihood_grad": exact_log_likelihood_grad,
 }
@@ -378,7 +378,7 @@ class TestTraining:
         # independent replay of the training loop without the penalty module
         r = Rng(21)
         ref = Rbm.init_random(16, 6, r)
-        vel = Velocity.zeros(ref)
+        vel = CdStats.zeros(ref)
         for epoch in range(params.epochs):
             mom = 0.5 if epoch < params.momentum_switch_epoch else 0.9
             for idx in shuffle_split(train.images.shape[0], params.batch_size, r):
@@ -487,7 +487,7 @@ class TestRowBlockSize:
             for buf in (None, _CdBuffers.like(m, rows)):
                 stepped = m.copy()
                 regularized_update(
-                    stepped, x, cfg, 0.05, 0.5, Velocity.zeros(stepped), Rng(26), out=buf
+                    stepped, x, cfg, 0.05, 0.5, CdStats.zeros(stepped), Rng(26), out=buf
                 )
                 out.append(flat_params(stepped).tobytes())
             return out
@@ -505,7 +505,7 @@ class TestBatchBuffers:
         images = Rng(19).uniform((60, 16))
         cfg = cfg_for(12, 4, 0.5, lam=0.3)
         buf = _CdBuffers.like(kept, 25)
-        v_fresh, v_kept = Velocity.zeros(fresh), Velocity.zeros(kept)
+        v_fresh, v_kept = CdStats.zeros(fresh), CdStats.zeros(kept)
         r_fresh, r_kept = Rng(20), Rng(20)
         for lo in (0, 25, 50):
             batch = images[lo : lo + 25]
@@ -525,7 +525,7 @@ class TestBatchBuffers:
         images = Rng(22).uniform((6 * rows, n_visible))
         cfg = cfg_for(j, g, overlap, lam=0.1)
         buf = _CdBuffers.like(m, rows)
-        velocity, rng = Velocity.zeros(m), Rng(23)
+        velocity, rng = CdStats.zeros(m), Rng(23)
 
         def step(i):
             batch = images[i * rows : (i + 1) * rows]

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from mndbn.core import Rng, sigmoid
 from mndbn.rbm import (
     CdStats,
     Rbm,
-    Velocity,
     apply_update,
     cd_step,
     energy,
     exact_log_likelihood,
     exact_log_likelihood_grad,
-    exact_partition_function,
+    exact_log_partition_function,
     gibbs_chain,
     prob_h_given_x,
     prob_x_given_h,
@@ -186,7 +186,7 @@ class TestApplyUpdate:
             db_vis=Rng(1).normal((3,)),
             da_hid=Rng(2).normal((2,)),
         )
-        apply_update(m, stats, lr=1.0, momentum=0.0, velocity=Velocity.zeros(m))
+        apply_update(m, stats, lr=1.0, momentum=0.0, velocity=CdStats.zeros(m))
         assert (m.w == stats.dw).all()
         assert (m.b_vis == stats.db_vis).all()
         assert (m.a_hid == stats.da_hid).all()
@@ -195,7 +195,7 @@ class TestApplyUpdate:
         m = random_rbm(3, 3, 2)
         before = flat_params(m.copy())
         zero = CdStats(dw=np.zeros((3, 2)), db_vis=np.zeros(3), da_hid=np.zeros(2))
-        apply_update(m, zero, lr=0.1, momentum=0.9, velocity=Velocity.zeros(m))
+        apply_update(m, zero, lr=0.1, momentum=0.9, velocity=CdStats.zeros(m))
         assert (flat_params(m) == before).all()
 
     def test_constant_stats_momentum_recurrence(self):
@@ -203,7 +203,7 @@ class TestApplyUpdate:
         m = zero_rbm(2, 2)
         g = np.array([[1.0, -2.0], [3.0, 0.5]])
         stats = CdStats(dw=g, db_vis=np.zeros(2), da_hid=np.zeros(2))
-        v = Velocity.zeros(m)
+        v = CdStats.zeros(m)
         apply_update(m, stats, lr=0.1, momentum=0.5, velocity=v)
         apply_update(m, stats, lr=0.1, momentum=0.5, velocity=v)
         assert np.allclose(m.w, 2.5 * 0.1 * g, rtol=0, atol=1e-15)
@@ -211,7 +211,7 @@ class TestApplyUpdate:
     def test_scratch_out_gives_same_bits_and_leaves_stats_unwritten(self):
         fresh = random_rbm(4, 5, 3, std=0.3)
         kept = fresh.copy()
-        v_fresh, v_kept = Velocity.zeros(fresh), Velocity.zeros(kept)
+        v_fresh, v_kept = CdStats.zeros(fresh), CdStats.zeros(kept)
         scratch = np.empty_like(kept.w)
         for seed in (5, 6):
             stats = CdStats(dw=Rng(seed).normal((5, 3)), db_vis=Rng(seed + 10).normal((5,)),
@@ -226,13 +226,13 @@ class TestApplyUpdate:
         m = zero_rbm(2, 2)
         stats = CdStats(dw=np.zeros((2, 2)), db_vis=np.zeros(2), da_hid=np.zeros(2))
         with pytest.raises(ValueError):
-            apply_update(m, stats, lr=0.0, momentum=0.5, velocity=Velocity.zeros(m))
+            apply_update(m, stats, lr=0.0, momentum=0.5, velocity=CdStats.zeros(m))
         with pytest.raises(ValueError):
-            apply_update(m, stats, lr=0.1, momentum=1.0, velocity=Velocity.zeros(m))
+            apply_update(m, stats, lr=0.1, momentum=1.0, velocity=CdStats.zeros(m))
 
     def test_nan_lr_rejected_before_anything_changes(self):
         m = random_rbm(3, 4, 3, std=0.3)
-        v = Velocity(dw=Rng(4).normal((4, 3)), db_vis=Rng(5).normal((4,)),
+        v = CdStats(dw=Rng(4).normal((4, 3)), db_vis=Rng(5).normal((4,)),
                      da_hid=Rng(6).normal((3,)))
         stats = CdStats(dw=np.ones((4, 3)), db_vis=np.ones(4), da_hid=np.ones(3))
         before = [a.tobytes() for a in (m.w, m.b_vis, m.a_hid, v.dw, v.db_vis, v.da_hid)]
@@ -244,17 +244,18 @@ class TestApplyUpdate:
 
 class TestEnumerationOracles:
     def test_zero_model_partition_function_counts_states(self):
-        assert exact_partition_function(zero_rbm(2, 2)) == pytest.approx(16.0, rel=1e-12)
+        assert exact_log_partition_function(zero_rbm(2, 2)) == pytest.approx(np.log(16.0),
+                                                                            rel=1e-12)
 
     def test_single_coupling_hand_value(self):
         m = Rbm(w=np.array([[np.log(2.0)]]), b_vis=np.zeros(1), a_hid=np.zeros(1))
-        assert exact_partition_function(m) == pytest.approx(5.0, rel=1e-12)
+        assert exact_log_partition_function(m) == pytest.approx(np.log(5.0), rel=1e-12)
 
     def test_shuffled_enumeration_agrees(self):
         # Independent oracle: re-sum e^{-E} over explicitly enumerated
         # configurations in a shuffled order, in log space.
         m = random_rbm(13, 3, 2)
-        z = exact_partition_function(m)
+        log_z = exact_log_partition_function(m)
         states_x = list(itertools.product([0.0, 1.0], repeat=3))
         states_h = list(itertools.product([0.0, 1.0], repeat=2))
         pairs = list(itertools.product(states_x, states_h))
@@ -263,29 +264,29 @@ class TestEnumerationOracles:
             [-energy(m, np.array(pairs[i][0]), np.array(pairs[i][1])) for i in order]
         )
         mx = logs.max()
-        z_ref = float(np.exp(mx) * np.exp(logs - mx).sum())
-        assert abs(z - z_ref) <= 1e-12 * z_ref
+        log_z_ref = float(mx + np.log(np.exp(logs - mx).sum()))
+        assert abs(log_z - log_z_ref) <= 1e-12
 
     def test_probabilities_sum_to_one(self):
         for seed in range(5):
             m = random_rbm(seed, 3, 2)
-            z = exact_partition_function(m)
+            log_z = exact_log_partition_function(m)
             total = 0.0
             for x in itertools.product([0.0, 1.0], repeat=3):
                 for h in itertools.product([0.0, 1.0], repeat=2):
-                    total += np.exp(-energy(m, np.array(x), np.array(h))) / z
+                    total += np.exp(-energy(m, np.array(x), np.array(h)) - log_z)
             assert abs(total - 1.0) <= 1e-10
 
     def test_factorization_invariant(self):
         # log p(x,h) must equal log p(x) + log p(h|x) for every configuration.
         m = random_rbm(21, 3, 2)
-        z = exact_partition_function(m)
+        log_z = exact_log_partition_function(m)
         for x in itertools.product([0.0, 1.0], repeat=3):
             xv = np.array(x)
             ph = prob_h_given_x(m, xv)
             for h in itertools.product([0.0, 1.0], repeat=2):
                 hv = np.array(h)
-                joint = -energy(m, xv, hv) - np.log(z)
+                joint = -energy(m, xv, hv) - log_z
                 cond = np.sum(np.where(hv == 1.0, np.log(ph), np.log(1.0 - ph)))
                 split = exact_log_likelihood(m, xv) + cond
                 assert abs(joint - split) <= 1e-12 * max(1.0, abs(joint))
@@ -296,7 +297,7 @@ class TestEnumerationOracles:
         # a million hidden units.
         for nv, nh in [(1, 24), (784, 16), (1, 10**6)]:
             m = zero_rbm(nv, nh)
-            for oracle, args in [(exact_partition_function, (m,)),
+            for oracle, args in [(exact_log_partition_function, (m,)),
                                  (exact_log_likelihood, (m, np.zeros(nv))),
                                  (exact_log_likelihood_grad, (m, np.zeros(nv)))]:
                 peak, out = peak_bytes(oracle, *args)
@@ -311,7 +312,7 @@ class TestEnumerationOracles:
         for seed, (nv, nh) in enumerate(shapes):
             m = random_rbm(seed, nv, nh, std=std)
             log_z, exh, ex, eh = visible_side_oracle(m)
-            assert_close(np.log(exact_partition_function(m)), log_z)
+            assert_close(exact_log_partition_function(m), log_z)
             batch = Rng(seed).uniform((6, nv))
             batch[:3] = batch[:3] < 0.5
             act = batch @ m.w + m.a_hid
@@ -323,6 +324,19 @@ class TestEnumerationOracles:
             assert_close(g.dw, batch.T @ ph / 6 - exh)
             assert_close(g.db_vis, batch.mean(axis=0) - ex)
             assert_close(g.da_hid, ph.mean(axis=0) - eh)
+
+    def test_log_partition_function_past_float_range(self):
+        # log Z = 770.77 > 709.78, so Z itself overflows a float; log Z and
+        # log p(x) come out without a RuntimeWarning.
+        m = zero_rbm(64, 4)
+        m.b_vis[:] = 12.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_z = exact_log_partition_function(m)
+            ll = exact_log_likelihood(m, np.ones(64))
+        softplus = np.logaddexp(0.0, 12.0)
+        assert log_z == pytest.approx(64 * softplus + 4 * np.log(2.0), rel=1e-12)
+        assert ll == pytest.approx(64 * (12.0 - softplus), rel=1e-9)
 
     def test_sixteen_by_sixteen_normalizes_in_one_batch(self):
         # I + J = 32, beyond a joint table: p(x) over all 2^16 visible

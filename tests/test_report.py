@@ -113,14 +113,14 @@ class TestActivationHistogram:
 
 class TestResultsTable:
     def test_single_run_single_measured_row(self, tmp_path):
-        rec = RunRecord(architecture="dbn(100-100)", dataset="synthetic",
+        rec = RunRecord(run="a/b", architecture="dbn(100-100)", dataset="synthetic",
                         accuracy_pct=97.5, cpu_seconds=7200.0)
         csv_path = tmp_path / "t.csv"
         txt_path = tmp_path / "t.txt"
         rows = results_table([rec], csv_path, txt_path)
-        measured = [r for r in rows if r[4] == "measured"]
+        measured = [r for r in rows if r[5] == "measured"]
         assert len(measured) == 1
-        assert measured[0][:4] == ("dbn(100-100)", "synthetic", "97.50", "2.00")
+        assert measured[0][:5] == ("a/b", "dbn(100-100)", "synthetic", "97.50", "2.00")
         with open(csv_path) as fh:
             parsed = list(csv.reader(fh))
         assert tuple(parsed[0]) == TABLE_COLUMNS
@@ -128,10 +128,11 @@ class TestResultsTable:
 
     def test_reference_rows_include_published_dbn_mnist(self, tmp_path):
         rows = results_table([], tmp_path / "t.csv", tmp_path / "t.txt")
-        lookup = {(r[0], r[1]): r for r in rows}
-        assert lookup[("dbn", "mnist")][2] == "98.83"
-        assert lookup[("dbn", "usps")][2] == "94.85"
-        assert lookup[("dbn", "rimes")][3] == ""   # no published hours
+        lookup = {(r[1], r[2]): r for r in rows}
+        assert lookup[("dbn", "mnist")][3] == "98.83"
+        assert lookup[("dbn", "usps")][3] == "94.85"
+        assert lookup[("dbn", "rimes")][4] == ""   # no published hours
+        assert {r[0] for r in rows} == {""}   # a reference row names no run
 
     def test_reference_rows_suppressible(self, tmp_path):
         rows = results_table([], tmp_path / "t.csv", tmp_path / "t.txt",
@@ -140,12 +141,12 @@ class TestResultsTable:
 
     def test_text_table_is_aligned(self, tmp_path):
         # An unknown cost is a blank cell.
-        rec = RunRecord(architecture="rbm(64-10)", dataset="synthetic",
+        rec = RunRecord(run="run", architecture="rbm(64-10)", dataset="synthetic",
                         accuracy_pct=88.0, cpu_seconds=None)
         txt_path = tmp_path / "t.txt"
-        assert results_table([rec], tmp_path / "t.csv", txt_path)[0][3] == ""
+        assert results_table([rec], tmp_path / "t.csv", txt_path)[0][4] == ""
         lines = txt_path.read_text().splitlines()
-        assert lines[0].startswith("architecture")
+        assert lines[0].startswith("run  ")
         assert set(lines[1]) <= {"-", " "}
         assert any("rbm(64-10)" in line for line in lines[2:])
 

@@ -70,11 +70,10 @@ def test_bytes_match_recorded_digest(case):
 @pytest.mark.parametrize("n_train, n_test, side", [(23, 7, 4), (30, 0, 8), (5, 12, 28)])
 def test_shapes_range_and_labels(n_train, n_test, side):
     train, test = make_synthetic(n_train, n_test, side=side, seed=1, noise=0.3, max_shift=2)
-    for ds, n, split in ((train, n_train, "train"), (test, n_test, "test")):
+    for ds, n in ((train, n_train), (test, n_test)):
         assert ds.images.shape == (n, side * side)
         assert ds.images.dtype == np.float64
         assert ds.labels.dtype == np.int64
-        assert ds.split == split and ds.name == "synthetic"
         assert ((ds.images >= 0.0) & (ds.images <= 1.0)).all()
         assert (ds.labels == np.arange(n) % 10).all()
 
