@@ -6,9 +6,10 @@ activation probabilities (non-overlapping or overlapping groups). Stacks
 pretrain greedily and fine-tune a softmax head with nonlinear conjugate
 gradients.
 
-Attribute access is lazy so that importing the package (e.g. for the
-command-line entry point) does not pull in numpy before thread-count
-environment variables are set.
+Attribute access is lazy: each name loads its submodule on first use, so
+importing the package pulls in no numpy. The command-line entry point
+(mndbn.cli) reads the library only as mndbn.<name>, which lets --threads set
+the thread-count environment variables before numpy loads.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ _EXPORTS = {
     "DataError": "errors",
     "NumericError": "errors",
     "Rng": "core",
+    "atomic_write": "core",
     "sigmoid": "core",
     "sample_bernoulli": "core",
     "GroupPartition": "groups",
@@ -46,6 +48,7 @@ _EXPORTS = {
     "train_mnrbm": "mixed_norm",
     "write_training_log": "mixed_norm",
     "Dataset": "data",
+    "NUM_CLASSES": "data",
     "load_idx": "data",
     "load_usps": "data",
     "resize_bilinear": "data",
@@ -59,6 +62,7 @@ _EXPORTS = {
     "predict_labels": "dbn",
     "pretrain_greedy": "dbn",
     "FineTuneConfig": "dbn",
+    "FineTuneEpoch": "dbn",
     "fine_tune": "dbn",
     "evaluate": "dbn",
     "loss_and_grad": "dbn",

@@ -11,9 +11,11 @@ FineTuneConfig, and those of a synthetic dataset the parameters of
 make_synthetic. Each block is built into its dataclass before any data is
 loaded, so the dataclasses' own checks are the config checks.
 
-Only the standard library is imported at module load so that --threads can
-pin the BLAS thread-count environment variables before numpy comes in;
-the numeric modules are imported inside the command handlers.
+Besides the error types (mndbn.errors, standard library only), the library
+is reached only through the package's public names, read as mndbn.<name>
+when a command runs. The package loads each submodule on its first use, so
+importing this module loads no numpy, and --threads pins the BLAS
+thread-count environment variables before numpy comes in.
 
 Exit codes: 0 success, 1 completed with warnings (e.g. empty report
 directory), 2 configuration error or out of memory (the config asks for
@@ -33,9 +35,12 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+
+import mndbn
 
 from .errors import ConfigError, DataError, NumericError
 
@@ -209,9 +214,7 @@ def _make_dir(path) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    from .core import atomic_write
-
-    with atomic_write(path) as fh:
+    with mndbn.atomic_write(path) as fh:
         fh.write(text.encode("utf-8"))
 
 
@@ -267,9 +270,7 @@ def _resolve_dataset(cfg) -> dict:
         raise ConfigError("config field 'dataset' must be an object")
     name = _coerce(_require(cfg, "name", "dataset"), "str", "dataset.name")
     if name == "synthetic":
-        from .synth import make_synthetic
-
-        fields = _fields(make_synthetic)
+        fields = _fields(mndbn.make_synthetic)
     elif name == "usps":
         fields = [("train_path", "str", _REQUIRED), ("test_path", "str", None)]
     elif name == "mnist":
@@ -290,21 +291,17 @@ def _build_datasets(resolved: dict):
     """Load (train, test-or-None) from a resolved dataset block."""
     name = resolved["name"]
     if name == "synthetic":
-        from .synth import make_synthetic
-
         kwargs = {k: v for k, v in resolved.items() if k not in ("name", "limit")}
-        train, test = make_synthetic(**kwargs)
+        train, test = _build("dataset", mndbn.make_synthetic, **kwargs)
         if resolved["n_test"] == 0:
             test = None
     else:
-        from .data import load_idx, load_usps
-
         def load(split):
             if name == "usps":
                 path = resolved[f"{split}_path"]
-                return None if path is None else load_usps(path)
+                return None if path is None else mndbn.load_usps(path)
             images, labels = resolved[f"{split}_images"], resolved[f"{split}_labels"]
-            return None if images is None else load_idx(images, labels)
+            return None if images is None else mndbn.load_idx(images, labels)
 
         train, test = load("train"), load("test")
     if resolved["limit"] is not None:
@@ -318,9 +315,6 @@ def _build_datasets(resolved: dict):
 def _resolve_penalty(cfg, layer_size: int, ctx: str):
     """Resolve a penalty block and build its PenaltyConfig; with lambda 0
     the group size defaults to the whole layer."""
-    from .groups import make_partition
-    from .mixed_norm import PenaltyConfig
-
     fields = [
         ("lambda", "float", 0.0),
         ("group_size", "int", None),
@@ -331,10 +325,9 @@ def _resolve_penalty(cfg, layer_size: int, ctx: str):
         if resolved["lambda"] != 0.0:
             raise ConfigError(f"config missing required field '{ctx}.group_size'")
         resolved["group_size"] = layer_size
-    partition = _build(
-        ctx, make_partition, layer_size, resolved["group_size"], resolved["overlap_pct"] / 100.0
-    )
-    return resolved, _build(ctx, PenaltyConfig, resolved["lambda"], partition)
+    partition = _build(ctx, mndbn.make_partition, layer_size, resolved["group_size"],
+                       resolved["overlap_pct"] / 100.0)
+    return resolved, _build(ctx, mndbn.PenaltyConfig, resolved["lambda"], partition)
 
 
 def _architecture_tag(layer_sizes, penalties) -> str:
@@ -384,8 +377,6 @@ def _resolve_pretrain(args, config: dict):
     """A stack of "layer_sizes" (one layer or more), with one shared
     "penalty" or per-layer "penalties". Returns (resolved config,
     PenaltyConfigs, TrainConfig)."""
-    from .mixed_norm import TrainConfig
-
     _check_keys(config, {"dataset", "layer_sizes", "penalty", "penalties", "train", "out_dir"},
                 "config")
     if "penalty" in config and "penalties" in config:
@@ -406,7 +397,8 @@ def _resolve_pretrain(args, config: dict):
     ctxs = [f"penalties[{i}]" if "penalties" in config else "penalty" for i in range(len(sizes))]
     pens, pcfgs = zip(*(_resolve_penalty(*a) for a in zip(raw_pens, sizes, ctxs)))
     resolved["layer_sizes"], resolved["penalties"] = sizes, list(pens)
-    resolved["train"], tcfg = _resolve_block(TrainConfig, config.get("train"), "train", args.seed)
+    resolved["train"], tcfg = _resolve_block(mndbn.TrainConfig, config.get("train"), "train",
+                                             args.seed)
     resolved["out_dir"] = _resolve_out_dir(args, config)
     return resolved, list(pcfgs), tcfg
 
@@ -416,16 +408,9 @@ def cmd_pretrain(args) -> int:
     one layer<i>_log.csv per layer."""
     resolved, pcfgs, tcfg = _resolve_pretrain(args, _load_config(args.config, args.command))
     sizes = resolved["layer_sizes"]
-
-    from .core import Rng
-    from .dbn import pretrain_greedy
-    from .mixed_norm import write_training_log
-    from .model_io import save_dbn
-    from .report import activation_histogram
-
     train, _ = _build_datasets(resolved["dataset"])
     tag = _architecture_tag(sizes, resolved["penalties"])
-    model, logs = pretrain_greedy(train, sizes, pcfgs, tcfg, Rng(tcfg.seed))
+    model, logs = mndbn.pretrain_greedy(train, sizes, pcfgs, tcfg, mndbn.Rng(tcfg.seed))
     log_names = [f"layer{i}_log.csv" for i in range(1, len(logs) + 1)]
     meta = {
         "architecture": tag,
@@ -434,11 +419,11 @@ def cmd_pretrain(args) -> int:
         "train": resolved["train"],
     }
     out_dir = _make_dir(resolved["out_dir"])
-    save_dbn(model, out_dir / "dbn.mndbn", meta=meta)
+    mndbn.save_dbn(model, out_dir / "dbn.mndbn", meta=meta)
     hist = _histogram_path(out_dir / "dbn.mndbn")
-    activation_histogram(model, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
+    mndbn.activation_histogram(model, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
     for name, log in zip(log_names, logs):
-        write_training_log(out_dir / name, log)
+        mndbn.write_training_log(out_dir / name, log)
     artifacts = ["dbn.mndbn", hist.name, *log_names]
     _write_manifest(args, out_dir, resolved, artifacts)
     print(f"{tag}: {len(sizes)}-layer stack pretrained on {len(train)} images")
@@ -464,11 +449,9 @@ def _resolve_model_run(args, config: dict, blocks=()) -> dict:
 
 def _resolve_finetune(args, config: dict):
     """Returns (resolved config, FineTuneConfig)."""
-    from .dbn import FineTuneConfig
-
     resolved = _resolve_model_run(args, config, ["finetune"])
     resolved["finetune"], ft = _resolve_block(
-        FineTuneConfig, config.get("finetune"), "finetune", args.seed
+        mndbn.FineTuneConfig, config.get("finetune"), "finetune", args.seed
     )
     return resolved, ft
 
@@ -480,10 +463,8 @@ def _model_tag(meta: dict, d) -> str:
 def _load_run(resolved: dict):
     """(network, meta, train, test-or-None) of a finetune or evaluate run,
     each split's image size checked against the network's input size."""
-    from .model_io import load_dbn
-
     path = resolved["model_path"]
-    d, meta = load_dbn(path)
+    d, meta = mndbn.load_dbn(path)
     train, test = _build_datasets(resolved["dataset"])
     for split, ds in (("train", train), ("test", test)):
         if ds is not None and ds.images.shape[1] != d.n_visible:
@@ -496,29 +477,21 @@ def _load_run(resolved: dict):
 
 def cmd_finetune(args) -> int:
     resolved, ft = _resolve_finetune(args, _load_config(args.config, "finetune"))
-
-    from .core import Rng
-    from .data import NUM_CLASSES
-    from .dbn import FineTuneEpoch, attach_head, evaluate, fine_tune
-    from .mixed_norm import write_training_log
-    from .model_io import save_dbn
-    from .report import activation_histogram
-
     d, meta, train, test = _load_run(resolved)
-    attach_head(d, NUM_CLASSES)
-    d, log = fine_tune(d, train, ft.epochs, ft, Rng(ft.seed), eval_dataset=test)
+    mndbn.attach_head(d, mndbn.NUM_CLASSES)
+    d, log = mndbn.fine_tune(d, train, ft.epochs, ft, mndbn.Rng(ft.seed), eval_dataset=test)
     tag = _model_tag(meta, d)
     split, reported = ("test", test) if test is not None else ("train", train)
-    acc, confusion = evaluate(d, reported)
+    acc, confusion = mndbn.evaluate(d, reported)
     # The last epoch measured the final model on the train split.
-    train_acc = log[-1].train_accuracy if log else evaluate(d, train)[0]
+    train_acc = log[-1].train_accuracy if log else mndbn.evaluate(d, train)[0]
     dataset = resolved["dataset"]["name"]
     meta = {"architecture": tag, "dataset": dataset, "finetune": resolved["finetune"]}
     out_dir = _make_dir(resolved["out_dir"])
-    save_dbn(d, out_dir / "dbn_finetuned.mndbn", meta=meta)
+    mndbn.save_dbn(d, out_dir / "dbn_finetuned.mndbn", meta=meta)
     hist = _histogram_path(out_dir / "dbn_finetuned.mndbn")
-    activation_histogram(d, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
-    write_training_log(out_dir / "finetune_log.csv", log, FineTuneEpoch)
+    mndbn.activation_histogram(d, train.images[:_HISTOGRAM_IMAGES], _HISTOGRAM_BINS, hist)
+    mndbn.write_training_log(out_dir / "finetune_log.csv", log, mndbn.FineTuneEpoch)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(reported),
                    train_accuracy_pct=100.0 * train_acc)
     artifacts = ["dbn_finetuned.mndbn", hist.name, "finetune_log.csv", "metrics.json",
@@ -531,16 +504,13 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     resolved = _resolve_model_run(args, _load_config(args.config, "evaluate"))
-
-    from .dbn import evaluate
-
     model, meta, train, test = _load_run(resolved)
     if model.head is None:
         raise ConfigError(
             f"{resolved['model_path']} has no classification head; run finetune first"
         )
     split, dataset = ("test", test) if test is not None else ("train", train)
-    acc, confusion = evaluate(model, dataset)
+    acc, confusion = mndbn.evaluate(model, dataset)
     out_dir = _make_dir(resolved["out_dir"])
     tag = _model_tag(meta, model)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset))
@@ -553,10 +523,6 @@ def cmd_report(args) -> int:
     """Tiles each model's first layer, copies the activation histogram its
     run wrote beside it, and tabulates every metrics.json under run_dir,
     costed by the training_cpu_seconds in the timings.json beside it."""
-    from .core import atomic_write
-    from .model_io import load_dbn
-    from .report import RunRecord, results_table, weight_tiles
-
     config = {} if args.config is None else _load_config(args.config, "report")
     _check_keys(config, {"run_dir", "out_dir"}, "config")
     run_dir = Path(_resolve_path(args.run_dir, config, "run_dir"))
@@ -570,19 +536,23 @@ def cmd_report(args) -> int:
     warnings = []
     artifacts = []
     model_paths = sorted(p for p in run_dir.rglob("*.mndbn") if out_dir not in p.parents)
+    # Each model's report files are named after its path under run_dir.
+    stems = {}
+    for path in model_paths:
+        stem = "_".join(path.relative_to(run_dir).with_suffix("").parts)
+        if stems.setdefault(stem, path) != path:
+            raise ConfigError(f"models {stems[stem]} and {path} would both report as '{stem}'")
     # A malformed model fails the run before it makes the output directory.
-    models = [load_dbn(path)[0] for path in model_paths]
+    models = [mndbn.load_dbn(path)[0] for path in model_paths]
     _make_dir(out_dir)
-    for path, model in zip(model_paths, models):
-        rel = path.relative_to(run_dir)
-        stem = "_".join(rel.with_suffix("").parts)
+    for (stem, path), model in zip(stems.items(), models):
         layer = model.layers[0]
         side = math.isqrt(layer.n_visible)
         if side * side == layer.n_visible:
             cols = min(_TILE_GRID[1], layer.n_hidden)
             rows = min(_TILE_GRID[0], layer.n_hidden // cols)
             name = f"{stem}_tiles.pgm"
-            weight_tiles(layer, (rows, cols), out_dir / name)
+            mndbn.weight_tiles(layer, (rows, cols), out_dir / name)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
         else:
@@ -593,7 +563,7 @@ def cmd_report(args) -> int:
             warnings.append(f"{path}: no readable histogram beside it, skipping it ({exc})")
         else:
             name = f"{stem}_activations.csv"
-            with atomic_write(out_dir / name) as fh:
+            with mndbn.atomic_write(out_dir / name) as fh:
                 fh.write(hist)
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
@@ -601,8 +571,9 @@ def cmd_report(args) -> int:
     for path in sorted(p for p in run_dir.rglob("metrics.json") if out_dir not in p.parents):
         try:
             blob = json.loads(path.read_text(encoding="utf-8"))
-            record = RunRecord(path.parent.relative_to(run_dir).as_posix(), blob["architecture"],
-                               blob["dataset"], blob["accuracy_pct"], None)
+            record = mndbn.RunRecord(path.parent.relative_to(run_dir).as_posix(),
+                                     blob["architecture"], blob["dataset"],
+                                     blob["accuracy_pct"], None)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             warnings.append(f"{path}: unreadable metrics ({exc})")
             continue
@@ -612,7 +583,8 @@ def cmd_report(args) -> int:
             warnings.append(f"{path.with_name(_TIMINGS)}: unreadable, cost left blank ({exc})")
         records.append(record)
     empty = not records and not model_paths
-    results_table(records, out_dir / "results.csv", out_dir / "results.txt", include_reference=not empty)
+    mndbn.results_table(records, out_dir / "results.csv", out_dir / "results.txt",
+                        include_reference=not empty)
     artifacts.extend(["results.csv", "results.txt"])
     print(f"wrote {out_dir / 'results.csv'}")
     _write_manifest(args, out_dir, resolved, artifacts)
@@ -674,8 +646,6 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 2
-        import os
-
         for var in THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
     args.clock = (time.perf_counter(), time.process_time())

@@ -91,14 +91,16 @@ def load_idx(images_path, labels_path) -> Dataset:
     Image files start with magic 0x00000803 then count, rows, cols and raw
     unsigned bytes; label files start with 0x00000801 then count and raw
     bytes. Pixels are scaled by 1/255. Mismatched magics, truncation, a
-    count of 0, an image/label count mismatch or a label outside [0, 10)
-    raise DataError naming the file.
+    count of 0, images of 0 rows or 0 columns, an image/label count mismatch
+    or a label outside [0, 10) raise DataError naming the file.
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
     count, rows, cols = images.shape
     if count == 0:
         raise DataError(f"{images_path}: no samples found")
+    if rows * cols == 0:
+        raise DataError(f"{images_path}: {rows}x{cols} images have no pixels")
     if labels.shape[0] != count:
         raise DataError(
             f"count mismatch: {images_path} has {count} images but "

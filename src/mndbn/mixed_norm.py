@@ -231,7 +231,7 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
     epoch.
     """
     images = np.asarray(images, dtype=float)
-    if images.ndim != 2 or images.shape[0] == 0:
+    if images.ndim != 2 or images.size == 0:
         raise ValueError(f"training data must be a non-empty 2-D array, got {images.shape}")
     if cfg.partition.j_original != layer_size:
         raise ValueError(

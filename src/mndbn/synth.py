@@ -58,8 +58,11 @@ def make_synthetic(
     """
     if side < 4:
         raise ValueError(f"side must be >= 4, got {side}")
-    if n_train < 1 or n_test < 0:
+    if n_train < 1:
         raise ValueError("need at least one training sample")
+    for name, value in (("n_test", n_test), ("noise", noise), ("max_shift", max_shift)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = Rng(seed)
     protos = _prototypes(side, rng)
 

@@ -248,6 +248,17 @@ class TestTrainRbm:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_synthetic_setting_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "bad.json", {
+            "dataset": {**synth_block(), "max_shift": -2},
+            "layer_sizes": [4],
+            "out_dir": str(out),
+        })
+        assert main(["pretrain-dbn", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: dataset: max_shift must be >= 0, got -2\n"
+        assert not out.exists()
+
     def test_missing_required_field_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
             "dataset": synth_block(),
@@ -359,6 +370,8 @@ _GOOD_LABELS = idx_bytes(0x801, 2, payload=bytes([1, 2]))
 _BAD_DATA_FILES = {
     "idx-empty": ("idx", {"im.idx": idx_bytes(0x803, 0, 2, 2),
                           "lb.idx": idx_bytes(0x801, 0)}, "im.idx"),
+    "idx-0x4-images": ("idx", {"im.idx": idx_bytes(0x803, 6, 0, 4),
+                               "lb.idx": idx_bytes(0x801, 6, payload=bytes(6))}, "im.idx"),
     "idx-label-12": ("idx", {"im.idx": _GOOD_IMAGES,
                              "lb.idx": idx_bytes(0x801, 2, payload=b"\x01\x0c")}, "lb.idx"),
     "truncated-gz": ("idx", {"im.idx.gz": gzip.compress(_GOOD_IMAGES)[:-6],
@@ -393,9 +406,9 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, case):
     cfg = write_config(tmp_path, "bad.json", {"dataset": dataset, "layer_sizes": [4],
                                               "out_dir": str(out)})
     assert main(["pretrain-dbn", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "Traceback" not in err
-    assert str(tmp_path / where) in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(tmp_path / where) in err[0]
     assert not out.exists()
 
 
@@ -980,6 +993,21 @@ class TestReport:
 
     def test_missing_run_dir_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 2
+
+    def test_models_sharing_a_report_name_are_config_error(self, tmp_path, pretrained_run,
+                                                           capsys):
+        # runs/a_b/dbn.mndbn and runs/a/b/dbn.mndbn both name their tiles
+        # a_b_dbn_tiles.pgm.
+        runs = tmp_path / "runs"
+        for rel in ("a_b", "a/b"):
+            (runs / rel).mkdir(parents=True)
+            (runs / rel / "dbn.mndbn").write_bytes((pretrained_run / "dbn.mndbn").read_bytes())
+        assert main(["report", str(runs)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(runs / "a_b" / "dbn.mndbn") in err[0]
+        assert str(runs / "a" / "b" / "dbn.mndbn") in err[0]
+        assert not (runs / "report").exists()
 
     def test_malformed_model_is_data_error_and_writes_nothing(self, tmp_path, capsys):
         run = tmp_path / "run"

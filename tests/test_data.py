@@ -94,6 +94,12 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="label 12"):
             load_idx(ip, lp)
 
+    def test_zero_pixel_images_rejected(self, tmp_path):
+        ip, lp = write_pair(tmp_path, idx_images_bytes(6, 0, 4, []), idx_labels_bytes([1] * 6))
+        with pytest.raises(DataError, match="0x4 images have no pixels") as err:
+            load_idx(ip, lp)
+        assert str(ip) in str(err.value)
+
     def test_write_then_load_round_trip(self, tmp_path):
         rng = Rng(0)
         quantized = np.rint(rng.uniform((6, 16)) * 255) / 255
@@ -368,7 +374,7 @@ class TestAnyInput:
             ds = load_idx(ip, lp)
         except DataError:
             return
-        assert ds.images.shape[0] == ds.labels.shape[0]
+        assert ds.images.shape[0] == ds.labels.shape[0] and ds.images.size > 0
 
     @_SETTINGS
     @given(text=_USPS_TEXT, gz=st.sampled_from(["plain", "gzip"]))

@@ -1,9 +1,12 @@
-"""Every module-level import in the package is used."""
+"""Every import in the package sits at module level and is used, and the
+CLI reads only the package's public names."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import mndbn
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mndbn"
 
@@ -35,3 +38,31 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def nested_imports(source: str) -> list:
+    """Line of each import statement below module level."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+def test_checker_flags_a_nested_import():
+    source = "import os\n\ndef f():\n    import sys\n\nclass C:\n    from os import sep\n"
+    assert nested_imports(source) == [4, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_below_module_level(path):
+    # The package's lazy attributes keep numpy out of `import mndbn.cli`,
+    # so no module needs to defer an import into a function.
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_reads_only_public_names():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "mndbn"}
+    assert "make_synthetic" in read
+    assert sorted(read - set(mndbn.__all__)) == []

@@ -400,6 +400,10 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_mnrbm(train.images, 8, cfg_for(6, 3), TrainConfig(epochs=1), Rng(0))
 
+    def test_zero_pixel_images_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            train_mnrbm(np.zeros((6, 0)), 4, cfg_for(4, 2), TrainConfig(epochs=1), Rng(0))
+
     def test_overlap_run_matches_recorded_digest(self):
         # sha256 of the parameters and of the logged metrics after two epochs
         # on 2000 units in groups of 10 with 50% overlap, recorded before the

@@ -84,7 +84,11 @@ def test_shapes_range_and_labels(n_train, n_test, side):
     {"n_train": 0},
     {"n_train": -1},
     {"n_train": 10, "n_test": -1},
+    {"n_train": 10, "noise": -0.5},
+    {"n_train": 10, "max_shift": -2},
 ])
 def test_invalid_arguments_rejected(kwargs):
-    with pytest.raises(ValueError):
+    # The message names the setting at fault: the one besides n_train.
+    name = next((key for key in kwargs if key != "n_train"), "training sample")
+    with pytest.raises(ValueError, match=name):
         make_synthetic(**kwargs)
