@@ -2,8 +2,8 @@
 
 Every command reads one JSON config, materializes all defaults, and writes
 a manifest.json into the output directory capturing the resolved config
-(the seed is in its train or finetune block) and a sha256 per artifact. A
-manifest can be fed back through --config to replay the run.
+(a seed is set only in its train or finetune block) and a sha256 per
+artifact. A manifest can be fed back through --config to replay the run.
 
 The config dataclasses are the schema: the keys, defaults and types of a
 "train" or "finetune" block are the fields of TrainConfig or
@@ -130,12 +130,9 @@ def _build(ctx: str, make, *args, **kwargs):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _resolve_block(schema, cfg, ctx: str, seed):
-    """Resolve a block into its config dataclass; a seed given on the
-    command line replaces the block's. Returns (JSON block, dataclass)."""
+def _resolve_block(schema, cfg, ctx: str):
+    """(JSON block, config dataclass) of a train or finetune block."""
     resolved = _resolve_fields({} if cfg is None else cfg, _fields(schema), ctx)
-    if seed is not None:
-        resolved["seed"] = int(seed)
     return resolved, _build(ctx, schema, **{_FIELD_NAMES.get(k, k): v for k, v in resolved.items()})
 
 
@@ -397,8 +394,7 @@ def _resolve_pretrain(args, config: dict):
     ctxs = [f"penalties[{i}]" if "penalties" in config else "penalty" for i in range(len(sizes))]
     pens, pcfgs = zip(*(_resolve_penalty(*a) for a in zip(raw_pens, sizes, ctxs)))
     resolved["layer_sizes"], resolved["penalties"] = sizes, list(pens)
-    resolved["train"], tcfg = _resolve_block(mndbn.TrainConfig, config.get("train"), "train",
-                                             args.seed)
+    resolved["train"], tcfg = _resolve_block(mndbn.TrainConfig, config.get("train"), "train")
     resolved["out_dir"] = _resolve_out_dir(args, config)
     return resolved, list(pcfgs), tcfg
 
@@ -450,9 +446,8 @@ def _resolve_model_run(args, config: dict, blocks=()) -> dict:
 def _resolve_finetune(args, config: dict):
     """Returns (resolved config, FineTuneConfig)."""
     resolved = _resolve_model_run(args, config, ["finetune"])
-    resolved["finetune"], ft = _resolve_block(
-        mndbn.FineTuneConfig, config.get("finetune"), "finetune", args.seed
-    )
+    resolved["finetune"], ft = _resolve_block(mndbn.FineTuneConfig, config.get("finetune"),
+                                              "finetune")
     return resolved, ft
 
 
@@ -621,8 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(positional[0], nargs="?", help=positional[1])
         sp.add_argument("--config", metavar="PATH", help="JSON config or a manifest.json to replay")
         sp.add_argument("--out", metavar="DIR", help="output directory (overrides config out_dir)")
-        if func in (cmd_pretrain, cmd_finetune):  # the only commands that read a seed
-            sp.add_argument("--seed", type=int, metavar="N", help="seed override")
         sp.add_argument("--threads", type=int, metavar="N", help="BLAS/OpenMP thread count")
         sp.set_defaults(func=func)
     return parser

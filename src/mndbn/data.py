@@ -148,7 +148,7 @@ def resize_bilinear(img, out_rows: int, out_cols: int) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def load_usps(path, target_side: int = 28) -> Dataset:
+def load_usps(path) -> Dataset:
     """Parse the USPS plain-text layout and resize to the 28x28 frame.
 
     Each line holds a class label followed by 256 grayscale values of a
@@ -192,7 +192,7 @@ def load_usps(path, target_side: int = 28) -> Dataset:
             problem = f"label outside [0, {NUM_CLASSES})"
         raise DataError(f"{path}:{linenos[i]}: {problem}")
     pixels = np.clip((values[:, 1:] + 1.0) / 2.0, 0.0, 1.0).reshape(-1, 16, 16)
-    images = resize_bilinear(pixels, target_side, target_side).reshape(len(rows), -1)
+    images = resize_bilinear(pixels, 28, 28).reshape(len(rows), -1)
     return Dataset(images, labels.astype(np.int64))
 
 

@@ -104,10 +104,15 @@ def _head(d: Dbn) -> SoftmaxLayer:
     return d.head
 
 
-def _check_labels(d: Dbn, dataset) -> None:
-    """Raise ValueError if a label of `dataset` has no class in the head."""
-    n_classes = _head(d).n_classes
-    top = int(dataset.labels.max(initial=-1))
+def _check_split(d: Dbn, dataset, use: str) -> None:
+    """Raise ValueError unless `dataset` holds images of d.n_visible pixels,
+    at least one, and each label has a class in the head."""
+    n, width = dataset.images.shape
+    if n == 0:
+        raise ValueError(f"cannot {use} on an empty dataset")
+    if width != d.n_visible:
+        raise ValueError(f"the network takes {d.n_visible} pixels per image, not {width}")
+    n_classes, top = _head(d).n_classes, int(dataset.labels.max())
     if top >= n_classes:
         raise ValueError(f"the head has {n_classes} classes, but the largest label is {top}")
 
@@ -138,17 +143,20 @@ def predict_labels(d: Dbn, x) -> np.ndarray:
 def pretrain_greedy(dataset, layer_sizes, cfgs, params, rng: Rng):
     """Train the layer stack bottom up on a Dataset's images.
 
-    cfgs is a list of one PenaltyConfig per layer; params is the one
+    cfgs is a list of one PenaltyConfig per layer, each partition checked
+    against its layer's size before any layer trains; params is the one
     TrainConfig every layer trains with. Each layer gets its own child
     generator via rng.spawn(index), so adding layers never perturbs the
-    draws of the ones below. Returns the network and the per-layer
-    training logs.
+    draws of the ones below. Returns the network and each layer's log.
     """
     layer_sizes = list(layer_sizes)
     if not layer_sizes:
         raise ConfigError("layer_sizes must name at least one layer")
     if len(cfgs) != len(layer_sizes):
         raise ConfigError(f"got {len(cfgs)} penalty configs for {len(layer_sizes)} layers")
+    for idx, (size, cfg) in enumerate(zip(layer_sizes, cfgs), 1):
+        if (j := cfg.partition.j_original) != size:
+            raise ConfigError(f"partition {idx} is over {j} units, layer {idx} has {size}")
     current = dataset.images
     layers = []
     logs: list[list[EpochStats]] = []
@@ -372,8 +380,9 @@ def fine_tune(
     (epoch loss and accuracies are measured on the full splits after the
     epoch's updates). epochs is its own argument, not cfg.epochs, because
     the benchmark passes it by position. Zero epochs returns the model
-    untouched with an empty log; otherwise its trained arrays come back as
-    views of one vector (see _bind).
+    untouched with an empty log; otherwise both splits are checked (see
+    _check_split) before any parameter moves, and the trained arrays come
+    back as views of one vector (see _bind).
 
     One conjugate-gradient batch costs one forward and backward pass at
     its start, one forward pass per Armijo trial, and one backward pass
@@ -394,12 +403,10 @@ def fine_tune(
     log: list[FineTuneEpoch] = []
     if epochs == 0:
         return d, log
-    images, labels = dataset.images, dataset.labels
-    if images.shape[0] == 0:
-        raise ValueError("cannot fine-tune on an empty dataset")
-    _check_labels(d, dataset)
+    _check_split(d, dataset, "fine-tune")
     if eval_dataset is not None:
-        _check_labels(d, eval_dataset)
+        _check_split(d, eval_dataset, "evaluate")
+    images, labels = dataset.images, dataset.labels
     params = _bind(d, cfg.head_only)
     alpha_prev = 1.0
     for epoch in range(1, epochs + 1):
@@ -433,8 +440,6 @@ def _mean_loss(d: Dbn, dataset):
 
 def evaluate(d: Dbn, dataset):
     """Accuracy and the confusion matrix (rows true class, cols predicted)."""
-    if dataset.images.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    _check_labels(d, dataset)
+    _check_split(d, dataset, "evaluate")
     _, acc, confusion = _mean_loss(d, dataset)
     return acc, confusion

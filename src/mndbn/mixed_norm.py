@@ -233,6 +233,8 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
     images = np.asarray(images, dtype=float)
     if images.ndim != 2 or images.size == 0:
         raise ValueError(f"training data must be a non-empty 2-D array, got {images.shape}")
+    if not (images.min() >= 0.0 and images.max() <= 1.0):  # negated, so NaN fails too
+        raise ValueError("pixel values must lie in [0, 1]")
     if cfg.partition.j_original != layer_size:
         raise ValueError(
             f"partition is over {cfg.partition.j_original} units, layer has {layer_size}"

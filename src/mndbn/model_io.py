@@ -4,9 +4,8 @@ A file is: the 6-byte magic "MNDBN1", a little-endian uint32 header
 length, a compact JSON header with sorted keys, then the raw parameter
 payload as little-endian float64 in a fixed order: each layer's w
 (row-major, visible rows), b_vis and a_hid, bottom-up, then the head's
-w_out (row-major) and b_out when a head is present. save_dbn writes the
-one kind, "dbn"; load_dbn also reads the older single-layer "rbm" kind,
-whose header holds the shape at its top level.
+w_out (row-major) and b_out when a head is present. There is one kind,
+"dbn": save_dbn writes it and load_dbn reads only it.
 
 Because the header is canonical JSON and the payload is raw bits,
 save/load round-trips are byte-identical. save_dbn replaces its file
@@ -95,14 +94,14 @@ def _shapes(header: dict, path) -> tuple[list, int, bool]:
     layers and whether a head follows, from a header checked field by
     field."""
     found = header.get("kind")
-    if found not in ("rbm", "dbn"):
+    if found != "dbn":
         raise DataError(f"{path}: expected a model file, found kind {found!r}")
     version = header.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DataError(f"{path}: format version {version!r} is not {FORMAT_VERSION}")
     if not isinstance(header.get("meta", {}), dict):
         raise DataError(f"{path}: header field 'meta' must be an object")
-    specs = [header] if found == "rbm" else header.get("layers")
+    specs = header.get("layers")
     if not isinstance(specs, list) or not specs:
         raise DataError(f"{path}: header field 'layers' must be a non-empty list")
     shapes = []
@@ -117,14 +116,14 @@ def _shapes(header: dict, path) -> tuple[list, int, bool]:
 
 
 def load_dbn(path) -> tuple[Dbn, dict]:
-    """Read a model file of either kind; returns (network, meta). A legacy
-    rbm file is a one-layer network with no head.
+    """Read a model file that save_dbn wrote; returns (network, meta).
 
-    The header must be an object of format version FORMAT_VERSION whose
-    shapes are positive integers, and the payload must hold exactly the
-    arrays those shapes call for, every value finite. The payload is read
-    straight into the one float array that the returned model's arrays
-    view, so loading holds it once.
+    The header must be an object of kind "dbn" (the retired "rbm" kind is
+    a DataError too) and format version FORMAT_VERSION whose shapes are
+    positive integers, and the payload must hold exactly the arrays those
+    shapes call for, every value finite. The payload is read straight into
+    the one float array that the returned model's arrays view, so loading
+    holds it once.
     """
     try:
         with open(path, "rb") as fh:

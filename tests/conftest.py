@@ -6,7 +6,6 @@ thread count is fixed before numpy loads, because BLAS reads it only then.
 """
 
 import gzip
-import json
 import os
 import struct
 import sys
@@ -114,17 +113,6 @@ def write_idx(dataset, images_path, labels_path):
 
 def flat_params(m):
     return np.concatenate([m.w.ravel(), m.b_vis, m.a_hid])
-
-
-def write_legacy_rbm(m, path, meta=None):
-    """A model file of the older single-layer "rbm" kind, which load_dbn
-    still reads: the shape at the header's top level, then w, b_vis, a_hid."""
-    header = {"kind": "rbm", "version": 1, "n_visible": m.n_visible, "n_hidden": m.n_hidden,
-              "meta": meta or {}}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in (m.w, m.b_vis, m.a_hid))
-    Path(path).write_bytes(b"MNDBN1" + struct.pack("<I", len(blob)) + blob + payload)
 
 
 # Group layouts (units, group size, overlap) on which the index-table

@@ -1,9 +1,12 @@
 """End-to-end command-line workflows on the synthetic dataset."""
 
+import argparse
 import ast
 import csv
 import gzip
+import inspect
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import idx_bytes, random_rbm, src_env
+import mndbn
 from mndbn import cli, report, synth
 from mndbn.cli import main
 from mndbn.dbn import Dbn, FineTuneConfig, attach_head
@@ -412,12 +416,14 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("command", ["pretrain-dbn", "finetune", "evaluate", "report"])
 def test_seed_flag_rejected_where_no_seed_is_read(tmp_path, capsys, command):
+    # A seed comes only from the config's train or finetune block.
+    positional = [] if command == "pretrain-dbn" else [str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
-        main([command, str(tmp_path), "--seed", "7"])
+        main([command, *positional, "--seed", "7"])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 class TestPretrainDbn:
@@ -680,15 +686,28 @@ class TestFinetune:
         assert "data error:" in capsys.readouterr().err
         assert not (tmp_path / "ft").exists()
 
+    def test_legacy_rbm_model_is_data_error(self, tmp_path, capsys):
+        # A model of the retired single-layer kind, payload complete: rerun
+        # pretraining to get a model finetune reads.
+        header = json.dumps({"kind": "rbm", "version": 1, "n_visible": 16, "n_hidden": 8}).encode()
+        model = tmp_path / "old.mndbn"
+        model.write_bytes(b"MNDBN1" + len(header).to_bytes(4, "little") + header
+                          + b"\x00" * 8 * (16 * 8 + 16 + 8))
+        cfg = self.ft_config(tmp_path, tmp_path / "ft")
+        assert main(["finetune", str(model), "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "found kind 'rbm'" in err
+        assert not (tmp_path / "ft").exists()
+
     def test_model_path_required(self, tmp_path, capsys):
         cfg = self.ft_config(tmp_path, tmp_path / "ft")
         assert main(["finetune", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("from_flag", [False, True], ids=["config", "flag"])
-@pytest.mark.parametrize("command, block", [("pretrain-dbn", "train"), ("finetune", "finetune")])
-def test_negative_seed_is_config_error_before_data_loads(tmp_path, capsys, command, block,
-                                                         from_flag):
+# A seed's one source is the config, which the ids name.
+@pytest.mark.parametrize("command, block", [("pretrain-dbn", "train"), ("finetune", "finetune")],
+                         ids=["pretrain-dbn-train-config", "finetune-finetune-config"])
+def test_negative_seed_is_config_error_before_data_loads(tmp_path, capsys, command, block):
     # The model and data files are missing: reading either would be a data error.
     out = tmp_path / "out"
     payload = {"dataset": {"name": "usps", "train_path": str(tmp_path / "nope.txt")},
@@ -698,10 +717,7 @@ def test_negative_seed_is_config_error_before_data_loads(tmp_path, capsys, comma
         payload["layer_sizes"] = [8]
     else:
         argv.append(str(tmp_path / "nope.mndbn"))
-    if from_flag:
-        argv += ["--seed", "-1"]
-    else:
-        payload[block] = {"seed": -1}
+    payload[block] = {"seed": -1}
     assert main([*argv, "--config", str(write_config(tmp_path, "c.json", payload))]) == 2
     assert f"config error: {block}: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
@@ -1205,11 +1221,29 @@ class TestConfigSchemaDocs:
         documented = self.readme_block("penalty (per layer): lambda 0 disables the regularizer")
         assert sorted(documented) == sorted(resolved)
 
+    def test_readme_cli_flags_are_the_parser_options(self):
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("## CLI reference\n", 1)[1].split("\n### ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        registered = {option for sp in commands.values() for action in sp._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for option in action.option_strings}
+        assert documented == registered
+
+    @pytest.mark.parametrize("name", ["load_idx", "load_usps"])
+    def test_readme_loader_signature_matches(self, name):
+        text = self.README.read_text(encoding="utf-8")
+        documented = " ".join(re.search(rf"`{name}(\([^)]*\))`", text).group(1).split())
+        params = inspect.signature(getattr(mndbn, name)).parameters.values()
+        shown = [p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params]
+        assert documented == f"({', '.join(shown)})"
+
     @pytest.mark.parametrize("heading, block, schema", [
         ("train (CD pretraining)", "train", TrainConfig),
         ("finetune (conjugate-gradient softmax training)", "finetune", FineTuneConfig),
     ])
     def test_readme_defaults_match_resolver(self, heading, block, schema):
-        resolved, _ = cli._resolve_block(schema, {}, block, None)
+        resolved, _ = cli._resolve_block(schema, {}, block)
         documented = self.readme_block(heading)
         assert json.dumps(documented, sort_keys=True) == json.dumps(resolved, sort_keys=True)

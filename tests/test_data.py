@@ -178,8 +178,8 @@ class TestLoadUsps:
 
     def test_native_resolution_loadable(self, tmp_path):
         p = self.make_file(tmp_path, [usps_line(3, np.zeros(256))])
-        ds = load_usps(p, target_side=16)
-        assert ds.images.shape == (1, 256)
+        ds = load_usps(p)
+        assert ds.images.shape == (1, 784)
         assert (ds.images == 0.5).all()
 
     def test_gzip_transparent(self, tmp_path):
@@ -301,7 +301,7 @@ def _pinned_usps(tmp_path, gz):
 # sha256 prefixes of the loaded images and labels (dtype, shape and bytes),
 # recorded before the loaders shared one file reader; gzip must not move them.
 PINNED_IDX = "d6661920078b6097"
-PINNED_USPS = {28: "172573e0c68c9c09", 16: "730a00108c199a65", 9: "59acc13b41eec352"}
+PINNED_USPS = {28: "172573e0c68c9c09"}
 
 
 @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
@@ -311,7 +311,7 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("side", sorted(PINNED_USPS))
     def test_usps(self, tmp_path, gz, side):
-        ds = load_usps(_pinned_usps(tmp_path, gz), target_side=side)
+        ds = load_usps(_pinned_usps(tmp_path, gz))
         assert len(ds) == 11
         assert _digest(ds) == PINNED_USPS[side]
 
@@ -381,8 +381,8 @@ class TestAnyInput:
     def test_usps_text_loads_or_raises_data_error(self, tmp_path, text, gz):
         p = _write(tmp_path / "digits.txt", text.encode("utf-8", "surrogatepass"), gz)
         try:
-            ds = load_usps(p, target_side=9)
+            ds = load_usps(p)
         except DataError:
             return
-        assert ds.images.shape == (len(ds), 81)
+        assert ds.images.shape == (len(ds), 784)
         assert np.isfinite(ds.images).all()

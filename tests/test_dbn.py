@@ -105,6 +105,17 @@ class TestPretrainGreedy:
         ]
         assert [rows[j] for j in sizes] == expected
 
+    def test_later_partition_mismatch_rejected_before_any_layer_trains(self, monkeypatch):
+        train, _ = make_synthetic(60, 0, side=4, seed=0)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a layer trained before the partitions were checked")
+
+        monkeypatch.setattr(dbn_module, "train_mnrbm", no_training)
+        with pytest.raises(ConfigError, match="partition 2 is over 6 units, layer 2 has 8"):
+            pretrain_greedy(train, [16, 8], [penalty(16), penalty(6)], TrainConfig(epochs=2),
+                            Rng(0))
+
     def test_config_list_length_mismatch_rejected(self):
         train, _ = make_synthetic(20, 0, side=4, seed=0)
         with pytest.raises(ConfigError):
@@ -351,6 +362,24 @@ class TestFineTune:
         with pytest.raises(ValueError, match=f"5 classes, but the largest label is {top}"):
             fine_tune(d, train, 1, FineTuneConfig(batch_size=30), Rng(1), eval_dataset=test)
         assert (_bind(d, False) == before).all()
+
+    @pytest.mark.parametrize("case", ["empty", "5x5-images"])
+    def test_bad_eval_split_rejected_before_any_update(self, case):
+        train, _ = make_synthetic(60, 0, side=4, seed=6)    # 16 pixels per image
+        if case == "empty":
+            test = Dataset(np.zeros((0, 16)), np.zeros(0, dtype=int))
+        else:
+            test, _ = make_synthetic(20, 0, side=5, seed=7)
+        d = attach_head(Dbn([Rbm.init_random(16, 8, Rng(0), std=0.1)]), 10)
+
+        def arrays():
+            m = d.layers[0]
+            return [m.w, m.b_vis, m.a_hid, d.head.w_out, d.head.b_out]
+
+        before = [a.copy() for a in arrays()]
+        with pytest.raises(ValueError, match="empty dataset" if case == "empty" else "16 pixels"):
+            fine_tune(d, train, 1, FineTuneConfig(batch_size=30), Rng(1), eval_dataset=test)
+        assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -404,6 +404,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="non-empty"):
             train_mnrbm(np.zeros((6, 0)), 4, cfg_for(4, 2), TrainConfig(epochs=1), Rng(0))
 
+    @pytest.mark.parametrize("scale", [255.0, -1.0, np.nan], ids=["times-255", "negated", "nan"])
+    def test_pixels_outside_unit_interval_rejected(self, scale):
+        train, _ = make_synthetic(200, 0, side=4, seed=0)
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
+            train_mnrbm(train.images * scale, 8, cfg_for(8, 4), TrainConfig(epochs=2), Rng(0))
+
     def test_overlap_run_matches_recorded_digest(self):
         # sha256 of the parameters and of the logged metrics after two epochs
         # on 2000 units in groups of 10 with 50% overlap, recorded before the

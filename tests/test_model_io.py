@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_params, random_rbm, write_legacy_rbm
+from conftest import flat_params, random_rbm
 from mndbn.dbn import Dbn, SoftmaxLayer, attach_head
 from mndbn.rbm import Rbm
 from mndbn.errors import DataError
@@ -80,34 +80,22 @@ class TestDbnRoundTrip:
 
 
 class TestLoadModelDispatch:
-    """load_dbn reads both kinds, the legacy rbm one included; the header's
-    kind picks the layout."""
+    """load_dbn reads the one kind save_dbn writes; the header's kind must
+    be "dbn"."""
 
-    def test_dispatches_on_kind(self, tmp_path):
-        pr = tmp_path / "r.mndbn"
-        pd = tmp_path / "d.mndbn"
-        write_legacy_rbm(random_rbm(5, 3, 2), pr, meta={"k": 1})
-        d = attach_head(Dbn([random_rbm(6, 3, 2)]), 4)
-        save_dbn(d, pd)
-        mr, meta_r = load_dbn(pr)
-        md, _ = load_dbn(pd)
-        assert isinstance(mr, Dbn) and isinstance(md, Dbn)
-        assert meta_r == {"k": 1}
-        assert (md.head.w_out == d.head.w_out).all()
-
-    def test_rbm_file_is_a_headless_one_layer_network(self, tmp_path):
-        # The helper's bytes are pinned to what the removed single-layer
-        # writer made, so older rbm files keep loading.
+    def test_legacy_rbm_kind_rejected(self, tmp_path):
+        # A file of the retired single-layer kind, as its writer made it: the
+        # shape at the header's top level, then w, b_vis and a_hid.
         m = random_rbm(5, 3, 2)
+        header = json.dumps({"kind": "rbm", "meta": {"k": 1}, "n_hidden": 2, "n_visible": 3,
+                             "version": 1}, separators=(",", ":")).encode()
         p = tmp_path / "r.mndbn"
-        write_legacy_rbm(m, p, meta={"k": 1})
+        p.write_bytes(_frame(header, b"".join(a.astype("<f8").tobytes()
+                                              for a in (m.w, m.b_vis, m.a_hid))))
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "15eeebee5777bc76dd2d1e93907fda7712f3cccf309ae0a71041144b997da0b6")
-        d, meta = load_dbn(p)
-        assert isinstance(d, Dbn) and len(d.layers) == 1 and d.head is None
-        assert meta == {"k": 1}
-        for name in ("w", "b_vis", "a_hid"):
-            assert np.array_equal(getattr(d.layers[0], name), getattr(m, name))
+        with pytest.raises(DataError, match="expected a model file, found kind 'rbm'"):
+            load_dbn(p)
 
     def test_unknown_kind_rejected(self, tmp_path):
         header = json.dumps({"kind": "mystery", "version": 1}).encode()
@@ -146,6 +134,13 @@ class TestFileHandling:
             save_dbn(broken, p)
         assert p.read_bytes() == old
         assert [f.name for f in tmp_path.iterdir()] == ["dbn.mndbn"]
+
+
+def _one_layer(layer=None, **fields):
+    """A one-layer "dbn" header (3 visible, 2 hidden units unless layer is
+    given), with the given fields added or replaced."""
+    return {"kind": "dbn", "version": 1, "layers": [layer or {"n_visible": 3, "n_hidden": 2}],
+            **fields}
 
 
 class TestCorruption:
@@ -210,39 +205,38 @@ class TestCorruption:
         ({"kind": "dbn", "version": 1}, 11),                    # no layers
         ({"kind": "dbn", "version": 1, "layers": []}, 0),
         ({"kind": "dbn", "version": 1, "layers": [3]}, 11),
-        ({"kind": "rbm", "version": 1, "n_visible": 3}, 11),    # missing shape
-        ({"kind": "rbm", "version": 1, "n_visible": -3, "n_hidden": 2}, 11),
-        ({"kind": "rbm", "version": 1, "n_visible": 0, "n_hidden": 2}, 2),
-        ({"kind": "rbm", "version": 1, "n_visible": "3", "n_hidden": 2}, 11),
-        ({"kind": "rbm", "version": 1, "n_visible": 3.0, "n_hidden": 2}, 11),
-        ({"kind": "rbm", "version": 1, "n_visible": True, "n_hidden": 2}, 5),
-        ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2}],
-          "head": {"n_features": 2}}, 11),
-        ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2}],
-          "head": {"n_features": 3, "n_classes": 2}}, 19),     # head does not fit
+        (_one_layer({"n_visible": 3}), 11),                    # missing shape
+        (_one_layer({"n_visible": -3, "n_hidden": 2}), 11),
+        (_one_layer({"n_visible": 0, "n_hidden": 2}), 2),
+        (_one_layer({"n_visible": "3", "n_hidden": 2}), 11),
+        (_one_layer({"n_visible": 3.0, "n_hidden": 2}), 11),
+        (_one_layer({"n_visible": True, "n_hidden": 2}), 5),
+        (_one_layer(head={"n_features": 2}), 11),
+        (_one_layer(head={"n_features": 3, "n_classes": 2}), 19),     # head does not fit
         ({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2},
                                                    {"n_visible": 4, "n_hidden": 2}]}, 25),
-        ({"kind": "rbm", "version": 1, "n_visible": 3, "n_hidden": 2, "meta": []}, 11),
-        ({"kind": "rbm", "version": 9, "n_visible": 3, "n_hidden": 2}, 11),    # unknown version
-        ({"kind": "rbm", "version": 0, "n_visible": 3, "n_hidden": 2}, 11),
-        ({"kind": "rbm", "n_visible": 3, "n_hidden": 2}, 11),
-        ({"kind": "rbm", "version": "1", "n_visible": 3, "n_hidden": 2}, 11),
-        ({"kind": "rbm", "version": 1.0, "n_visible": 3, "n_hidden": 2}, 11),
-        ({"kind": "rbm", "version": True, "n_visible": 3, "n_hidden": 2}, 11),
-        *[({"kind": "dbn", "version": 1, "layers": [{"n_visible": 3, "n_hidden": 2}],
-            "head": head}, 11) for head in ({}, False, 0, [])],     # falsy, yet not null
+        (_one_layer(meta=[]), 11),
+        (_one_layer(version=9), 11),                            # unknown version
+        (_one_layer(version=0), 11),
+        ({"kind": "dbn", "layers": [{"n_visible": 3, "n_hidden": 2}]}, 11),
+        (_one_layer(version="1"), 11),
+        (_one_layer(version=1.0), 11),
+        (_one_layer(version=True), 11),
+        *[(_one_layer(head=head), 11) for head in ({}, False, 0, [])],  # falsy, yet not null
         pytest.param(b"[" * 100000, 0, id="nested-too-deep"),
-        pytest.param(b'{"kind": "rbm", "version": 1, "n_visible": ' + b"3" * 5000 + b"}", 0,
-                     id="int-too-long"),
+        pytest.param(b'{"kind": "dbn", "version": 1, "layers": [{"n_visible": ' + b"3" * 5000
+                     + b', "n_hidden": 2}]}', 0, id="int-too-long"),
     ])
     def test_malformed_header(self, tmp_path, header, n_floats):
         # Each payload holds as many floats as the header's shapes call for,
-        # where they are readable, so the header alone is at fault.
+        # where they are readable, so the header alone is at fault. Each is
+        # of the "dbn" kind or no object at all, so the kind check passes.
         blob = header if isinstance(header, bytes) else json.dumps(header).encode()
         p = tmp_path / "bad.mndbn"
         p.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + b"\x00" * (8 * n_floats))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as exc:
             load_dbn(p)
+        assert "found kind" not in str(exc.value)
 
 
 def _frame(header: bytes, payload: bytes) -> bytes:
@@ -262,22 +256,17 @@ _FIELDS = ["kind", "version", "layers", "head", "meta", "n_visible", "n_hidden",
 
 @st.composite
 def _near_valid(draw):
-    """A well-formed file of either kind, then maybe one header field
-    replaced or dropped and maybe the payload cut or padded."""
+    """A well-formed model file, then maybe one header field replaced or
+    dropped and maybe the payload cut or padded."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
-    kind = draw(st.sampled_from(["rbm", "dbn"]))
     pairs = list(zip(sizes, sizes[1:]))
     n_floats = sum(i * j + i + j for i, j in pairs)
-    if kind == "rbm":
-        header = {"kind": "rbm", "version": 1, "n_visible": sizes[0], "n_hidden": sizes[1]}
-        n_floats = sizes[0] * sizes[1] + sizes[0] + sizes[1]
-    else:
-        header = {"kind": "dbn", "version": 1,
-                  "layers": [{"n_visible": i, "n_hidden": j} for i, j in pairs], "head": None}
-        if draw(st.booleans()):
-            c = draw(st.integers(1, 4))
-            header["head"] = {"n_features": sizes[-1], "n_classes": c}
-            n_floats += sizes[-1] * c + c
+    header = {"kind": "dbn", "version": 1,
+              "layers": [{"n_visible": i, "n_hidden": j} for i, j in pairs], "head": None}
+    if draw(st.booleans()):
+        c = draw(st.integers(1, 4))
+        header["head"] = {"n_features": sizes[-1], "n_classes": c}
+        n_floats += sizes[-1] * c + c
     if draw(st.booleans()):
         field = draw(st.sampled_from(_FIELDS))
         if draw(st.booleans()):
