@@ -19,8 +19,8 @@ params = TrainConfig(epochs=10, batch_size=100, seed=0)
 plain_cfg = PenaltyConfig(lam=0.0, partition=partition)
 sparse_cfg = PenaltyConfig(lam=0.3, partition=partition)
 
-plain, plain_log = train_mnrbm(train.images, 64, plain_cfg, params, Rng(params.seed))
-sparse, sparse_log = train_mnrbm(train.images, 64, sparse_cfg, params, Rng(params.seed))
+plain, plain_log = train_mnrbm(train.images, plain_cfg, params, Rng(params.seed))
+sparse, sparse_log = train_mnrbm(train.images, sparse_cfg, params, Rng(params.seed))
 
 print("epoch  recon(plain)  recon(sparse)  activation(plain)  activation(sparse)")
 for a, b in zip(plain_log, sparse_log):

@@ -31,7 +31,7 @@ params = TrainConfig(epochs=10, batch_size=100, seed=0)
 
 # The results table's cost column is CPU time, as in the paper's tables.
 cpu0 = time.process_time()
-m, _ = train_mnrbm(train.images, 64, cfg, params, Rng(params.seed))
+m, _ = train_mnrbm(train.images, cfg, params, Rng(params.seed))
 cpu_seconds = time.process_time() - cpu0
 
 # Each hidden unit's incoming weights, rendered as an 8x8 grayscale tile

@@ -9,7 +9,9 @@ The config dataclasses are the schema: the keys, defaults and types of a
 "train" or "finetune" block are the fields of TrainConfig or
 FineTuneConfig, and those of a synthetic dataset the parameters of
 make_synthetic. Each block is built into its dataclass before any data is
-loaded, so the dataclasses' own checks are the config checks.
+loaded, so the dataclasses' own checks are the config checks. The checks of
+a model against its data live in fine_tune and evaluate, and reach the user
+as "config error: <model path>: ..."; evaluate's also name the split.
 
 Besides the error types (mndbn.errors, standard library only), the library
 is reached only through the package's public names, read as mndbn.<name>
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -284,26 +287,27 @@ def _resolve_dataset(cfg) -> dict:
     return resolved
 
 
-def _build_datasets(resolved: dict):
-    """Load (train, test-or-None) from a resolved dataset block."""
-    name = resolved["name"]
-    if name == "synthetic":
-        kwargs = {k: v for k, v in resolved.items() if k not in ("name", "limit")}
-        train, test = _build("dataset", mndbn.make_synthetic, **kwargs)
-        if resolved["n_test"] == 0:
-            test = None
-    else:
-        def load(split):
-            if name == "usps":
-                path = resolved[f"{split}_path"]
-                return None if path is None else mndbn.load_usps(path)
-            images, labels = resolved[f"{split}_images"], resolved[f"{split}_labels"]
-            return None if images is None else mndbn.load_idx(images, labels)
+def _dataset_loader(resolved: dict):
+    """load(split): the "train" or "test" split of a resolved dataset
+    block, or None for an absent test split. A data file is read only when
+    its split is loaded; a synthetic set draws both splits from one
+    stream, once."""
+    name, limit = resolved["name"], resolved["limit"]
+    kwargs = {k: v for k, v in resolved.items() if k not in ("name", "limit")}
+    synthetic = functools.cache(lambda: _build("dataset", mndbn.make_synthetic, **kwargs))
 
-        train, test = load("train"), load("test")
-    if resolved["limit"] is not None:
-        train = train.subset(resolved["limit"])
-    return train, test
+    def load(split):
+        if name == "synthetic":
+            ds = synthetic()[split == "test"] if split == "train" or kwargs["n_test"] else None
+        elif name == "usps":
+            path = kwargs[f"{split}_path"]
+            ds = None if path is None else mndbn.load_usps(path)
+        else:
+            images, labels = kwargs[f"{split}_images"], kwargs[f"{split}_labels"]
+            ds = None if images is None else mndbn.load_idx(images, labels)
+        return ds.subset(limit) if split == "train" and limit is not None else ds
+
+    return load
 
 
 # ---------------------------------------------------------------- config blocks
@@ -389,6 +393,7 @@ def _resolve_pretrain(args, config: dict):
     raw_pens = config.get("penalties", [config.get("penalty")] * len(sizes))
     if not isinstance(raw_pens, list):
         raise ConfigError("config field 'penalties' must be a list (one block per layer)")
+    # pretrain_greedy counts the blocks too, but the zip below would drop extras first.
     if len(raw_pens) != len(sizes):
         raise ConfigError(f"got {len(raw_pens)} penalty blocks for {len(sizes)} layers")
     ctxs = [f"penalties[{i}]" if "penalties" in config else "penalty" for i in range(len(sizes))]
@@ -404,7 +409,7 @@ def cmd_pretrain(args) -> int:
     one layer<i>_log.csv per layer."""
     resolved, pcfgs, tcfg = _resolve_pretrain(args, _load_config(args.config, args.command))
     sizes = resolved["layer_sizes"]
-    train, _ = _build_datasets(resolved["dataset"])
+    train = _dataset_loader(resolved["dataset"])("train")
     tag = _architecture_tag(sizes, resolved["penalties"])
     model, logs = mndbn.pretrain_greedy(train, sizes, pcfgs, tcfg, mndbn.Rng(tcfg.seed))
     log_names = [f"layer{i}_log.csv" for i in range(1, len(logs) + 1)]
@@ -455,31 +460,19 @@ def _model_tag(meta: dict, d) -> str:
     return meta.get("architecture") or _architecture_tag([m.n_hidden for m in d.layers], [])
 
 
-def _load_run(resolved: dict):
-    """(network, meta, train, test-or-None) of a finetune or evaluate run,
-    each split's image size checked against the network's input size."""
-    path = resolved["model_path"]
-    d, meta = mndbn.load_dbn(path)
-    train, test = _build_datasets(resolved["dataset"])
-    for split, ds in (("train", train), ("test", test)):
-        if ds is not None and ds.images.shape[1] != d.n_visible:
-            raise ConfigError(
-                f"{path} takes {d.n_visible} pixels per image, but the dataset's "
-                f"{split} images have {ds.images.shape[1]}"
-            )
-    return d, meta, train, test
-
-
 def cmd_finetune(args) -> int:
     resolved, ft = _resolve_finetune(args, _load_config(args.config, "finetune"))
-    d, meta, train, test = _load_run(resolved)
+    path = resolved["model_path"]
+    d, meta = mndbn.load_dbn(path)
+    train, test = map(_dataset_loader(resolved["dataset"]), ("train", "test"))
     mndbn.attach_head(d, mndbn.NUM_CLASSES)
-    d, log = mndbn.fine_tune(d, train, ft.epochs, ft, mndbn.Rng(ft.seed), eval_dataset=test)
+    d, log = _build(path, mndbn.fine_tune, d, train, ft.epochs, ft, mndbn.Rng(ft.seed),
+                    eval_dataset=test)
     tag = _model_tag(meta, d)
     split, reported = ("test", test) if test is not None else ("train", train)
-    acc, confusion = mndbn.evaluate(d, reported)
+    acc, confusion = _evaluate(path, d, split, reported)
     # The last epoch measured the final model on the train split.
-    train_acc = log[-1].train_accuracy if log else mndbn.evaluate(d, train)[0]
+    train_acc = log[-1].train_accuracy if log else _evaluate(path, d, "train", train)[0]
     dataset = resolved["dataset"]["name"]
     meta = {"architecture": tag, "dataset": dataset, "finetune": resolved["finetune"]}
     out_dir = _make_dir(resolved["out_dir"])
@@ -491,21 +484,27 @@ def cmd_finetune(args) -> int:
                    train_accuracy_pct=100.0 * train_acc)
     artifacts = ["dbn_finetuned.mndbn", hist.name, "finetune_log.csv", "metrics.json",
                  "confusion.csv"]
-    _write_manifest(args, out_dir, resolved, artifacts, resolved["model_path"])
+    _write_manifest(args, out_dir, resolved, artifacts, path)
     print(f"{tag}: {split} accuracy {100.0 * acc:.2f}% after {ft.epochs} epochs")
     print(f"wrote {out_dir / 'dbn_finetuned.mndbn'}")
     return 0
 
 
+def _evaluate(path, model, split: str, dataset):
+    """mndbn.evaluate, naming the model file and the split it rejects."""
+    return _build(f"{path} ({split} split)", mndbn.evaluate, model, dataset)
+
+
 def cmd_evaluate(args) -> int:
+    """Reports the test split if the dataset has one, else the train split; loads only that."""
     resolved = _resolve_model_run(args, _load_config(args.config, "evaluate"))
-    model, meta, train, test = _load_run(resolved)
-    if model.head is None:
-        raise ConfigError(
-            f"{resolved['model_path']} has no classification head; run finetune first"
-        )
-    split, dataset = ("test", test) if test is not None else ("train", train)
-    acc, confusion = mndbn.evaluate(model, dataset)
+    path = resolved["model_path"]
+    model, meta = mndbn.load_dbn(path)
+    load = _dataset_loader(resolved["dataset"])
+    split, dataset = "test", load("test")
+    if dataset is None:
+        split, dataset = "train", load("train")
+    acc, confusion = _evaluate(path, model, split, dataset)
     out_dir = _make_dir(resolved["out_dir"])
     tag = _model_tag(meta, model)
     _write_metrics(out_dir, tag, resolved, split, acc, confusion, len(dataset))

@@ -97,10 +97,10 @@ class Rng:
 def sample_bernoulli(p, rng: Rng, out=None):
     """Draw 0/1 with success probability p; one RNG draw per element.
 
-    Returns 0.0/1.0 floats shaped like p. Probabilities outside [0, 1], and
-    NaN, are a contract violation and raise ValueError. `out`, a float
-    array shaped like p (not p itself), receives the draws and then the
-    samples, from the same stream as without it.
+    Returns 0.0/1.0 floats shaped like p (a float for a scalar p). NaN and
+    probabilities outside [0, 1] are a contract violation: ValueError.
+    `out`, a float array shaped like p (not p itself), receives the draws
+    and then the samples, from the same stream as without it.
     """
     arr = np.asarray(p, dtype=float)
     # Negated so that NaN, which fails every comparison, is rejected too.
@@ -109,8 +109,9 @@ def sample_bernoulli(p, rng: Rng, out=None):
             f"bernoulli probability outside [0, 1]: min={arr.min()}, max={arr.max()}"
         )
     if out is None:
-        return (rng.uniform(arr.shape) < arr).astype(float)
-    return np.less(rng.uniform(out=out), arr, out=out)
+        out = np.empty(arr.shape)
+    np.less(rng.uniform(out=out), arr, out=out)
+    return out[()] if out.ndim == 0 else out
 
 
 def require_finite(name: str, arr) -> None:

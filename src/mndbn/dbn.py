@@ -100,18 +100,20 @@ def attach_head(d: Dbn, n_classes: int) -> Dbn:
 
 def _head(d: Dbn) -> SoftmaxLayer:
     if d.head is None:
-        raise ValueError("model has no classification head; call attach_head first")
+        raise ValueError("model has no classification head; fine-tune the model first "
+                         "(attach_head adds one)")
     return d.head
 
 
-def _check_split(d: Dbn, dataset, use: str) -> None:
-    """Raise ValueError unless `dataset` holds images of d.n_visible pixels,
-    at least one, and each label has a class in the head."""
+def _check_split(d: Dbn, dataset, split: str) -> None:
+    """Raise ValueError naming the split unless `dataset` holds images of
+    d.n_visible pixels, at least one, and each label has a class in the head."""
     n, width = dataset.images.shape
     if n == 0:
-        raise ValueError(f"cannot {use} on an empty dataset")
+        raise ValueError(f"the {split} split is an empty dataset")
     if width != d.n_visible:
-        raise ValueError(f"the network takes {d.n_visible} pixels per image, not {width}")
+        raise ValueError(f"the network takes {d.n_visible} pixels per image, "
+                         f"but the {split} images have {width}")
     n_classes, top = _head(d).n_classes, int(dataset.labels.max())
     if top >= n_classes:
         raise ValueError(f"the head has {n_classes} classes, but the largest label is {top}")
@@ -160,11 +162,11 @@ def pretrain_greedy(dataset, layer_sizes, cfgs, params, rng: Rng):
     current = dataset.images
     layers = []
     logs: list[list[EpochStats]] = []
-    for idx, size in enumerate(layer_sizes):
-        m, log = train_mnrbm(current, size, cfgs[idx], params, rng.spawn(idx))
+    for idx, cfg in enumerate(cfgs):
+        m, log = train_mnrbm(current, cfg, params, rng.spawn(idx))
         layers.append(m)
         logs.append(log)
-        if idx + 1 < len(layer_sizes):
+        if idx + 1 < len(cfgs):
             with _overflow_raises(f"the forward pass into layer {idx + 2}"):
                 current = prob_h_given_x(m, current)
     return Dbn(layers), logs
@@ -403,9 +405,9 @@ def fine_tune(
     log: list[FineTuneEpoch] = []
     if epochs == 0:
         return d, log
-    _check_split(d, dataset, "fine-tune")
+    _check_split(d, dataset, "training")
     if eval_dataset is not None:
-        _check_split(d, eval_dataset, "evaluate")
+        _check_split(d, eval_dataset, "evaluation")
     images, labels = dataset.images, dataset.labels
     params = _bind(d, cfg.head_only)
     alpha_prev = 1.0
@@ -440,6 +442,6 @@ def _mean_loss(d: Dbn, dataset):
 
 def evaluate(d: Dbn, dataset):
     """Accuracy and the confusion matrix (rows true class, cols predicted)."""
-    _check_split(d, dataset, "evaluate")
+    _check_split(d, dataset, "evaluation")
     _, acc, confusion = _mean_loss(d, dataset)
     return acc, confusion

@@ -221,10 +221,11 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, buf: _CdBuffe
 _MOMENTUM, _FINAL_MOMENTUM = 0.5, 0.9
 
 
-def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
+def train_mnrbm(images, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
     """Train one RBM with the group-sparsity penalty (lambda may be 0).
 
-    `images` is a (samples x visibles) array in [0, 1]. Runs
+    `images` is a (samples x visibles) array in [0, 1], and the layer has
+    the `cfg.partition.j_original` hidden units its partition covers. Runs
     `params.epochs` epochs of shuffled mini-batches of `regularized_update`
     and returns (model, log), where the log holds one EpochStats per epoch,
     computed on a deterministic full pass over the training data after the
@@ -235,15 +236,11 @@ def train_mnrbm(images, layer_size: int, cfg: PenaltyConfig, params: TrainConfig
         raise ValueError(f"training data must be a non-empty 2-D array, got {images.shape}")
     if not (images.min() >= 0.0 and images.max() <= 1.0):  # negated, so NaN fails too
         raise ValueError("pixel values must lie in [0, 1]")
-    if cfg.partition.j_original != layer_size:
-        raise ValueError(
-            f"partition is over {cfg.partition.j_original} units, layer has {layer_size}"
-        )
-    m = Rbm.init_random(images.shape[1], layer_size, rng)
+    m = Rbm.init_random(images.shape[1], cfg.partition.j_original, rng)
     velocity = CdStats.zeros(m)
     n = images.shape[0]
     # One set of buffers holds a batch and one block of the metrics pass.
-    rows = min(n, max(params.batch_size, block_rows(max(m.n_visible, layer_size))))
+    rows = min(n, max(params.batch_size, block_rows(max(m.n_visible, m.n_hidden))))
     buf, batch_buf = _CdBuffers.like(m, rows), np.empty((min(n, params.batch_size), m.n_visible))
     log: list[EpochStats] = []
     with _overflow_raises("training"):

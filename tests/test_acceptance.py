@@ -206,7 +206,7 @@ def _paired_sparsity_runs(train, number, context):
     for lam in (0.0, 0.1):
         cfg = PenaltyConfig(lam=lam, partition=make_partition(100, 20))
         params = TrainConfig(epochs=10, seed=0)
-        _, log = train_mnrbm(train.images, 100, cfg, params, Rng(0))
+        _, log = train_mnrbm(train.images, cfg, params, Rng(0))
         activations[lam] = log[-1].mean_hidden_activation
     elapsed = time.perf_counter() - t0
     verdict(number,

@@ -735,21 +735,62 @@ def test_image_size_mismatch_is_config_error(tmp_path, pretrained_run, capsys, c
         "out_dir": str(out),
     })
     assert main([command, str(path), "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {path} takes 16 pixels per image" in err
-    assert "train images have 25" in err
+    # fine_tune checks its training split first; evaluate reports the test split.
+    context, split = (path, "training") if command == "finetune" else \
+        (f"{path} (test split)", "evaluation")
+    assert capsys.readouterr().err == (
+        f"config error: {context}: the network takes 16 pixels per image, "
+        f"but the {split} images have 25\n")
     assert not out.exists()
 
 
 class TestEvaluate:
     def test_headless_model_rejected(self, tmp_path, pretrained_run, capsys):
+        out = tmp_path / "ev"
         cfg = write_config(tmp_path, "ev.json", {
             "dataset": synth_block(n_test=40),
-            "out_dir": str(tmp_path / "ev"),
+            "out_dir": str(out),
         })
-        assert main(["evaluate", str(pretrained_run / "dbn.mndbn"),
-                     "--config", str(cfg)]) == 2
-        assert "no classification head" in capsys.readouterr().err
+        path = pretrained_run / "dbn.mndbn"
+        assert main(["evaluate", str(path), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path} (test split): model has no classification head; "
+            "fine-tune the model first (attach_head adds one)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_test", [True, False], ids=["test-split", "train-only"])
+    @pytest.mark.parametrize("kind", ["usps", "mnist"])
+    def test_loads_only_the_reported_split(self, tmp_path, monkeypatch, kind, with_test):
+        if kind == "usps":
+            loader, n_visible = "load_usps", 28 * 28   # load_usps frames 16x16 at 28x28
+            for split in ("train", "test"):
+                (tmp_path / f"{split}.txt").write_text(_usps_text() * 3)
+            dataset = {"name": "usps", "train_path": str(tmp_path / "train.txt"),
+                       "test_path": str(tmp_path / "test.txt")}
+        else:
+            loader, n_visible = "load_idx", 2 * 2
+            dataset = {"name": "mnist"}
+            for split in ("train", "test"):
+                (tmp_path / f"{split}_im.idx").write_bytes(_GOOD_IMAGES)
+                (tmp_path / f"{split}_lb.idx").write_bytes(_GOOD_LABELS)
+                dataset[f"{split}_images"] = str(tmp_path / f"{split}_im.idx")
+                dataset[f"{split}_labels"] = str(tmp_path / f"{split}_lb.idx")
+        if not with_test:
+            dataset = {k: v for k, v in dataset.items() if not k.startswith("test_")}
+        real, calls = getattr(mndbn, loader), []
+
+        def counting(path, *more):
+            calls.append(Path(path).name.split(".")[0])
+            return real(path, *more)
+
+        monkeypatch.setattr(f"mndbn.data.{loader}", counting)
+        save_dbn(attach_head(Dbn([random_rbm(0, n_visible, 3)]), 10), tmp_path / "m.mndbn")
+        out = tmp_path / "ev"
+        cfg = write_config(tmp_path, "ev.json", {"dataset": dataset, "out_dir": str(out)})
+        assert main(["evaluate", str(tmp_path / "m.mndbn"), "--config", str(cfg)]) == 0
+        split = "test" if with_test else "train"
+        assert calls == [split if kind == "usps" else f"{split}_im"]
+        assert json.loads((out / "metrics.json").read_text())["split"] == split
 
     def test_too_few_head_classes_for_the_labels_is_config_error(self, tmp_path, pretrained_run,
                                                                   capsys):
@@ -874,7 +915,7 @@ class TestReport:
         def unreachable(*args, **kwargs):
             raise AssertionError("the report built a dataset")
 
-        monkeypatch.setattr(cli, "_build_datasets", unreachable)
+        monkeypatch.setattr(cli, "_dataset_loader", unreachable)
         monkeypatch.setattr(synth, "make_synthetic", unreachable)
         out = tmp_path / "report"
         assert main(["report", str(root), "--out", str(out)]) == 0
@@ -900,7 +941,7 @@ class TestReport:
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
-        loaders = {"_build_datasets", "_resolve_dataset", "load_idx", "load_usps", "make_synthetic"}
+        loaders = {"_dataset_loader", "_resolve_dataset", "load_idx", "load_usps", "make_synthetic"}
         assert not names & loaders
 
     def test_report_over_idx_run_without_its_data(self, tmp_path, capsys):
@@ -1097,7 +1138,7 @@ class TestOutDir:
         def unreachable(*args, **kwargs):
             raise AssertionError("data loaded before --out was checked")
 
-        monkeypatch.setattr(cli, "_build_datasets", unreachable)
+        monkeypatch.setattr(cli, "_dataset_loader", unreachable)
         monkeypatch.setattr("mndbn.model_io.load_dbn", unreachable)
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

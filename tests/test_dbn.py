@@ -51,7 +51,7 @@ class TestPretrainGreedy:
         cfg = penalty(6, 3, lam=0.1)
         params = TrainConfig(epochs=3, batch_size=20, seed=0)
         d, logs = pretrain_greedy(train, [6], [cfg], params, Rng(9))
-        direct, direct_log = train_mnrbm(train.images, 6, cfg, params, Rng(9).spawn(0))
+        direct, direct_log = train_mnrbm(train.images, cfg, params, Rng(9).spawn(0))
         assert (d.layers[0].w == direct.w).all()
         assert (d.layers[0].b_vis == direct.b_vis).all()
         assert (d.layers[0].a_hid == direct.a_hid).all()
@@ -64,9 +64,9 @@ class TestPretrainGreedy:
         root = Rng(11)
         d, _ = pretrain_greedy(train, [3, 2], cfg, params, root)
 
-        m1, _ = train_mnrbm(train.images, 3, cfg[0], params, Rng(11).spawn(0))
+        m1, _ = train_mnrbm(train.images, cfg[0], params, Rng(11).spawn(0))
         x2 = prob_h_given_x(m1, train.images)
-        m2, _ = train_mnrbm(x2, 2, cfg[1], params, Rng(11).spawn(1))
+        m2, _ = train_mnrbm(x2, cfg[1], params, Rng(11).spawn(1))
         assert (d.layers[0].w == m1.w).all()
         assert (d.layers[1].w == m2.w).all()
         assert (d.layers[1].b_vis == m2.b_vis).all()
@@ -363,13 +363,20 @@ class TestFineTune:
             fine_tune(d, train, 1, FineTuneConfig(batch_size=30), Rng(1), eval_dataset=test)
         assert (_bind(d, False) == before).all()
 
-    @pytest.mark.parametrize("case", ["empty", "5x5-images"])
-    def test_bad_eval_split_rejected_before_any_update(self, case):
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "the evaluation split is an empty dataset"),
+        ("5x5-images", "16 pixels per image, but the evaluation images have 25"),
+        ("5x5-train-images", "16 pixels per image, but the training images have 25"),
+    ], ids=["empty", "5x5-images", "5x5-train-images"])
+    def test_bad_eval_split_rejected_before_any_update(self, case, message):
         train, _ = make_synthetic(60, 0, side=4, seed=6)    # 16 pixels per image
+        test, _ = make_synthetic(20, 0, side=4, seed=8)
         if case == "empty":
             test = Dataset(np.zeros((0, 16)), np.zeros(0, dtype=int))
-        else:
+        elif case == "5x5-images":
             test, _ = make_synthetic(20, 0, side=5, seed=7)
+        else:
+            train, _ = make_synthetic(60, 0, side=5, seed=7)
         d = attach_head(Dbn([Rbm.init_random(16, 8, Rng(0), std=0.1)]), 10)
 
         def arrays():
@@ -377,7 +384,7 @@ class TestFineTune:
             return [m.w, m.b_vis, m.a_hid, d.head.w_out, d.head.b_out]
 
         before = [a.copy() for a in arrays()]
-        with pytest.raises(ValueError, match="empty dataset" if case == "empty" else "16 pixels"):
+        with pytest.raises(ValueError, match=message):
             fine_tune(d, train, 1, FineTuneConfig(batch_size=30), Rng(1), eval_dataset=test)
         assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 

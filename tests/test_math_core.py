@@ -112,6 +112,14 @@ class TestSampleBernoulli:
         u = Rng(7).uniform((4, 5))
         assert (drawn == (u < p).astype(float)).all()
 
+    @pytest.mark.parametrize("p", [0.3, 0.9], ids=["p-0.3", "p-0.9"])
+    def test_scalar_p_gives_a_float_from_one_draw(self, p):
+        rng, ref = Rng(4), Rng(4)
+        drawn = sample_bernoulli(p, rng)
+        assert type(drawn) is np.float64
+        assert drawn == float(ref.uniform() < p)
+        assert rng.uniform() == ref.uniform()
+
     def test_into_out_takes_the_same_draws(self):
         p = Rng(6).uniform((4, 5))
         out = np.full((4, 5), np.nan)

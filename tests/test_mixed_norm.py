@@ -373,7 +373,7 @@ class TestTraining:
         train, _ = make_synthetic(60, 0, side=4, seed=3)
         cfg = cfg_for(6, 3, lam=0.0)
         params = TrainConfig(lr=0.1, momentum_switch_epoch=2, batch_size=20, epochs=4, seed=0)
-        m, log = train_mnrbm(train.images, 6, cfg, params, Rng(21))
+        m, log = train_mnrbm(train.images, cfg, params, Rng(21))
 
         # independent replay of the training loop without the penalty module
         r = Rng(21)
@@ -389,26 +389,21 @@ class TestTraining:
     def test_log_has_one_entry_per_epoch(self):
         train, _ = make_synthetic(50, 0, side=4, seed=1)
         cfg = cfg_for(5, 5, lam=0.1)
-        m, log = train_mnrbm(train.images, 5, cfg, TrainConfig(epochs=3, batch_size=25), Rng(0))
+        m, log = train_mnrbm(train.images, cfg, TrainConfig(epochs=3, batch_size=25), Rng(0))
         assert [e.epoch for e in log] == [0, 1, 2]
         for e in log:
             assert np.isfinite([e.recon_error, e.mean_hidden_activation,
                                 e.mixed_norm_value]).all()
 
-    def test_partition_layer_mismatch_rejected(self):
-        train, _ = make_synthetic(20, 0, side=4, seed=0)
-        with pytest.raises(ValueError):
-            train_mnrbm(train.images, 8, cfg_for(6, 3), TrainConfig(epochs=1), Rng(0))
-
     def test_zero_pixel_images_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            train_mnrbm(np.zeros((6, 0)), 4, cfg_for(4, 2), TrainConfig(epochs=1), Rng(0))
+            train_mnrbm(np.zeros((6, 0)), cfg_for(4, 2), TrainConfig(epochs=1), Rng(0))
 
     @pytest.mark.parametrize("scale", [255.0, -1.0, np.nan], ids=["times-255", "negated", "nan"])
     def test_pixels_outside_unit_interval_rejected(self, scale):
         train, _ = make_synthetic(200, 0, side=4, seed=0)
         with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
-            train_mnrbm(train.images * scale, 8, cfg_for(8, 4), TrainConfig(epochs=2), Rng(0))
+            train_mnrbm(train.images * scale, cfg_for(8, 4), TrainConfig(epochs=2), Rng(0))
 
     def test_overlap_run_matches_recorded_digest(self):
         # sha256 of the parameters and of the logged metrics after two epochs
@@ -420,7 +415,7 @@ class TestTraining:
         train, _ = make_synthetic(200, side=8, seed=5)
         cfg = PenaltyConfig(lam=0.1, partition=make_partition(2000, 10, 0.5))
         params = TrainConfig(lr=0.05, epochs=2, batch_size=64)
-        m, log = train_mnrbm(train.images, 2000, cfg, params, Rng(5))
+        m, log = train_mnrbm(train.images, cfg, params, Rng(5))
         metrics = [(e.recon_error, e.mean_hidden_activation, e.mixed_norm_value) for e in log]
         assert hashlib.sha256(flat_params(m).tobytes()).hexdigest()[:16] == "ac796196b685fe62"
         assert hashlib.sha256(repr(metrics).encode()).hexdigest()[:16] == "1e06abc343cc54fc"
@@ -564,7 +559,7 @@ class TestBatchBuffers:
         params = TrainConfig(lr=0.05, epochs=1, batch_size=rows)
         tracemalloc.start()
         try:
-            train_mnrbm(images, j, cfg, params, Rng(28))
+            train_mnrbm(images, cfg, params, Rng(28))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -577,4 +572,4 @@ class TestBatchBuffers:
         train, _ = make_synthetic(40, side=4, seed=0)
         params = TrainConfig(lr=1e308, epochs=1, batch_size=20)
         with pytest.raises(NumericError, match="overflow"):
-            train_mnrbm(train.images, 8, cfg_for(8, 4, lam=0.1), params, Rng(0))
+            train_mnrbm(train.images, cfg_for(8, 4, lam=0.1), params, Rng(0))
