@@ -25,6 +25,7 @@ _EXPORTS = {
     "NumericError": "errors",
     "Rng": "core",
     "atomic_write": "core",
+    "write_csv": "core",
     "sigmoid": "core",
     "sample_bernoulli": "core",
     "GroupPartition": "groups",

@@ -146,7 +146,7 @@ def _load_config(path, command: str) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -213,9 +213,10 @@ def _make_dir(path) -> Path:
     return out
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_json(path: Path, value) -> None:
+    """The one writer of a run's JSON files: indent 2, sorted keys, final newline."""
     with mndbn.atomic_write(path) as fh:
-        fh.write(text.encode("utf-8"))
+        fh.write((json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 _TIMINGS = "timings.json"  # a run's clocks, beside its model and metrics
@@ -250,7 +251,7 @@ def _write_manifest(args, out_dir: Path, config: dict, artifacts, model_path=Non
         with contextlib.suppress(TypeError, ValueError):  # None (absent) or unreadable
             timings["training_cpu_seconds"] = cpu + _recorded_seconds(
                 model_path, "training_cpu_seconds", "cpu_seconds")
-    _write_text(out_dir / _TIMINGS, json.dumps(timings, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / _TIMINGS, timings)
     manifest = {
         "command": args.command,
         "config": config,
@@ -259,7 +260,7 @@ def _write_manifest(args, out_dir: Path, config: dict, artifacts, model_path=Non
             for rel in sorted(artifacts)
         },
     }
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------- datasets
@@ -353,12 +354,9 @@ def _write_metrics(out_dir: Path, tag: str, resolved: dict, split: str, acc, con
         "n_samples": n_samples,
         **extra,
     }
-    _write_text(out_dir / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-    n = confusion.shape[0]
-    lines = ["true," + ",".join(f"pred_{c}" for c in range(n))]
-    for r in range(n):
-        lines.append(str(r) + "," + ",".join(str(int(v)) for v in confusion[r]))
-    _write_text(out_dir / "confusion.csv", "\n".join(lines) + "\n")
+    _write_json(out_dir / "metrics.json", metrics)
+    header = ["true", *(f"pred_{c}" for c in range(len(confusion)))]
+    mndbn.write_csv(out_dir / "confusion.csv", header, ([r, *row] for r, row in enumerate(confusion)))
 
 
 # ---------------------------------------------------------------- commands

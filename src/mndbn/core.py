@@ -1,18 +1,20 @@
-"""The logistic nonlinearity, seeded sampling, finiteness and overflow
-checks, the row blocking that bounds the size of temporaries, and the
-atomic file replacement every output file is written through.
+"""The logistic nonlinearity, seeded sampling, finiteness, overflow and
+integer checks, the row blocking that bounds temporaries, the atomic file
+replacement every output goes through, and the one CSV writer.
 
 Everything numeric operates on float64 numpy arrays.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 SIGMOID_CLIP = 500.0
 
@@ -123,6 +125,14 @@ def require_finite(name: str, arr) -> None:
             raise NumericError(f"non-finite values detected in {name}")
 
 
+def require_ints(**values) -> None:
+    """ConfigError naming the first value that is not an integer. numpy
+    integers pass; bools and floats, integral or not, do not."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @contextlib.contextmanager
 def _overflow_raises(what: str):
     """Run the body with float overflow raised, as a NumericError naming
@@ -168,3 +178,15 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Every CSV a run writes, through atomic_write: commas, "\\n" line ends,
+    quotes only where a field needs them, each value by str: a float, numpy's
+    too, as its shortest round-trip repr, a numpy integer as its digits."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with atomic_write(path) as fh:
+        fh.write(text.getvalue().encode("utf-8"))

@@ -32,17 +32,18 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.images.ndim != 2:
             raise ValueError(f"images must be 2-D, got shape {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ValueError(
-                f"{self.labels.shape[0]} labels for {self.images.shape[0]} images"
-            )
+        if labels.shape != (len(self.images),):
+            raise ValueError(f"need one label per image: labels of shape {labels.shape} "
+                             f"for {len(self.images)} images")
         if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= NUM_CLASSES):
-            raise ValueError(f"labels must lie in [0, {NUM_CLASSES})")
+        integral = labels.dtype.kind in "iuf" and (labels == np.rint(labels)).all()
+        if not integral or labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
+            raise ValueError(f"labels must be integers in [0, {NUM_CLASSES})")
+        self.labels = np.asarray(labels, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.images.shape[0]

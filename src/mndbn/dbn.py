@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, _overflow_raises, require_finite
+from .core import Rng, _overflow_raises, require_finite, require_ints
 from .data import shuffle_split
 from .errors import ConfigError
 from .mixed_norm import EpochStats, train_mnrbm
@@ -192,6 +192,10 @@ class FineTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(batch_size=self.batch_size, cg_iters=self.cg_iters, epochs=self.epochs,
+                     seed=self.seed)
+        if not isinstance(self.head_only, (bool, np.bool_)):
+            raise ConfigError(f"head_only must be true or false, got {self.head_only!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.batch_size < 1 or self.cg_iters < 1:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_ints
 from .errors import ConfigError
 
 
@@ -53,6 +54,7 @@ def make_partition(j: int, group_size: int, overlap_fraction: float = 0.0) -> Gr
     exactly with no ragged tail. Overlap 0 gives stride = group_size: the
     disjoint tiling, with no unit in two groups.
     """
+    require_ints(j=j, group_size=group_size)
     if not 0.0 <= overlap_fraction < 1.0:
         raise ConfigError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
     if not 1 <= group_size <= j:

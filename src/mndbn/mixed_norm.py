@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Rng, _overflow_raises, atomic_write, block_rows, row_blocks
+from .core import Rng, _overflow_raises, block_rows, require_ints, row_blocks, write_csv
 from .data import shuffle_split
 from .errors import ConfigError
 from .groups import GroupPartition, divide_accumulate, group_norms
@@ -64,6 +64,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(momentum_switch_epoch=self.momentum_switch_epoch,
+                     batch_size=self.batch_size, epochs=self.epochs, seed=self.seed)
+        if not np.isfinite(self.lr):
+            raise ConfigError(f"lr must be finite, got {self.lr}")
         for name in ("seed", "momentum_switch_epoch"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -263,11 +267,7 @@ def train_mnrbm(images, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
 
 
 def write_training_log(path, log: list, row_type=EpochStats) -> None:
-    """Write a per-epoch log as CSV: one column per field of row_type, in
-    field order, each value written by repr so floats round-trip exactly.
-    The file is replaced atomically (core.atomic_write)."""
+    """Write a per-epoch log through core.write_csv: one column per field
+    of row_type, in field order, so floats round-trip exactly."""
     names = [f.name for f in fields(row_type)]
-    lines = [",".join(names)]
-    lines += [",".join(repr(getattr(row, name)) for name in names) for row in log]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, names, ([getattr(row, name) for name in names] for row in log))

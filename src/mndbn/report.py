@@ -1,21 +1,20 @@
 """Report artifacts: weight-tile images, activation histograms, results tables.
 
 Images are binary PGM (P5) so they stay dependency-free and byte-auditable;
-tabular outputs are CSV plus an aligned plain-text rendering. Published
-full-scale reference results are embedded as annotation rows so measured
-runs can be read side by side with them. Every output replaces its old
-version atomically (core.atomic_write).
+tabular outputs are CSV (core.write_csv) plus an aligned plain-text
+rendering. Published full-scale reference results are embedded as
+annotation rows so measured runs can be read side by side with them. Every
+output replaces its old version atomically (core.atomic_write).
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import atomic_write
+from .core import atomic_write, write_csv
 from .dbn import Dbn, forward
 from .errors import ConfigError
 from .rbm import Rbm
@@ -72,10 +71,13 @@ class RunRecord:
     def __post_init__(self):
         if not all(isinstance(v, str) for v in (self.run, self.architecture, self.dataset)):
             raise TypeError("run, architecture and dataset must be strings")
-        for value in (self.accuracy_pct, 0.0 if self.cpu_seconds is None else self.cpu_seconds):
+        # cpu_seconds takes the rule of the timings reader (cli._recorded_seconds).
+        cpu = 0.0 if self.cpu_seconds is None else self.cpu_seconds
+        for name, value, rule in [("accuracy_pct", self.accuracy_pct, ""),
+                                  ("cpu_seconds", cpu, " >= 0")]:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value)):
-                raise ValueError(f"accuracy_pct/cpu_seconds must be finite numbers, got {value!r}")
+            if not (number and math.isfinite(value) and (value >= 0.0 or not rule)):
+                raise ValueError(f"{name} must be a finite number{rule}, got {value!r}")
 
 
 def weight_tiles(m: Rbm, grid, out_path) -> np.ndarray:
@@ -114,29 +116,18 @@ def weight_tiles(m: Rbm, grid, out_path) -> np.ndarray:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read back a maxval-255 binary PGM written by weight_tiles."""
+    """Read back a PGM exactly as weight_tiles writes it: the header
+    P5\\n<width> <height>\\n255\\n, then one byte per pixel, row by row.
+    Anything else, a comment line included, is a ValueError naming path."""
     with open(path, "rb") as fh:
         data = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5" or int(fields[3]) != 255:
-        raise ValueError(f"{path}: not a maxval-255 binary PGM")
-    width, height = int(fields[1]), int(fields[2])
-    pos += 1
-    pixels = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)
-    if pixels.size != width * height:
-        raise ValueError(f"{path}: truncated pixel data")
-    return pixels.reshape(height, width)
+    header = re.match(rb"P5\n(\d+) (\d+)\n255\n", data)
+    if header is None:
+        raise ValueError(f"{path}: not a PGM header as weight_tiles writes it")
+    width, height, pixels = int(header[1]), int(header[2]), data[header.end():]
+    if len(pixels) != width * height:
+        raise ValueError(f"{path}: {len(pixels)} pixel bytes for a {width}x{height} image")
+    return np.frombuffer(pixels, np.uint8).reshape(height, width)
 
 
 def activation_histogram(d: Dbn, batch, bins: int, out_path):
@@ -154,11 +145,7 @@ def activation_histogram(d: Dbn, batch, bins: int, out_path):
         raise ValueError("batch must be a non-empty 2-D array")
     means = forward(d, batch).mean(axis=0)
     counts, edges = np.histogram(means, bins=bins, range=(0.0, 1.0))
-    lines = [",".join(HISTOGRAM_COLUMNS)]
-    for b in range(bins):
-        lines.append(f"{repr(float(edges[b]))},{repr(float(edges[b + 1]))},{int(counts[b])}")
-    with atomic_write(out_path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(out_path, HISTOGRAM_COLUMNS, zip(edges[:-1], edges[1:], counts))
     return counts, edges
 
 
@@ -185,12 +172,7 @@ def results_table(records, out_csv, out_txt, include_reference: bool = True):
     Returns the row tuples that were written.
     """
     rows = _table_rows(records, include_reference)
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(TABLE_COLUMNS)
-    writer.writerows(rows)
-    with atomic_write(out_csv) as fh:
-        fh.write(text.getvalue().encode("utf-8"))
+    write_csv(out_csv, TABLE_COLUMNS, rows)
     all_rows = [TABLE_COLUMNS] + rows
     widths = [max(len(r[c]) for r in all_rows) for c in range(len(TABLE_COLUMNS))]
     lines = []

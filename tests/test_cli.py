@@ -54,13 +54,13 @@ def read_csv(path):
 
 
 @pytest.mark.parametrize("command", ["pretrain-dbn", "finetune", "evaluate", "report"])
-@pytest.mark.parametrize("text", ["{not json", "[" * 100000, '{"a": ' * 100000],
-                         ids=["not-json", "deep-array", "deep-object"])
-def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
+@pytest.mark.parametrize("blob", [b"{not json", b"[" * 100000, b'{"a": ' * 100000, b"\xff\xfe{"],
+                         ids=["not-json", "deep-array", "deep-object", "not-utf8"])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, blob):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(text)
+    cfg.write_bytes(blob)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-    assert "is not valid JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: config {cfg} is not valid JSON: ")
     assert not (tmp_path / "run").exists()
 
 
@@ -558,6 +558,22 @@ def test_every_manifest_holds_command_config_and_artifacts(tmp_path, pretrained_
     for out in command_tree(tmp_path, pretrained_run).values():
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest) == ["artifacts", "command", "config"]
+
+
+def test_every_csv_parses_into_rows_as_wide_as_its_header(tmp_path, pretrained_run):
+    command_tree(tmp_path, pretrained_run)
+    written = {}
+    for path in sorted(tmp_path.rglob("*.csv")):
+        rows = read_csv(path)
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, path
+        written.setdefault(path.parent.name, set()).add(path.name)
+    assert written == {
+        "pre": {"layer1_log.csv", "layer2_log.csv", "dbn_activations.csv"},
+        "ft": {"finetune_log.csv", "dbn_finetuned_activations.csv", "confusion.csv"},
+        "ev": {"confusion.csv"},
+        "report": {"pre_dbn_activations.csv", "ft_dbn_finetuned_activations.csv",
+                   "results.csv"},
+    }
 
 
 class TestFinetune:

@@ -258,6 +258,24 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(images=np.array([[np.nan, 0.5]]), labels=[0])
 
+    @pytest.mark.parametrize("labels, message", [
+        (3, r"labels of shape \(\) for 1 images"),
+        (np.zeros((1, 1), dtype=int), r"labels of shape \(1, 1\) for 1 images"),
+        ([0.5], r"labels must be integers"),
+        ([np.nan], r"labels must be integers"),
+        ([np.inf], r"labels must be integers"),
+        ([10], r"labels must be integers in \[0, 10\)"),
+    ], ids=["scalar", "column", "fraction", "nan", "inf", "out-of-range"])
+    def test_one_integral_label_per_image(self, labels, message):
+        # Checked before the int64 cast, which would truncate 0.5 to 0.
+        with pytest.raises(ValueError, match=message):
+            Dataset(images=np.zeros((1, 4)), labels=labels)
+
+    def test_integral_labels_of_any_numeric_dtype_pass(self):
+        for labels in ([1.0, 2.0], np.array([1, 2], dtype=np.uint8)):
+            ds = Dataset(images=np.zeros((2, 4)), labels=labels)
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 2]
+
     def test_subset(self):
         ds = Dataset(images=Rng(0).uniform((10, 4)), labels=Rng(1).integers(0, 10, (10,)))
         sub = ds.subset(4)

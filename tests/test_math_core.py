@@ -1,10 +1,14 @@
-"""Numeric primitives: sigmoid, seeded RNG, Bernoulli sampling, finiteness."""
+"""Numeric primitives: sigmoid, seeded RNG, Bernoulli sampling, finiteness,
+and the integer check every config object makes."""
 
 import numpy as np
 import pytest
 
-from mndbn.core import Rng, require_finite, sample_bernoulli, sigmoid
-from mndbn.errors import NumericError
+from mndbn.core import Rng, require_finite, require_ints, sample_bernoulli, sigmoid
+from mndbn.dbn import FineTuneConfig
+from mndbn.errors import ConfigError, NumericError
+from mndbn.groups import make_partition
+from mndbn.mixed_norm import TrainConfig
 
 
 class TestSigmoid:
@@ -153,3 +157,36 @@ class TestArrayOps:
         require_finite("empty", np.empty((0, 3)))
         big = np.finfo(float).max
         require_finite("edges", np.array([[big, -big], [0.0, -0.0]]))
+
+
+class TestConfigTypes:
+    """Config objects reject a value of the wrong type when they are made,
+    naming the field, rather than failing or misbehaving mid-run."""
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: TrainConfig(epochs=2.5), "epochs"),
+        (lambda: TrainConfig(batch_size=50.0), "batch_size"),
+        (lambda: TrainConfig(momentum_switch_epoch=True), "momentum_switch_epoch"),
+        (lambda: TrainConfig(lr=float("inf")), "lr"),
+        (lambda: TrainConfig(lr=float("nan")), "lr"),
+        (lambda: FineTuneConfig(cg_iters=1.5), "cg_iters"),
+        (lambda: FineTuneConfig(seed=1.0), "seed"),
+        (lambda: FineTuneConfig(head_only="no"), "head_only"),
+        (lambda: make_partition(16.0, 4), "j"),
+        (lambda: make_partition(16, 4.0), "group_size"),
+    ], ids=["epochs-float", "batch-float", "switch-bool", "lr-inf", "lr-nan", "cg-iters-float",
+            "seed-float", "head-only-str", "j-float", "group-size-float"])
+    def test_wrong_type_is_config_error_naming_the_field(self, make, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            make()
+
+    def test_numpy_integers_and_bools_pass(self):
+        assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(10)).epochs == 2
+        assert FineTuneConfig(cg_iters=np.int64(2), head_only=np.bool_(True)).head_only
+        assert make_partition(np.int64(16), np.int64(4)).num_groups == 4
+
+    def test_require_ints_rejects_bools_and_floats(self):
+        require_ints(a=3, b=np.int16(-1))
+        for value in (True, 2.0, np.float64(2.0), "2", None):
+            with pytest.raises(ConfigError, match="^b must be an integer"):
+                require_ints(a=1, b=value)

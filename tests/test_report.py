@@ -139,6 +139,14 @@ class TestResultsTable:
                              include_reference=False)
         assert rows == []
 
+    @pytest.mark.parametrize("cpu_seconds", [-1.0, -1e-300, float("-inf")])
+    def test_negative_cpu_seconds_rejected(self, cpu_seconds):
+        # The same rule as the timings reader's: a finite number >= 0, or None.
+        with pytest.raises(ValueError, match="cpu_seconds must be a finite number"):
+            RunRecord(run="r", architecture="dbn(8)", dataset="synthetic",
+                      accuracy_pct=50.0, cpu_seconds=cpu_seconds)
+        assert RunRecord("r", "dbn(8)", "synthetic", 50.0, 0).cpu_seconds == 0
+
     def test_text_table_is_aligned(self, tmp_path):
         # An unknown cost is a blank cell.
         rec = RunRecord(run="run", architecture="rbm(64-10)", dataset="synthetic",
