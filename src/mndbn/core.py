@@ -72,6 +72,11 @@ class Rng:
         """Zero-mean Gaussian draw(s) with the given standard deviation."""
         return self._gen.normal(0.0, std, shape)
 
+    def standard_normal(self, out):
+        """Fill the float array `out` with standard Gaussian draws, in
+        place; one draw per element, the draws `normal` scales."""
+        return self._gen.standard_normal(out=out)
+
     def integers(self, low: int, high: int, shape=None):
         """Integer draw(s) in [low, high)."""
         return self._gen.integers(low, high, size=shape)

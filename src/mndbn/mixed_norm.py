@@ -18,6 +18,8 @@ regularized.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,6 +48,8 @@ class PenaltyConfig:
     partition: GroupPartition
 
     def __post_init__(self):
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise ConfigError(f"lam must be a real number, got {self.lam!r}")
         if not 0.0 <= self.lam < np.inf:  # negated, so NaN fails too
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
 
@@ -66,7 +70,9 @@ class TrainConfig:
     def __post_init__(self):
         require_ints(momentum_switch_epoch=self.momentum_switch_epoch,
                      batch_size=self.batch_size, epochs=self.epochs, seed=self.seed)
-        if not np.isfinite(self.lr):
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
+            raise ConfigError(f"lr must be a real number, got {self.lr!r}")
+        if not math.isfinite(self.lr):
             raise ConfigError(f"lr must be finite, got {self.lr}")
         for name in ("seed", "momentum_switch_epoch"):
             if getattr(self, name) < 0:

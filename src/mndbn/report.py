@@ -73,10 +73,10 @@ class RunRecord:
             raise TypeError("run, architecture and dataset must be strings")
         # cpu_seconds takes the rule of the timings reader (cli._recorded_seconds).
         cpu = 0.0 if self.cpu_seconds is None else self.cpu_seconds
-        for name, value, rule in [("accuracy_pct", self.accuracy_pct, ""),
-                                  ("cpu_seconds", cpu, " >= 0")]:
+        for name, value, top, rule in [("accuracy_pct", self.accuracy_pct, 100.0, " in [0, 100]"),
+                                       ("cpu_seconds", cpu, math.inf, " >= 0")]:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and (value >= 0.0 or not rule)):
+            if not (number and math.isfinite(value) and 0.0 <= value <= top):
                 raise ValueError(f"{name} must be a finite number{rule}, got {value!r}")
 
 

@@ -1027,7 +1027,7 @@ class TestReport:
 
     @pytest.mark.parametrize("field, value", [
         ("architecture", 5), ("dataset", ["u"]), ("accuracy_pct", float("nan")),
-        ("accuracy_pct", float("-inf")), ("accuracy_pct", "12.5"),
+        ("accuracy_pct", float("-inf")), ("accuracy_pct", "12.5"), ("accuracy_pct", 150),
     ])
     def test_malformed_metrics_are_warnings(self, tmp_path, pretrained_run, capsys, field,
                                             value):

@@ -1,5 +1,5 @@
 """Numeric primitives: sigmoid, seeded RNG, Bernoulli sampling, finiteness,
-and the integer check every config object makes."""
+and the type checks every config object and make_synthetic make."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from mndbn.core import Rng, require_finite, require_ints, sample_bernoulli, sigm
 from mndbn.dbn import FineTuneConfig
 from mndbn.errors import ConfigError, NumericError
 from mndbn.groups import make_partition
-from mndbn.mixed_norm import TrainConfig
+from mndbn.mixed_norm import PenaltyConfig, TrainConfig
+from mndbn.synth import make_synthetic
 
 
 class TestSigmoid:
@@ -85,6 +86,17 @@ class TestRng:
     def test_integers_range(self):
         v = Rng(3).integers(2, 7, (1000,))
         assert v.min() >= 2 and v.max() <= 6
+
+    @pytest.mark.parametrize("std", [0.0, 0.1, 0.4, 1.0])
+    def test_scaled_standard_normal_has_the_bytes_of_normal(self, std):
+        # normal(0, s) is 0 + s*z: the same bits as s*z up to the sign of a
+        # zero, which adding 0.0 settles. Both consume one draw per element.
+        fresh, filled = Rng(21), Rng(21)
+        expected = fresh.normal((7, 9), std=std)
+        z = np.empty((7, 9))
+        assert filled.standard_normal(out=z) is z
+        assert np.add(0.0, std * z).tobytes() == expected.tobytes()
+        assert filled.uniform() == fresh.uniform()
 
 
 class TestSampleBernoulli:
@@ -169,13 +181,21 @@ class TestConfigTypes:
         (lambda: TrainConfig(momentum_switch_epoch=True), "momentum_switch_epoch"),
         (lambda: TrainConfig(lr=float("inf")), "lr"),
         (lambda: TrainConfig(lr=float("nan")), "lr"),
+        (lambda: TrainConfig(lr="0.1"), "lr"),
+        (lambda: TrainConfig(lr=True), "lr"),
+        (lambda: PenaltyConfig(True, make_partition(8, 4)), "lam"),
         (lambda: FineTuneConfig(cg_iters=1.5), "cg_iters"),
         (lambda: FineTuneConfig(seed=1.0), "seed"),
         (lambda: FineTuneConfig(head_only="no"), "head_only"),
         (lambda: make_partition(16.0, 4), "j"),
         (lambda: make_partition(16, 4.0), "group_size"),
-    ], ids=["epochs-float", "batch-float", "switch-bool", "lr-inf", "lr-nan", "cg-iters-float",
-            "seed-float", "head-only-str", "j-float", "group-size-float"])
+        (lambda: make_synthetic(10.0), "n_train"),
+        (lambda: make_synthetic(10, n_test=True), "n_test"),
+        (lambda: make_synthetic(10, side=8.0), "side"),
+        (lambda: make_synthetic(10, max_shift=1.0), "max_shift"),
+    ], ids=["epochs-float", "batch-float", "switch-bool", "lr-inf", "lr-nan", "lr-str", "lr-bool",
+            "lam-bool", "cg-iters-float", "seed-float", "head-only-str", "j-float",
+            "group-size-float", "n-train-float", "n-test-bool", "side-float", "max-shift-float"])
     def test_wrong_type_is_config_error_naming_the_field(self, make, field):
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             make()

@@ -147,6 +147,14 @@ class TestResultsTable:
                       accuracy_pct=50.0, cpu_seconds=cpu_seconds)
         assert RunRecord("r", "dbn(8)", "synthetic", 50.0, 0).cpu_seconds == 0
 
+    @pytest.mark.parametrize("accuracy_pct", [-5, 100.5, 150.0, float("nan")])
+    def test_accuracy_outside_0_to_100_rejected(self, accuracy_pct):
+        rule = r"^accuracy_pct must be a finite number in \[0, 100\]"
+        with pytest.raises(ValueError, match=rule):
+            RunRecord("r", "dbn(8)", "synthetic", accuracy_pct, None)
+        for edge in (0, 100):
+            assert RunRecord("r", "dbn(8)", "synthetic", edge, None).accuracy_pct == edge
+
     def test_text_table_is_aligned(self, tmp_path):
         # An unknown cost is a blank cell.
         rec = RunRecord(run="run", architecture="rbm(64-10)", dataset="synthetic",

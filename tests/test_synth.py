@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mndbn.core import Rng
-from mndbn.synth import _prototypes, make_synthetic
+from mndbn.synth import make_synthetic
 
 # (n_train, n_test, side, seed, noise, max_shift) -> sha256 of the train
 # images, train labels, test images and test labels, in that order.
@@ -23,6 +23,11 @@ RECORDED = [
     (10, 3, 28, 12, 0.3, 0, "657663918f4d55ab9d6f566038193a8850536650ac5b3fdcb82d1d4b8de32f21"),
     # Several blocks of the vectorised pass, the last one partial.
     (200, 30, 28, 9, 0.3, 2, "b03ba8da01f3d516852aad726affb4c67c7e46b970c885266b8e5055aa69d7fd"),
+    # The set-ups of the perfbench workloads (pretrain-mn784,
+    # pretrain-overlap2000, finetune-cg784) at seed 1.
+    (1000, 0, 28, 1, 0.1, 1, "a219fc9826a976ed751d4bc97a60770f4e6afdde9990b79469c0799ee0deac34"),
+    (2000, 0, 8, 1, 0.1, 1, "48135b108d2f39c7523d43ed70e93008a46947a2c0f4162882f89712866c569b"),
+    (2000, 500, 28, 1, 0.1, 1, "8a88ee876efead40ac01828e4a588bc030781b2b5ef96ff946fcf8a679327133"),
 ]
 
 
@@ -33,10 +38,22 @@ def digest(train, test):
     return h.hexdigest()
 
 
+def blur(img, passes):
+    """Average each pixel with its 4-neighborhood, wrapping around."""
+    for _ in range(passes):
+        img = (img + np.roll(img, 1, 0) + np.roll(img, -1, 0)
+               + np.roll(img, 1, 1) + np.roll(img, -1, 1)) / 5.0
+    return img
+
+
 def reference(n_train, n_test, side, seed, noise, max_shift):
-    """One image at a time: roll the prototype, add noise, clip."""
+    """One class, then one image at a time: blur and threshold each class's
+    uniform draws into its prototype; roll the prototype, add noise, clip."""
     rng = Rng(seed)
-    protos = _prototypes(side, rng)
+    protos = np.empty((10, side, side))
+    for c in range(10):
+        sm = blur(rng.uniform((side, side)), passes=2)
+        protos[c] = blur((sm > np.median(sm)).astype(float), passes=1)
     out = []
     for n in (n_train, n_test):
         images = np.empty((n, side * side))
@@ -85,6 +102,8 @@ def test_shapes_range_and_labels(n_train, n_test, side):
     {"n_train": -1},
     {"n_train": 10, "n_test": -1},
     {"n_train": 10, "noise": -0.5},
+    {"n_train": 10, "noise": float("inf")},
+    {"n_train": 10, "noise": float("nan")},
     {"n_train": 10, "max_shift": -2},
 ])
 def test_invalid_arguments_rejected(kwargs):
