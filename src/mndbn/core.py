@@ -1,6 +1,7 @@
 """The logistic nonlinearity, seeded sampling, finiteness, overflow and
-integer checks, the row blocking that bounds temporaries, the atomic file
-replacement every output goes through, and the one CSV writer.
+integer checks, the row blocking that bounds temporaries, the worker lane
+that runs independent work beside the caller, the atomic file replacement
+every output goes through, and the one CSV writer.
 
 Everything numeric operates on float64 numpy arrays.
 """
@@ -10,6 +11,7 @@ import contextlib
 import csv
 import io
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        require_ints(seed=seed)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
@@ -147,6 +150,32 @@ def _overflow_raises(what: str):
             yield
     except FloatingPointError as exc:
         raise NumericError(f"overflow in {what}: {exc}") from exc
+
+
+# One worker thread beside the caller. Its thread starts at the first
+# `beside` call, not at import.
+_LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mndbn-lane")
+
+
+def beside(fn, *args, **kwargs) -> Future:
+    """Run fn(*args, **kwargs) on the worker lane, under the caller's numpy
+    error state (which is per thread), and return its future. The caller
+    joins with `result()`, which returns fn's value or re-raises its error,
+    so an overflow under `_overflow_raises` is a NumericError here too.
+
+    The lane is one thread, so its jobs run in the order given. Hand it
+    only work independent of what the caller does until it joins: the
+    gemms and ufuncs release the interpreter lock and run on the second
+    core, each with its own shape and BLAS thread count, so every bit is
+    what the caller would have computed. Lane work must not itself wait on
+    the lane."""
+    state = np.geterr()
+
+    def run():
+        with np.errstate(**state):
+            return fn(*args, **kwargs)
+
+    return _LANE.submit(run)
 
 
 def block_rows(row_length: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, require_finite, sample_bernoulli, sigmoid
+from .core import Rng, beside, require_finite, sample_bernoulli, sigmoid
 
 
 @dataclass
@@ -123,17 +123,9 @@ def gibbs_chain(m: Rbm, x0, rng: Rng):
     and the hidden probabilities at the reconstruction. Accepts a single
     vector or a batch.
     """
-    return _chain(m, np.asarray(x0, dtype=float), rng, None, None, None)
-
-
-def _chain(m: Rbm, x, rng: Rng, h0, h, x_tilde):
-    """gibbs_chain writing into the buffers given for h0, h and x_tilde
-    (None makes a new one). h first receives the hidden sample; once
-    x_tilde has been formed from it, the sample is dead and h_tilde
-    overwrites it."""
-    h0 = prob_h_given_x(m, x, out=h0)
-    h = sample_bernoulli(h0, rng, out=h)
-    x_tilde = prob_x_given_h(m, h, out=x_tilde)
+    h0 = prob_h_given_x(m, np.asarray(x0, dtype=float))
+    h = sample_bernoulli(h0, rng)
+    x_tilde = prob_x_given_h(m, h)
     return x_tilde, h0, prob_h_given_x(m, x_tilde, out=h)
 
 
@@ -143,14 +135,17 @@ class _CdBuffers:
 
     - `h0` holds the hidden probabilities at the data.
     - `chain` holds the hidden sample, then h_tilde, the hidden
-      probabilities at the reconstruction (see `_chain`).
+      probabilities at the reconstruction.
     - `x_tilde` holds the reconstruction.
     - `stats` receives the statistics and `scratch` the negative-phase
       product x_tilde.T @ h_tilde.
 
     Once the statistics have been applied, the rest is free:
     `mixed_norm.penalty_grad` works in h0, chain and scratch, and
-    `mixed_norm._epoch_metrics` in h0, chain and x_tilde."""
+    `mixed_norm._epoch_metrics` in h0, chain and x_tilde: the caller in
+    the rows of one row block from row 0, the worker lane (`core.beside`)
+    in those of a second block after it. `mixed_norm.train_mnrbm` sizes
+    them for the larger of a batch and two row blocks."""
 
     h0: np.ndarray
     chain: np.ndarray
@@ -182,6 +177,14 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
     while x_tilde and h_tilde have been overwritten by the differences
     batch - x_tilde and h0 - h_tilde. With `out` the step makes no array
     the size of the batch or of the weights.
+
+    Once h0 exists, the positive statistic batch.T @ h0 goes into stats.dw
+    on the worker lane (`core.beside`), while the caller samples, forms
+    x_tilde and h_tilde and the negative-phase product in scratch; the
+    caller, too, only reads batch and h0 meanwhile. It joins after that
+    product (or on its way out with an error) and before
+    `stats.dw -= scratch`. The sample stays on the caller, so the Rng
+    stream never leaves it.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -190,10 +193,17 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
         raise ValueError(f"batch has {batch.shape[1]} columns, expected {m.n_visible}")
     n = batch.shape[0]
     buf = _CdBuffers.like(m, n) if out is None else out
-    x_tilde, h0_probs, ht_probs = _chain(m, batch, rng, buf.h0[:n], buf.chain[:n], buf.x_tilde[:n])
     stats = buf.stats
-    np.matmul(batch.T, h0_probs, out=stats.dw)
-    stats.dw -= np.matmul(x_tilde.T, ht_probs, out=buf.scratch)
+    h0_probs = prob_h_given_x(m, batch, out=buf.h0[:n])
+    positive = beside(np.matmul, batch.T, h0_probs, out=stats.dw)
+    try:
+        h = sample_bernoulli(h0_probs, rng, out=buf.chain[:n])
+        x_tilde = prob_x_given_h(m, h, out=buf.x_tilde[:n])
+        ht_probs = prob_h_given_x(m, x_tilde, out=h)  # the sample is dead once x_tilde is formed
+        np.matmul(x_tilde.T, ht_probs, out=buf.scratch)
+    finally:
+        positive.result()  # joins even when the caller failed, so no lane work outlives the step
+    stats.dw -= buf.scratch
     stats.dw /= n
     np.mean(np.subtract(batch, x_tilde, out=x_tilde), axis=0, out=stats.db_vis)
     np.mean(np.subtract(h0_probs, ht_probs, out=ht_probs), axis=0, out=stats.da_hid)

@@ -72,6 +72,22 @@ class TestRng:
         assert (s0 == again).all()
         assert not (s0 == s1).all()
 
+    @pytest.mark.parametrize("seed", [2.9, 2.0, True, np.float64(3.0)])
+    def test_non_integer_seed_is_a_config_error_naming_seed(self, seed):
+        # int() would have truncated 2.9 to seed 2 and taken True as seed 1.
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            Rng(seed)
+
+    def test_numpy_integer_seed_gives_the_int_seeds_stream(self):
+        rng = Rng(np.int64(5))
+        assert rng.seed == 5 and type(rng.seed) is int
+        assert (rng.uniform((4,)) == Rng(5).uniform((4,))).all()
+
+    @pytest.mark.parametrize("seed", [True, 1.7])
+    def test_make_synthetic_rejects_a_non_integer_seed(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            make_synthetic(10, seed=seed)
+
     def test_block_draw_prefix_property(self):
         # One C-order block draw: the single-row block is a prefix of the
         # two-row block from the same seed.
