@@ -178,6 +178,35 @@ def beside(fn, *args, **kwargs) -> Future:
     return _LANE.submit(run)
 
 
+# A gemm goes to the lane only if it has this many multiply-adds (about
+# 0.3 ms at one BLAS thread), since a hand-off to the lane and back takes
+# 50-100 us: CD's positive statistic and a metrics block at 784x500 or
+# 500x500 have 25-39 million, the 64x2000 layer's 4-13 million.
+_LANE_MACS = 1 << 24
+
+
+def matmul_beside(a, b, out):
+    """np.matmul(a, b, out=out) for 2-D a and b: on the worker lane
+    (`beside`) if it has at least _LANE_MACS multiply-adds, and otherwise
+    on the caller when it joins. Either way the caller joins with
+    `result()`, which returns out. The choice depends on the shapes alone,
+    and the product's bits on neither."""
+    if a.shape[0] * a.shape[1] * b.shape[1] >= _LANE_MACS:
+        return beside(np.matmul, a, b, out=out)
+    return _OnJoin(a, b, out)
+
+
+class _OnJoin:
+    """A `matmul_beside` product too small for the lane."""
+
+    def __init__(self, a, b, out):
+        self.args = a, b, out
+
+    def result(self):
+        a, b, out = self.args
+        return np.matmul(a, b, out=out)
+
+
 def block_rows(row_length: int) -> int:
     """Rows in one `row_blocks` block of rows of row_length values."""
     return max(1, _BLOCK_VALUES // row_length)

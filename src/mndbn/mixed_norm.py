@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Rng, _overflow_raises, beside, block_rows, require_ints, row_blocks, write_csv
+from .core import (
+    Rng,
+    _overflow_raises,
+    block_rows,
+    matmul_beside,
+    require_ints,
+    row_blocks,
+    sigmoid,
+    write_csv,
+)
 from .data import shuffle_split
 from .errors import ConfigError
 from .groups import GroupPartition, divide_accumulate, group_norms
@@ -37,7 +45,6 @@ from .rbm import (
     apply_update,
     cd_step,
     prob_h_given_x,
-    prob_x_given_h,
 )
 
 
@@ -201,58 +208,55 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, buf: _CdBuffe
     mean-field reconstruction (probabilities everywhere, no sampling).
     The images go through one `core.row_blocks` block of the wider layer
     side at a time, in the layer's `rbm._CdBuffers`, which are free
-    between steps (see `_block_sums`). The caller takes the first half of
-    the blocks in the buffers' rows from row 0; the worker lane
-    (`core.beside`) takes the second half in the rows of a second block
-    after those, so the buffers must have the rows of two blocks
-    (`core.block_rows`), or of all the images when they are fewer. The
-    caller joins once its own half is done, or has failed. The two halves
-    take turns at the group norms, so at most one block's group-sized
-    temporaries exist at a time, and the pass's peak memory does not grow
-    with the number of images. Each sum is taken per block and the block
-    sums added in block order, so their last bits depend on the block size
-    but not on which thread took a block.
+    between steps and must have the rows of two blocks (`core.block_rows`),
+    or of all the images when they are fewer: p goes into h0, in the first
+    or the second block's rows by turns, xhat into x_tilde (the squared
+    error is then formed over it), and the squares for the mixed-norm
+    value into chain. So the pass makes only group-sized temporaries,
+    whatever the number of images. Each sum is taken per block and the
+    block sums added in order, so their last bits depend on the block size.
+
+    The worker lane (`core.matmul_beside`, if the gemm is large enough to
+    repay the hand-off) forms each block's reconstruction input p @ w.T
+    while the caller forms the next block's p, in the other block's rows
+    of h0, and the caller joins right after that (also on its way out
+    with an error), before its elementwise sums. So the lane's gemm runs
+    beside the caller's gemm, as in `rbm.cd_step`. The caller finishes
+    each reconstruction as `prob_x_given_h` does, so every bit is the same.
     """
+    sq_err = 0.0
+    act_sum = 0.0
+    mn_sum = 0.0
     n = images.shape[0]
     width = max(m.n_visible, m.n_hidden)
     blocks = row_blocks(n, width)
-    half = (len(blocks) + 1) // 2
-    turn = threading.Lock()
-    lane = beside(_block_sums, m, images, blocks[half:], cfg, buf, block_rows(width), turn)
-    try:
-        first = _block_sums(m, images, blocks[:half], cfg, buf, 0, turn)
-    finally:
-        second = lane.result()
-    sq_err = act_sum = mn_sum = 0.0
-    for sq, act, mn in first + second:
-        sq_err += sq
-        act_sum += act
-        mn_sum += mn
+
+    def hidden(i):
+        xb = images[blocks[i]]
+        lo = i % 2 * block_rows(width)
+        return prob_h_given_x(m, xb, out=buf.h0[lo : lo + len(xb)])
+
+    p = hidden(0)
+    for i, block in enumerate(blocks):
+        xb = images[block]
+        rows = len(xb)
+        recon = matmul_beside(p, m.w.T, out=buf.x_tilde[:rows])
+        try:
+            following = hidden(i + 1) if i + 1 < len(blocks) else None
+        finally:
+            xhat = recon.result()
+        xhat += m.b_vis
+        sigmoid(xhat, out=xhat)
+        np.subtract(xb, xhat, out=xhat)
+        sq_err += float(np.square(xhat, out=xhat).sum())
+        act_sum += float(p.sum())
+        mn_sum += float(np.sum(_group_norm_sums(p, cfg.partition, buf.chain[:rows])))
+        p = following
     return (
         sq_err / (n * m.n_visible),
         act_sum / (n * m.n_hidden),
         mn_sum / n,
     )
-
-
-def _block_sums(m: Rbm, images: np.ndarray, blocks: list, cfg: PenaltyConfig,
-                buf: _CdBuffers, lo: int, turn: threading.Lock) -> list:
-    """(squared error, activation, mixed-norm) sums of each of `blocks`
-    of the images, one block at a time, in the buffers' rows from `lo`:
-    p goes into h0, xhat into x_tilde (the squared error is then formed
-    over it), and the squares for the mixed-norm value into chain, the
-    group norms taken while holding `turn`."""
-    sums = []
-    for block in blocks:
-        xb = images[block]
-        rows = slice(lo, lo + len(xb))
-        p = prob_h_given_x(m, xb, out=buf.h0[rows])
-        xhat = prob_x_given_h(m, p, out=buf.x_tilde[rows])
-        np.subtract(xb, xhat, out=xhat)
-        with turn:
-            mn = float(np.sum(_group_norm_sums(p, cfg.partition, buf.chain[rows])))
-        sums.append((float(np.square(xhat, out=xhat).sum()), float(p.sum()), mn))
-    return sums
 
 
 # Momentum before and from TrainConfig.momentum_switch_epoch.
@@ -277,8 +281,7 @@ def train_mnrbm(images, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
     m = Rbm.init_random(images.shape[1], cfg.partition.j_original, rng)
     velocity = CdStats.zeros(m)
     n = images.shape[0]
-    # One set of buffers holds a batch and the two blocks of the metrics
-    # pass that the caller and the worker lane work in at once.
+    # One set of buffers holds a batch and two blocks of the metrics pass.
     rows = min(n, max(params.batch_size, 2 * block_rows(max(m.n_visible, m.n_hidden))))
     buf, batch_buf = _CdBuffers.like(m, rows), np.empty((min(n, params.batch_size), m.n_visible))
     log: list[EpochStats] = []

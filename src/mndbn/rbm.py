@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, beside, require_finite, sample_bernoulli, sigmoid
+from .core import Rng, matmul_beside, require_finite, sample_bernoulli, sigmoid
 
 
 @dataclass
@@ -138,14 +138,17 @@ class _CdBuffers:
       probabilities at the reconstruction.
     - `x_tilde` holds the reconstruction.
     - `stats` receives the statistics and `scratch` the negative-phase
-      product x_tilde.T @ h_tilde.
+      product x_tilde.T @ h_tilde. The positive-phase product goes into
+      stats.dw on the worker lane while the caller forms x_tilde, h_tilde
+      and scratch; `cd_step` joins before it subtracts scratch.
 
     Once the statistics have been applied, the rest is free:
     `mixed_norm.penalty_grad` works in h0, chain and scratch, and
-    `mixed_norm._epoch_metrics` in h0, chain and x_tilde: the caller in
-    the rows of one row block from row 0, the worker lane (`core.beside`)
-    in those of a second block after it. `mixed_norm.train_mnrbm` sizes
-    them for the larger of a batch and two row blocks."""
+    `mixed_norm._epoch_metrics` in h0, chain and x_tilde, where the
+    worker lane (`core.matmul_beside`) fills the rows of the next row block of
+    h0 while the caller works in those of the current one.
+    `mixed_norm.train_mnrbm` sizes them for the larger of a batch and two
+    row blocks."""
 
     h0: np.ndarray
     chain: np.ndarray
@@ -178,13 +181,16 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
     batch - x_tilde and h0 - h_tilde. With `out` the step makes no array
     the size of the batch or of the weights.
 
-    Once h0 exists, the positive statistic batch.T @ h0 goes into stats.dw
-    on the worker lane (`core.beside`), while the caller samples, forms
-    x_tilde and h_tilde and the negative-phase product in scratch; the
-    caller, too, only reads batch and h0 meanwhile. It joins after that
-    product (or on its way out with an error) and before
-    `stats.dw -= scratch`. The sample stays on the caller, so the Rng
-    stream never leaves it.
+    Once the caller has sampled from h0, the positive statistic
+    batch.T @ h0 goes into stats.dw on the worker lane
+    (`core.matmul_beside`, if it is large enough to repay the hand-off),
+    while the caller forms x_tilde, h_tilde and the negative-phase product
+    in scratch; the caller, too, only reads batch and h0 meanwhile. It
+    joins after that product (or on its way out with an error, so no lane
+    work outlives the step) and before `stats.dw -= scratch`. The sample
+    stays on the caller, so the Rng stream never leaves it, and the lane's
+    gemm meets the caller's gemms rather than the sampling, which at two
+    BLAS threads would have to share both cores with it.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -195,14 +201,14 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
     buf = _CdBuffers.like(m, n) if out is None else out
     stats = buf.stats
     h0_probs = prob_h_given_x(m, batch, out=buf.h0[:n])
-    positive = beside(np.matmul, batch.T, h0_probs, out=stats.dw)
+    h = sample_bernoulli(h0_probs, rng, out=buf.chain[:n])
+    positive = matmul_beside(batch.T, h0_probs, out=stats.dw)
     try:
-        h = sample_bernoulli(h0_probs, rng, out=buf.chain[:n])
         x_tilde = prob_x_given_h(m, h, out=buf.x_tilde[:n])
         ht_probs = prob_h_given_x(m, x_tilde, out=h)  # the sample is dead once x_tilde is formed
         np.matmul(x_tilde.T, ht_probs, out=buf.scratch)
     finally:
-        positive.result()  # joins even when the caller failed, so no lane work outlives the step
+        positive.result()
     stats.dw -= buf.scratch
     stats.dw /= n
     np.mean(np.subtract(batch, x_tilde, out=x_tilde), axis=0, out=stats.db_vis)

@@ -4,13 +4,14 @@ the caller."""
 
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from conftest import src_env
 from mndbn.cli import THREAD_ENV_VARS
-from mndbn.core import _overflow_raises, beside
+from mndbn.core import _overflow_raises, beside, matmul_beside
 from mndbn.errors import NumericError
 
 # cd_step and the epoch metrics, each against the same numpy calls made
@@ -88,3 +89,23 @@ def test_lane_runs_its_jobs_in_order_and_returns_their_values():
     assert [job.result() for job in jobs] == [None] * 5
     assert order == list(range(5))
     assert beside(max, 3, 7, key=lambda v: -v).result() == 3
+
+
+def test_small_products_are_formed_on_the_caller_when_it_joins():
+    a, b = np.ones((4, 3)), np.ones((3, 2))
+    out = np.full((4, 2), np.nan)
+    job = matmul_beside(a, b, out)
+    assert np.isnan(out).all()
+    assert job.result() is out
+    assert (out == 3.0).all()
+
+
+def test_large_products_run_on_the_lane_with_the_callers_bits():
+    # 100 x 784 x 500: CD's positive statistic on a 784x500 layer.
+    rng = np.random.default_rng(0)
+    a, b = rng.random((100, 784)), rng.random((784, 500))
+    out = np.empty((100, 500))
+    job = matmul_beside(a, b, out)
+    assert isinstance(job, Future)
+    assert job.result() is out
+    assert out.tobytes() == (a @ b).tobytes()
