@@ -144,11 +144,11 @@ class _CdBuffers:
 
     Once the statistics have been applied, the rest is free:
     `mixed_norm.penalty_grad` works in h0, chain and scratch, and
-    `mixed_norm._epoch_metrics` in h0, chain and x_tilde, where the
-    worker lane (`core.matmul_beside`) fills the rows of the next row block of
-    h0 while the caller works in those of the current one.
-    `mixed_norm.train_mnrbm` sizes them for the larger of a batch and two
-    row blocks."""
+    `mixed_norm._epoch_metrics` in h0, chain and x_tilde. There h0 holds
+    two row blocks' hidden probabilities, the current block's and the
+    next one's, while the worker lane forms the current block's
+    reconstruction in x_tilde; `mixed_norm.train_mnrbm` sizes the buffers
+    for the larger of a batch and two row blocks."""
 
     h0: np.ndarray
     chain: np.ndarray
