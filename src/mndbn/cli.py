@@ -37,7 +37,6 @@ import functools
 import hashlib
 import inspect
 import json
-import math
 import os
 import sys
 import time
@@ -539,16 +538,16 @@ def cmd_report(args) -> int:
     _make_dir(out_dir)
     for (stem, path), model in zip(stems.items(), models):
         layer = model.layers[0]
-        side = math.isqrt(layer.n_visible)
-        if side * side == layer.n_visible:
-            cols = min(_TILE_GRID[1], layer.n_hidden)
-            rows = min(_TILE_GRID[0], layer.n_hidden // cols)
-            name = f"{stem}_tiles.pgm"
+        cols = min(_TILE_GRID[1], layer.n_hidden)
+        rows = min(_TILE_GRID[0], layer.n_hidden // cols)
+        name = f"{stem}_tiles.pgm"
+        try:
             mndbn.weight_tiles(layer, (rows, cols), out_dir / name)
+        except ConfigError as exc:
+            warnings.append(f"{path}: {exc}, skipping tiles")
+        else:
             artifacts.append(name)
             print(f"wrote {out_dir / name}")
-        else:
-            warnings.append(f"{path}: visible size {layer.n_visible} is not square, skipping tiles")
         try:
             hist = _histogram_path(path).read_bytes()
         except OSError as exc:

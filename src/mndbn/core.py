@@ -1,7 +1,7 @@
 """The logistic nonlinearity, seeded sampling, finiteness, overflow and
 integer checks, the row blocking that bounds temporaries, the worker lane
-that runs independent work beside the caller, the atomic file replacement
-every output goes through, and the one CSV writer.
+that forms a large product while the caller goes on (`matmul_beside`), the
+atomic file replacement every output goes through, and the one CSV writer.
 
 Everything numeric operates on float64 numpy arrays.
 """
@@ -11,7 +11,7 @@ import contextlib
 import csv
 import io
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -153,30 +153,8 @@ def _overflow_raises(what: str):
 
 
 # One worker thread beside the caller. Its thread starts at the first
-# `beside` call, not at import.
+# product handed to it, not at import.
 _LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mndbn-lane")
-
-
-def beside(fn, *args, **kwargs) -> Future:
-    """Run fn(*args, **kwargs) on the worker lane, under the caller's numpy
-    error state (which is per thread), and return its future. The caller
-    joins with `result()`, which returns fn's value or re-raises its error,
-    so an overflow under `_overflow_raises` is a NumericError here too.
-
-    The lane is one thread, so its jobs run in the order given. Hand it
-    only work independent of what the caller does until it joins: the
-    gemms and ufuncs release the interpreter lock and run on the second
-    core, each with its own shape and BLAS thread count, so every bit is
-    what the caller would have computed. Lane work must not itself wait on
-    the lane."""
-    state = np.geterr()
-
-    def run():
-        with np.errstate(**state):
-            return fn(*args, **kwargs)
-
-    return _LANE.submit(run)
-
 
 # A gemm goes to the lane only if it has this many multiply-adds (about
 # 0.3 ms at one BLAS thread), since a hand-off to the lane and back takes
@@ -185,26 +163,36 @@ def beside(fn, *args, **kwargs) -> Future:
 _LANE_MACS = 1 << 24
 
 
+@contextlib.contextmanager
 def matmul_beside(a, b, out):
-    """np.matmul(a, b, out=out) for 2-D a and b: on the worker lane
-    (`beside`) if it has at least _LANE_MACS multiply-adds, and otherwise
-    on the caller when it joins. Either way the caller joins with
-    `result()`, which returns out. The choice depends on the shapes alone,
-    and the product's bits on neither."""
-    if a.shape[0] * a.shape[1] * b.shape[1] >= _LANE_MACS:
-        return beside(np.matmul, a, b, out=out)
-    return _OnJoin(a, b, out)
+    """np.matmul(a, b, out=out) for 2-D a and b, formed while the with-body
+    runs; the block yields out, which holds the product once it exits.
 
+    A product of at least _LANE_MACS multiply-adds runs on the worker lane,
+    under the caller's numpy error state (which is per thread), so an
+    overflow under `_overflow_raises` is a NumericError here too; a smaller
+    one is formed on the caller before the body starts. The block joins on
+    exit, also when the body raises (whose error then propagates), and
+    re-raises the lane's error there. The body must not write a or b, nor
+    touch out: the gemm releases the interpreter lock and runs on the second
+    core with its own shape and BLAS thread count, so its bits are what the
+    caller would have computed."""
+    if a.shape[0] * a.shape[1] * b.shape[1] < _LANE_MACS:
+        yield np.matmul(a, b, out=out)
+        return
+    state = np.geterr()
 
-class _OnJoin:
-    """A `matmul_beside` product too small for the lane."""
+    def run():
+        with np.errstate(**state):
+            np.matmul(a, b, out=out)
 
-    def __init__(self, a, b, out):
-        self.args = a, b, out
-
-    def result(self):
-        a, b, out = self.args
-        return np.matmul(a, b, out=out)
+    job = _LANE.submit(run)
+    try:
+        yield out
+    except BaseException:
+        job.exception()  # joins; the body's error is the one that propagates
+        raise
+    job.result()
 
 
 def block_rows(row_length: int) -> int:

@@ -121,8 +121,9 @@ def group_norms(values, p: GroupPartition, squares=None) -> np.ndarray:
     after another (`_group_sums`); a reshape-and-sum would add them
     pairwise, which rounds differently from group_size 8 on. The squares
     of all the given rows are formed at once, in `squares` when it is given
-    (a (rows, j_original) float array, not values itself), so a caller
-    that wants them to stay in cache passes one row block at a time.
+    (a (rows, j_original) float array, or values itself, which the squares
+    then overwrite), so a caller that wants them to stay in cache passes
+    one row block at a time.
     """
     values = _check_last_axis(values, p.j_original)
     rows = values.reshape(-1, p.j_original)

@@ -117,7 +117,7 @@ def mixed_norm(h_probs, cfg: PenaltyConfig):
 def _group_norm_sums(h_probs: np.ndarray, part: GroupPartition, squares=None) -> np.ndarray:
     """Each row's group norms added in ascending group order, one after
     another: (..., j) -> (...). All the given rows go through at once;
-    `squares` is handed to `group_norms`."""
+    `squares` (which may be h_probs itself) is handed to `group_norms`."""
     return np.cumsum(group_norms(h_probs, part, squares), axis=-1)[..., -1].copy()
 
 
@@ -208,49 +208,42 @@ def _epoch_metrics(m: Rbm, images: np.ndarray, cfg: PenaltyConfig, buf: _CdBuffe
     mean-field reconstruction (probabilities everywhere, no sampling).
     The images go through one `core.row_blocks` block of the wider layer
     side at a time, in the layer's `rbm._CdBuffers`, which are free
-    between steps and must have the rows of two blocks (`core.block_rows`),
-    or of all the images when they are fewer: p goes into h0, in the first
-    or the second block's rows by turns, xhat into x_tilde (the squared
-    error is then formed over it), and the squares for the mixed-norm
-    value into chain. So the pass makes only group-sized temporaries,
-    whatever the number of images. Each sum is taken per block and the
-    block sums added in order, so their last bits depend on the block size.
+    between steps and must have the rows of one block (`core.block_rows`),
+    or of all the images when they are fewer: p goes into h0 and chain by
+    turns, xhat into x_tilde (the squared error is then formed over it),
+    and once p has been summed, the squares for the mixed-norm value
+    overwrite it. So the pass makes only group-sized temporaries, whatever
+    the number of images. Each sum is taken per block and the block sums
+    added in order, so their last bits depend on the block size.
 
-    The worker lane (`core.matmul_beside`, if the gemm is large enough to
-    repay the hand-off) forms each block's reconstruction input p @ w.T
-    while the caller forms the next block's p, in the other block's rows
-    of h0, and the caller joins right after that (also on its way out
-    with an error), before its elementwise sums. So the lane's gemm runs
-    beside the caller's gemm, as in `rbm.cd_step`. The caller finishes
-    each reconstruction as `prob_x_given_h` does, so every bit is the same.
+    Each block's reconstruction input p @ w.T is formed in a
+    `core.matmul_beside` block (on the worker lane, if the gemm is large
+    enough to repay the hand-off) whose body forms the next block's p in
+    the other buffer, so the lane's gemm runs beside the caller's, as in
+    `rbm.cd_step`. The caller finishes each reconstruction as
+    `prob_x_given_h` does, so every bit is the same.
     """
     sq_err = 0.0
     act_sum = 0.0
     mn_sum = 0.0
     n = images.shape[0]
-    width = max(m.n_visible, m.n_hidden)
-    blocks = row_blocks(n, width)
+    blocks = row_blocks(n, max(m.n_visible, m.n_hidden))
 
     def hidden(i):
         xb = images[blocks[i]]
-        lo = i % 2 * block_rows(width)
-        return prob_h_given_x(m, xb, out=buf.h0[lo : lo + len(xb)])
+        return prob_h_given_x(m, xb, out=(buf.h0, buf.chain)[i % 2][: len(xb)])
 
     p = hidden(0)
     for i, block in enumerate(blocks):
         xb = images[block]
-        rows = len(xb)
-        recon = matmul_beside(p, m.w.T, out=buf.x_tilde[:rows])
-        try:
+        with matmul_beside(p, m.w.T, buf.x_tilde[: len(xb)]) as xhat:
             following = hidden(i + 1) if i + 1 < len(blocks) else None
-        finally:
-            xhat = recon.result()
         xhat += m.b_vis
         sigmoid(xhat, out=xhat)
         np.subtract(xb, xhat, out=xhat)
         sq_err += float(np.square(xhat, out=xhat).sum())
         act_sum += float(p.sum())
-        mn_sum += float(np.sum(_group_norm_sums(p, cfg.partition, buf.chain[:rows])))
+        mn_sum += float(np.sum(_group_norm_sums(p, cfg.partition, p)))
         p = following
     return (
         sq_err / (n * m.n_visible),
@@ -281,8 +274,8 @@ def train_mnrbm(images, cfg: PenaltyConfig, params: TrainConfig, rng: Rng):
     m = Rbm.init_random(images.shape[1], cfg.partition.j_original, rng)
     velocity = CdStats.zeros(m)
     n = images.shape[0]
-    # One set of buffers holds a batch and two blocks of the metrics pass.
-    rows = min(n, max(params.batch_size, 2 * block_rows(max(m.n_visible, m.n_hidden))))
+    # One set of buffers holds a batch and a block of the metrics pass.
+    rows = min(n, max(params.batch_size, block_rows(max(m.n_visible, m.n_hidden))))
     buf, batch_buf = _CdBuffers.like(m, rows), np.empty((min(n, params.batch_size), m.n_visible))
     log: list[EpochStats] = []
     with _overflow_raises("training"):

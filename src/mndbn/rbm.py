@@ -138,17 +138,13 @@ class _CdBuffers:
       probabilities at the reconstruction.
     - `x_tilde` holds the reconstruction.
     - `stats` receives the statistics and `scratch` the negative-phase
-      product x_tilde.T @ h_tilde. The positive-phase product goes into
-      stats.dw on the worker lane while the caller forms x_tilde, h_tilde
-      and scratch; `cd_step` joins before it subtracts scratch.
+      product x_tilde.T @ h_tilde.
 
     Once the statistics have been applied, the rest is free:
     `mixed_norm.penalty_grad` works in h0, chain and scratch, and
-    `mixed_norm._epoch_metrics` in h0, chain and x_tilde. There h0 holds
-    two row blocks' hidden probabilities, the current block's and the
-    next one's, while the worker lane forms the current block's
-    reconstruction in x_tilde; `mixed_norm.train_mnrbm` sizes the buffers
-    for the larger of a batch and two row blocks."""
+    `mixed_norm._epoch_metrics` in h0, chain and x_tilde, one row block
+    at a time; `mixed_norm.train_mnrbm` sizes the buffers for the larger
+    of a batch and one row block."""
 
     h0: np.ndarray
     chain: np.ndarray
@@ -182,15 +178,14 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
     the size of the batch or of the weights.
 
     Once the caller has sampled from h0, the positive statistic
-    batch.T @ h0 goes into stats.dw on the worker lane
-    (`core.matmul_beside`, if it is large enough to repay the hand-off),
-    while the caller forms x_tilde, h_tilde and the negative-phase product
-    in scratch; the caller, too, only reads batch and h0 meanwhile. It
-    joins after that product (or on its way out with an error, so no lane
-    work outlives the step) and before `stats.dw -= scratch`. The sample
-    stays on the caller, so the Rng stream never leaves it, and the lane's
-    gemm meets the caller's gemms rather than the sampling, which at two
-    BLAS threads would have to share both cores with it.
+    batch.T @ h0 goes into stats.dw in a `core.matmul_beside` block (on
+    the worker lane, if it is large enough to repay the hand-off), whose
+    body forms x_tilde, h_tilde and the negative-phase product in scratch,
+    reading batch and h0 but writing neither. The block ends before
+    `stats.dw -= scratch`. The sample stays on the caller, so the Rng
+    stream never leaves it, and the lane's gemm meets the caller's gemms
+    rather than the sampling, which at two BLAS threads would have to
+    share both cores with it.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -202,13 +197,10 @@ def cd_step(m: Rbm, batch, rng: Rng, out=None) -> CdStats:
     stats = buf.stats
     h0_probs = prob_h_given_x(m, batch, out=buf.h0[:n])
     h = sample_bernoulli(h0_probs, rng, out=buf.chain[:n])
-    positive = matmul_beside(batch.T, h0_probs, out=stats.dw)
-    try:
+    with matmul_beside(batch.T, h0_probs, stats.dw):
         x_tilde = prob_x_given_h(m, h, out=buf.x_tilde[:n])
         ht_probs = prob_h_given_x(m, x_tilde, out=h)  # the sample is dead once x_tilde is formed
         np.matmul(x_tilde.T, ht_probs, out=buf.scratch)
-    finally:
-        positive.result()
     stats.dw -= buf.scratch
     stats.dw /= n
     np.mean(np.subtract(batch, x_tilde, out=x_tilde), axis=0, out=stats.db_vis)

@@ -996,6 +996,20 @@ class TestReport:
         artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert sorted(artifacts) == ["m_tiles.pgm", "results.csv", "results.txt"]
 
+    def test_model_of_non_square_images_warns_and_skips_its_tiles(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        save_dbn(Dbn([random_rbm(0, 10, 8)]), run / "m.mndbn")
+        (run / "m_activations.csv").write_bytes(b"unit,mean\n0,0.5\n")
+        out = tmp_path / "report"
+        assert main(["report", str(run), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"warning: {run / 'm.mndbn'}: visible size 10")
+        assert err[0].endswith("skipping tiles")
+        assert not list(out.glob("*.pgm"))
+        assert (out / "m_activations.csv").read_bytes() == b"unit,mean\n0,0.5\n"
+
     @pytest.mark.parametrize("out", [".", "..", "../pre", "../.."])
     def test_output_holding_the_run_dir_is_config_error(self, tmp_path, pretrained_run, capsys,
                                                         monkeypatch, out):

@@ -9,7 +9,14 @@ import pytest
 from conftest import ORACLE_LAYOUTS
 from mndbn.core import Rng
 from mndbn.errors import ConfigError
-from mndbn.groups import GroupPartition, accumulate, divide_accumulate, expand, make_partition
+from mndbn.groups import (
+    GroupPartition,
+    accumulate,
+    divide_accumulate,
+    expand,
+    group_norms,
+    make_partition,
+)
 
 
 class TestNonOverlapping:
@@ -197,3 +204,14 @@ class TestExpandAccumulate:
                 assert divide_accumulate(u, d, p, out=out) is out
                 assert np.array_equal(out, want)
                 assert np.array_equal(divide_accumulate(u, d, p), want)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5], ids=["disjoint", "50pct"])
+def test_group_norms_with_squares_over_the_values_keep_the_bits(overlap):
+    # The metrics pass forms the squares over the hidden probabilities
+    # once it has read them; the values then hold the squares.
+    p = make_partition(500, 10, overlap)
+    v = Rng(31).uniform((83, 500))
+    copy = v.copy()
+    assert group_norms(copy, p, squares=copy).tobytes() == group_norms(v, p).tobytes()
+    assert copy.tobytes() == (v * v).tobytes()

@@ -1,21 +1,22 @@
-"""The worker lane beside the caller (`core.beside`): the work handed to it
-keeps every bit the caller would have computed, and its errors surface in
-the caller."""
+"""The worker lane beside the caller (`core.matmul_beside`): a product
+handed to it keeps every bit the caller would have computed, and its errors
+surface in the caller when the block exits."""
 
 import subprocess
 import sys
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from conftest import src_env
 from mndbn.cli import THREAD_ENV_VARS
-from mndbn.core import _overflow_raises, beside, matmul_beside
+from mndbn.core import _overflow_raises, matmul_beside
 from mndbn.errors import NumericError
 
 # cd_step and the epoch metrics, each against the same numpy calls made
-# one after another on one thread, in the process that runs this.
+# one after another on one thread, in the process that runs this. The
+# buffers are sized as train_mnrbm sizes them: a 100-row batch holds one
+# 83-row metrics block.
 SERIAL_VS_LANE = """
 import numpy as np
 from mndbn.core import Rng, row_blocks, sample_bernoulli
@@ -26,7 +27,7 @@ from mndbn.rbm import Rbm, _CdBuffers, cd_step, prob_h_given_x, prob_x_given_h
 m = Rbm.init_random(784, 500, Rng(1), std=0.05)
 cfg = PenaltyConfig(0.1, make_partition(500, 10, 0.5))
 images = Rng(2).uniform((1000, 784))
-buf = _CdBuffers.like(m, 166)
+buf = _CdBuffers.like(m, 100)
 
 batch = images[:100]
 stats = cd_step(m, batch, Rng(3), out=buf)
@@ -53,6 +54,29 @@ assert _epoch_metrics(m, images, cfg, buf) == serial, "epoch metrics"
 print("match")
 """
 
+# Python threads alive after the import, after a small product and after
+# a large one (100 x 784 x 500, over the lane's threshold).
+LANE_THREADS = """
+import threading
+import numpy as np
+import mndbn
+from mndbn.core import matmul_beside
+
+counts = [threading.active_count()]
+with matmul_beside(np.ones((4, 3)), np.ones((3, 2)), np.empty((4, 2))):
+    counts.append(threading.active_count())
+with matmul_beside(np.ones((100, 784)), np.ones((784, 500)), np.empty((100, 500))):
+    pass
+counts.append(threading.active_count())
+print(*counts, *sorted(t.name for t in threading.enumerate()))
+"""
+
+
+def large_operands():
+    # 100 x 784 x 500: CD's positive statistic on a 784x500 layer.
+    rng = np.random.default_rng(0)
+    return rng.random((100, 784)), rng.random((784, 500))
+
 
 def test_lane_keeps_the_bits_of_serial_calls_at_two_blas_threads():
     # Two BLAS threads is where a gemm's bits could move if running two
@@ -64,48 +88,65 @@ def test_lane_keeps_the_bits_of_serial_calls_at_two_blas_threads():
     assert proc.stdout.strip() == "match"
 
 
-def test_overflow_on_the_lane_is_a_numeric_error_in_the_caller():
-    with pytest.raises(NumericError, match="overflow in lane work"):
-        with _overflow_raises("lane work"):
-            beside(np.multiply, np.array([1e308]), 10.0).result()
+def test_lane_thread_starts_at_the_first_large_product():
+    proc = subprocess.run([sys.executable, "-c", LANE_THREADS], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "2", "MainThread", "mndbn-lane_0"]
 
 
-def test_lane_follows_the_callers_error_state():
-    with np.errstate(over="ignore"):
-        assert beside(np.multiply, np.array([1e308]), 10.0).result()[0] == np.inf
-
-
-def test_other_errors_on_the_lane_reraise_in_the_caller():
-    def fail(key):
-        raise KeyError(key)
-
-    with pytest.raises(KeyError, match="on the lane"):
-        beside(fail, "on the lane").result()
-
-
-def test_lane_runs_its_jobs_in_order_and_returns_their_values():
-    order = []
-    jobs = [beside(order.append, i) for i in range(5)]
-    assert [job.result() for job in jobs] == [None] * 5
-    assert order == list(range(5))
-    assert beside(max, 3, 7, key=lambda v: -v).result() == 3
-
-
-def test_small_products_are_formed_on_the_caller_when_it_joins():
+def test_small_products_are_formed_on_the_caller_before_the_body():
     a, b = np.ones((4, 3)), np.ones((3, 2))
     out = np.full((4, 2), np.nan)
-    job = matmul_beside(a, b, out)
-    assert np.isnan(out).all()
-    assert job.result() is out
-    assert (out == 3.0).all()
+    with matmul_beside(a, b, out) as product:
+        assert product is out
+        assert (out == 3.0).all()
 
 
 def test_large_products_run_on_the_lane_with_the_callers_bits():
-    # 100 x 784 x 500: CD's positive statistic on a 784x500 layer.
-    rng = np.random.default_rng(0)
-    a, b = rng.random((100, 784)), rng.random((784, 500))
+    a, b = large_operands()
     out = np.empty((100, 500))
-    job = matmul_beside(a, b, out)
-    assert isinstance(job, Future)
-    assert job.result() is out
+    with matmul_beside(a, b, out) as product:
+        assert product is out
     assert out.tobytes() == (a @ b).tobytes()
+
+
+def test_overflow_on_the_lane_is_a_numeric_error_in_the_caller():
+    a, b = np.full((100, 784), 1e300), np.full((784, 500), 1e10)
+    bodies = []
+    with pytest.raises(NumericError, match="overflow in lane work"):
+        with _overflow_raises("lane work"):
+            with matmul_beside(a, b, np.empty((100, 500))):
+                bodies.append("ran")
+    assert bodies == ["ran"]
+
+
+def test_lane_follows_the_callers_error_state():
+    a, b = np.full((100, 784), 1e300), np.full((784, 500), 1e10)
+    out = np.empty((100, 500))
+    with np.errstate(over="ignore"):
+        with matmul_beside(a, b, out):
+            pass
+    assert (out == np.inf).all()
+
+
+def test_other_errors_on_the_lane_reraise_in_the_caller():
+    a, b = large_operands()
+    bodies = []
+    with pytest.raises(ValueError):
+        with matmul_beside(a, b, np.empty((100, 499))):
+            bodies.append("ran")
+    assert bodies == ["ran"]
+
+
+def test_a_body_error_propagates_once_the_lane_has_joined():
+    a, b = large_operands()
+    out = np.full((100, 500), np.nan)
+    with pytest.raises(KeyError, match="in the body"):
+        with matmul_beside(a, b, out):
+            raise KeyError("in the body")
+    assert out.tobytes() == (a @ b).tobytes()
+    # A lane error as well: the body's is the one that propagates.
+    with pytest.raises(KeyError, match="in the body"):
+        with matmul_beside(a, b, np.empty((100, 499))):
+            raise KeyError("in the body")

@@ -452,14 +452,13 @@ class TestEpochMetrics:
     @pytest.mark.parametrize("overlap", [0.0, 0.5])
     def test_peak_memory_is_about_one_chunk(self, overlap):
         # 784 pixels into 500 units: the default chunk is one row block of
-        # 83 rows. The pass works in the step's buffers, which hold two
-        # blocks (the caller's and the one the worker lane fills next), and
-        # makes only group-sized temporaries, so its peak does not grow
-        # with the number of images and stays below one block's hidden array.
+        # 83 rows. The pass works in the step's buffers and makes only
+        # group-sized temporaries, so its peak does not grow with the
+        # number of images and stays below one block's hidden array.
         m = random_rbm(6, 784, 500, std=0.05)
         cfg = cfg_for(500, 10, overlap)
         rows = block_rows(784)
-        buf = _CdBuffers.like(m, 2 * rows)
+        buf = _CdBuffers.like(m, rows)
         peaks = []
         for n in (1000, 8000):
             images = Rng(7).uniform((n, 784))
