@@ -16,9 +16,9 @@ from mndbn import (
     cd_step,
     energy,
     exact_log_likelihood,
-    gibbs_chain,
     prob_h_given_x,
     prob_x_given_h,
+    sample_bernoulli,
 )
 
 rng = Rng(0)
@@ -40,7 +40,7 @@ print(f"p(x=1 | h)        = {np.round(prob_x_given_h(m, h), 3)}")
 
 # One Gibbs step, the chain of CD-1: sample hiddens, then reconstruct the
 # visibles as probabilities.
-x_tilde, h0, ht = gibbs_chain(m, x, rng=rng)
+x_tilde = prob_x_given_h(m, sample_bernoulli(prob_h_given_x(m, x), rng))
 print(f"reconstruction    = {np.round(x_tilde, 3)}")
 
 # One-step contrastive divergence (CD-1): push the data term up and the
@@ -57,6 +57,6 @@ for epoch in range(30):
 
 # The trained model reconstructs a corrupted prototype.
 noisy = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-x_tilde, _, _ = gibbs_chain(m, noisy, rng=rng)
+x_tilde = prob_x_given_h(m, sample_bernoulli(prob_h_given_x(m, noisy), rng))
 print(f"\ncorrupted input   = {noisy}")
 print(f"denoised          = {np.round(x_tilde, 2)}")

@@ -35,7 +35,6 @@ _EXPORTS = {
     "energy": "rbm",
     "prob_h_given_x": "rbm",
     "prob_x_given_h": "rbm",
-    "gibbs_chain": "rbm",
     "cd_step": "rbm",
     "apply_update": "rbm",
     "exact_log_partition_function": "rbm",
@@ -59,7 +58,6 @@ _EXPORTS = {
     "Dbn": "dbn",
     "forward": "dbn",
     "attach_head": "dbn",
-    "softmax_predict": "dbn",
     "predict_labels": "dbn",
     "pretrain_greedy": "dbn",
     "FineTuneConfig": "dbn",

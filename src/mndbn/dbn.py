@@ -76,18 +76,15 @@ def forward(d: Dbn, x) -> np.ndarray:
     No sampling is involved, so the output is a deterministic function of
     the input. Accepts a single flattened image or a batch.
     """
+    return _up(d.layers, x)
+
+
+def _up(layers, x) -> np.ndarray:
+    """x through layers, bottom up; x as floats, not copied, if there are none."""
     out = np.asarray(x, dtype=float)
-    for layer in d.layers:
+    for layer in layers:
         out = prob_h_given_x(layer, out)
     return out
-
-
-def _forward_stack(d: Dbn, x: np.ndarray) -> list[np.ndarray]:
-    """All layer activations, input first, for use by backprop."""
-    acts = [x]
-    for layer in d.layers:
-        acts.append(prob_h_given_x(layer, acts[-1]))
-    return acts
 
 
 def attach_head(d: Dbn, n_classes: int) -> Dbn:
@@ -133,11 +130,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_predict(d: Dbn, x) -> np.ndarray:
-    """Class probabilities for a single image or a batch (rows sum to 1)."""
-    return _softmax(_logits(d, x))
-
-
 def predict_labels(d: Dbn, x) -> np.ndarray:
     return np.argmax(_logits(d, x), axis=-1)
 
@@ -179,7 +171,9 @@ class FineTuneConfig:
     Each mini-batch gets cg_iters Polak-Ribiere iterations with Armijo
     backtracking, starting from steepest descent and resetting to it
     whenever the direction stops descending (beta clipped at zero).
-    head_only moves the head alone; fine_tune says what a batch costs.
+    head_only moves the head alone: a batch then runs the frozen stack once,
+    and its trials and each epoch's scoring run only the head, on features
+    that fine_tune caches (n x top-width floats per split; see fine_tune).
     epochs and seed describe the run around fine_tune, as TrainConfig.seed
     does for pretraining: the caller passes them to fine_tune (epochs by
     position, as the benchmark does) and Rng.
@@ -213,12 +207,12 @@ class FineTuneEpoch:
     test_accuracy: float
 
 
-def _slots(d: Dbn, head_only: bool) -> list:
+def _slots(d: Dbn, start: int) -> list:
     """The arrays fine-tuning moves, as (owner, attribute) pairs in vector
-    order: each layer's w then a_hid, bottom up, then the head's w_out and
-    b_out. Visible biases stay out: the feedforward pass never reads them."""
-    layers = [] if head_only else d.layers
-    trained = [(m, name) for m in layers for name in ("w", "a_hid")]
+    order: w then a_hid of each layer from the cut start (the first layer
+    that moves: 0, or len(d.layers) for the head alone) up, then the head's
+    w_out and b_out. Visible biases stay out: no forward pass reads them."""
+    trained = [(m, name) for m in d.layers[start:] for name in ("w", "a_hid")]
     return trained + [(d.head, "w_out"), (d.head, "b_out")]
 
 
@@ -233,11 +227,11 @@ def _views(slots, vector: np.ndarray) -> list[np.ndarray]:
     return views
 
 
-def _bind(d: Dbn, head_only: bool) -> np.ndarray:
-    """Gather the trained arrays into one new vector, rebind each as a
-    reshaped view of it, and return it. The model and the vector then
-    alias: an in-place write to either shows in the other."""
-    slots = _slots(d, head_only)
+def _bind(d: Dbn, start: int) -> np.ndarray:
+    """Gather the arrays trained above the cut start into one new vector,
+    rebind each as a reshaped view of it, and return it. The model and the
+    vector then alias: an in-place write to either shows in the other."""
+    slots = _slots(d, start)
     params = np.concatenate([getattr(m, name).ravel() for m, name in slots])
     for (m, name), view in zip(slots, _views(slots, params)):
         setattr(m, name, view)
@@ -250,15 +244,19 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(log_z - shifted[np.arange(y.shape[0]), y]))
 
 
-def _loss_only(d: Dbn, x, y):
-    """Mean cross-entropy, and the layer activations (input first) it was
-    computed from: the forward half of loss_and_grad."""
-    acts = _forward_stack(d, np.asarray(x, dtype=float))
+def _loss_only(d: Dbn, x, y, start: int):
+    """Mean cross-entropy, and the activations above the cut start (x, its
+    input, first) it was computed from: the forward half of loss_and_grad."""
+    acts = [np.asarray(x, dtype=float)]
+    for layer in d.layers[start:]:
+        acts.append(prob_h_given_x(layer, acts[-1]))
     return _cross_entropy(_head_logits(d, acts[-1]), y), acts
 
 
-def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
-    """Mean cross-entropy of the softmax output and its gradient.
+def loss_and_grad(d: Dbn, x, y, start: int = 0, forward=None):
+    """Mean cross-entropy of the softmax output and its gradient over the
+    layers from the cut start up and the head (see _slots), given x, the
+    input at the cut. A label outside the head's classes raises ValueError.
 
     The gradient comes back flat, in the vector order of _slots: each
     block is written straight into its piece of one vector. Backprop
@@ -273,29 +271,32 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
     backward pass then runs, and it consumes those activations: every one
     but the input is overwritten with scratch values.
     """
-    y = np.asarray(y, dtype=np.int64)
-    loss, acts = forward if forward is not None else _loss_only(d, x, y)
+    y, k = np.asarray(y), _head(d).n_classes
+    if (bad := ~np.isin(y, np.arange(k))).any():
+        raise ValueError(f"label {y[bad][0].item()!r} is not an integer in [0, {k})")
+    y = y.astype(np.int64, copy=False)
+    loss, acts = forward if forward is not None else _loss_only(d, x, y, start)
     n = y.shape[0]
     d_logits = _softmax(_head_logits(d, acts[-1]))
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
-    slots = _slots(d, head_only)
+    slots = _slots(d, start)
     grad = np.empty(sum(getattr(m, name).size for m, name in slots))
     *layer_views, w_out, b_out = _views(slots, grad)
     np.matmul(acts[-1].T, d_logits, out=w_out)
     d_logits.sum(axis=0, out=b_out)
-    if not head_only:
-        d_act = d_logits @ d.head.w_out.T
-        for idx in range(len(d.layers) - 1, -1, -1):
-            layer, a = d.layers[idx], acts[idx + 1]
-            d_pre = np.multiply(d_act, a, out=d_act)
-            d_pre *= np.subtract(1.0, a, out=a)
-            np.matmul(acts[idx].T, d_pre, out=layer_views[2 * idx])
-            d_pre.sum(axis=0, out=layer_views[2 * idx + 1])
-            if idx > 0:
-                need = a.shape[0] * layer.n_visible
-                spare = a.reshape(-1)[:need].reshape(a.shape[0], -1) if a.size >= need else None
-                d_act = np.matmul(d_pre, layer.w.T, out=spare)
+    layers = d.layers[start:]
+    d_pre, above, spare = d_logits, d.head.w_out, None
+    for idx in range(len(layers) - 1, -1, -1):
+        a = acts[idx + 1]
+        d_act = np.matmul(d_pre, above.T, out=spare)
+        d_pre = np.multiply(d_act, a, out=d_act)
+        d_pre *= np.subtract(1.0, a, out=a)
+        np.matmul(acts[idx].T, d_pre, out=layer_views[2 * idx])
+        d_pre.sum(axis=0, out=layer_views[2 * idx + 1])
+        above = layers[idx].w
+        need = a.shape[0] * above.shape[0]
+        spare = a.reshape(-1)[:need].reshape(a.shape[0], -1) if a.size >= need else None
     return loss, grad
 
 
@@ -303,22 +304,22 @@ def loss_and_grad(d: Dbn, x, y, head_only: bool = False, forward=None):
 _C1, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 30
 
 
-def _armijo(d, params, direction, loss0, slope, x, y, alpha0):
+def _armijo(d, params, direction, loss0, slope, x, y, start, alpha0):
     """Backtracking line search satisfying the Armijo condition.
 
     Starts from the adaptive trial step alpha0 and shrinks by _BACKTRACK,
-    writing each trial point into params, the vector _bind returned. Returns
-    the accepted step, its loss and the activations of its forward pass,
-    with params holding the accepted point; or (None, loss0, None) when
-    _MAX_BACKTRACKS trials never reach sufficient decrease, with params
-    restored.
+    writing each trial point into params, the vector _bind returned, and
+    scoring it on x, the input at the cut start. Returns the accepted step,
+    its loss and the activations of its forward pass, with params holding
+    the accepted point; or (None, loss0, None) when _MAX_BACKTRACKS trials
+    never reach sufficient decrease, with params restored.
     """
     theta = params.copy()
     alpha = alpha0
     for _ in range(_MAX_BACKTRACKS):
         np.multiply(direction, alpha, out=params)
         params += theta
-        trial, acts = _loss_only(d, x, y)
+        trial, acts = _loss_only(d, x, y, start)
         if np.isfinite(trial) and trial <= loss0 + _C1 * alpha * slope:
             return alpha, trial, acts
         del acts  # keep one trial's activations alive at a time
@@ -327,10 +328,10 @@ def _armijo(d, params, direction, loss0, slope, x, y, alpha0):
     return None, loss0, None
 
 
-def _cg_batch(d, params, x, y, cfg, alpha_prev):
-    """cfg.cg_iters Polak-Ribiere iterations on one mini-batch, starting
-    from steepest descent and moving the bound vector params in place.
-    Returns the last accepted step.
+def _cg_batch(d, params, x, y, start, cfg, alpha_prev):
+    """cfg.cg_iters Polak-Ribiere iterations on one mini-batch whose input
+    at the cut start is x, starting from steepest descent and moving the
+    bound vector params in place. Returns the last accepted step.
 
     The gradient at an accepted point reuses the line search's forward
     pass. After the last iteration no gradient is taken: it would only
@@ -340,7 +341,7 @@ def _cg_batch(d, params, x, y, cfg, alpha_prev):
     the parameters' size beyond the new gradient and the line search's
     start point.
     """
-    loss, g = loss_and_grad(d, x, y, cfg.head_only)
+    loss, g = loss_and_grad(d, x, y, start)
     direction = np.negative(g)
     for it in range(cfg.cg_iters):
         gg = float(g @ g)
@@ -350,13 +351,13 @@ def _cg_batch(d, params, x, y, cfg, alpha_prev):
         if slope >= 0.0:
             np.negative(g, out=direction)
             slope = -gg
-        alpha, loss, acts = _armijo(d, params, direction, loss, slope, x, y, 2.0 * alpha_prev)
+        alpha, loss, acts = _armijo(d, params, direction, loss, slope, x, y, start, 2.0 * alpha_prev)
         if alpha is None:
             break
         alpha_prev = alpha
         if it == cfg.cg_iters - 1:
             break
-        _, new_g = loss_and_grad(d, x, y, cfg.head_only, forward=(loss, acts))
+        _, new_g = loss_and_grad(d, x, y, start, forward=(loss, acts))
         del acts
         np.subtract(new_g, g, out=g)  # g becomes new_g - g: the old gradient is dead
         _conjugate(direction, new_g, max(0.0, float(new_g @ g) / gg))
@@ -390,12 +391,21 @@ def fine_tune(
     _check_split) before any parameter moves, and the trained arrays come
     back as views of one vector (see _bind).
 
-    One conjugate-gradient batch costs one forward and backward pass at
-    its start, one forward pass per Armijo trial, and one backward pass
-    for each accepted step except the last; nothing runs after the last
-    iteration. Trials write into the model's own arrays: a line search
-    copies the parameters once, and a trial allocates no vector of their
-    size. Each epoch then makes one forward pass over each split.
+    The network is cut at start, the first layer that moves: 0, or
+    len(d.layers) with cfg.head_only. The input at the cut is formed once
+    per batch, before its iterations, and once per run for each
+    _LOSS_CHUNK-row chunk of each split; at start 0 it is the images
+    themselves, as views. Head-only, the cache holds n x top-width floats
+    per split: 5.8 MB for USPS's 7,291 training images at a 100-wide top.
+
+    One conjugate-gradient batch costs, above the cut, one forward and
+    backward pass at its start, one forward pass per Armijo trial, and one
+    backward pass for each accepted step except the last; nothing runs
+    after the last iteration. Trials write into the model's own arrays: a
+    line search copies the parameters once, and a trial allocates no
+    vector of their size. Each epoch then scores each split above the cut.
+    Head-only, a batch runs the frozen stack once, then only the head, and
+    an epoch's scoring runs only the head.
 
     A conjugate-gradient step holds the parameters, the gradient and the
     direction, and one more vector of their size: the line search's start
@@ -412,17 +422,18 @@ def fine_tune(
     _check_split(d, dataset, "training")
     if eval_dataset is not None:
         _check_split(d, eval_dataset, "evaluation")
-    images, labels = dataset.images, dataset.labels
-    params = _bind(d, cfg.head_only)
+    start = len(d.layers) if cfg.head_only else 0
+    splits = [(s.labels, [_up(d.layers[:start], c) for c in _chunks(s.images)])
+              for s in (dataset, eval_dataset) if s is not None]
+    params = _bind(d, start)
     alpha_prev = 1.0
     for epoch in range(1, epochs + 1):
-        for idx in shuffle_split(images.shape[0], cfg.batch_size, rng):
-            alpha_prev = _cg_batch(d, params, images[idx], labels[idx], cfg, alpha_prev)
+        for idx in shuffle_split(dataset.images.shape[0], cfg.batch_size, rng):
+            x = _up(d.layers[:start], dataset.images[idx])
+            alpha_prev = _cg_batch(d, params, x, dataset.labels[idx], start, cfg, alpha_prev)
         require_finite("fine-tune parameters", params)
-        epoch_loss, train_acc, _ = _mean_loss(d, dataset)
-        test_acc = float("nan")
-        if eval_dataset is not None:
-            test_acc, _ = evaluate(d, eval_dataset)
+        epoch_loss, train_acc, _ = _mean_loss(d, *splits[0], start)
+        test_acc = float("nan") if eval_dataset is None else _mean_loss(d, *splits[1], start)[1]
         log.append(FineTuneEpoch(epoch, epoch_loss, train_acc, test_acc))
     return d, log
 
@@ -430,15 +441,20 @@ def fine_tune(
 _LOSS_CHUNK = 10000
 
 
-def _mean_loss(d: Dbn, dataset):
+def _chunks(images) -> list:
+    """images as the _LOSS_CHUNK-row views that _mean_loss scores."""
+    return [images[lo : lo + _LOSS_CHUNK] for lo in range(0, images.shape[0], _LOSS_CHUNK)]
+
+
+def _mean_loss(d: Dbn, labels, chunks, start: int):
     """Mean cross-entropy, accuracy and confusion matrix (rows true class,
-    cols predicted) over a split, from one pass in _LOSS_CHUNK-row chunks."""
-    n = dataset.images.shape[0]
-    total = 0.0
+    cols predicted) over a split, from one pass above the cut start over
+    chunks, its _LOSS_CHUNK-row pieces at the cut (see _chunks)."""
+    n, total = labels.shape[0], 0.0
     confusion = np.zeros((d.head.n_classes,) * 2, dtype=np.int64)
-    for lo in range(0, n, _LOSS_CHUNK):
-        logits = _logits(d, dataset.images[lo : lo + _LOSS_CHUNK])
-        y = dataset.labels[lo : lo + _LOSS_CHUNK]
+    for lo, chunk in zip(range(0, n, _LOSS_CHUNK), chunks):
+        logits = _head_logits(d, _up(d.layers[start:], chunk))
+        y = labels[lo : lo + _LOSS_CHUNK]
         total += _cross_entropy(logits, y) * y.shape[0]
         np.add.at(confusion, (y, np.argmax(logits, axis=-1)), 1)
     return total / n, int(np.trace(confusion)) / n, confusion
@@ -447,5 +463,5 @@ def _mean_loss(d: Dbn, dataset):
 def evaluate(d: Dbn, dataset):
     """Accuracy and the confusion matrix (rows true class, cols predicted)."""
     _check_split(d, dataset, "evaluation")
-    _, acc, confusion = _mean_loss(d, dataset)
+    _, acc, confusion = _mean_loss(d, dataset.labels, _chunks(dataset.images), 0)
     return acc, confusion

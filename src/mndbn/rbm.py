@@ -114,21 +114,6 @@ def prob_x_given_h(m: Rbm, h, out=None) -> np.ndarray:
     return sigmoid(z, out=z)
 
 
-def gibbs_chain(m: Rbm, x0, rng: Rng):
-    """Run one Gibbs step (CD-1's chain) from x0.
-
-    The hidden state is sampled binary; the visible reconstruction stays
-    as probabilities. Returns (x_tilde, h0_probs, h_tilde_probs): the
-    reconstruction probabilities, the hidden probabilities at the data,
-    and the hidden probabilities at the reconstruction. Accepts a single
-    vector or a batch.
-    """
-    h0 = prob_h_given_x(m, np.asarray(x0, dtype=float))
-    h = sample_bernoulli(h0, rng)
-    x_tilde = prob_x_given_h(m, h)
-    return x_tilde, h0, prob_h_given_x(m, x_tilde, out=h)
-
-
 @dataclass
 class _CdBuffers:
     """The arrays `cd_step` works in, for batches of up to `rows` rows.

@@ -306,15 +306,15 @@ def test_criterion_8_backprop_matches_finite_differences():
     x = rng.uniform((5, 6))
     y = rng.integers(0, 3, (5,))
     _, grad = loss_and_grad(d, x, y)
-    params = _bind(d, False)
+    params = _bind(d, 0)
     theta = params.copy()
     eps = 1e-5
     worst = 0.0
     for i in Rng(12).integers(0, theta.size, (100,)):
         params[i] = theta[i] + eps
-        lp = _loss_only(d, x, y)[0]
+        lp = _loss_only(d, x, y, 0)[0]
         params[i] = theta[i] - eps
-        lm = _loss_only(d, x, y)[0]
+        lm = _loss_only(d, x, y, 0)[0]
         params[i] = theta[i]
         fd = (lp - lm) / (2 * eps)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-12))

@@ -23,9 +23,10 @@ from mndbn.dbn import (
     loss_and_grad,
     predict_labels,
     pretrain_greedy,
-    softmax_predict,
     _bind,
+    _logits,
     _loss_only,
+    _softmax,
 )
 from mndbn.errors import ConfigError
 from mndbn.groups import make_partition
@@ -150,7 +151,7 @@ class TestForward:
 class TestSoftmaxHead:
     def test_zero_head_predicts_uniform(self):
         d = attach_head(Dbn([random_rbm(0, 4, 3)]), 10)
-        p = softmax_predict(d, Rng(1).uniform((5, 4)))
+        p = _softmax(_logits(d, Rng(1).uniform((5, 4))))
         assert p.shape == (5, 10)
         assert np.allclose(p, 0.1, rtol=0, atol=1e-15)
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -160,15 +161,15 @@ class TestSoftmaxHead:
         d.head.w_out[:] = Rng(3).normal((3, 4))
         d.head.b_out[:] = Rng(4).normal((4,))
         x = Rng(5).uniform((6, 4))
-        base = softmax_predict(d, x)
+        base = _softmax(_logits(d, x))
         d.head.b_out += 123.0   # constant shift of every logit
-        assert np.allclose(softmax_predict(d, x), base, rtol=0, atol=1e-12)
+        assert np.allclose(_softmax(_logits(d, x)), base, rtol=0, atol=1e-12)
 
     def test_predict_labels_is_argmax(self):
         d = attach_head(Dbn([random_rbm(6, 4, 3)]), 5)
         d.head.w_out[:] = Rng(7).normal((3, 5))
         x = Rng(8).uniform((10, 4))
-        assert (predict_labels(d, x) == softmax_predict(d, x).argmax(axis=1)).all()
+        assert (predict_labels(d, x) == _softmax(_logits(d, x)).argmax(axis=1)).all()
 
     def test_head_requires_at_least_two_classes(self):
         with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ class TestSoftmaxHead:
 
     def test_headless_prediction_rejected(self):
         with pytest.raises(ValueError):
-            softmax_predict(Dbn([random_rbm(0, 4, 3)]), np.ones((1, 4)))
+            predict_labels(Dbn([random_rbm(0, 4, 3)]), np.ones((1, 4)))
 
 
 class TestLossAndGrad:
@@ -189,14 +190,14 @@ class TestLossAndGrad:
         x = rng.uniform((5, 6))
         y = rng.integers(0, 3, (5,))
         _, g = loss_and_grad(d, x, y)
-        params = _bind(d, False)
+        params = _bind(d, 0)
         theta = params.copy()
         eps = 1e-5
         for i in Rng(12).integers(0, theta.size, (60,)):
             params[i] = theta[i] + eps
-            lp = _loss_only(d, x, y)[0]
+            lp = _loss_only(d, x, y, 0)[0]
             params[i] = theta[i] - eps
-            lm = _loss_only(d, x, y)[0]
+            lm = _loss_only(d, x, y, 0)[0]
             params[i] = theta[i]
             fd = (lp - lm) / (2 * eps)
             assert abs(fd - g[i]) <= 1e-5 * max(abs(fd), abs(g[i]), 1e-10)
@@ -205,11 +206,23 @@ class TestLossAndGrad:
         d = attach_head(Dbn([random_rbm(13, 5, 4)]), 3)
         x = Rng(14).uniform((7, 5))
         y = Rng(15).integers(0, 3, (7,))
-        loss_full, g_full = loss_and_grad(d, x, y, head_only=False)
-        loss_head, g_head = loss_and_grad(d, x, y, head_only=True)
+        loss_full, g_full = loss_and_grad(d, x, y)
+        loss_head, g_head = loss_and_grad(d, forward(d, x), y, start=len(d.layers))
         assert loss_full == loss_head
         assert g_head.size == 4 * 3 + 3
         assert np.allclose(g_head, g_full[-g_head.size:], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("label", [-1, 0.5, 5])
+    def test_label_outside_classes_rejected(self, label):
+        # Unchecked, -1 would score class 2, 0.5 class 0, and 5 would raise
+        # a bare IndexError.
+        d = attach_head(Dbn([random_rbm(0, 4, 3)]), 3)
+        with pytest.raises(ValueError, match=rf"label {label} is not an integer in \[0, 3\)"):
+            loss_and_grad(d, np.ones((2, 4)), [label, 0])
+
+    def test_headless_rejected(self):
+        with pytest.raises(ValueError, match="no classification head"):
+            loss_and_grad(Dbn([random_rbm(0, 4, 3)]), np.ones((2, 4)), [0, 1])
 
 
 class TestFineTune:
@@ -220,10 +233,10 @@ class TestFineTune:
 
     def test_zero_epochs_is_identity(self):
         train, _, d = self.small_problem()
-        before = _bind(d, False).copy()
+        before = _bind(d, 0).copy()
         tuned, log = fine_tune(d, train, 0, FineTuneConfig(), Rng(1))
         assert log == []
-        assert (_bind(tuned, False) == before).all()
+        assert (_bind(tuned, 0) == before).all()
 
     def test_loss_non_increasing_with_single_batch(self):
         # one batch per epoch: every accepted line-search step lowers the
@@ -261,7 +274,7 @@ class TestFineTune:
         t1, log1 = fine_tune(d, train, 3, FineTuneConfig(), Rng(8), eval_dataset=test)
         d2 = attach_head(Dbn([Rbm.init_random(16, 12, Rng(0), std=0.1)]), 10)
         t2, log2 = fine_tune(d2, train, 3, FineTuneConfig(), Rng(8), eval_dataset=test)
-        assert (_bind(t1, False) == _bind(t2, False)).all()
+        assert (_bind(t1, 0) == _bind(t2, 0)).all()
         assert [e.test_accuracy for e in log1] == [e.test_accuracy for e in log2]
 
     def test_cg_matches_recorded_reference(self):
@@ -273,20 +286,16 @@ class TestFineTune:
         tuned, log = fine_tune(
             d, train, 3, FineTuneConfig(batch_size=80), Rng(8), eval_dataset=test
         )
-        digest = hashlib.sha256(_bind(tuned, False).tobytes()).hexdigest()
+        digest = hashlib.sha256(_bind(tuned, 0).tobytes()).hexdigest()
         assert digest == "f8d6485ec7eb78839329b7b22c412778f34d262677fa1af9819c65daa5d13f59"
         assert [e.loss for e in log] == [2.546131261279972, 2.465030264368071, 2.6918449524165435]
         assert [e.train_accuracy for e in log] == [0.1, 0.1, 0.13]
         assert [e.test_accuracy for e in log] == [0.1, 0.1, 0.14]
 
     def test_one_pass_per_batch_trial_and_split(self, monkeypatch):
-        # Two feature layers; 200 images in batches of 80, 80 and 40.
+        # Two feature layers; 200 images in batches of 80, 80 and 40, over
+        # two epochs, fine-tuned whole and head-only.
         train, test = make_synthetic(200, 50, side=4, seed=6)
-        d = attach_head(
-            Dbn([Rbm.init_random(16, 12, Rng(0), std=0.1), Rbm.init_random(12, 8, Rng(1), std=0.1)]),
-            10,
-        )
-        cfg = FineTuneConfig(batch_size=80, cg_iters=3)
         real = {
             name: getattr(dbn_module, name)
             for name in ("prob_h_given_x", "_loss_only", "loss_and_grad", "_armijo", "_cg_batch")
@@ -324,18 +333,46 @@ class TestFineTune:
                            ("loss_and_grad", loss_and_grad), ("_armijo", armijo),
                            ("_cg_batch", cg_batch)]:
             monkeypatch.setattr(dbn_module, name, fake)
-        fine_tune(d, train, 1, cfg, Rng(8), eval_dataset=test)
-        assert [b["rows"] for b in batches] == [80, 80, 40]
-        assert all(b["accepted"] >= 1 for b in batches)
-        # One forward per batch start and per trial, then one per split.
-        layers = len(d.layers)
-        per_batch = sum((1 + b["trials"]) * b["rows"] * layers for b in batches)
-        per_split = (len(train) + len(test)) * layers
-        assert sum(rows) == per_batch + per_split
-        # A gradient at the batch start and after each accepted step but
-        # the batch's last iteration.
-        for b in batches:
-            assert b["grads"] == 1 + b["accepted"] - (b["accepted"] == cfg.cg_iters)
+        epochs = 2
+        for head_only in (False, True):
+            rows.clear()
+            batches.clear()
+            d = attach_head(Dbn([Rbm.init_random(16, 12, Rng(0), std=0.1),
+                                 Rbm.init_random(12, 8, Rng(1), std=0.1)]), 10)
+            cfg = FineTuneConfig(batch_size=80, cg_iters=3, head_only=head_only)
+            fine_tune(d, train, epochs, cfg, Rng(8), eval_dataset=test)
+            assert [b["rows"] for b in batches] == [80, 80, 40] * epochs
+            assert all(b["accepted"] >= 1 for b in batches)
+            # Below the cut (none, or the whole stack head-only): each batch's
+            # rows once, and each split's once per run. Above it: one forward
+            # per batch start and per trial, then one per split and epoch.
+            below = len(d.layers) if head_only else 0
+            above = len(d.layers) - below
+            per_batch = sum((below + (1 + b["trials"]) * above) * b["rows"] for b in batches)
+            per_split = (len(train) + len(test)) * (below + epochs * above)
+            assert sum(rows) == per_batch + per_split
+            # A gradient at the batch start and after each accepted step but
+            # the batch's last iteration.
+            for b in batches:
+                assert b["grads"] == 1 + b["accepted"] - (b["accepted"] == cfg.cg_iters)
+
+    def test_head_only_across_loss_chunks_matches_recorded_reference(self, monkeypatch):
+        # Recorded from the implementation that ran the frozen stack afresh
+        # for every trial and every epoch's scoring (numpy 2.4, OpenBLAS
+        # 0.3, x86-64); forming its features once must not move a bit.
+        # Chunks of 64 rows split the 200 training and 150 evaluation images
+        # four and three ways; batches of 80 leave a ragged one of 40.
+        monkeypatch.setattr(dbn_module, "_LOSS_CHUNK", 64)
+        train, test = make_synthetic(200, 150, side=4, seed=6)
+        d = attach_head(Dbn([Rbm.init_random(16, 12, Rng(0), std=2.0),
+                             Rbm.init_random(12, 8, Rng(1), std=2.0)]), 10)
+        cfg = FineTuneConfig(batch_size=80, cg_iters=3, head_only=True)
+        tuned, log = fine_tune(d, train, 2, cfg, Rng(8), eval_dataset=test)
+        digest = hashlib.sha256(_bind(tuned, 0).tobytes()).hexdigest()
+        assert digest == "d0b66afdf14e555976453b714df7b5f286486aeadf77a6ed14cf835987383842"
+        assert [e.loss for e in log] == [2.550378420931789, 2.4474255144421817]
+        assert [e.train_accuracy for e in log] == [0.16, 0.125]
+        assert [e.test_accuracy for e in log] == [0.14666666666666667, 0.11333333333333333]
 
     def test_eval_dataset_reported(self):
         train, test, d = self.small_problem()
@@ -357,11 +394,11 @@ class TestFineTune:
         small = full.labels < 5
         train = full if split == "train" else Dataset(full.images[small], full.labels[small])
         d = attach_head(d, 5)
-        before = _bind(d, False).copy()
+        before = _bind(d, 0).copy()
         top = int((full if split == "train" else test).labels.max())
         with pytest.raises(ValueError, match=f"5 classes, but the largest label is {top}"):
             fine_tune(d, train, 1, FineTuneConfig(batch_size=30), Rng(1), eval_dataset=test)
-        assert (_bind(d, False) == before).all()
+        assert (_bind(d, 0) == before).all()
 
     @pytest.mark.parametrize("case, message", [
         ("empty", "the evaluation split is an empty dataset"),
@@ -396,7 +433,7 @@ class TestFineTune:
 def _reference_loss_and_grad(d, x, y, forward=None):
     """The full-stack gradient with every temporary allocated afresh: the
     arithmetic loss_and_grad had before it worked in place."""
-    loss, acts = forward if forward is not None else _loss_only(d, x, y)
+    loss, acts = forward if forward is not None else _loss_only(d, x, y, 0)
     n = y.shape[0]
     d_logits = dbn_module._softmax(dbn_module._head_logits(d, acts[-1]))
     d_logits[np.arange(n), y] -= 1.0
@@ -425,7 +462,7 @@ def _reference_cg_batch(d, params, x, y, cfg, alpha_prev):
             direction = -g
             slope = -gg
         alpha, loss, acts = dbn_module._armijo(
-            d, params, direction, loss, slope, x, y, 2.0 * alpha_prev
+            d, params, direction, loss, slope, x, y, 0, 2.0 * alpha_prev
         )
         if alpha is None:
             break
@@ -468,15 +505,15 @@ class TestInPlaceFineTune:
         train, _ = make_synthetic(120, 0, side=4, seed=6)
         cfg = FineTuneConfig(cg_iters=4)
         models = [_two_layer(sizes), _two_layer(sizes)]
-        params = [_bind(d, False) for d in models]
+        params = [_bind(d, 0) for d in models]
         alphas = [1.0, 1.0]
         for lo in range(0, 120, 40):
             x, y = train.images[lo : lo + 40], train.labels[lo : lo + 40]
-            alphas[0] = dbn_module._cg_batch(models[0], params[0], x, y, cfg, alphas[0])
+            alphas[0] = dbn_module._cg_batch(models[0], params[0], x, y, 0, cfg, alphas[0])
             alphas[1] = _reference_cg_batch(models[1], params[1], x, y, cfg, alphas[1])
             assert alphas[0] == alphas[1]
             assert params[0].tobytes() == params[1].tobytes()
-        assert not (params[0] == _bind(_two_layer(sizes), False)).all()
+        assert not (params[0] == _bind(_two_layer(sizes), 0)).all()
 
     def test_direction_update_matches_reference_bitwise(self):
         special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 3.3]
@@ -501,7 +538,7 @@ class TestInPlaceFineTune:
         # activation it replaces, as on the shipped stacks.
         sizes, batch = (64, 64, 96), 16
         d = _two_layer(sizes)
-        params = _bind(d, False)
+        params = _bind(d, 0)
         x = Rng(7).uniform((batch, sizes[0]))
         y = Rng(8).integers(0, 10, (batch,))
         cfg = FineTuneConfig(cg_iters=3)
@@ -515,7 +552,7 @@ class TestInPlaceFineTune:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            dbn_module._cg_batch(d, params, x, y, cfg, 1.0)
+            dbn_module._cg_batch(d, params, x, y, 0, cfg, 1.0)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -556,7 +593,7 @@ class TestEvaluate:
         def no_forward(*args, **kwargs):
             raise AssertionError("forward pass before the label check")
 
-        monkeypatch.setattr(dbn_module, "forward", no_forward)
+        monkeypatch.setattr(dbn_module, "prob_h_given_x", no_forward)
         top = int(train.labels.max())
         with pytest.raises(ValueError, match=f"5 classes, but the largest label is {top}"):
             evaluate(d, train)

@@ -12,13 +12,13 @@ from mndbn.core import Rng, sigmoid
 from mndbn.rbm import (
     CdStats,
     Rbm,
+    _CdBuffers,
     apply_update,
     cd_step,
     energy,
     exact_log_likelihood,
     exact_log_likelihood_grad,
     exact_log_partition_function,
-    gibbs_chain,
     prob_h_given_x,
     prob_x_given_h,
 )
@@ -58,6 +58,14 @@ def visible_side_oracle(m):
     px = np.exp(neg_f - log_z)
     ph = 0.5 * (1.0 + np.tanh(0.5 * act))
     return log_z, (xs * px[:, None]).T @ ph, px @ xs, px @ ph
+
+
+def reconstructions(m, batch, rng):
+    """The one-step reconstruction of each row in one cd_step, read back
+    from the batch - x_tilde the step leaves in its buffers."""
+    buf = _CdBuffers.like(m, batch.shape[0])
+    cd_step(m, batch, rng, out=buf)
+    return batch - buf.x_tilde
 
 
 def assert_close(got, want):
@@ -109,40 +117,6 @@ class TestConditionals:
             prob_h_given_x(m, np.ones(5))
 
 
-class TestGibbsChain:
-    def test_zero_model_reconstructs_half(self):
-        m = zero_rbm(3, 2)
-        x0 = np.array([[1.0, 0.0, 1.0]])
-        xt, h0, ht = gibbs_chain(m, x0, Rng(0))
-        assert (xt == 0.5).all()
-        assert (h0 == 0.5).all() and (ht == 0.5).all()
-
-    def test_seed_determinism(self):
-        m = random_rbm(5, 3, 2)
-        x0 = Rng(6).uniform((4, 3))
-        a = gibbs_chain(m, x0, Rng(42))
-        b = gibbs_chain(m, x0, Rng(42))
-        for left, right in zip(a, b):
-            assert (left == right).all()
-
-    def test_one_step_distribution_matches_exact_mixture(self):
-        # k=1 reconstruction takes one of 2^J values, one per hidden
-        # configuration; empirical frequencies over 1e5 seeded chains must
-        # match the exact conditional mixture within 0.01 total variation.
-        m = random_rbm(7, 3, 2)
-        x0 = np.array([1.0, 0.0, 1.0])
-        ph = prob_h_given_x(m, x0)
-        hs = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
-        atom_probs = np.prod(np.where(hs == 1.0, ph, 1.0 - ph), axis=1)
-        atoms = sigmoid(hs @ m.w.T + m.b_vis)
-        n = 10**5
-        xt, _, _ = gibbs_chain(m, np.tile(x0, (n, 1)), Rng(99))
-        d2 = ((xt[:, None, :] - atoms[None, :, :]) ** 2).sum(-1)
-        freq = np.bincount(d2.argmin(1), minlength=4) / n
-        tv = 0.5 * np.abs(freq - atom_probs).sum()
-        assert tv <= 0.01
-
-
 class TestCdStep:
     def test_zero_model_constant_batch_gives_zero_stats(self):
         m = zero_rbm(4, 3)
@@ -173,9 +147,43 @@ class TestCdStep:
         m = random_rbm(8, 4, 3)
         row = Rng(1).uniform((1, 4))
         pair = np.vstack([row, Rng(2).uniform((1, 4))])
-        xt_pair, _, _ = gibbs_chain(m, pair, Rng(33))
-        xt_single, _, _ = gibbs_chain(m, row, Rng(33))
+        xt_pair, xt_single = reconstructions(m, pair, Rng(33)), reconstructions(m, row, Rng(33))
         assert (xt_single[0] == xt_pair[0]).all()
+
+    def test_zero_model_reconstructs_half(self):
+        m = zero_rbm(3, 2)
+        x0 = np.array([[1.0, 0.0, 1.0]])
+        buf = _CdBuffers.like(m, 1)
+        cd_step(m, x0, Rng(0), out=buf)
+        # The step leaves h0, batch - x_tilde and h0 - h_tilde in its buffers.
+        assert (buf.h0 == 0.5).all()
+        assert (x0 - buf.x_tilde == 0.5).all()
+        assert (buf.chain == 0.0).all()
+
+    def test_seed_determinism(self):
+        m = random_rbm(5, 3, 2)
+        x0 = Rng(6).uniform((4, 3))
+        a = cd_step(m, x0, Rng(42))
+        b = cd_step(m, x0, Rng(42))
+        for name in ("dw", "db_vis", "da_hid"):
+            assert (getattr(a, name) == getattr(b, name)).all()
+
+    def test_one_step_distribution_matches_exact_mixture(self):
+        # k=1 reconstruction takes one of 2^J values, one per hidden
+        # configuration; empirical frequencies over 1e5 seeded chains must
+        # match the exact conditional mixture within 0.01 total variation.
+        m = random_rbm(7, 3, 2)
+        x0 = np.array([1.0, 0.0, 1.0])
+        ph = prob_h_given_x(m, x0)
+        hs = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
+        atom_probs = np.prod(np.where(hs == 1.0, ph, 1.0 - ph), axis=1)
+        atoms = sigmoid(hs @ m.w.T + m.b_vis)
+        n = 10**5
+        xt = reconstructions(m, np.tile(x0, (n, 1)), Rng(99))
+        d2 = ((xt[:, None, :] - atoms[None, :, :]) ** 2).sum(-1)
+        freq = np.bincount(d2.argmin(1), minlength=4) / n
+        tv = 0.5 * np.abs(freq - atom_probs).sum()
+        assert tv <= 0.01
 
 
 class TestApplyUpdate:
